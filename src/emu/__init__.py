@@ -14,8 +14,8 @@ evaluator.
 from .assertions import Assertion, assertion_to_str, parse_assertion
 from .energy import (
     INF,
+    LIMIT,
     EnergyFunction,
-    ec,
     ecpre,
     ecpre_env,
     eval_energy,

@@ -1,14 +1,18 @@
-"""Set-valued fixpoint semantics over game structures.
+"""The fixpoint engine, and the set semantics; ``energy`` adds the other.
 
-A formula denotes the set of states from which the system can enforce it.
-State sets are boolean arrays indexed by enumerated state; ``<>`` maps a set
-to the states from which the system can force the next state into it in one
-round, ``[]`` to those from which the environment can.
+Both semantics are ``Lattice`` records evaluated by one ``evaluate``.  Under
+the set semantics a formula denotes the set of states from which the
+system can enforce it.  State sets are boolean arrays indexed by enumerated
+state; ``<>`` maps a set to the states from which the system can force the
+next state into it in one round, ``[]`` to those from which the environment
+can.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 import numpy as np
 
@@ -23,18 +27,99 @@ class FixpointStats:
     """Observed fixpoint iteration counts, for cap auditing."""
 
     fixpoints: int = 0
-    max_iterations: int = 0
     # (applications, cap) per fixpoint; stabilization happened at
     # applications - 1 strict changes, which must stay <= cap.
     caps: list[tuple[int, int]] = field(default_factory=list)
 
     def record(self, iterations, cap):
         self.fixpoints += 1
-        self.max_iterations = max(self.max_iterations, iterations)
         self.caps.append((iterations, cap))
 
     def within_caps(self) -> bool:
         return all(apps - 1 <= cap for apps, cap in self.caps)
+
+
+@dataclass(frozen=True)
+class Lattice:
+    """The operations a formula is evaluated with.
+
+    ``atom`` maps a bool state mask to an element, ``pre_sys``/``pre_env``
+    interpret ``<>``/``[]``, and ``leq`` is the lattice order with ``bottom``
+    least and ``top`` greatest.  ``height`` bounds the strict changes of any
+    fixpoint chain.
+    """
+
+    atom: Callable[[np.ndarray], Any]
+    neg: Callable
+    join: Callable
+    meet: Callable
+    pre_sys: Callable
+    pre_env: Callable
+    bottom: Any
+    top: Any
+    leq: Callable[[Any, Any], bool]
+    eq: Callable[[Any, Any], bool]
+    height: int
+
+
+def evaluate(lat: Lattice, tables, f: fm.Formula, valuation=None,
+             stats: FixpointStats | None = None):
+    """The element of ``lat`` denoted by ``f``.
+
+    ``valuation`` maps free fixpoint variables to elements.  Least fixpoints
+    iterate up from ``bottom``, greatest fixpoints down from ``top``; each
+    must stabilize within ``height`` strict changes, and its iterates must
+    form a monotone chain.  Violations raise, as they indicate a broken
+    operator rather than a bad input.
+    """
+    fm.require_monotone(f)
+
+    def ev(node, env):
+        if isinstance(node, fm.Atom):
+            return lat.atom(tables.state_mask(node.assertion))
+        if isinstance(node, fm.NegAtom):
+            return lat.atom(~tables.state_mask(node.assertion))
+        if isinstance(node, fm.RelVar):
+            if node.name not in env:
+                raise UnboundVariableError(f"no value for variable {node.name!r}")
+            return env[node.name]
+        if isinstance(node, fm.And):
+            return lat.meet(ev(node.left, env), ev(node.right, env))
+        if isinstance(node, fm.Or):
+            return lat.join(ev(node.left, env), ev(node.right, env))
+        if isinstance(node, fm.Diamond):
+            return lat.pre_sys(ev(node.sub, env))
+        if isinstance(node, fm.Box):
+            return lat.pre_env(ev(node.sub, env))
+        if isinstance(node, fm.Not):
+            return lat.neg(ev(node.sub, env))
+        if isinstance(node, (fm.Mu, fm.Nu)):
+            ascending = isinstance(node, fm.Mu)
+            current = lat.bottom if ascending else lat.top
+            iterations = 0
+            while True:
+                iterations += 1
+                if iterations > lat.height + 1:
+                    raise IterationCapError(
+                        f"fixpoint of {node.name} still moving after"
+                        f" {lat.height} changes"
+                    )
+                new = ev(node.sub, {**env, node.name: current})
+                if not (lat.leq(current, new) if ascending
+                        else lat.leq(new, current)):
+                    direction = "ascending" if ascending else "descending"
+                    raise IterationCapError(
+                        f"fixpoint iterates for {node.name} are not {direction}"
+                    )
+                if lat.eq(new, current):
+                    break
+                current = new
+            if stats is not None:
+                stats.record(iterations, lat.height)
+            return current
+        raise TypeError(f"not a formula node: {node!r}")
+
+    return ev(f, dict(valuation or {}))
 
 
 def cpre_sys(game, target: StateSet) -> StateSet:
@@ -50,74 +135,30 @@ def cpre_sys(game, target: StateSet) -> StateSet:
 
 
 def cpre_env(game, target: StateSet) -> StateSet:
-    """States from which the environment forces the next state into ``target``.
-
-    Requires some valid input whose every valid output lands in ``target``
-    (vacuously, an input that deadlocks the system).
-    """
-    t = game.tables()
-    all_in = (~t.rho_s | target[t.succ][None, :, :]).all(axis=2)
-    return (t.rho_e & all_in).any(axis=1)
+    """States with a valid input whose every valid output lands in ``target``
+    (vacuously, one that deadlocks the system); the dual of ``cpre_sys``."""
+    return ~cpre_sys(game, ~target)
 
 
 def eval_classical(game, f: fm.Formula, valuation=None, stats=None) -> StateSet:
     """The state set denoted by ``f``; negation is set complement.
 
-    ``valuation`` maps free fixpoint variables to state sets.  Each fixpoint
-    is iterated to stabilization and must stabilize within ``n_states``
-    strict changes (the powerset chain height); exceeding the cap raises,
-    as it indicates a broken operator.
+    ``valuation`` maps free fixpoint variables to state sets.  The lattice
+    height, and so each fixpoint's cap, is ``n_states``.
     """
-    fm.require_monotone(f)
     t = game.tables()
     n = t.n_states
-    env = dict(valuation or {})
-
-    def ev(node, env):
-        if isinstance(node, fm.Atom):
-            return t.state_mask(node.assertion)
-        if isinstance(node, fm.NegAtom):
-            return ~t.state_mask(node.assertion)
-        if isinstance(node, fm.RelVar):
-            if node.name not in env:
-                raise UnboundVariableError(f"no value for variable {node.name!r}")
-            return env[node.name]
-        if isinstance(node, fm.And):
-            return ev(node.left, env) & ev(node.right, env)
-        if isinstance(node, fm.Or):
-            return ev(node.left, env) | ev(node.right, env)
-        if isinstance(node, fm.Diamond):
-            return cpre_sys(game, ev(node.sub, env))
-        if isinstance(node, fm.Box):
-            return cpre_env(game, ev(node.sub, env))
-        if isinstance(node, fm.Not):
-            return ~ev(node.sub, env)
-        if isinstance(node, (fm.Mu, fm.Nu)):
-            grow = isinstance(node, fm.Mu)
-            current = np.zeros(n, dtype=bool) if grow else np.ones(n, dtype=bool)
-            cap = n
-            iterations = 0
-            while True:
-                iterations += 1
-                if iterations > cap + 1:
-                    raise IterationCapError(
-                        f"fixpoint of {node.name} still moving after {cap} changes"
-                    )
-                new = ev(node.sub, {**env, node.name: current})
-                if grow and not (current <= new).all():
-                    raise IterationCapError(
-                        f"least-fixpoint iterate for {node.name} is not ascending"
-                    )
-                if not grow and not (new <= current).all():
-                    raise IterationCapError(
-                        f"greatest-fixpoint iterate for {node.name} is not descending"
-                    )
-                if (new == current).all():
-                    break
-                current = new
-            if stats is not None:
-                stats.record(iterations, cap)
-            return current
-        raise TypeError(f"not a formula node: {node!r}")
-
-    return ev(f, env)
+    lat = Lattice(
+        atom=lambda mask: mask,
+        neg=operator.invert,
+        join=operator.or_,
+        meet=operator.and_,
+        pre_sys=lambda s: cpre_sys(game, s),
+        pre_env=lambda s: cpre_env(game, s),
+        bottom=np.zeros(n, dtype=bool),
+        top=np.ones(n, dtype=bool),
+        leq=lambda a, b: bool((a <= b).all()),
+        eq=np.array_equal,
+        height=n,
+    )
+    return evaluate(lat, t, f, valuation, stats)

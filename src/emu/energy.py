@@ -15,22 +15,21 @@ and the environment's step operator the dual of the system's.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import formulas as fm
-from .errors import (
-    BoundMismatchError,
-    InvalidCreditError,
-    IterationCapError,
-    UnboundVariableError,
-)
-from .classical import FixpointStats
+from .errors import BoundMismatchError, InvalidCreditError
+from .classical import FixpointStats, Lattice, evaluate
 
 # Unattainable-credit marker: larger than any finite credit under int64
 # comparisons, with headroom so adding or subtracting a weight cannot wrap.
 INF = np.int64(1) << 62
+# Largest accepted |weight| and bound.  Below it, e - w, c + 1 + w and
+# c + 1 - v stay inside int64, and their finite values stay below INF.
+LIMIT = 1 << 60
 
 
 @dataclass(frozen=True)
@@ -109,99 +108,31 @@ def neg(f: EnergyFunction) -> EnergyFunction:
     return EnergyFunction(c, out)
 
 
-def ec(game, c: int, s, s_next, e) -> int:
-    """Credit needed to take one transition, given the credit ``e`` needed next.
-
-    Cases, in order: an invalid input costs nothing (the environment cannot
-    play it); an unattainable continuation or an input the system cannot
-    answer is unattainable; a required credit above the bound is
-    unattainable; otherwise pay the weight, clipped at zero from below.
-    """
-    from .game import eval_assertion, weight
-
-    if not eval_assertion(game.rho_e, s, s_next):
-        return 0
-    if e == INF or not eval_assertion(game.rho_s, s, s_next):
-        return int(INF)
-    w = weight(game, s, s_next)
-    if e - w > c:
-        return int(INF)
-    return max(0, int(e) - w)
-
-
-@dataclass(frozen=True)
-class _EcTables:
-    """Per-(game, bound) arrays for the one-step operators."""
-
-    c: int
-    n_states: int
-    not_rho_e: np.ndarray   # (N, NX, 1)
-    dead: np.ndarray        # (N, NX, NY): rho_e holds, rho_s does not
-    weight: np.ndarray      # (N, NX, NY)
-    succ: np.ndarray        # (NX, NY)
-
-
-def _ec_tables(game, c: int) -> _EcTables:
-    cache = getattr(game, "__dict__", None)
-    key = ("_ec_tables", c)
-    if cache is not None and key in cache:
-        return cache[key]
-    t = game.tables()
-    rho_e3 = t.rho_e[:, :, None]
-    out = _EcTables(
-        c=c,
-        n_states=t.n_states,
-        not_rho_e=~rho_e3,
-        dead=rho_e3 & ~t.rho_s,
-        weight=t.weight,
-        succ=t.succ,
-    )
-    if cache is not None:
-        cache[key] = out
-    return out
-
-
 def ecpre(game, c: int, f: EnergyFunction) -> EnergyFunction:
     """One step under the system's control: the credit needed to move into f.
 
     For each state, the environment picks the worst valid input (integer
     max) and the system answers with the best valid output (integer min).
+    A move needs the credit of its target minus its weight, unattainable
+    above the bound; a move the system cannot make, or into an unattainable
+    target, is unattainable; an input the environment cannot play is free.
     """
     if f.bound != c:
         raise BoundMismatchError(f"function bound {f.bound} differs from c={c}")
-    t = _ec_tables(game, c)
+    t = game.tables()
     e = f.values[t.succ][None, :, :]
     ew = e - t.weight
     val = np.maximum(ew, 0)
     val = np.where(ew > c, INF, val)
-    val = np.where(t.dead | (e == INF), INF, val)
-    val = np.where(t.not_rho_e, 0, val)
+    val = np.where(t.rho_s & (e != INF), val, INF)
+    val = np.where(t.rho_e[:, :, None], val, 0)
     return EnergyFunction(c, val.min(axis=2).max(axis=1))
 
 
 def ecpre_env(game, c: int, f: EnergyFunction) -> EnergyFunction:
-    """One step under the environment's control; the dual of ecpre.
-
-    Pointwise equal to neg(ecpre(neg(f))), but computed directly from its
-    own case analysis: for each state the environment picks the best valid
-    input (integer min) after the system's worst answer (integer max).
-    """
-    if f.bound != c:
-        raise BoundMismatchError(f"function bound {f.bound} differs from c={c}")
-    t = _ec_tables(game, c)
-    e = f.values[t.succ][None, :, :]
-    w = t.weight
-    is_inf = e == INF
-    ew = e + w
-    val = ew                                   # case 8: pay the weight backwards
-    val = np.where(ew > c, INF, val)           # case 7: overflow unattainable (for env)
-    val = np.where(ew <= 0, 0, val)            # case 6: clipped at zero
-    val = np.where(is_inf, c + 1 + w, val)     # case 5: from INF, mid-range weight
-    val = np.where(is_inf & (w >= 0), INF, val)  # case 4
-    val = np.where(is_inf & (w + c < 0), 0, val)  # case 3
-    val = np.where((e == 0) | t.dead, 0, val)  # case 2
-    val = np.where(t.not_rho_e, INF, val)      # case 1: invalid input
-    return EnergyFunction(c, val.max(axis=2).min(axis=1))
+    """One step under the environment's control, the De Morgan dual of ecpre:
+    the best valid input (integer min) after the system's worst answer (max)."""
+    return neg(ecpre(game, c, neg(f)))
 
 
 def eval_energy(game, c: int, f: fm.Formula, valuation=None,
@@ -210,70 +141,31 @@ def eval_energy(game, c: int, f: fm.Formula, valuation=None,
 
     Atoms map to 0 where they hold and INF elsewhere; disjunction is join,
     conjunction meet, ``<>``/``[]`` the step operators, ``!`` the De Morgan
-    negation.  Least fixpoints iterate from the constant-INF function,
-    greatest fixpoints from the constant-zero function; each must stabilize
-    within n_states*(c+1) strict changes (the lattice height), and the
-    iterates must form a monotone chain.  Violations raise, as they
-    indicate a broken operator rather than a bad input.
+    negation.  The lattice height, and so each fixpoint's cap, is
+    n_states*(c+1).
     """
-    if not isinstance(c, (int, np.integer)) or c < 0:
-        raise InvalidCreditError(f"the bound must be a finite natural, got {c!r}")
+    if not isinstance(c, (int, np.integer)) or c < 0 or c > LIMIT:
+        raise InvalidCreditError(
+            f"the bound must be a natural number up to 2^60, got {c!r}")
     c = int(c)
-    fm.require_monotone(f)
     t = game.tables()
     n = t.n_states
-    cap = n * (c + 1)
+    for name, g in (valuation or {}).items():
+        if g.bound != c:
+            raise BoundMismatchError(
+                f"valuation for {name!r} has bound {g.bound}, expected {c}")
 
-    def ev(node, env):
-        if isinstance(node, fm.Atom):
-            mask = t.state_mask(node.assertion)
-            return EnergyFunction(c, np.where(mask, 0, INF))
-        if isinstance(node, fm.NegAtom):
-            mask = t.state_mask(node.assertion)
-            return EnergyFunction(c, np.where(mask, INF, 0))
-        if isinstance(node, fm.RelVar):
-            if node.name not in env:
-                raise UnboundVariableError(f"no value for variable {node.name!r}")
-            g = env[node.name]
-            if g.bound != c:
-                raise BoundMismatchError(
-                    f"valuation for {node.name!r} has bound {g.bound}, expected {c}"
-                )
-            return g
-        if isinstance(node, fm.And):
-            return meet(ev(node.left, env), ev(node.right, env))
-        if isinstance(node, fm.Or):
-            return join(ev(node.left, env), ev(node.right, env))
-        if isinstance(node, fm.Diamond):
-            return ecpre(game, c, ev(node.sub, env))
-        if isinstance(node, fm.Box):
-            return ecpre_env(game, c, ev(node.sub, env))
-        if isinstance(node, fm.Not):
-            return neg(ev(node.sub, env))
-        if isinstance(node, (fm.Mu, fm.Nu)):
-            ascending = isinstance(node, fm.Mu)
-            current = (EnergyFunction.bottom(c, n) if ascending
-                       else EnergyFunction.top(c, n))
-            iterations = 0
-            while True:
-                iterations += 1
-                if iterations > cap + 1:
-                    raise IterationCapError(
-                        f"fixpoint of {node.name} still moving after {cap} changes"
-                    )
-                new = ev(node.sub, {**env, node.name: current})
-                chain_ok = leq(current, new) if ascending else leq(new, current)
-                if not chain_ok:
-                    direction = "ascending" if ascending else "descending"
-                    raise IterationCapError(
-                        f"fixpoint iterates for {node.name} are not {direction}"
-                    )
-                if new == current:
-                    break
-                current = new
-            if stats is not None:
-                stats.record(iterations, cap)
-            return current
-        raise TypeError(f"not a formula node: {node!r}")
-
-    return ev(f, dict(valuation or {}))
+    lat = Lattice(
+        atom=lambda mask: EnergyFunction(c, np.where(mask, 0, INF)),
+        neg=neg,
+        join=join,
+        meet=meet,
+        pre_sys=lambda g: ecpre(game, c, g),
+        pre_env=lambda g: ecpre_env(game, c, g),
+        bottom=EnergyFunction.bottom(c, n),
+        top=EnergyFunction.top(c, n),
+        leq=leq,
+        eq=operator.eq,
+        height=n * (c + 1),
+    )
+    return evaluate(lat, t, f, valuation, stats)

@@ -58,7 +58,7 @@ class IncompleteWeightCoverError(EmuError):
 
 
 class WeightDomainError(EmuError):
-    """The weight function was queried outside the system transitions."""
+    """A weight is out of range, or was queried outside the system transitions."""
 
 
 class InvalidCreditError(EmuError):

@@ -25,6 +25,7 @@ from .errors import (
     StateCapError,
     WeightDomainError,
 )
+from .energy import LIMIT
 from .tables import GameTables, _pair_lookup, build_tables
 
 MAX_VARS = 24
@@ -128,6 +129,12 @@ def all_states(vs: VariableSet) -> Iterator[State]:
 class WeightRule:
     guard: asr.Assertion
     weight: int
+
+    def __post_init__(self):
+        if abs(self.weight) > LIMIT:
+            raise WeightDomainError(
+                f"weight {self.weight} exceeds 2^60 in absolute value"
+            )
 
 
 @dataclass(frozen=True)
@@ -367,9 +374,3 @@ def wins_energy_objective(
             return False
     return True
 
-
-def state_priorities(g: WeightedGameStructure):
-    """Per-state priorities from the guard partition, as an int array."""
-    if g.priorities is None:
-        raise EmuError("the game carries no priority annotation")
-    return g.tables().prio

@@ -48,9 +48,6 @@ class ReducedGame:
     def state_index(self, s: int, credit: int) -> int:
         return s | (credit << len(self.original.vars.names))
 
-    def rho_e_holds(self, s1: int, c1: int, x_next: int) -> bool:
-        return bool(self._tables.rho_e[self.state_index(s1, c1), x_next])
-
     def rho_s_holds(self, s1: int, c1: int, s2: int, c2: int) -> bool:
         """Membership of ((s1,c1),(s2,c2)) in the reduced system relation."""
         t = self._tables

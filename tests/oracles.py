@@ -84,6 +84,29 @@ def ec_scalar(game, c, s, t, e):
     return max(0, int(e) - w)
 
 
+def ecpre_env_cases(game, c, f: EnergyFunction) -> EnergyFunction:
+    """The environment's step, from its own case analysis rather than duality.
+
+    For each state the environment picks the best valid input (integer min)
+    after the system's worst answer (integer max).
+    """
+    t = game.tables()
+    e = f.values[t.succ][None, :, :]
+    w = t.weight
+    is_inf = e == INF
+    ew = e + w
+    val = ew                                   # case 8: pay the weight backwards
+    val = np.where(ew > c, INF, val)           # case 7: overflow unattainable (for env)
+    val = np.where(ew <= 0, 0, val)            # case 6: clipped at zero
+    val = np.where(is_inf, c + 1 + w, val)     # case 5: from INF, mid-range weight
+    val = np.where(is_inf & (w >= 0), INF, val)  # case 4
+    val = np.where(is_inf & (w + c < 0), 0, val)  # case 3
+    dead = t.rho_e[:, :, None] & ~t.rho_s
+    val = np.where((e == 0) | dead, 0, val)    # case 2
+    val = np.where(~t.rho_e[:, :, None], INF, val)  # case 1: invalid input
+    return EnergyFunction(c, val.max(axis=2).min(axis=1))
+
+
 def ecpre_enum(game, c, f: EnergyFunction) -> EnergyFunction:
     """max over inputs of min over outputs of the scalar charge."""
     vals = np.zeros(game.n_states, dtype=np.int64)

@@ -92,6 +92,28 @@ def test_usage_errors(g1_path, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_solve_rejects_weight_beyond_int64(g1_path, tmp_path, capsys):
+    doc = json.loads(open(g1_path).read())
+    doc["weights"][0]["weight"] = 1 << 70
+    path = tmp_path / "huge.game"
+    path.write_text(json.dumps(doc))
+    assert run(["solve", str(path), "--bound", "3"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_solve_at_a_finite_bound_with_a_huge_sufficient_bound(g1_path, tmp_path,
+                                                               capsys):
+    doc = json.loads(open(g1_path).read())
+    doc["weights"][0]["weight"] = -(1 << 60)
+    path = tmp_path / "deep.game"
+    path.write_text(json.dumps(doc))
+    assert run(["solve", str(path), "--bound", "3"]) in (0, 1)
+    assert run(["region", str(path), "--bound", "3"]) == 0
+    assert run(["bound", str(path)]) == 0
+    assert run(["solve", str(path), "--bound", "inf"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_check_clean(tmp_path, capsys):
     code = run(["check", "--seed", "7", "--cases", "12", "--max-vars", "3",
                 "--dump-dir", str(tmp_path)])

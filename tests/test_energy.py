@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -9,7 +10,6 @@ from emu import (
     EnergyFunction,
     FixpointStats,
     State,
-    ec,
     ecpre,
     ecpre_env,
     eval_energy,
@@ -22,7 +22,7 @@ from emu import (
 from emu import formulas as fm
 from emu.errors import BoundMismatchError, InvalidCreditError, NonMonotoneFormulaError
 from emu.randgen import random_wgs
-from oracles import buchi_loop_energy, ec_scalar, ecpre_enum
+from oracles import buchi_loop_energy, ec_scalar, ecpre_env_cases, ecpre_enum
 
 
 def _f(c, values):
@@ -89,10 +89,10 @@ def test_ec_cases(g1):
     t_y = State.of(g1.vars, {"y"})
     t_n = State.of(g1.vars, set())
     # stepping into y costs 1, stepping elsewhere earns 1
-    assert ec(g1, 8, s, t_y, 3) == 4
-    assert ec(g1, 8, s, t_n, 3) == 2
-    assert ec(g1, 0, s, t_y, 0) == INF       # required credit exceeds the bound
-    assert ec(g1, 8, s, t_y, INF) == INF
+    assert ec_scalar(g1, 8, s, t_y, 3) == 4
+    assert ec_scalar(g1, 8, s, t_n, 3) == 2
+    assert ec_scalar(g1, 0, s, t_y, 0) == INF  # required credit exceeds the bound
+    assert ec_scalar(g1, 8, s, t_y, INF) == INF
 
 
 def test_ec_invalid_input_is_free():
@@ -106,7 +106,7 @@ def test_ec_invalid_input_is_free():
     )
     s = State.of(g.vars, set())
     t_bad = State.of(g.vars, {"x"})
-    assert ec(g, 4, s, t_bad, INF) == 0
+    assert ec_scalar(g, 4, s, t_bad, INF) == 0
 
 
 def test_ec_sys_refusal_is_infinite():
@@ -119,7 +119,7 @@ def test_ec_sys_refusal_is_infinite():
         weights=(WeightRule(parse_assertion("true"), 0),),
     )
     s = State.of(g.vars, set())
-    assert ec(g, 4, s, State.of(g.vars, set()), 0) == INF
+    assert ec_scalar(g, 4, s, State.of(g.vars, set()), 0) == INF
 
 
 def test_ecpre_g1_examples(g1):
@@ -143,32 +143,24 @@ def test_ecpre_matches_enumeration_random():
         assert ecpre(g, c, f) == ecpre_enum(g, c, f)
 
 
-def test_ec_scalar_matches_vectorized(g1):
-    rng = random.Random(19)
-    for _ in range(60):
-        s = State(g1.vars, rng.randrange(g1.n_states))
-        t = State(g1.vars, rng.randrange(g1.n_states))
-        c = rng.randint(0, 5)
-        e = rng.choice(list(range(c + 1)) + [int(INF)])
-        assert ec(g1, c, s, t, e) == ec_scalar(g1, c, s, t, e)
-
-
 def test_ecpre_env_examples(g1):
     from emu import VariableSet, WeightRule, WeightedGameStructure
 
     c = 2
     n = g1.n_states
     # rho_s total, no env deadlock: from the zero function everything is free
-    assert ecpre_env(g1, c, EnergyFunction.top(c, n)) == EnergyFunction.top(c, n)
+    top, bottom = EnergyFunction.top(c, n), EnergyFunction.bottom(c, n)
+    assert ecpre_env_cases(g1, c, top) == top
     # no valid input at all: the min over inputs is empty, value INF
     dead = WeightedGameStructure(
         vars=g1.vars, rho_e=parse_assertion("false"), rho_s=g1.rho_s,
         weights=g1.weights)
-    assert (ecpre_env(dead, c, EnergyFunction.top(c, n))
-            == EnergyFunction.bottom(c, n))
+    assert ecpre_env_cases(dead, c, top) == bottom
     # duality pins the remaining case
-    f = EnergyFunction.bottom(c, n)
-    assert ecpre_env(g1, c, f) == neg(ecpre(g1, c, neg(f)))
+    assert ecpre_env_cases(g1, c, bottom) == neg(ecpre(g1, c, neg(bottom)))
+    for game in (g1, dead):
+        for f in (top, bottom):
+            assert ecpre_env(game, c, f) == ecpre_env_cases(game, c, f)
 
 
 def test_ecpre_monotone_random():
@@ -182,7 +174,7 @@ def test_ecpre_monotone_random():
         # worse requires less credit, i.e. f <= worse in the reversed order
         assert leq(f, worse)
         assert leq(ecpre(g, c, f), ecpre(g, c, worse))
-        assert leq(ecpre_env(g, c, f), ecpre_env(g, c, worse))
+        assert leq(ecpre_env_cases(g, c, f), ecpre_env_cases(g, c, worse))
 
 
 def test_duality_random():
@@ -191,7 +183,8 @@ def test_duality_random():
         g = random_wgs(rng, 2, 3)
         c = rng.randint(0, 6)
         f = _random_function(rng, c, g.n_states)
-        assert ecpre_env(g, c, neg(f)) == neg(ecpre(g, c, f))
+        assert ecpre_env_cases(g, c, neg(f)) == neg(ecpre(g, c, f))
+        assert ecpre_env(g, c, f) == ecpre_env_cases(g, c, f)
 
 
 # ---------------------------------------------------------------------------
@@ -255,3 +248,51 @@ def test_mixed_fragment_accepted(g1):
     f = fm.parse_formula("nu X . (<>X & []X)")
     out = eval_energy(g1, 2, f)
     assert out.bound == 2  # evaluates without error
+
+
+# ---------------------------------------------------------------------------
+# the int64 credit encoding
+
+def _buchi_game(w):
+    """Input x, output y; moves into y weigh w, all others +1."""
+    from emu import VariableSet, WeightRule, WeightedGameStructure
+
+    return WeightedGameStructure(
+        vars=VariableSet(("x", "y"), frozenset({"x"})),
+        rho_e=parse_assertion("true"),
+        rho_s=parse_assertion("true"),
+        weights=(WeightRule(parse_assertion("y'"), w),
+                 WeightRule(parse_assertion("true"), 1)),
+    )
+
+
+def test_weights_beyond_the_limit_are_rejected():
+    from emu import LIMIT, oracle_min_credit_sys
+    from emu.errors import WeightDomainError
+
+    # e - w used to wrap here, giving credit 0 where no credit suffices
+    with pytest.raises(WeightDomainError):
+        _buchi_game(-(1 << 63))
+    with pytest.raises(WeightDomainError):
+        _buchi_game(LIMIT + 1)
+    buchi = fm.builtin("buchi", J="y")
+    for w in (-LIMIT, LIMIT):
+        g = _buchi_game(w)
+        assert eval_energy(g, 3, buchi) == oracle_min_credit_sys(g, 3, buchi)
+    assert eval_energy(_buchi_game(-LIMIT), 3, buchi) == EnergyFunction.bottom(3, 4)
+
+
+def test_bounds_beyond_the_limit_are_rejected():
+    from emu import LIMIT, SolveRequest, compute_bound, solve
+
+    with pytest.raises(InvalidCreditError):
+        eval_energy(_buchi_game(-1), LIMIT + 1, fm.builtin("safety"))
+    buchi = fm.builtin("buchi", J="y")
+    # the sufficient bound of a legal weight may exceed the limit: only
+    # solving at it fails, a finite bound below the limit still solves
+    assert compute_bound(_buchi_game(LIMIT), buchi).bound > LIMIT
+    with pytest.raises(InvalidCreditError):
+        solve(SolveRequest(_buchi_game(LIMIT), buchi, math.inf))
+    report = solve(SolveRequest(_buchi_game(-LIMIT), buchi, 3))
+    assert not report.sys_region.any() and report.env_region.all()
+    assert compute_bound(_buchi_game(-2), buchi).bound == 76
