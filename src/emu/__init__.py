@@ -40,23 +40,11 @@ from .formulas import (
     push_negations,
 )
 from .game import (
-    PlayPrefix,
     PriorityRule,
     State,
     VariableSet,
     WeightRule,
     WeightedGameStructure,
-    all_states,
-    energy_level,
-    env_choices,
-    eval_assertion,
-    is_env_deadlock,
-    is_sys_deadlock,
-    lint_weight_rules,
-    successors,
-    sys_choices,
-    weight,
-    wins_energy_objective,
 )
 from .gamefile import load_game, load_priorities, save_game
 from .parity import (
@@ -83,7 +71,6 @@ from .solver import (
     crosscheck_parity,
     env_max_credit,
     solve,
-    sufficient_bound,
     winning_regions,
 )
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -223,25 +223,6 @@ def assertion_vars(a: Assertion) -> set[tuple[str, bool]]:
 
     walk(a)
     return out
-
-
-def eval_bool(a: Assertion, lookup: Callable[[str, bool], bool]) -> bool:
-    """Evaluate with a scalar variable lookup."""
-    if isinstance(a, Var):
-        return lookup(a.name, a.primed)
-    if isinstance(a, Const):
-        return a.value
-    if isinstance(a, Not):
-        return not eval_bool(a.sub, lookup)
-    if isinstance(a, And):
-        return eval_bool(a.left, lookup) and eval_bool(a.right, lookup)
-    if isinstance(a, Or):
-        return eval_bool(a.left, lookup) or eval_bool(a.right, lookup)
-    if isinstance(a, Implies):
-        return (not eval_bool(a.left, lookup)) or eval_bool(a.right, lookup)
-    if isinstance(a, Iff):
-        return eval_bool(a.left, lookup) == eval_bool(a.right, lookup)
-    raise TypeError(f"not an assertion node: {a!r}")
 
 
 def eval_terms(a: Assertion, lookup):

@@ -90,6 +90,21 @@ def _parse_bound(text):
     return value
 
 
+def _at_least(least):
+    """An argparse type accepting integers no smaller than ``least``."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    return parse
+
+
 def _state_names(game):
     return [State(game.vars, i).minterm() for i in range(game.n_states)]
 
@@ -131,8 +146,9 @@ def solve_report_from_json(doc: dict):
     ]
     credits = EnergyFunction(bound, np.array(values, dtype=np.int64))
     states = [row["state"] for row in doc["min_credits"]]
-    w_sys = np.array([s in set(doc["w_sys"]) for s in states])
-    w_env = np.array([s in set(doc["w_env"]) for s in states])
+    sys_states, env_states = set(doc["w_sys"]), set(doc["w_env"])
+    w_sys = np.array([s in sys_states for s in states])
+    w_env = np.array([s in env_states for s in states])
     return bound, credits, w_sys, w_env
 
 
@@ -356,10 +372,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", choices=("reduction", "parity"),
                    default="reduction")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=100)
-    p.add_argument("--max-vars", type=int, default=4)
-    p.add_argument("--max-weight", type=int, default=2)
-    p.add_argument("--max-bound", type=int, default=8)
+    p.add_argument("--cases", type=_at_least(1), default=100)
+    p.add_argument("--max-vars", type=_at_least(2), default=4)
+    p.add_argument("--max-weight", type=_at_least(0), default=2)
+    p.add_argument("--max-bound", type=_at_least(0), default=8)
     p.add_argument("--dump-dir", default=".",
                    help="where to write counterexample artifacts")
     p.add_argument("--mutate", action="store_true",

@@ -24,7 +24,12 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import assertions as asr
-from .errors import FormulaSyntaxError, MalformedAssertionError, NonMonotoneFormulaError
+from .errors import (
+    EmuError,
+    FormulaSyntaxError,
+    MalformedAssertionError,
+    NonMonotoneFormulaError,
+)
 
 
 @dataclass(frozen=True)
@@ -557,21 +562,27 @@ def builtin(name: str, **params) -> Formula:
     form is the environment-side negation of buchi, written with Box.
     """
     key = name.replace("_", "-").lower()
+
+    def param(what):
+        if what not in params:
+            raise EmuError(f"builtin formula {name!r} needs the parameter {what}")
+        return _pure_state_param(params[what], what)
+
     if key == "safety":
         return Nu("X", Diamond(RelVar("X")))
     if key in ("reach", "reachability"):
-        p = Atom(_pure_state_param(params["p"], "p"))
+        p = Atom(param("p"))
         return Mu("X", Or(p, Diamond(RelVar("X"))))
     if key == "buchi":
-        j = Atom(_pure_state_param(params["J"], "J"))
+        j = Atom(param("J"))
         return Nu("Z", Mu("Y", Or(And(j, Diamond(RelVar("Z"))), Diamond(RelVar("Y")))))
     if key == "cobuchi":
-        j = Atom(_pure_state_param(params["J"], "J"))
+        j = Atom(param("J"))
         return Mu("Y", Nu("Z", Or(And(j, Diamond(RelVar("Z"))), Diamond(RelVar("Y")))))
     if key == "dual-buchi":
-        j = _pure_state_param(params["J"], "J")
-        return negate(builtin("buchi", J=j))
-    raise ValueError(f"unknown builtin formula {name!r}")
+        return negate(builtin("buchi", J=param("J")))
+    raise EmuError(
+        f"unknown builtin formula {name!r} (one of {', '.join(BUILTIN_NAMES)})")
 
 
 BUILTIN_NAMES = ("safety", "reach", "buchi", "cobuchi", "dual-buchi")

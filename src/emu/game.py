@@ -1,4 +1,4 @@
-"""Symbolic weighted game structures: states, transitions, weights, energy levels.
+"""Symbolic weighted game structures: variables, states, transitions, weights.
 
 A game is played in rounds on truth assignments to a fixed variable set: the
 environment first picks values for the input variables (subject to ``rho_e``),
@@ -11,22 +11,18 @@ at a bound ``c``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
-
-import numpy as np
+from typing import Optional
 
 from . import assertions as asr
 from .errors import (
     EmuError,
-    IncompleteWeightCoverError,
-    InvalidCreditError,
     MalformedAssertionError,
-    MissingNextStateError,
+    PriorityPartitionError,
     StateCapError,
     WeightDomainError,
 )
 from .energy import LIMIT
-from .tables import GameTables, _pair_lookup, build_tables
+from .tables import GameTables, build_tables
 
 MAX_VARS = 24
 
@@ -98,15 +94,6 @@ class State:
     def value(self, name: str) -> bool:
         return bool((self.index >> self.vars.position(name)) & 1)
 
-    def true_vars(self) -> frozenset[str]:
-        return frozenset(n for n in self.vars.names if self.value(n))
-
-    def input_part(self) -> frozenset[str]:
-        return frozenset(n for n in self.vars.x_names if self.value(n))
-
-    def output_part(self) -> frozenset[str]:
-        return frozenset(n for n in self.vars.y_names if self.value(n))
-
     def minterm(self) -> str:
         """Render as a conjunction of literals, e.g. ``!x & y``."""
         if not self.vars.names:
@@ -118,11 +105,6 @@ class State:
     def __repr__(self):
         bits = ", ".join(f"{n}={int(self.value(n))}" for n in self.vars.names)
         return f"State({bits})"
-
-
-def all_states(vs: VariableSet) -> Iterator[State]:
-    for i in range(vs.n_states):
-        yield State(vs, i)
 
 
 @dataclass(frozen=True)
@@ -168,6 +150,8 @@ class WeightedGameStructure:
         object.__setattr__(self, "weights", tuple(self.weights))
         if self.priorities is not None:
             object.__setattr__(self, "priorities", tuple(self.priorities))
+            if not self.priorities:
+                raise PriorityPartitionError("an empty priority list covers no state")
         names = set(self.vars.names)
         primed_ok_e = {(n, True) for n in self.vars.x_names}
         for name, primed in asr.assertion_vars(self.rho_e):
@@ -208,169 +192,3 @@ class WeightedGameStructure:
             t = build_tables(self)
             self.__dict__["_tables"] = t
         return t
-
-    def state(self, true_vars) -> State:
-        return State.of(self.vars, true_vars)
-
-
-def eval_assertion(a: asr.Assertion, s: State, s_next: Optional[State] = None) -> bool:
-    """Evaluate an assertion on a state and, for primed atoms, a next state."""
-
-    def look(name, primed):
-        st = s
-        if primed:
-            if s_next is None:
-                raise MissingNextStateError(
-                    f"primed atom {name}' requires a next state"
-                )
-            st = s_next
-        if name not in st.vars.names:
-            raise MalformedAssertionError(f"unknown variable {name!r}")
-        return st.value(name)
-
-    return asr.eval_bool(a, look)
-
-
-def is_transition(g: WeightedGameStructure, s: State, t: State) -> bool:
-    """Whether t is a successor of s, i.e. the pair satisfies rho_e and rho_s."""
-    return eval_assertion(g.rho_e, s, t) and eval_assertion(g.rho_s, s, t)
-
-
-def successors(g: WeightedGameStructure, s: State) -> set[State]:
-    return {t for t in all_states(g.vars) if is_transition(g, s, t)}
-
-
-def _with_input(g: WeightedGameStructure, s_x: frozenset[str]) -> State:
-    """A throwaway next state carrying the given input assignment (outputs false)."""
-    return State.of(g.vars, s_x)
-
-
-def env_choices(g: WeightedGameStructure, s: State) -> set[frozenset[str]]:
-    """Valid next-input assignments, each as the set of true input variables."""
-    out = set()
-    for xi in range(1 << len(g.vars.x_names)):
-        s_x = frozenset(n for j, n in enumerate(g.vars.x_names) if (xi >> j) & 1)
-        if eval_assertion(g.rho_e, s, _with_input(g, s_x)):
-            out.add(s_x)
-    return out
-
-
-def sys_choices(
-    g: WeightedGameStructure, s: State, s_x: frozenset[str]
-) -> set[frozenset[str]]:
-    """Valid next-output assignments for the given input, as sets of true outputs."""
-    out = set()
-    for yi in range(1 << len(g.vars.y_names)):
-        s_y = frozenset(n for j, n in enumerate(g.vars.y_names) if (yi >> j) & 1)
-        t = State.of(g.vars, set(s_x) | s_y)
-        if eval_assertion(g.rho_s, s, t):
-            out.add(s_y)
-    return out
-
-
-def is_env_deadlock(g: WeightedGameStructure, s: State) -> bool:
-    return not env_choices(g, s)
-
-
-def is_sys_deadlock(g: WeightedGameStructure, s: State, s_x: frozenset[str]) -> bool:
-    return not sys_choices(g, s, s_x)
-
-
-def weight(g: WeightedGameStructure, s: State, s_next: State) -> int:
-    """Weight of the system transition (s, s_next); first matching rule wins."""
-    if not eval_assertion(g.rho_s, s, s_next):
-        raise WeightDomainError(
-            f"({s!r}, {s_next!r}) is not a system transition"
-        )
-    for rule in g.weights:
-        if eval_assertion(rule.guard, s, s_next):
-            return rule.weight
-    raise IncompleteWeightCoverError(
-        f"no weight rule matches the transition ({s!r}, {s_next!r})"
-    )
-
-
-def lint_weight_rules(g: WeightedGameStructure) -> list[str]:
-    """Warnings for weight rules that overlap an earlier rule on some transition.
-
-    Overlaps are legal (the first match wins) but usually unintended.
-    """
-    t = g.tables()
-    look_shape = (t.n_states, t.n_inputs, t.n_outputs)
-    matched = np.zeros(look_shape, dtype=bool)
-    warnings = []
-    look = _pair_lookup(
-        t.var_positions, t.x_positions, t.y_positions, t.n_states
-    )
-    hits = [
-        np.broadcast_to(asr.eval_terms(r.guard, look), look_shape)
-        for r in g.weights
-    ]
-    for j, hit in enumerate(hits):
-        overlap = hit & matched & t.rho_s
-        if overlap.any():
-            warnings.append(
-                f"weight rule {j} ({asr.assertion_to_str(g.weights[j].guard)!r})"
-                " overlaps an earlier rule; first match wins"
-            )
-        matched |= hit
-    return warnings
-
-
-@dataclass(frozen=True)
-class PlayPrefix:
-    """A finite play prefix; may end with a dangling input (system deadlock)."""
-
-    states: tuple[State, ...]
-    trailing_input: Optional[frozenset[str]] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "states", tuple(self.states))
-        if not self.states:
-            raise EmuError("a play prefix contains at least one state")
-
-    def is_valid(self, g: WeightedGameStructure) -> bool:
-        """Consecution of every step, plus validity of the trailing input."""
-        pairs = zip(self.states, self.states[1:])
-        if not all(is_transition(g, s, t) for s, t in pairs):
-            return False
-        if self.trailing_input is not None:
-            last = self.states[-1]
-            return self.trailing_input in env_choices(g, last)
-        return True
-
-
-def _check_credit(c, c0):
-    if not isinstance(c0, (int, np.integer)) or isinstance(c0, bool):
-        raise InvalidCreditError("the initial credit must be a finite integer")
-    if c0 < 0 or c0 > c:
-        raise InvalidCreditError(f"initial credit {c0} outside [0, {c}]")
-
-
-def energy_level(g: WeightedGameStructure, c, c0: int, prefix: PlayPrefix) -> int:
-    """Credit after the prefix: start at c0, add weights, truncate above at c.
-
-    ``c`` may be ``math.inf`` for unbounded accumulation.  The result may be
-    negative; the truncation only caps from above.
-    """
-    _check_credit(c, c0)
-    r = c0
-    for s, t in zip(prefix.states, prefix.states[1:]):
-        r = min(c, r + weight(g, s, t))
-    return r
-
-
-def wins_energy_objective(
-    g: WeightedGameStructure, c, c0: int, prefix: PlayPrefix
-) -> bool:
-    """Whether the running energy level stays non-negative on every prefix."""
-    _check_credit(c, c0)
-    r = c0
-    if r < 0:
-        return False
-    for s, t in zip(prefix.states, prefix.states[1:]):
-        r = min(c, r + weight(g, s, t))
-        if r < 0:
-            return False
-    return True
-

@@ -135,11 +135,41 @@ def unfold_with_bound(g: EnergyParityGame, c: int) -> ParityGame:
     return ParityGame(tuple(owners), tuple(prios), tuple(edges))
 
 
-def _successors(game, s):
-    out = game.edges[s]
-    if out and isinstance(out[0], tuple):
-        return [dst for dst, _w in out]
-    return list(out)
+def _predecessors(edges) -> list[list[int]]:
+    preds: list[list[int]] = [[] for _ in edges]
+    for s, out in enumerate(edges):
+        for d in out:
+            preds[d].append(s)
+    return preds
+
+
+def _attract(owners, edges, preds, player, base, active):
+    """Attractor of ``base`` for ``player`` within the subgame ``active``.
+
+    Own states need one successor inside, opponent states all of their
+    active successors; an opponent state's count of pending successors is
+    taken when the attractor first reaches it.  Deadlocks are not added
+    here: a caller whose game has them puts them into ``base``.
+    """
+    in_attr = base.copy()
+    pending = {}
+    stack = list(np.nonzero(base)[0])
+    while stack:
+        s = int(stack.pop())
+        for p in preds[s]:
+            if not active[p] or in_attr[p]:
+                continue
+            if owners[p] == player:
+                in_attr[p] = True
+                stack.append(p)
+            else:
+                if p not in pending:
+                    pending[p] = sum(1 for d in edges[p] if active[d])
+                pending[p] -= 1
+                if pending[p] == 0:
+                    in_attr[p] = True
+                    stack.append(p)
+    return in_attr
 
 
 def attractor(game, player: int, target) -> set[int]:
@@ -150,38 +180,18 @@ def attractor(game, player: int, target) -> set[int]:
     (vacuously satisfied by opponent deadlocks).
     """
     n = game.n_states
-    target = set(target)
-    preds: list[list[int]] = [[] for _ in range(n)]
-    out_count = [0] * n
+    edges = [
+        [dst for dst, _w in out] if isinstance(game, EnergyParityGame) else out
+        for out in game.edges
+    ]
+    base = np.zeros(n, dtype=bool)
+    base[list(target)] = True
     for s in range(n):
-        succs = _successors(game, s)
-        out_count[s] = len(succs)
-        for d in succs:
-            preds[d].append(s)
-    in_attr = [False] * n
-    pending = list(out_count)
-    queue = []
-    for s in target:
-        in_attr[s] = True
-        queue.append(s)
-    for s in range(n):
-        if game.owners[s] != player and out_count[s] == 0 and not in_attr[s]:
-            in_attr[s] = True
-            queue.append(s)
-    while queue:
-        s = queue.pop()
-        for p in preds[s]:
-            if in_attr[p]:
-                continue
-            if game.owners[p] == player:
-                in_attr[p] = True
-                queue.append(p)
-            else:
-                pending[p] -= 1
-                if pending[p] == 0:
-                    in_attr[p] = True
-                    queue.append(p)
-    return {s for s in range(n) if in_attr[s]}
+        if game.owners[s] != player and not edges[s]:
+            base[s] = True
+    in_attr = _attract(game.owners, edges, _predecessors(edges), player, base,
+                       np.ones(n, dtype=bool))
+    return set(np.nonzero(in_attr)[0].tolist())
 
 
 def solve_parity(game: ParityGame) -> tuple[set[int], set[int]]:
@@ -203,32 +213,8 @@ def solve_parity(game: ParityGame) -> tuple[set[int], set[int]]:
             out = [sink0 if game.owners[s] == 1 else sink1]
         edges.append(out)
     edges += [[sink0], [sink1]]
-    preds: list[list[int]] = [[] for _ in range(n + 2)]
-    for s, out in enumerate(edges):
-        for d in out:
-            preds[d].append(s)
+    preds = _predecessors(edges)
     prios_arr = np.array(prios, dtype=np.int64)
-
-    def attr(player, base, active):
-        in_attr = base.copy()
-        pending = {}
-        stack = list(np.nonzero(base)[0])
-        while stack:
-            s = int(stack.pop())
-            for p in preds[s]:
-                if not active[p] or in_attr[p]:
-                    continue
-                if owners[p] == player:
-                    in_attr[p] = True
-                    stack.append(p)
-                else:
-                    if p not in pending:
-                        pending[p] = sum(1 for d in edges[p] if active[d])
-                    pending[p] -= 1
-                    if pending[p] == 0:
-                        in_attr[p] = True
-                        stack.append(p)
-        return in_attr
 
     def recurse(active):
         if not active.any():
@@ -237,13 +223,13 @@ def solve_parity(game: ParityGame) -> tuple[set[int], set[int]]:
         p = int(prios_arr[active].min())
         i = p % 2
         base = active & (prios_arr == p)
-        a = attr(i, base, active)
+        a = _attract(owners, edges, preds, i, base, active)
         w0, w1 = recurse(active & ~a)
         wi, wj = (w0, w1) if i == 0 else (w1, w0)
         if not wj.any():
             return (active.copy(), np.zeros(n + 2, dtype=bool)) if i == 0 else (
                 np.zeros(n + 2, dtype=bool), active.copy())
-        b = attr(1 - i, wj, active)
+        b = _attract(owners, edges, preds, 1 - i, wj, active)
         w0b, w1b = recurse(active & ~b)
         if i == 0:
             return w0b, w1b | b

@@ -48,17 +48,6 @@ class ReducedGame:
     def state_index(self, s: int, credit: int) -> int:
         return s | (credit << len(self.original.vars.names))
 
-    def rho_s_holds(self, s1: int, c1: int, s2: int, c2: int) -> bool:
-        """Membership of ((s1,c1),(s2,c2)) in the reduced system relation."""
-        t = self._tables
-        x = y = 0
-        s2_full = self.state_index(s2, c2)
-        for j, p in enumerate(t.x_positions):
-            x |= ((s2_full >> p) & 1) << j
-        for j, p in enumerate(t.y_positions):
-            y |= ((s2_full >> p) & 1) << j
-        return bool(t.rho_s[self.state_index(s1, c1), x, y])
-
 
 def _credit_names(existing, k):
     names = []
@@ -126,39 +115,47 @@ def reduce_game(game: WeightedGameStructure, c: int) -> ReducedGame:
     )
 
 
-def _winning_layers(game: WeightedGameStructure, c: int, formula: fm.Formula):
-    """(credits x states) truth table of the formula on the reduced game."""
+def _credit_readout(game, c, formula, side):
+    """Per-state credit read off the reduced game, for one player's fragment.
+
+    ``side`` is "sys" (box-free formulas; the system's winning credits must
+    be upward closed [lo, c] and the value is lo) or "env" (diamond-free
+    formulas; the environment's must be downward closed [0, hi] and the
+    value is c - hi).  States with no winning credit get INF; a winning set
+    of the wrong shape means one of the two evaluators is broken and raises.
+    """
+    f = fm.push_negations(formula)
+    if not fm.is_closed(f):
+        raise FragmentError("the oracle needs a closed formula")
+    if fm.classify_fragment(f) not in (side, "both"):
+        raise FragmentError(
+            "the system-side oracle needs a box-free formula" if side == "sys"
+            else "the environment-side oracle needs a diamond-free formula")
     rg = reduce_game(game, c)
-    win = eval_classical(rg, formula)
-    return win.reshape(1 << rg.n_credit_bits, game.n_states)
+    layers = eval_classical(rg, f).reshape(1 << rg.n_credit_bits, game.n_states)
+    out = np.full(game.n_states, INF, dtype=np.int64)
+    for s in range(game.n_states):
+        credits = [c0 for c0 in range(c + 1) if layers[c0, s]]
+        if not credits:
+            continue
+        lo, hi = credits[0], credits[-1]
+        if side == "sys":
+            closed, shape, out[s] = hi == c, "upward", lo
+        else:
+            closed, shape, out[s] = lo == 0, "downward", c - hi
+        if not closed or len(credits) != hi - lo + 1:
+            raise ConsistencyError(
+                f"winning credits of state {s} are not {shape} closed: {credits}"
+            )
+    return EnergyFunction(c, out)
 
 
 def oracle_min_credit_sys(
     game: WeightedGameStructure, c: int, formula: fm.Formula
 ) -> EnergyFunction:
-    """Per-state least winning credit, read off the reduced game.
-
-    The formula must avoid ``[]``.  The winning credit set of each state
-    must be upward closed; a violation means one of the two evaluators is
-    broken and raises.
-    """
-    f = fm.push_negations(formula)
-    if not fm.is_closed(f):
-        raise FragmentError("the oracle needs a closed formula")
-    if fm.classify_fragment(f) not in ("sys", "both"):
-        raise FragmentError("the system-side oracle needs a box-free formula")
-    layers = _winning_layers(game, c, f)
-    out = np.full(game.n_states, INF, dtype=np.int64)
-    for s in range(game.n_states):
-        credits = [c0 for c0 in range(c + 1) if layers[c0, s]]
-        if credits:
-            lo = credits[0]
-            if credits != list(range(lo, c + 1)):
-                raise ConsistencyError(
-                    f"winning credits of state {s} are not upward closed: {credits}"
-                )
-            out[s] = lo
-    return EnergyFunction(c, out)
+    """Per-state least winning credit of a box-free formula, read off the
+    reduced game; the winning credits of each state must be upward closed."""
+    return _credit_readout(game, c, formula, "sys")
 
 
 def oracle_max_credit_env(
@@ -171,20 +168,4 @@ def oracle_max_credit_env(
     is then c - M, or INF when the set is empty (value 0 thus means the
     environment wins for every credit, INF that it wins for none).
     """
-    f = fm.push_negations(formula)
-    if not fm.is_closed(f):
-        raise FragmentError("the oracle needs a closed formula")
-    if fm.classify_fragment(f) not in ("env", "both"):
-        raise FragmentError("the environment-side oracle needs a diamond-free formula")
-    layers = _winning_layers(game, c, f)
-    out = np.full(game.n_states, INF, dtype=np.int64)
-    for s in range(game.n_states):
-        credits = [c0 for c0 in range(c + 1) if layers[c0, s]]
-        if credits:
-            hi = credits[-1]
-            if credits != list(range(0, hi + 1)):
-                raise ConsistencyError(
-                    f"winning credits of state {s} are not downward closed: {credits}"
-                )
-            out[s] = c - hi
-    return EnergyFunction(c, out)
+    return _credit_readout(game, c, formula, "env")

@@ -65,10 +65,6 @@ def compute_bound(game: WeightedGameStructure, formula: fm.Formula) -> BoundBrea
     )
 
 
-def sufficient_bound(game: WeightedGameStructure, formula: fm.Formula) -> int:
-    return compute_bound(game, formula).bound
-
-
 @dataclass(frozen=True)
 class SolveRequest:
     game: WeightedGameStructure
@@ -110,18 +106,13 @@ def solve(req: SolveRequest) -> SolveReport:
         raise FragmentError("the solver needs a closed formula")
     breakdown = compute_bound(req.game, req.formula)
     unbounded = req.bound == math.inf or req.bound == "inf"
-    if unbounded:
-        c = breakdown.bound
-    else:
-        c = int(req.bound)
-        if c < 0:
-            raise EmuError("the bound must be a natural number or infinite")
+    c = breakdown.bound if unbounded else req.bound
     credits = eval_energy(req.game, c, req.formula)
     w_sys, w_env = winning_regions(req.game, c, req.formula)
     if not np.array_equal(w_sys, credits.is_finite()):
         raise ConsistencyError("regions disagree with the credit function")
     return SolveReport(
-        effective_bound=c,
+        effective_bound=credits.bound,
         unbounded=unbounded,
         min_credits=credits,
         sys_region=w_sys,

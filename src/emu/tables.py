@@ -119,7 +119,7 @@ def build_tables(game) -> GameTables:
         )
 
     prio = None
-    if getattr(game, "priorities", None):
+    if getattr(game, "priorities", None) is not None:
         prio = np.zeros(n_states, dtype=np.int64)
         seen = np.zeros(n_states, dtype=bool)
         for rule in game.priorities:

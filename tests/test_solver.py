@@ -15,20 +15,19 @@ from emu import (
     load_priorities,
     neg,
     solve,
-    sufficient_bound,
     winning_regions,
 )
 from emu import formulas as fm
-from emu.errors import EmuError, FragmentError
+from emu.errors import EmuError, FragmentError, InvalidCreditError
 from emu.randgen import random_formula, random_wgs
 
 
 def test_sufficient_bound_variants(g1, fixtures_dir):
-    assert sufficient_bound(g1, fm.builtin("safety")) == 118
-    assert sufficient_bound(g1, fm.builtin("buchi", J="y")) == 38
+    assert compute_bound(g1, fm.builtin("safety")).bound == 118
+    assert compute_bound(g1, fm.builtin("buchi", J="y")).bound == 38
     with_prio = dataclasses.replace(
         g1, priorities=load_priorities(fixtures_dir / "g1_buchi.prio"))
-    assert sufficient_bound(with_prio, fm.builtin("buchi", J="y")) == 38
+    assert compute_bound(with_prio, fm.builtin("buchi", J="y")).bound == 38
     bb = compute_bound(g1, fm.builtin("safety"))
     assert (bb.n_states, bb.max_abs_weight, bb.formula_length,
             bb.alternation_depth, bb.variant) == (4, 1, 3, 1, "general")
@@ -39,7 +38,7 @@ def test_bound_clamped_to_max_weight():
     rng = random.Random(1)
     g = random_wgs(rng, 2, 2, max_weight=0)
     assert g.max_abs_weight == 0
-    assert sufficient_bound(g, fm.builtin("safety")) == 0
+    assert compute_bound(g, fm.builtin("safety")).bound == 0
 
 
 def test_solve_finite_bounds(g1):
@@ -71,6 +70,12 @@ def test_solve_unbounded(g1):
 def test_solve_rejects_open_formula(g1):
     with pytest.raises((FragmentError, EmuError)):
         solve(SolveRequest(game=g1, formula=fm.parse_formula("<>X"), bound=1))
+
+
+@pytest.mark.parametrize("bound", [2.7, "3", -1])
+def test_solve_rejects_a_bound_that_is_not_a_natural_number(g1, bound):
+    with pytest.raises(InvalidCreditError):
+        solve(SolveRequest(game=g1, formula=fm.builtin("safety"), bound=bound))
 
 
 def test_winning_regions_partition(g1):
@@ -163,7 +168,7 @@ def test_stabilization_at_sufficient_bound_random():
     for _ in range(8):
         g = random_wgs(rng, 2, 2, max_weight=1)
         _, psi = random_formula(rng, g.vars)
-        b = sufficient_bound(g, psi)
+        b = compute_bound(g, psi).bound
         w_b = eval_energy(g, b, psi).is_finite()
         w_2b = eval_energy(g, 2 * b, psi).is_finite()
         w_2bk = eval_energy(g, 2 * b + g.max_abs_weight, psi).is_finite()
