@@ -7,7 +7,8 @@ right-associative, the rest as usual)::
           | "!" expr | "(" expr ")" | "true" | "false" | IDENT | IDENT "'"
 
 An unprimed identifier refers to the variable's value in the current state,
-a primed identifier to its value in the next state.
+a primed identifier to its value in the next state.  The tokenizer and the
+parser cursor here also serve the formula language of ``formulas``.
 """
 
 from __future__ import annotations
@@ -66,114 +67,137 @@ Assertion = Union[Var, Const, Not, And, Or, Implies, Iff]
 TRUE = Const(True)
 FALSE = Const(False)
 
+# Reading an input or walking its tree may take this many Python frames; the
+# parsers charge each construct what it takes and refuse deeper input, which
+# leaves the rest of Python's default limit (1000) to the caller's stack.
+MAX_NESTING = 900
+
+# The tokens of both languages; each parser rejects those its grammar lacks.
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<op><->|->|\||&|!|\(|\))|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)(?P<prime>')?)"
+    r"""\s*(?:
+        (?P<op><->|->|<>|\[\]|[|&!().])
+      | (?P<escape>@\s*"(?P<body>[^"]*)")
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)(?P<prime>')?
+      | (?P<bad>\S)
+    )""",
+    re.VERBOSE,
 )
 
 
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            raise AssertionSyntaxError(f"unexpected character {rest[0]!r}", pos)
-        if m.group("op"):
-            tokens.append((m.group("op"), m.start("op")))
-        else:
-            name = m.group("ident")
-            kind = "ident'" if m.group("prime") else "ident"
-            tokens.append(((kind, name), m.start("ident")))
-        pos = m.end()
-    tokens.append(("<end>", len(text)))
-    return tokens
+def _tokens(text, start, error):
+    """(kind, value, position) per token of ``text[start:]``, then "<end>"."""
+    for m in _TOKEN_RE.finditer(text, start):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise error(f"unexpected character {m.group(kind)!r}", m.start(kind))
+        if kind == "op":
+            yield m.group(kind), None, m.start(kind)
+        elif kind == "escape":
+            yield "escape", m.span("body"), m.start(kind)
+        else:  # "ident" or, primed, "ident'"
+            yield "ident" + (m.group("prime") or ""), m.group("ident"), m.start("ident")
+    yield "<end>", None, len(text)
 
 
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.i = 0
+class _Cursor:
+    """A recursive-descent parser's place in the tokens of ``text[start:]``.
 
-    @property
-    def tok(self):
-        return self.tokens[self.i][0]
+    A subclass defines one language: its syntax error class ``error``, the
+    frames ``link`` its tree walks take per node, and its grammar levels,
+    ``expression`` the outermost.  ``depth`` is the frames charged for what
+    is open around the current token, ``peak`` the most in the current operand.
+    """
 
-    @property
-    def pos(self):
-        return self.tokens[self.i][1]
+    error = AssertionSyntaxError
+    link = 1
+
+    def __init__(self, text, start=0, depth=0):
+        self.text = text
+        # Scan the whole text first: a bad character wins over a grammar error.
+        self.tokens = iter(list(_tokens(text, start, self.error)))
+        self.depth = self.peak = depth
+        self.advance()
 
     def advance(self):
-        self.i += 1
+        self.kind, self.value, self.pos = next(self.tokens)
 
-    def expect(self, op):
-        if self.tok != op:
-            raise AssertionSyntaxError(f"expected {op!r}", self.pos)
+    def expect(self, kind):
+        if self.kind != kind:
+            raise self.error(f"expected {kind!r}", self.pos)
         self.advance()
 
     def parse(self):
-        e = self.iff()
-        if self.tok != "<end>":
-            raise AssertionSyntaxError("trailing input", self.pos)
-        return e
+        tree = self.expression()
+        if self.kind != "<end>":
+            raise self.error("trailing input", self.pos)
+        return tree
 
-    def iff(self):
-        left = self.implies()
-        if self.tok == "<->":
-            self.advance()
-            return Iff(left, self.iff())
-        return left
+    def _charge(self, frames, pos):
+        if frames > MAX_NESTING:
+            raise self.error(f"nested deeper than {MAX_NESTING} frames allow", pos)
 
-    def implies(self):
-        left = self.disjunction()
-        if self.tok == "->":
-            self.advance()
-            return Implies(left, self.implies())
-        return left
+    def open(self, frames):
+        """Step past the token opening a construct of ``frames`` at an operand's start."""
+        self.depth = self.peak = self.depth + frames
+        self._charge(self.depth, self.pos)
+        self.advance()
 
-    def disjunction(self):
-        e = self.conjunction()
-        while self.tok == "|":
+    def chain(self, operand, ops):
+        """``operand (op operand)*``; ``ops`` maps each operator to its
+        precedence (higher binds tighter), its node class and whether it is
+        right-associative.  A node is charged ``link`` frames over the deeper
+        of its operands."""
+        base = self.depth
+        trees, pending = [], []  # (tree, peak) pairs; (precedence, node, position)
+        while True:
+            self.depth = self.peak = base
+            trees.append((operand(), self.peak))
+            precedence, node, right = ops.get(self.kind, (0, None, False))
+            while pending and pending[-1][0] >= precedence + right:
+                _, op, at = pending.pop()
+                (b, b_peak), (a, a_peak) = trees.pop(), trees.pop()
+                trees.append((op(a, b), max(a_peak, b_peak) + self.link))
+                self._charge(trees[-1][1], at)
+            if node is None:
+                self.depth, self.peak = base, trees[0][1]
+                return trees[0][0]
+            pending.append((precedence, node, self.pos))
             self.advance()
-            e = Or(e, self.conjunction())
-        return e
 
-    def conjunction(self):
-        e = self.unary()
-        while self.tok == "&":
-            self.advance()
-            e = And(e, self.unary())
-        return e
+
+# Each binary operator: its precedence, node class and right-associativity.
+_BINARY = {"<->": (1, Iff, True), "->": (2, Implies, True),
+           "|": (3, Or, False), "&": (4, And, False)}
+
+
+class _AssertionParser(_Cursor):
+    def expression(self):
+        return self.chain(self.unary, _BINARY)
 
     def unary(self):
-        if self.tok == "!":
-            self.advance()
+        if self.kind == "!":
+            self.open(self.link)
             return Not(self.unary())
         return self.atom()
 
     def atom(self):
-        tok = self.tok
-        if tok == "(":
-            self.advance()
-            e = self.iff()
+        kind, name = self.kind, self.value
+        if kind == "(":
+            self.open(4)  # atom, expression, chain and unary
+            tree = self.expression()
             self.expect(")")
-            return e
-        if isinstance(tok, tuple):
-            kind, name = tok
+            return tree
+        if kind in ("ident", "ident'"):
             self.advance()
-            if name == "true" and kind == "ident":
-                return TRUE
-            if name == "false" and kind == "ident":
-                return FALSE
+            if kind == "ident" and name in ("true", "false"):
+                return TRUE if name == "true" else FALSE
             return Var(name, primed=(kind == "ident'"))
-        raise AssertionSyntaxError("expected an atom", self.pos)
+        raise self.error("expected an atom", self.pos)
 
 
 def parse_assertion(text: str) -> Assertion:
     """Parse an assertion string into its expression tree."""
-    return _Parser(_tokenize(text)).parse()
+    return _AssertionParser(text).parse()
 
 
 _PREC = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5, Var: 6, Const: 6}

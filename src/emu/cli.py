@@ -50,6 +50,8 @@ def _formula_from_args(args, game):
     ]
     if len(sources) > 1:
         raise _UsageError("give at most one of --formula/--formula-file/--builtin")
+    if args.param and not args.builtin:
+        raise _UsageError("--param is only for --builtin")
     if not sources:
         if game.formula is None:
             raise _UsageError("the game file has no formula; give one")
@@ -155,14 +157,13 @@ def solve_report_from_json(doc: dict):
 def cmd_solve(args) -> int:
     game = _game_from_args(args)
     formula = _formula_from_args(args, game)
-    report = solve(SolveRequest(game=game, formula=formula, bound=args.bound))
-    names = _state_names(game)
-
     query_mask = None
     if args.state:
         query_mask = game.tables().state_mask(asr.parse_assertion(args.state))
         if not query_mask.any():
             raise _UsageError(f"no state satisfies {args.state!r}")
+    report = solve(SolveRequest(game=game, formula=formula, bound=args.bound))
+    names = _state_names(game)
 
     if args.format == "json":
         doc = solve_report_to_json(report, game, formula)

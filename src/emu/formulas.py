@@ -19,8 +19,7 @@ atom.  Bound variables are renamed apart during parsing.
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 from . import assertions as asr
@@ -100,141 +99,65 @@ class Not:
 
 Formula = Union[Atom, NegAtom, RelVar, And, Or, Diamond, Box, Mu, Nu, Not]
 
+_PREFIX = {"!": Not, "<>": Diamond, "[]": Box}
+_BINARY = {"|": (1, Or, False), "&": (2, And, False)}  # as assertions._BINARY
+
 
 # ---------------------------------------------------------------------------
 # Parsing
 
-_TOKEN_RE = re.compile(
-    r"""\s*(?:
-        (?P<op><>|\[\]|\||&|!|\(|\)|\.)
-      | @\s*"(?P<escape>[^"]*)"
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)(?P<prime>')?
-    )""",
-    re.VERBOSE,
-)
+class _FormulaParser(asr._Cursor):
+    error = FormulaSyntaxError
+    link = 2  # the tree walks below take up to two frames per node
 
-
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            raise FormulaSyntaxError(f"unexpected character {rest[0]!r}", pos)
-        if m.group("op"):
-            tokens.append((m.group("op"), None, m.start("op")))
-        elif m.group("escape") is not None:
-            tokens.append(("escape", m.group("escape"), m.start()))
-        else:
-            if m.group("prime"):
-                raise FormulaSyntaxError(
-                    "primed atoms are not allowed in formulas", m.start("ident")
-                )
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        pos = m.end()
-    tokens.append(("<end>", None, len(text)))
-    return tokens
-
-
-class _FormulaParser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.i = 0
-
-    @property
-    def kind(self):
-        return self.tokens[self.i][0]
-
-    @property
-    def value(self):
-        return self.tokens[self.i][1]
-
-    @property
-    def pos(self):
-        return self.tokens[self.i][2]
-
-    def advance(self):
-        self.i += 1
-
-    def parse(self):
-        f = self.disjunction()
-        if self.kind != "<end>":
-            raise FormulaSyntaxError("trailing input", self.pos)
-        return f
-
-    def disjunction(self):
-        f = self.conjunction()
-        while self.kind == "|":
-            self.advance()
-            f = Or(f, self.conjunction())
-        return f
-
-    def conjunction(self):
-        f = self.unary()
-        while self.kind == "&":
-            self.advance()
-            f = And(f, self.unary())
-        return f
+    def expression(self):
+        return self.chain(self.unary, _BINARY)
 
     def unary(self):
-        if self.kind == "!":
-            self.advance()
+        kind = self.kind
+        if kind in _PREFIX:
+            self.open(self.link)
             sub = self.unary()
-            if isinstance(sub, Atom):
-                return NegAtom(sub.assertion)
-            if isinstance(sub, NegAtom):
-                return Atom(sub.assertion)
-            return Not(sub)
-        if self.kind == "<>":
-            self.advance()
-            return Diamond(self.unary())
-        if self.kind == "[]":
-            self.advance()
-            return Box(self.unary())
+            if kind == "!" and isinstance(sub, (Atom, NegAtom)):
+                return _DUAL[type(sub)](sub.assertion)
+            return _PREFIX[kind](sub)
         return self.atom()
 
     def atom(self):
         kind, value, pos = self.kind, self.value, self.pos
         if kind == "(":
-            self.advance()
-            f = self.disjunction()
-            if self.kind != ")":
-                raise FormulaSyntaxError("expected ')'", self.pos)
-            self.advance()
-            return f
+            self.open(4)  # atom, expression, chain and unary
+            tree = self.expression()
+            self.expect(")")
+            return tree
         if kind == "escape":
             self.advance()
-            a = asr.parse_assertion(value)
+            sub = asr._AssertionParser(self.text[:value[1]], value[0], depth=self.depth)
+            a = sub.parse()
+            self.peak = max(self.peak, sub.peak)
             if any(primed for _n, primed in asr.assertion_vars(a)):
-                raise FormulaSyntaxError(
-                    "escaped atoms must be pure-state assertions", pos
-                )
+                raise self.error("escaped atoms must be pure-state assertions", pos)
             return Atom(a)
-        if kind == "ident":
-            if value in ("true", "false"):
-                self.advance()
-                return Atom(asr.TRUE if value == "true" else asr.FALSE)
-            if value in ("mu", "nu"):
-                self.advance()
-                if self.kind != "ident" or not _is_relvar(self.value):
-                    raise FormulaSyntaxError(
-                        f"expected a fixpoint variable after {value!r}", self.pos
-                    )
-                name = self.value
-                self.advance()
-                if self.kind != ".":
-                    raise FormulaSyntaxError("expected '.'", self.pos)
-                self.advance()
-                body = self.disjunction()  # binders extend maximally right
-                return (Mu if value == "mu" else Nu)(name, body)
+        if kind == "ident'":
+            raise self.error("primed atoms are not allowed in formulas", pos)
+        if kind != "ident":
+            raise self.error("expected a formula", pos)
+        if value in ("mu", "nu"):
+            self.open(4)  # atom, expression, chain and unary
+            if self.kind != "ident" or not _is_relvar(self.value):
+                raise self.error(
+                    f"expected a fixpoint variable after {value!r}", self.pos)
+            name = self.value
             self.advance()
-            if _is_relvar(value):
-                return RelVar(value)
-            return Atom(asr.Var(value))
-        raise FormulaSyntaxError("expected a formula", pos)
+            self.expect(".")
+            body = self.expression()  # binders extend maximally right
+            return (Mu if value == "mu" else Nu)(name, body)
+        self.advance()
+        if value in ("true", "false"):
+            return Atom(asr.TRUE if value == "true" else asr.FALSE)
+        if _is_relvar(value):
+            return RelVar(value)
+        return Atom(asr.Var(value))
 
 
 def _is_relvar(name):
@@ -243,53 +166,24 @@ def _is_relvar(name):
 
 def _rename_apart(f: Formula) -> Formula:
     """Give every binder a fresh variable so each is bound exactly once."""
-    used: set[str] = set()
+    used = {n.name for n in _subformulas(f) if isinstance(n, (Mu, Nu, RelVar))}
 
-    def collect(node):
-        if isinstance(node, (Mu, Nu)):
-            used.add(node.name)
-            collect(node.sub)
-        elif isinstance(node, (And, Or)):
-            collect(node.left)
-            collect(node.right)
-        elif isinstance(node, (Diamond, Box, Not)):
-            collect(node.sub)
-        elif isinstance(node, RelVar):
-            used.add(node.name)
-
-    collect(f)
-
-    def fresh(base):
-        name = base
+    def fresh(base):  # base is in use: it names a binder of f
         k = 1
-        while name in used:
-            name = f"{base}{k}"
+        while f"{base}{k}" in used:
             k += 1
-        used.add(name)
-        return name
+        used.add(f"{base}{k}")
+        return f"{base}{k}"
 
     def walk(node, env, bound_seen):
         if isinstance(node, RelVar):
             return RelVar(env.get(node.name, node.name))
-        if isinstance(node, (Atom, NegAtom)):
-            return node
-        if isinstance(node, And):
-            return And(walk(node.left, env, bound_seen), walk(node.right, env, bound_seen))
-        if isinstance(node, Or):
-            return Or(walk(node.left, env, bound_seen), walk(node.right, env, bound_seen))
-        if isinstance(node, Diamond):
-            return Diamond(walk(node.sub, env, bound_seen))
-        if isinstance(node, Box):
-            return Box(walk(node.sub, env, bound_seen))
-        if isinstance(node, Not):
-            return Not(walk(node.sub, env, bound_seen))
-        # binder
-        name = node.name
-        if name in bound_seen:
-            name = fresh(node.name)
-        bound_seen.add(name)
-        sub = walk(node.sub, {**env, node.name: name}, bound_seen)
-        return type(node)(name, sub)
+        if isinstance(node, (Mu, Nu)):
+            if node.name in bound_seen:
+                env = {**env, node.name: fresh(node.name)}
+                node = replace(node, name=env[node.name])
+            bound_seen.add(node.name)
+        return _rebuild(node, [walk(c, env, bound_seen) for c in _children(node)])
 
     # Seed with the free variables so no binder reuses their names.
     return walk(f, {}, set(free_variables(f)))
@@ -297,7 +191,7 @@ def _rename_apart(f: Formula) -> Formula:
 
 def parse_formula(text: str) -> Formula:
     """Parse a formula string; bound variables come out renamed apart."""
-    return _rename_apart(_FormulaParser(_tokenize(text)).parse())
+    return _rename_apart(_FormulaParser(text).parse())
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +207,8 @@ def formula_to_str(f: Formula) -> str:
     def plain_atom(a):
         if isinstance(a, asr.Const):
             return "true" if a.value else "false"
-        if isinstance(a, asr.Var) and not a.primed and not _is_relvar(a.name):
+        if (isinstance(a, asr.Var) and not a.primed and not _is_relvar(a.name)
+                and a.name not in ("mu", "nu")):
             return a.name
         return f'@"{asr.assertion_to_str(a)}"'
 
@@ -358,6 +253,26 @@ def _children(f):
     return ()
 
 
+def _rebuild(node, children, kind=None):
+    """``node`` with ``children`` as its subformulas, as a ``kind`` node if given;
+    ``kind`` must have the fields of ``node``'s class, as each pair in ``_DUAL``."""
+    kind = kind or type(node)
+    if isinstance(node, (Mu, Nu)):
+        return kind(node.name, *children)
+    if isinstance(node, (Atom, NegAtom)):
+        return kind(node.assertion)
+    return kind(*children) if children else node
+
+
+def _subformulas(f):
+    """f and every node below it, in preorder."""
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(_children(node)))
+
+
 def free_variables(f: Formula) -> set[str]:
     if isinstance(f, RelVar):
         return {f.name}
@@ -375,29 +290,15 @@ def is_closed(f: Formula) -> bool:
 
 def classify_fragment(f: Formula) -> str:
     """One of 'sys', 'env', 'both', 'mixed' by which modal operators occur."""
-
-    def scan(node):
-        has_d = isinstance(node, Diamond)
-        has_b = isinstance(node, Box)
-        for c in _children(node):
-            d, b = scan(c)
-            has_d |= d
-            has_b |= b
-        return has_d, has_b
-
-    has_d, has_b = scan(f)
-    if has_d and has_b:
-        return "mixed"
-    if has_d:
-        return "sys"
-    if has_b:
-        return "env"
-    return "both"
+    kinds = {type(n) for n in _subformulas(f)}
+    if Diamond in kinds:
+        return "mixed" if Box in kinds else "sys"
+    return "env" if Box in kinds else "both"
 
 
 def length(f: Formula) -> int:
     """AST node count."""
-    return 1 + sum(length(c) for c in _children(f))
+    return sum(1 for _ in _subformulas(f))
 
 
 def alternation_depth(f: Formula) -> int:
@@ -428,12 +329,6 @@ def alternation_depth(f: Formula) -> int:
         return max((depth(c) for c in _children(node)), default=0)
 
     return depth(f)
-
-
-def _subformulas(f):
-    yield f
-    for c in _children(f):
-        yield from _subformulas(c)
 
 
 @dataclass(frozen=True)
@@ -508,38 +403,20 @@ def negate(f: Formula) -> Formula:
     return _push(f, True, frozenset())
 
 
+# Each node class and its De Morgan dual, which has the same fields.
+_DUAL = {a: b for pair in ((And, Or), (Diamond, Box), (Mu, Nu), (Atom, NegAtom))
+         for a, b in (pair, pair[::-1])}
+
+
 def _push(node, negating, flipped):
-    if isinstance(node, Atom):
-        return NegAtom(node.assertion) if negating else node
-    if isinstance(node, NegAtom):
-        return Atom(node.assertion) if negating else node
-    if isinstance(node, RelVar):
-        if negating != (node.name in flipped):
-            return Not(node)
-        return node
     if isinstance(node, Not):
         return _push(node.sub, not negating, flipped)
-    if isinstance(node, And):
-        ctor = Or if negating else And
-        return ctor(_push(node.left, negating, flipped), _push(node.right, negating, flipped))
-    if isinstance(node, Or):
-        ctor = And if negating else Or
-        return ctor(_push(node.left, negating, flipped), _push(node.right, negating, flipped))
-    if isinstance(node, Diamond):
-        ctor = Box if negating else Diamond
-        return ctor(_push(node.sub, negating, flipped))
-    if isinstance(node, Box):
-        ctor = Diamond if negating else Box
-        return ctor(_push(node.sub, negating, flipped))
-    if isinstance(node, Mu):
-        if negating:
-            return Nu(node.name, _push(node.sub, True, flipped | {node.name}))
-        return Mu(node.name, _push(node.sub, False, flipped - {node.name}))
-    if isinstance(node, Nu):
-        if negating:
-            return Mu(node.name, _push(node.sub, True, flipped | {node.name}))
-        return Nu(node.name, _push(node.sub, False, flipped - {node.name}))
-    raise TypeError(f"not a formula node: {node!r}")
+    if isinstance(node, RelVar):
+        return Not(node) if negating != (node.name in flipped) else node
+    if isinstance(node, (Mu, Nu)):
+        flipped = flipped | {node.name} if negating else flipped - {node.name}
+    children = [_push(c, negating, flipped) for c in _children(node)]
+    return _rebuild(node, children, _DUAL[type(node)] if negating else None)
 
 
 # ---------------------------------------------------------------------------
@@ -562,51 +439,48 @@ def builtin(name: str, **params) -> Formula:
     form is the environment-side negation of buchi, written with Box.
     """
     key = name.replace("_", "-").lower()
-
-    def param(what):
-        if what not in params:
-            raise EmuError(f"builtin formula {name!r} needs the parameter {what}")
-        return _pure_state_param(params[what], what)
-
+    key = "reach" if key == "reachability" else key
+    if key not in _BUILTIN_PARAMS:
+        raise EmuError(
+            f"unknown builtin formula {name!r} (one of {', '.join(BUILTIN_NAMES)})")
+    takes = _BUILTIN_PARAMS[key]
+    if set(params) != set(takes):
+        raise EmuError(
+            f"builtin formula {name!r} takes parameters [{', '.join(takes)}],"
+            f" given [{', '.join(sorted(params))}]")
     if key == "safety":
         return Nu("X", Diamond(RelVar("X")))
-    if key in ("reach", "reachability"):
-        p = Atom(param("p"))
-        return Mu("X", Or(p, Diamond(RelVar("X"))))
+    (what,) = takes
+    a = Atom(_pure_state_param(params[what], what))
+    if key == "reach":
+        return Mu("X", Or(a, Diamond(RelVar("X"))))
     if key == "buchi":
-        j = Atom(param("J"))
-        return Nu("Z", Mu("Y", Or(And(j, Diamond(RelVar("Z"))), Diamond(RelVar("Y")))))
+        return _buchi(a)
     if key == "cobuchi":
-        j = Atom(param("J"))
-        return Mu("Y", Nu("Z", Or(And(j, Diamond(RelVar("Z"))), Diamond(RelVar("Y")))))
-    if key == "dual-buchi":
-        return negate(builtin("buchi", J=param("J")))
-    raise EmuError(
-        f"unknown builtin formula {name!r} (one of {', '.join(BUILTIN_NAMES)})")
+        return Mu("Y", Nu("Z", Or(And(a, Diamond(RelVar("Z"))), Diamond(RelVar("Y")))))
+    return negate(_buchi(a))  # dual-buchi
 
 
-BUILTIN_NAMES = ("safety", "reach", "buchi", "cobuchi", "dual-buchi")
+# Each builtin formula and the parameters it takes.
+_BUILTIN_PARAMS = {"safety": (), "reach": ("p",), "buchi": ("J",),
+                   "cobuchi": ("J",), "dual-buchi": ("J",)}
+BUILTIN_NAMES = tuple(_BUILTIN_PARAMS)
+
+
+def _buchi(j, z="Z", y="Y"):
+    """The stock buchi formula for the atom ``j``, binding ``z`` and ``y``."""
+    return Nu(z, Mu(y, Or(And(j, Diamond(RelVar(z))), Diamond(RelVar(y)))))
 
 
 def is_buchi_shape(f: Formula) -> Optional[asr.Assertion]:
     """The target assertion if f is the stock buchi formula, else None."""
-    if not isinstance(f, Nu):
+    if not (isinstance(f, Nu) and isinstance(f.sub, Mu) and isinstance(f.sub.sub, Or)
+            and isinstance(f.sub.sub.left, And)):
         return None
-    z = f.name
-    if not isinstance(f.sub, Mu):
-        return None
-    y = f.sub.name
-    body = f.sub.sub
-    if not isinstance(body, Or):
-        return None
-    left, right = body.left, body.right
-    if not (isinstance(right, Diamond) and right.sub == RelVar(y)):
-        return None
-    if not (isinstance(left, And) and isinstance(left.left, Atom)):
-        return None
-    if not (isinstance(left.right, Diamond) and left.right.sub == RelVar(z)):
-        return None
-    return left.left.assertion
+    j = f.sub.sub.left.left
+    if isinstance(j, Atom) and f == _buchi(j, f.name, f.sub.name):
+        return j.assertion
+    return None
 
 
 def parity_formula(priorities) -> Formula:

@@ -39,6 +39,8 @@ class VariableSet:
         object.__setattr__(self, "inputs", frozenset(self.inputs))
         if len(set(self.names)) != len(self.names):
             raise EmuError("variable names must be unique")
+        if {"true", "false"} & set(self.names):
+            raise EmuError("true and false are constants, not variable names")
         if len(self.names) > MAX_VARS:
             raise StateCapError(
                 f"{len(self.names)} variables exceed the cap of {MAX_VARS}"

@@ -70,7 +70,6 @@ class SolveRequest:
     game: WeightedGameStructure
     formula: fm.Formula
     bound: object  # a natural number, or math.inf for unbounded accumulation
-    query: Optional[object] = None  # pure-state assertion picking states
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from emu import assertions as asr
-from emu.errors import AssertionSyntaxError
+from emu import formulas as fm
+from emu.errors import AssertionSyntaxError, FormulaSyntaxError
 from oracles import eval_bool
 
 
@@ -47,6 +48,102 @@ def test_syntax_errors_report_position():
         asr.parse_assertion("(x")
     with pytest.raises(AssertionSyntaxError):
         asr.parse_assertion("x ? y")
+
+
+_PARSE = {"assertion": asr.parse_assertion, "formula": fm.parse_formula}
+
+
+# Both languages share one tokenizer.  A position is the index of the
+# offending character in the whole text, also inside an @"..." escape.
+@pytest.mark.parametrize("text, language, error, position", [
+    ("x & ", "assertion", AssertionSyntaxError, 4),
+    ("", "assertion", AssertionSyntaxError, 0),
+    (")", "assertion", AssertionSyntaxError, 0),
+    ("x y", "assertion", AssertionSyntaxError, 2),
+    ("(x", "assertion", AssertionSyntaxError, 2),
+    ("!(x | y", "assertion", AssertionSyntaxError, 7),
+    ("x -> ", "assertion", AssertionSyntaxError, 5),
+    ("x''", "assertion", AssertionSyntaxError, 2),
+    ("?x", "assertion", AssertionSyntaxError, 0),
+    ("x ? y", "assertion", AssertionSyntaxError, 2),
+    ("x &   ? y", "assertion", AssertionSyntaxError, 6),
+    ("x <> y", "assertion", AssertionSyntaxError, 2),
+    ('@"x"', "assertion", AssertionSyntaxError, 0),
+    ("mu x . x", "formula", FormulaSyntaxError, 3),
+    ("mu", "formula", FormulaSyntaxError, 2),
+    ("nu X  <>X", "formula", FormulaSyntaxError, 6),
+    ("<> & X", "formula", FormulaSyntaxError, 3),
+    ("nu X . <>X & ", "formula", FormulaSyntaxError, 13),
+    ("nu X . <>X )", "formula", FormulaSyntaxError, 11),
+    ("(nu X . <>X", "formula", FormulaSyntaxError, 11),
+    ("mu X . (y' | <>X)", "formula", FormulaSyntaxError, 8),
+    ("X'", "formula", FormulaSyntaxError, 0),
+    ('@"x', "formula", FormulaSyntaxError, 0),
+    ("nu X . ? X", "formula", FormulaSyntaxError, 7),
+    ("x -> y", "formula", FormulaSyntaxError, 2),
+    (' @"y\' & x"', "formula", FormulaSyntaxError, 1),
+    ('mu X . (@"x &" | <>X)', "formula", AssertionSyntaxError, 13),
+    ('mu X . (@"x ? y" | <>X)', "formula", AssertionSyntaxError, 12),
+    ('mu X . (@  "(x" | <>X)', "formula", AssertionSyntaxError, 14),
+])
+def test_syntax_error_positions(text, language, error, position):
+    with pytest.raises(error) as e:
+        _PARSE[language](text)
+    assert type(e.value) is error
+    assert e.value.position == position
+
+
+M = asr.MAX_NESTING
+# (language, text with n units, the most units within MAX_NESTING).  An
+# assertion is charged 1 frame per operator and 4 per parenthesis; a formula
+# 2 per operator and 4 per parenthesis or binder.
+_DEEP = {
+    "a-and-chain": ("assertion", lambda n: " & ".join(["x"] * (n + 1)), M),
+    "a-dnf": ("assertion", lambda n: " | ".join(["x & y"] * n), M),
+    "a-parens": ("assertion", lambda n: "(" * n + "x" + ")" * n, M // 4),
+    "a-implications": ("assertion", lambda n: "x -> " * n + "x", M),
+    "a-implied-chain": ("assertion", lambda n: " & ".join(["x"] * (n + 1)) + " -> x",
+                        M - 1),
+    "a-equivalences": ("assertion", lambda n: "x <-> " * n + "x", M),
+    "a-negations": ("assertion", lambda n: "!" * n + "x", M),
+    "f-diamonds": ("formula", lambda n: "nu X . " + "<>" * n + "X", (M - 4) // 2),
+    "f-and-chain": ("formula", lambda n: "nu X . " + " & ".join(["<>X"] * (n + 1)),
+                    (M - 6) // 2),
+    "f-parens": ("formula", lambda n: "nu X . " + "(" * n + "<><>X" + ")" * n,
+                 (M - 8) // 4),
+    "f-binders": ("formula", lambda n: "nu X . "
+                  + "".join(f"nu Y{i} . " for i in range(n)) + "<><>X", (M - 8) // 4),
+    "f-escaped-parens": ("formula", lambda n: 'mu X . (@"' + "(" * n + "y" + ")" * n
+                         + '" | <>X)', (M - 10) // 4),
+    "f-escaped-and-chain": ("formula", lambda n: 'mu X . (@"'
+                            + " & ".join(["y"] * (n + 1)) + '" | <>X)', M - 10),
+}
+
+
+@pytest.mark.parametrize("language, text, n", _DEEP.values(), ids=list(_DEEP))
+def test_nesting_limit(language, text, n, stack_room):
+    # Within the limit, reading, printing and rewriting take at most
+    # MAX_NESTING frames and a few dozen more.
+    with stack_room(M + 32):
+        if language == "assertion":
+            tree = asr.parse_assertion(text(n))
+            printed = asr.assertion_to_str(tree)
+            assert asr.assertion_to_str(asr.parse_assertion(printed)) == printed
+            asr.assertion_vars(tree)
+        else:
+            tree = fm.parse_formula(text(n))
+            printed = fm.formula_to_str(tree)
+            assert fm.formula_to_str(fm.parse_formula(printed)) == printed
+            assert (fm.formula_to_str(fm.negate(fm.negate(tree)))
+                    == fm.formula_to_str(fm.push_negations(tree)))
+            fm.check_monotone(tree)
+            fm.classify_fragment(tree)
+    # Too deep inside an @"..." escape is an error of the escaped assertion.
+    errors = AssertionSyntaxError
+    if language == "formula":
+        errors = (AssertionSyntaxError, FormulaSyntaxError)
+    with pytest.raises(errors, match="nested deeper than"):
+        _PARSE[language](text(n + 1))
 
 
 def _env(values):

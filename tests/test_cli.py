@@ -229,3 +229,95 @@ def test_bad_arguments_exit_2_without_a_traceback(argv, g1_path, capsys):
     err = capsys.readouterr().err
     assert "error:" in err or "usage:" in err
     assert "Traceback" not in err
+
+
+def _nested_solve_argv(shape, over, g1_path, tmp_path):
+    """emu solve arguments whose rho_s or formula is the deepest of its shape
+    within MAX_NESTING, or, with ``over``, one unit deeper."""
+    from emu.assertions import MAX_NESTING as M
+
+    doc = json.loads(open(g1_path).read())
+    formula = None
+    if shape == "rho_s":
+        doc["rho_s"] = " & ".join(["true"] * (M + 1 + over))
+    elif shape == "parens":
+        n = (M - 8) // 4 + over
+        formula = "nu X . " + "(" * n + "<><>X" + ")" * n
+    elif shape == "diamonds":
+        formula = "nu X . " + "<>" * ((M - 4) // 2 + over) + "X"
+    else:  # an escaped assertion
+        n = (M - 10) // 4 + over
+        formula = 'mu X . (@"' + "(" * n + "y" + ")" * n + '" | <>X)'
+    path = tmp_path / f"{shape}{over}.game"
+    path.write_text(json.dumps(doc))
+    argv = ["solve", str(path), "--bound", "2"]
+    return argv + (["--formula", formula] if formula else [])
+
+
+@pytest.mark.parametrize("shape", ["rho_s", "parens", "diamonds", "escape"])
+def test_nesting_limit_through_the_cli(shape, g1_path, tmp_path, capsys, stack_room):
+    from emu.assertions import MAX_NESTING
+
+    with stack_room(MAX_NESTING + 32):
+        assert run(_nested_solve_argv(shape, 0, g1_path, tmp_path)) == 0
+    assert "W_sys: 4 states" in capsys.readouterr().out
+    assert run(_nested_solve_argv(shape, 1, g1_path, tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "nested deeper than" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("rho_s, formula", [
+    (" & ".join(["true"] * 500), None),
+    (None, "nu X . " + "<>" * 400 + "X"),
+    (None, "nu X . " + "(" * 200 + "<>X" + ")" * 200),
+], ids=["rho_s-500-clauses", "formula-400-diamonds", "formula-200-parens"])
+def test_long_input_still_solves(rho_s, formula, g1_path, tmp_path, capsys):
+    doc = json.loads(open(g1_path).read())
+    doc["rho_s"] = rho_s or doc["rho_s"]
+    path = tmp_path / "long.game"
+    path.write_text(json.dumps(doc))
+    argv = ["solve", str(path), "--bound", "2"]
+    assert run(argv + (["--formula", formula] if formula else [])) == 0
+    assert "W_sys: 4 states" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("rho_s, formula", [
+    (" & ".join(["true"] * 1500), None),
+    (None, "(" * 2000 + "nu X . <>X" + ")" * 2000),
+    (None, "nu X . " + "<>" * 500 + "X"),
+], ids=["rho_s-1500-clauses", "formula-2000-parens", "formula-500-diamonds"])
+def test_deep_input_exits_2_without_a_traceback(rho_s, formula, g1_path, tmp_path,
+                                                 capsys):
+    doc = json.loads(open(g1_path).read())
+    doc["rho_s"] = rho_s or doc["rho_s"]
+    path = tmp_path / "deep.game"
+    path.write_text(json.dumps(doc))
+    argv = ["solve", str(path), "--bound", "2"]
+    assert run(argv + (["--formula", formula] if formula else [])) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "G", "--bound", "2", "--builtin", "safety", "--param", "J=y"],
+    ["solve", "G", "--bound", "2", "--builtin", "reach", "--param", "p=y",
+     "--param", "q=x"],
+    ["solve", "G", "--bound", "2", "--formula", "nu X . <>X", "--param", "p=y"],
+    ["solve", "G", "--bound", "2", "--param", "J=y"],
+    ["bound", "G", "--param", "J=y"],
+    ["region", "G", "--bound", "2", "--param", "J=y"],
+])
+def test_param_is_checked(argv, g1_path, capsys):
+    assert run([g1_path if a == "G" else a for a in argv]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_state_is_checked_before_solving(g1_path, monkeypatch, capsys):
+    def no_solve(request):
+        raise AssertionError("solve ran before --state was checked")
+
+    monkeypatch.setattr("emu.cli.solve", no_solve)
+    for state in ("x & !x", "x &", "w"):
+        assert run(["solve", g1_path, "--state", state]) == 2
+        assert "error:" in capsys.readouterr().err

@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from emu import assertions as asr
 from emu import formulas as fm
-from emu.errors import FormulaSyntaxError, MalformedAssertionError
+from emu.errors import EmuError, FormulaSyntaxError, MalformedAssertionError
 
 
 def test_parse_buchi_matches_builtin():
@@ -127,6 +127,21 @@ def test_builtins_closed_monotone():
 def test_builtin_rejects_primed_param():
     with pytest.raises(MalformedAssertionError):
         fm.builtin("reach", p="x'")
+
+
+def test_builtin_rejects_parameters_it_does_not_take():
+    with pytest.raises(EmuError, match="J"):
+        fm.builtin("safety", J="y")
+    with pytest.raises(EmuError, match="q"):
+        fm.builtin("reach", p="x", q="y")
+    with pytest.raises(EmuError, match="p"):
+        fm.builtin("buchi", J="y", p="x")
+
+
+def test_keyword_atoms_print_as_escapes():
+    for text in ('mu X . (@"nu" | <>X)', 'nu X . (!@"mu" & <>X)'):
+        f = fm.parse_formula(text)
+        assert fm.parse_formula(fm.formula_to_str(f)) == f
 
 
 def test_negate_buchi_shape():

@@ -60,3 +60,20 @@ def test_round_trip_preserves_document(g1, tmp_path):
     doc = game_to_dict(g1)
     again = game_to_dict(game_from_dict(json.loads(json.dumps(doc))))
     assert doc == again
+
+
+def test_keyword_variable_round_trip():
+    doc = {"vars": ["x", "nu"], "inputs": ["x"], "rho_e": "true", "rho_s": "true",
+           "weights": [{"guard": "nu'", "weight": -1}, {"guard": "true", "weight": 1}],
+           "formula": 'mu X . (@"nu" | <>X)'}
+    game = game_from_dict(doc)
+    assert game_to_dict(game)["formula"] == 'mu X . @"nu" | <>X'
+    assert game_from_dict(game_to_dict(game)) == game
+
+
+@pytest.mark.parametrize("name", ["true", "false"])
+def test_constant_names_are_not_variables(name):
+    doc = {"vars": ["x", name], "inputs": ["x"], "rho_e": "true", "rho_s": "true",
+           "weights": [{"guard": "true", "weight": 1}], "formula": "nu X . <>X"}
+    with pytest.raises(GameFormatError, match="constants"):
+        game_from_dict(doc)
