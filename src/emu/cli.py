@@ -78,20 +78,6 @@ def _game_from_args(args) -> WeightedGameStructure:
     return game
 
 
-def _parse_bound(text):
-    if text == "inf":
-        return math.inf
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a natural number or 'inf', got {text!r}"
-        )
-    if value < 0:
-        raise argparse.ArgumentTypeError("the bound must be non-negative")
-    return value
-
-
 def _at_least(least):
     """An argparse type accepting integers no smaller than ``least``."""
 
@@ -105,6 +91,10 @@ def _at_least(least):
         return value
 
     return parse
+
+
+def _parse_bound(text):
+    return math.inf if text == "inf" else _at_least(0)(text)
 
 
 def _state_names(game):
@@ -396,8 +386,8 @@ def run(argv=None) -> int:
     except (ConsistencyError, IterationCapError) as e:
         print(f"internal consistency failure: {e}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (EmuError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (EmuError, OSError, MemoryError) as e:
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -116,17 +116,16 @@ def ecpre(game, c: int, f: EnergyFunction) -> EnergyFunction:
     A move needs the credit of its target minus its weight, unattainable
     above the bound; a move the system cannot make, or into an unattainable
     target, is unattainable; an input the environment cannot play is free.
+    The clip ``INF if v > c else max(v, 0)`` of a need v is monotone, so it
+    commutes with min and max and comes last; a dead move (weight DEAD) or
+    an INF target needs more than c, and |w|, c <= LIMIT rule out wrapping.
     """
     if f.bound != c:
         raise BoundMismatchError(f"function bound {f.bound} differs from c={c}")
     t = game.tables()
-    e = f.values[t.succ][None, :, :]
-    ew = e - t.weight
-    val = np.maximum(ew, 0)
-    val = np.where(ew > c, INF, val)
-    val = np.where(t.rho_s & (e != INF), val, INF)
-    val = np.where(t.rho_e[:, :, None], val, 0)
-    return EnergyFunction(c, val.min(axis=2).max(axis=1))
+    v = (f.values[t.succ] - t.weight).min(axis=2)
+    v = np.where(t.rho_e, v, 0).max(axis=1)
+    return EnergyFunction(c, np.where(v > c, INF, np.maximum(v, 0)))
 
 
 def ecpre_env(game, c: int, f: EnergyFunction) -> EnergyFunction:

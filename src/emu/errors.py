@@ -17,10 +17,6 @@ class MalformedAssertionError(EmuError):
     """Unknown identifier, or a variable used outside its allowed class."""
 
 
-class MissingNextStateError(EmuError):
-    """A primed atom was evaluated without a next state."""
-
-
 class FormulaSyntaxError(EmuError):
     """Raised when a formula string does not conform to the grammar."""
 

@@ -314,21 +314,23 @@ def alternation_depth(f: Formula) -> int:
                                                      the variable above it
     """
 
-    def depth(node):
-        # Longest dependent alternating chain starting at this subformula.
+    # One bottom-up pass.  Per node: the largest depth of a binder in it, and
+    # per (binder class, variable) that of a binder of that class in it with
+    # the variable free, which a dual binder of that variable above extends.
+    deepest, uses = {}, {}
+    for node in reversed(list(_subformulas(f))):
+        kids = [id(c) for c in _children(node)]
+        top, best = max((deepest[k] for k in kids), default=0), {}
+        for k in kids:
+            for key, d in uses[k].items():
+                best[key] = max(best.get(key, 0), d)
         if isinstance(node, (Mu, Nu)):
-            best = 1
             dual = Nu if isinstance(node, Mu) else Mu
-            for sub in _subformulas(node.sub):
-                if isinstance(sub, (Mu, Nu)):
-                    d = depth(sub)
-                    if isinstance(sub, dual) and node.name in free_variables(sub):
-                        d += 1
-                    best = max(best, d)
-            return best
-        return max((depth(c) for c in _children(node)), default=0)
-
-    return depth(f)
+            top = max(1, top, best.get((dual, node.name), 0) + 1)
+            for name in free_variables(node):
+                best[type(node), name] = max(best.get((type(node), name), 0), top)
+        deepest[id(node)], uses[id(node)] = top, best
+    return deepest[id(f)]
 
 
 @dataclass(frozen=True)

@@ -80,19 +80,6 @@ class State:
         if not 0 <= self.index < self.vars.n_states:
             raise EmuError(f"state index {self.index} out of range")
 
-    @classmethod
-    def of(cls, vs: VariableSet, true_vars) -> "State":
-        """The state in which exactly the given variables are true."""
-        true_vars = set(true_vars)
-        unknown = true_vars - set(vs.names)
-        if unknown:
-            raise MalformedAssertionError(f"unknown variables: {sorted(unknown)}")
-        idx = 0
-        for k, name in enumerate(vs.names):
-            if name in true_vars:
-                idx |= 1 << k
-        return cls(vs, idx)
-
     def value(self, name: str) -> bool:
         return bool((self.index >> self.vars.position(name)) & 1)
 

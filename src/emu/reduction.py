@@ -18,9 +18,9 @@ import numpy as np
 from . import formulas as fm
 from .classical import eval_classical
 from .energy import INF, EnergyFunction
-from .errors import ConsistencyError, FragmentError, StateCapError
-from .game import MAX_VARS, VariableSet, WeightedGameStructure
-from .tables import GameTables
+from .errors import ConsistencyError, FragmentError
+from .game import VariableSet, WeightedGameStructure
+from .tables import GameTables, check_memory, dead_moves
 
 
 @dataclass(frozen=True)
@@ -66,10 +66,7 @@ def reduce_game(game: WeightedGameStructure, c: int) -> ReducedGame:
     # ceil(log2(c+1)) bits encode [0, c]; a bound of 0 still gets one bit.
     k = max(1, int(c).bit_length())
     n = len(game.vars.names)
-    if n + k > MAX_VARS:
-        raise StateCapError(
-            f"bound {c} needs {k} credit bits; {n}+{k} variables exceed {MAX_VARS}"
-        )
+    check_memory(n + k)
     base = game.tables()
     names = _credit_names(set(game.vars.names), k)
     new_vars = VariableSet(game.vars.names + names, game.vars.inputs)
@@ -82,9 +79,8 @@ def reduce_game(game: WeightedGameStructure, c: int) -> ReducedGame:
 
     c1 = (np.arange(N * layers, dtype=np.int64) >> n)[:, None, None]
     c2 = (np.arange(NY * layers, dtype=np.int64) >> ny)[None, None, :]
-    rho_s = np.tile(base.rho_s, (layers, 1, layers))
-    w = np.tile(base.weight, (layers, 1, layers))
-    rho_s = rho_s & (c1 <= c) & (c2 <= c) & (c1 + w >= c2)
+    w = np.tile(base.weight, (layers, 1, layers))  # DEAD fails c1 + w >= c2
+    rho_s = (c1 <= c) & (c2 <= c) & (c1 + w >= c2)
 
     succ = (
         np.tile(base.succ, (1, layers))
@@ -95,7 +91,8 @@ def reduce_game(game: WeightedGameStructure, c: int) -> ReducedGame:
     for j, name in enumerate(names):
         var_positions[name] = n + j
 
-    for arr in (rho_e, rho_s, succ):
+    weight = dead_moves(rho_s, 0)
+    for arr in (rho_e, rho_s, weight, succ):
         arr.setflags(write=False)
     tables = GameTables(
         var_positions=var_positions,
@@ -106,7 +103,7 @@ def reduce_game(game: WeightedGameStructure, c: int) -> ReducedGame:
         n_outputs=NY * layers,
         rho_e=rho_e,
         rho_s=rho_s,
-        weight=np.zeros_like(w),
+        weight=weight,
         succ=succ,
         prio=None,
     )

@@ -8,6 +8,7 @@ orderings, so every transition is addressed by ``(state, input, output)``.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,17 @@ from .errors import (
     IncompleteWeightCoverError,
     MalformedAssertionError,
     PriorityPartitionError,
+    StateCapError,
 )
+
+# Weight of a move the system cannot make: for every credit e in [0, INF],
+# e - DEAD is above any bound, so the move needs INF, and below 2^63.
+DEAD = -(1 << 61)
+
+
+def dead_moves(rho_s, weight):
+    """``weight`` where ``rho_s`` holds, DEAD elsewhere."""
+    return np.where(rho_s, weight, DEAD)
 
 
 @dataclass(frozen=True)
@@ -30,13 +41,30 @@ class GameTables:
     n_outputs: int                 # number of output assignments (2^|Y|)
     rho_e: np.ndarray              # bool (N, NX)
     rho_s: np.ndarray              # bool (N, NX, NY)
-    weight: np.ndarray             # int64 (N, NX, NY); meaningful where rho_s holds
+    weight: np.ndarray             # int64 (N, NX, NY); DEAD where rho_s fails
     succ: np.ndarray               # int64 (NX, NY): successor state index
     prio: np.ndarray | None        # int64 (N,) state priorities, if annotated
 
     def state_mask(self, a: asr.Assertion) -> np.ndarray:
         """Truth of a pure-state assertion for every state, as a bool (N,) array."""
         return _state_mask(self.var_positions, self.n_states, a)
+
+
+def _available_memory():
+    try:
+        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (ValueError, OSError):  # the platform does not report it
+        return float("inf")
+
+
+def check_memory(n_vars):
+    """Refuse a game of ``n_vars`` variables whose tables would not fit in the
+    free physical memory: per move cell, a 1-byte ``rho_s``, an 8-byte
+    ``weight`` and the step kernel's 8-byte temporary."""
+    need, free = 17 << 2 * n_vars, _available_memory()
+    if need > free:
+        raise StateCapError(f"{n_vars} variables need about {need >> 20} MiB of"
+                            f" tables, more than the {free >> 20} MiB free")
 
 
 def _state_mask(var_positions, n_states, a):
@@ -87,6 +115,7 @@ def _pair_lookup(var_positions, x_positions, y_positions, n_states):
 def build_tables(game) -> GameTables:
     """Materialize the transition relations, weights, and priorities of a game."""
     vs = game.vars
+    check_memory(len(vs.names))
     var_positions = {name: k for k, name in enumerate(vs.names)}
     x_positions = tuple(k for k, name in enumerate(vs.names) if name in vs.inputs)
     y_positions = tuple(k for k, name in enumerate(vs.names) if name not in vs.inputs)
@@ -104,19 +133,17 @@ def build_tables(game) -> GameTables:
         | _assignment_bits(ny, y_positions)[None, :]
     )
 
-    weight = np.zeros(shape, dtype=np.int64)
-    covered = np.zeros(shape, dtype=bool)
-    for rule in game.weights:
-        hit = np.broadcast_to(asr.eval_terms(rule.guard, look), shape)
-        weight = np.where(hit & ~covered, rule.weight, weight)
-        covered |= hit
-    missing = rho_s & ~covered
+    weight = np.full(shape, DEAD, dtype=np.int64)
+    for rule in reversed(game.weights):  # in reverse, so the first match wins
+        weight = np.where(asr.eval_terms(rule.guard, look), rule.weight, weight)
+    missing = rho_s & (weight == DEAD)
     if missing.any():
         s, xi, yi = (int(v[0]) for v in np.nonzero(missing))
         raise IncompleteWeightCoverError(
             f"no weight rule matches the system transition"
             f" (state {s}, input {xi}, output {yi})"
         )
+    weight = dead_moves(rho_s, weight)
 
     prio = None
     if getattr(game, "priorities", None) is not None:

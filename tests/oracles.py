@@ -22,11 +22,15 @@ from emu import (
 )
 from emu import assertions as asr
 from emu.errors import (
+    EmuError,
     IncompleteWeightCoverError,
     MalformedAssertionError,
-    MissingNextStateError,
     WeightDomainError,
 )
+
+
+class MissingNextStateError(EmuError):
+    """A primed atom was evaluated without a next state."""
 
 
 def eval_bool(a, lookup) -> bool:
@@ -49,6 +53,19 @@ def eval_bool(a, lookup) -> bool:
     if isinstance(a, asr.Iff):
         return eval_bool(a.left, lookup) == eval_bool(a.right, lookup)
     raise TypeError(f"not an assertion node: {a!r}")
+
+
+def state_of(vs, true_vars) -> State:
+    """The state in which exactly the given variables are true."""
+    true_vars = set(true_vars)
+    unknown = true_vars - set(vs.names)
+    if unknown:
+        raise MalformedAssertionError(f"unknown variables: {sorted(unknown)}")
+    idx = 0
+    for k, name in enumerate(vs.names):
+        if name in true_vars:
+            idx |= 1 << k
+    return State(vs, idx)
 
 
 def all_states(vs):
@@ -82,13 +99,13 @@ def _assignments(names):
 def env_choices(g, s) -> set[frozenset[str]]:
     """Valid next-input assignments, each as the set of true input variables."""
     return {s_x for s_x in _assignments(g.vars.x_names)
-            if eval_assertion(g.rho_e, s, State.of(g.vars, s_x))}
+            if eval_assertion(g.rho_e, s, state_of(g.vars, s_x))}
 
 
 def sys_choices(g, s, s_x) -> set[frozenset[str]]:
     """Valid next-output assignments for the given input, as sets of true outputs."""
     return {s_y for s_y in _assignments(g.vars.y_names)
-            if eval_assertion(g.rho_s, s, State.of(g.vars, set(s_x) | s_y))}
+            if eval_assertion(g.rho_s, s, state_of(g.vars, set(s_x) | s_y))}
 
 
 def weight(g, s, s_next) -> int:
@@ -102,10 +119,6 @@ def weight(g, s, s_next) -> int:
         f"no weight rule matches the transition ({s!r}, {s_next!r})")
 
 
-def state_of(game, xi_names, yi_names=()):
-    return State.of(game.vars, set(xi_names) | set(yi_names))
-
-
 def cpre_sys_enum(game, member) -> set[State]:
     """States where every valid input has a valid output landing in member."""
     out = set()
@@ -114,7 +127,7 @@ def cpre_sys_enum(game, member) -> set[State]:
         for s_x in env_choices(game, s):
             hit = False
             for s_y in sys_choices(game, s, s_x):
-                t = State.of(game.vars, set(s_x) | set(s_y))
+                t = state_of(game.vars, set(s_x) | set(s_y))
                 if member(t):
                     hit = True
                     break
@@ -132,7 +145,7 @@ def cpre_env_enum(game, member) -> set[State]:
     for s in all_states(game.vars):
         for s_x in env_choices(game, s):
             if all(
-                member(State.of(game.vars, set(s_x) | set(s_y)))
+                member(state_of(game.vars, set(s_x) | set(s_y)))
                 for s_y in sys_choices(game, s, s_x)
             ):
                 out.add(s)
@@ -183,7 +196,7 @@ def ecpre_enum(game, c, f: EnergyFunction) -> EnergyFunction:
         for s_x in _assignments(game.vars.x_names):
             best = int(INF)
             for s_y in _assignments(game.vars.y_names):
-                t = State.of(game.vars, s_x | s_y)
+                t = state_of(game.vars, s_x | s_y)
                 best = min(best, ec_scalar(game, c, s, t, int(f.values[t.index])))
             worst = max(worst, best)
         vals[s.index] = worst

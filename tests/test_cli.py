@@ -1,5 +1,6 @@
 import json
 import shutil
+import time
 
 import pytest
 
@@ -178,6 +179,19 @@ def test_formula_file_source(g1_path, tmp_path, capsys):
     assert "W_sys: 4 states" in capsys.readouterr().out
 
 
+def test_bound_of_deeply_nested_binders_is_fast(g1_path, capsys):
+    # 40 binders: each binder's depth was once recomputed for every binder
+    # above it, which doubled the time per binder
+    same = "nu X . " + "".join(f"nu Y{i} . " for i in range(39)) + "<>X"
+    alternating = "".join(f"{'mu' if i % 2 else 'nu'} X{i} . " for i in range(40)) \
+        + "(" + " | ".join(f"<>X{i}" for i in range(40)) + ")"
+    for formula, depth in ((same, 1), (alternating, 40)):
+        start = time.perf_counter()
+        assert run(["bound", g1_path, "--formula", formula, "--format", "json"]) == 0
+        assert time.perf_counter() - start < 1
+        assert json.loads(capsys.readouterr().out)["d"] == depth
+
+
 def test_bound_and_region_json(g1_path, capsys):
     assert run(["bound", g1_path, "--builtin", "safety",
                 "--format", "json"]) == 0
@@ -201,6 +215,25 @@ CYCLE = {
     ],
     "formula": "nu X . <>X",
 }
+
+
+def test_out_of_memory_exits_2(g1_path, tmp_path, capsys, monkeypatch):
+    from emu import energy, tables
+
+    names = [f"v{i}" for i in range(10)]
+    game = tmp_path / "big.game"
+    game.write_text(json.dumps({**CYCLE, "vars": names, "rho_s": "true",
+                                "weights": [{"guard": "true", "weight": 1}]}))
+    monkeypatch.setattr(tables, "_available_memory", lambda: 16 << 20)
+    assert run(["solve", str(game), "--bound", "2"]) == 2
+    assert "10 variables need about 17 MiB" in capsys.readouterr().err
+
+    def no_memory(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr(energy, "ecpre", no_memory)
+    assert run(["solve", g1_path, "--builtin", "safety", "--bound", "2"]) == 2
+    assert capsys.readouterr().err == "error: out of memory\n"
 
 
 def test_empty_priority_list_is_rejected(tmp_path, capsys):

@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from emu import (
     INF,
+    LIMIT,
     EnergyFunction,
     FixpointStats,
-    State,
+    WeightRule,
+    WeightedGameStructure,
     ecpre,
     ecpre_env,
     eval_energy,
@@ -19,10 +21,11 @@ from emu import (
     neg,
     parse_assertion,
 )
+from emu import assertions as asr
 from emu import formulas as fm
 from emu.errors import BoundMismatchError, InvalidCreditError, NonMonotoneFormulaError
 from emu.randgen import random_wgs
-from oracles import buchi_loop_energy, ec_scalar, ecpre_env_cases, ecpre_enum
+from oracles import buchi_loop_energy, ec_scalar, ecpre_env_cases, ecpre_enum, state_of
 
 
 def _f(c, values):
@@ -85,9 +88,9 @@ def test_de_morgan_algebra(c, data):
 # one-step operators
 
 def test_ec_cases(g1):
-    s = State.of(g1.vars, set())
-    t_y = State.of(g1.vars, {"y"})
-    t_n = State.of(g1.vars, set())
+    s = state_of(g1.vars, set())
+    t_y = state_of(g1.vars, {"y"})
+    t_n = state_of(g1.vars, set())
     # stepping into y costs 1, stepping elsewhere earns 1
     assert ec_scalar(g1, 8, s, t_y, 3) == 4
     assert ec_scalar(g1, 8, s, t_n, 3) == 2
@@ -104,8 +107,8 @@ def test_ec_invalid_input_is_free():
         rho_s=parse_assertion("true"),
         weights=(WeightRule(parse_assertion("true"), -2),),
     )
-    s = State.of(g.vars, set())
-    t_bad = State.of(g.vars, {"x"})
+    s = state_of(g.vars, set())
+    t_bad = state_of(g.vars, {"x"})
     assert ec_scalar(g, 4, s, t_bad, INF) == 0
 
 
@@ -118,8 +121,8 @@ def test_ec_sys_refusal_is_infinite():
         rho_s=parse_assertion("y'"),
         weights=(WeightRule(parse_assertion("true"), 0),),
     )
-    s = State.of(g.vars, set())
-    assert ec_scalar(g, 4, s, State.of(g.vars, set()), 0) == INF
+    s = state_of(g.vars, set())
+    assert ec_scalar(g, 4, s, state_of(g.vars, set()), 0) == INF
 
 
 def test_ecpre_g1_examples(g1):
@@ -185,6 +188,33 @@ def test_duality_random():
         f = _random_function(rng, c, g.n_states)
         assert ecpre_env_cases(g, c, neg(f)) == neg(ecpre(g, c, f))
         assert ecpre_env(g, c, f) == ecpre_env_cases(g, c, f)
+
+
+_EDGE_BOUNDS = (0, 1, 7, LIMIT - 1, LIMIT)
+_EDGE_WEIGHTS = st.one_of(st.integers(-LIMIT, -LIMIT + 2), st.integers(LIMIT - 2, LIMIT),
+                          st.integers(-2, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from(_EDGE_BOUNDS), st.booleans(),
+       st.booleans(), st.data())
+def test_step_kernels_at_the_limits(seed, c, env_deadlock, dead_moves, data):
+    """ecpre and ecpre_env against the scalar references, with weights near
+    +-2^60, bounds at both ends of their range, environment deadlocks (no
+    valid input where the first variable holds) and dead moves (none into a
+    state where it holds; if it is an input, no valid output after it)."""
+    g = random_wgs(random.Random(seed), 2, 3, max_weight=0)
+    first = asr.Var(g.vars.names[0])
+    rho_e = asr.And(g.rho_e, asr.Not(first)) if env_deadlock else g.rho_e
+    rho_s = asr.And(g.rho_s, asr.Not(asr.Var(first.name, primed=True))) \
+        if dead_moves else g.rho_s
+    weights = tuple(WeightRule(r.guard, data.draw(_EDGE_WEIGHTS)) for r in g.weights)
+    g = WeightedGameStructure(vars=g.vars, rho_e=rho_e, rho_s=rho_s, weights=weights)
+    pool = sorted({0, min(1, c), c // 2, max(c - 1, 0), c, int(INF)})
+    f = _f(c, data.draw(st.lists(st.sampled_from(pool), min_size=g.n_states,
+                                 max_size=g.n_states)))
+    assert ecpre(g, c, f) == ecpre_enum(g, c, f)
+    assert ecpre_env(g, c, f) == ecpre_env_cases(g, c, f)
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,17 @@ def test_alternation_depth_independent_nesting():
     assert fm.metrics(fm.builtin("cobuchi", J="y")).alternation_depth == 2
 
 
+@pytest.mark.parametrize("text, depth", [
+    ("p & <>q", 0),
+    ("nu X . <>X", 1),
+    ("nu Z . mu Y . ((J & <>Z) | <>Y)", 2),
+    ("nu X . (<>X & mu Y . (p | <>Y))", 1),
+    ("mu A . nu B . mu C . (<>A | <>B | <>C)", 3),
+])
+def test_alternation_depth_worked_examples(text, depth):
+    assert fm.alternation_depth(fm.parse_formula(text)) == depth
+
+
 def test_classify_fragment():
     assert fm.classify_fragment(fm.builtin("buchi", J="y")) == "sys"
     assert fm.classify_fragment(fm.parse_formula("nu X . []X")) == "env"

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from emu import (
-    State,
     VariableSet,
     WeightRule,
     WeightedGameStructure,
@@ -12,11 +11,18 @@ from emu import (
 from emu.errors import (
     IncompleteWeightCoverError,
     MalformedAssertionError,
-    MissingNextStateError,
     StateCapError,
     WeightDomainError,
 )
-from oracles import all_states, env_choices, eval_assertion, sys_choices, weight
+from oracles import (
+    MissingNextStateError,
+    all_states,
+    env_choices,
+    eval_assertion,
+    state_of,
+    sys_choices,
+    weight,
+)
 
 
 def _game(rho_e="true", rho_s="true", weights=None, vars_=("x", "y"), inputs=("x",)):
@@ -39,24 +45,38 @@ def test_variable_set_validation():
     assert vs.x_names == ("x",) and vs.y_names == ("y",)
 
 
+def test_games_too_large_for_memory_are_refused(monkeypatch):
+    from emu import reduce_game, tables
+
+    # 10 variables: 4^10 move cells of 17 bytes, about 17 MiB
+    monkeypatch.setattr(tables, "_available_memory", lambda: 16 << 20)
+    names = tuple(f"v{i}" for i in range(10))
+    with pytest.raises(StateCapError, match="10 variables need about 17 MiB"):
+        _game(vars_=names, inputs=("v0",)).tables()
+    small = _game(vars_=names[:9], inputs=("v0",))
+    assert small.tables().n_states == 512
+    with pytest.raises(StateCapError):
+        reduce_game(small, 1)
+
+
 def test_state_round_trip():
     vs = VariableSet(("x", "y", "z"), frozenset({"y"}))
-    s = State.of(vs, {"x", "z"})
+    s = state_of(vs, {"x", "z"})
     assert s.value("x") and not s.value("y") and s.value("z")
     assert s.minterm() == "x & !y & z"
 
 
 def test_eval_assertion_examples(g1):
-    s = State.of(g1.vars, set())          # {!x, !y}
-    t = State.of(g1.vars, {"x", "y"})
+    s = state_of(g1.vars, set())          # {!x, !y}
+    t = state_of(g1.vars, {"x", "y"})
     assert eval_assertion(parse_assertion("y'"), s, t) is True
-    s2 = State.of(g1.vars, {"x"})
+    s2 = state_of(g1.vars, {"x"})
     assert eval_assertion(parse_assertion("x & !y"), s2) is True
     assert eval_assertion(parse_assertion("true"), s) is True
 
 
 def test_eval_assertion_errors(g1):
-    s = State.of(g1.vars, set())
+    s = state_of(g1.vars, set())
     with pytest.raises(MissingNextStateError):
         eval_assertion(parse_assertion("y'"), s)
     with pytest.raises(MalformedAssertionError):
@@ -64,7 +84,7 @@ def test_eval_assertion_errors(g1):
 
 
 def test_choices_and_deadlocks(g1):
-    s = State.of(g1.vars, set())
+    s = state_of(g1.vars, set())
     assert env_choices(g1, s) == {frozenset(), frozenset({"x"})}
     assert sys_choices(g1, s, frozenset()) == {frozenset(), frozenset({"y"})}
     assert env_choices(g1, s)
@@ -82,28 +102,28 @@ def test_choices_and_deadlocks(g1):
 
 def test_empty_input_set_convention():
     g = _game(vars_=("y",), inputs=())
-    s = State.of(g.vars, set())
+    s = state_of(g.vars, set())
     assert env_choices(g, s) == {frozenset()}
     g_dead = _game(vars_=("y",), inputs=(), rho_e="false")
-    assert env_choices(g_dead, s.__class__.of(g_dead.vars, set())) == set()
+    assert env_choices(g_dead, state_of(g_dead.vars, set())) == set()
 
 
 def test_weight_first_match(g1):
-    s = State.of(g1.vars, set())
-    t_y = State.of(g1.vars, {"y"})
-    t_n = State.of(g1.vars, {"x"})
+    s = state_of(g1.vars, set())
+    t_y = state_of(g1.vars, {"y"})
+    t_n = state_of(g1.vars, {"x"})
     assert weight(g1, s, t_y) == -1
     assert weight(g1, s, t_n) == 1
     g0 = _game(weights=[("true", 0)])
     for t in all_states(g0.vars):
-        assert weight(g0, State.of(g0.vars, set()), t) == 0
+        assert weight(g0, state_of(g0.vars, set()), t) == 0
 
 
 def test_weight_errors():
     g = _game(rho_s="y'")
-    s = State.of(g.vars, set())
+    s = state_of(g.vars, set())
     with pytest.raises(WeightDomainError):
-        weight(g, s, State.of(g.vars, set()))  # not a rho_s transition
+        weight(g, s, state_of(g.vars, set()))  # not a rho_s transition
     g_partial = WeightedGameStructure(
         vars=VariableSet(("x", "y"), frozenset({"x"})),
         rho_e=parse_assertion("true"),
@@ -111,7 +131,7 @@ def test_weight_errors():
         weights=(WeightRule(parse_assertion("y'"), -1),),
     )
     with pytest.raises(IncompleteWeightCoverError):
-        weight(g_partial, s, State.of(g_partial.vars, set()))
+        weight(g_partial, s, state_of(g_partial.vars, set()))
     with pytest.raises(IncompleteWeightCoverError):
         g_partial.tables()
 
@@ -123,7 +143,7 @@ def test_rho_e_must_not_mention_primed_outputs():
 
 def test_empty_output_set_convention():
     g = _game(vars_=("x",), inputs=("x",), rho_s="x'")
-    s = State.of(g.vars, set())
+    s = state_of(g.vars, set())
     assert sys_choices(g, s, frozenset({"x"})) == {frozenset()}
     assert sys_choices(g, s, frozenset()) == set()
     assert not sys_choices(g, s, frozenset())

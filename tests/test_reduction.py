@@ -5,8 +5,8 @@ import pytest
 
 from emu import (
     INF,
+    LIMIT,
     EnergyFunction,
-    State,
     VariableSet,
     WeightRule,
     WeightedGameStructure,
@@ -20,6 +20,8 @@ from emu import (
 from emu import formulas as fm
 from emu.errors import ConsistencyError, FragmentError, StateCapError
 from emu.randgen import random_formula, random_wgs
+from emu.tables import DEAD
+from oracles import state_of
 
 
 def _rho_s_holds(rg, s1, c1, s2, c2):
@@ -39,9 +41,9 @@ def test_reduce_g1_c2(g1):
     # credit vars are system-controlled
     assert rg.vars.inputs == frozenset({"x"})
 
-    s = State.of(g1.vars, set()).index
-    t_y = State.of(g1.vars, {"y"}).index
-    t_n = State.of(g1.vars, {"x"}).index
+    s = state_of(g1.vars, set()).index
+    t_y = state_of(g1.vars, {"y"}).index
+    t_n = state_of(g1.vars, {"x"}).index
     # paying into y from credit 2 can claim next credit 1, not from credit 0
     assert _rho_s_holds(rg, s, 2, t_y, 1)
     for c2 in range(3):
@@ -55,17 +57,17 @@ def test_reduce_g1_c2(g1):
 def test_reduce_c0_single_bit(g1):
     rg = reduce_game(g1, 0)
     assert rg.n_credit_bits == 1
-    s = State.of(g1.vars, set()).index
-    t_y = State.of(g1.vars, {"y"}).index
-    t_n = State.of(g1.vars, {"x"}).index
+    s = state_of(g1.vars, set()).index
+    t_y = state_of(g1.vars, {"y"}).index
+    t_n = state_of(g1.vars, {"x"}).index
     assert not _rho_s_holds(rg, s, 0, t_y, 0)  # weight -1 moves are cut at c=0
     assert _rho_s_holds(rg, s, 0, t_n, 0)      # weight +1 moves survive
 
 
 def test_reduce_out_of_range_credits_dead(g1):
     rg = reduce_game(g1, 2)
-    s = State.of(g1.vars, set()).index
-    t_n = State.of(g1.vars, {"x"}).index
+    s = state_of(g1.vars, set()).index
+    t_n = state_of(g1.vars, {"x"}).index
     # encoding 3 > c is outside the tracked domain on either end
     assert not _rho_s_holds(rg, s, 3, t_n, 0)
     assert not _rho_s_holds(rg, s, 2, t_n, 3)
@@ -81,6 +83,15 @@ def test_reduce_respects_state_cap():
     )
     with pytest.raises(StateCapError):
         reduce_game(g, 100)  # needs 7 credit bits, 29 > 24
+
+
+def test_dead_moves_weigh_dead(g1):
+    rng = random.Random(47)
+    games = [g1] + [random_wgs(rng, 2, 3, max_weight=LIMIT) for _ in range(20)]
+    for g in games:
+        for t in [g.tables()] + [reduce_game(g, c).tables() for c in (0, 3)]:
+            assert np.array_equal(t.weight == DEAD, ~t.rho_s)
+            assert (np.abs(t.weight[t.rho_s]) <= LIMIT).all()
 
 
 def test_oracle_min_credit_g1(g1):
