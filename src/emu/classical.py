@@ -73,12 +73,21 @@ def evaluate(lat: Lattice, tables, f: fm.Formula, valuation=None,
     operator rather than a bad input.
     """
     fm.require_monotone(f)
+    atoms = {}  # id(node) -> element, so fixpoint iterations reuse each atom
+
+    def atom(node):
+        key = id(node)
+        if key not in atoms:
+            mask = tables.state_mask(node.assertion)
+            if isinstance(node, fm.NegAtom):
+                mask = ~mask
+            mask.setflags(write=False)
+            atoms[key] = lat.atom(mask)
+        return atoms[key]
 
     def ev(node, env):
-        if isinstance(node, fm.Atom):
-            return lat.atom(tables.state_mask(node.assertion))
-        if isinstance(node, fm.NegAtom):
-            return lat.atom(~tables.state_mask(node.assertion))
+        if isinstance(node, (fm.Atom, fm.NegAtom)):
+            return atom(node)
         if isinstance(node, fm.RelVar):
             if node.name not in env:
                 raise UnboundVariableError(f"no value for variable {node.name!r}")
@@ -131,7 +140,7 @@ def cpre_sys(game, target: StateSet) -> StateSet:
     t = game.tables()
     hit = t.rho_s & target[t.succ][None, :, :]
     exists_out = hit.any(axis=2)
-    return (~t.rho_e | exists_out).all(axis=1)
+    return (~t.rho_e | exists_out).all(axis=1)[t.row]
 
 
 def cpre_env(game, target: StateSet) -> StateSet:

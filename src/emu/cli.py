@@ -23,7 +23,7 @@ import numpy as np
 from . import formulas as fm
 from .energy import INF, EnergyFunction, eval_energy
 from .errors import ConsistencyError, EmuError, IterationCapError
-from .game import State, WeightedGameStructure
+from .game import WeightedGameStructure
 from .gamefile import game_to_dict, load_game, load_priorities, save_game
 from .parity import from_parity_wgs, solve_energy_parity
 from .randgen import random_formula, random_wgs
@@ -98,7 +98,15 @@ def _parse_bound(text):
 
 
 def _state_names(game):
-    return [State(game.vars, i).minterm() for i in range(game.n_states)]
+    """``State.minterm`` of every state, in index order, built by doubling:
+    each variable, as the next higher bit, extends every name both ways."""
+    vs = game.vars.names
+    if not vs:
+        return ["true"]
+    names = ["!" + vs[0], vs[0]]
+    for v in vs[1:]:
+        names = [p + " & !" + v for p in names] + [p + " & " + v for p in names]
+    return names
 
 
 def _credit_str(v) -> str:

@@ -119,13 +119,15 @@ def ecpre(game, c: int, f: EnergyFunction) -> EnergyFunction:
     The clip ``INF if v > c else max(v, 0)`` of a need v is monotone, so it
     commutes with min and max and comes last; a dead move (weight DEAD) or
     an INF target needs more than c, and |w|, c <= LIMIT rule out wrapping.
+    The kernel and the clip run once per table row; each state then reads
+    the value of its row.
     """
     if f.bound != c:
         raise BoundMismatchError(f"function bound {f.bound} differs from c={c}")
     t = game.tables()
     v = (f.values[t.succ] - t.weight).min(axis=2)
     v = np.where(t.rho_e, v, 0).max(axis=1)
-    return EnergyFunction(c, np.where(v > c, INF, np.maximum(v, 0)))
+    return EnergyFunction(c, np.where(v > c, INF, np.maximum(v, 0))[t.row])
 
 
 def ecpre_env(game, c: int, f: EnergyFunction) -> EnergyFunction:

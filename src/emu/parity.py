@@ -90,14 +90,15 @@ def from_parity_wgs(game: WeightedGameStructure) -> EnergyParityGame:
     edges: list[tuple[tuple[int, int], ...]] = []
     for s in range(N):
         edges.append(tuple(
-            (N + s * NX + x, 0) for x in range(NX) if t.rho_e[s, x]
+            (N + s * NX + x, 0) for x in range(NX) if t.rho_e[t.row[s], x]
         ))
     for s in range(N):
+        r = t.row[s]
         for x in range(NX):
             out = []
             for y in range(NY):
-                if t.rho_s[s, x, y]:
-                    out.append((int(t.succ[x, y]), int(t.weight[s, x, y])))
+                if t.rho_s[r, x, y]:
+                    out.append((int(t.succ[x, y]), int(t.weight[r, x, y])))
             edges.append(tuple(out))
     return EnergyParityGame(tuple(owners), tuple(prios), tuple(edges))
 

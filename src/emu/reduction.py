@@ -20,7 +20,7 @@ from .classical import eval_classical
 from .energy import INF, EnergyFunction
 from .errors import ConsistencyError, FragmentError
 from .game import VariableSet, WeightedGameStructure
-from .tables import GameTables, check_memory, dead_moves
+from .tables import DEAD, GameTables, check_memory, row_positions
 
 
 @dataclass(frozen=True)
@@ -28,8 +28,9 @@ class ReducedGame:
     """The credit-tracking game built from a weighted game and a bound.
 
     State indices extend the original packing: the low bits are the original
-    state, the high bits the credit.  Credit encodings above the bound are
-    made unreachable by the transition relation.
+    state, the high bits the credit.  Table rows extend the original rows the
+    same way, one block of them per credit layer.  Credit encodings above the
+    bound are made unreachable by the transition relation.
     """
 
     original: WeightedGameStructure
@@ -66,18 +67,20 @@ def reduce_game(game: WeightedGameStructure, c: int) -> ReducedGame:
     # ceil(log2(c+1)) bits encode [0, c]; a bound of 0 still gets one bit.
     k = max(1, int(c).bit_length())
     n = len(game.vars.names)
-    check_memory(n + k)
+    check_memory(n + k, len(row_positions(game)) + k)
     base = game.tables()
     names = _credit_names(set(game.vars.names), k)
     new_vars = VariableSet(game.vars.names + names, game.vars.inputs)
 
     layers = 1 << k
     N, NX, NY = base.n_states, base.n_inputs, base.n_outputs
+    R = len(base.rho_e)
     ny = len(base.y_positions)
 
+    row = np.tile(base.row, layers) + np.repeat(np.arange(layers) * R, N)
     rho_e = np.tile(base.rho_e, (layers, 1))
 
-    c1 = (np.arange(N * layers, dtype=np.int64) >> n)[:, None, None]
+    c1 = (np.arange(R * layers, dtype=np.int64) // R)[:, None, None]
     c2 = (np.arange(NY * layers, dtype=np.int64) >> ny)[None, None, :]
     w = np.tile(base.weight, (layers, 1, layers))  # DEAD fails c1 + w >= c2
     rho_s = (c1 <= c) & (c2 <= c) & (c1 + w >= c2)
@@ -91,8 +94,8 @@ def reduce_game(game: WeightedGameStructure, c: int) -> ReducedGame:
     for j, name in enumerate(names):
         var_positions[name] = n + j
 
-    weight = dead_moves(rho_s, 0)
-    for arr in (rho_e, rho_s, weight, succ):
+    weight = np.where(rho_s, 0, DEAD)
+    for arr in (row, rho_e, rho_s, weight, succ):
         arr.setflags(write=False)
     tables = GameTables(
         var_positions=var_positions,
@@ -101,6 +104,7 @@ def reduce_game(game: WeightedGameStructure, c: int) -> ReducedGame:
         n_states=N * layers,
         n_inputs=NX,
         n_outputs=NY * layers,
+        row=row,
         rho_e=rho_e,
         rho_s=rho_s,
         weight=weight,

@@ -1,9 +1,17 @@
-"""Dense truth tables for a symbolic game, indexed by enumerated states.
+"""Dense truth tables for a symbolic game, shared between states by row.
 
 State indices pack variable values bitwise: bit ``k`` of a state index is
 the value of ``vars.names[k]``.  Input assignments (over the environment's
 variables) and output assignments are packed the same way in their own
-orderings, so every transition is addressed by ``(state, input, output)``.
+orderings, so every move out of a state is addressed by ``(input, output)``.
+
+The transition tables are indexed by *row*, not by state.  The row positions
+S are the sorted bit positions of the unprimed variables that ``rho_e``,
+``rho_s`` or a weight guard mention, and the row of a state packs its bits
+at S low, in that order.  States that agree on S have the same moves, so
+they share a row: the tables hold 2^|S| rows, and ``row`` maps each state to
+its own.  When the transitions read every variable, S is every position and
+each state is its own row.
 """
 
 from __future__ import annotations
@@ -26,11 +34,6 @@ from .errors import (
 DEAD = -(1 << 61)
 
 
-def dead_moves(rho_s, weight):
-    """``weight`` where ``rho_s`` holds, DEAD elsewhere."""
-    return np.where(rho_s, weight, DEAD)
-
-
 @dataclass(frozen=True)
 class GameTables:
     var_positions: dict[str, int]  # variable name -> bit position in a state index
@@ -39,9 +42,10 @@ class GameTables:
     n_states: int
     n_inputs: int                  # number of input assignments (2^|X|)
     n_outputs: int                 # number of output assignments (2^|Y|)
-    rho_e: np.ndarray              # bool (N, NX)
-    rho_s: np.ndarray              # bool (N, NX, NY)
-    weight: np.ndarray             # int64 (N, NX, NY); DEAD where rho_s fails
+    row: np.ndarray                # int64 (N,): the table row of each state
+    rho_e: np.ndarray              # bool (R, NX), R = 2^|S| rows
+    rho_s: np.ndarray              # bool (R, NX, NY)
+    weight: np.ndarray             # int64 (R, NX, NY); DEAD where rho_s fails
     succ: np.ndarray               # int64 (NX, NY): successor state index
     prio: np.ndarray | None        # int64 (N,) state priorities, if annotated
 
@@ -57,14 +61,32 @@ def _available_memory():
         return float("inf")
 
 
-def check_memory(n_vars):
-    """Refuse a game of ``n_vars`` variables whose tables would not fit in the
-    free physical memory: per move cell, a 1-byte ``rho_s``, an 8-byte
-    ``weight`` and the step kernel's 8-byte temporary."""
-    need, free = 17 << 2 * n_vars, _available_memory()
+def check_memory(n_vars, row_bits):
+    """Refuse a game of ``n_vars`` variables and 2^``row_bits`` table rows
+    whose tables would not fit in the free physical memory.
+
+    Each (row, input, output) cell costs 17 bytes: the 1-byte ``rho_s`` and
+    8-byte ``weight`` the tables keep, and 8 bytes of temporaries, which are
+    the step kernel's int64 needs or, while the tables are built, the bool
+    masks of the guards and of the cover check.  Each state costs 24 bytes
+    more: its ``row`` and ``succ`` entries and the kernel's gathered targets.
+    """
+    need = (17 << (n_vars + row_bits)) + (24 << n_vars)
+    free = _available_memory()
     if need > free:
         raise StateCapError(f"{n_vars} variables need about {need >> 20} MiB of"
                             f" tables, more than the {free >> 20} MiB free")
+
+
+def row_positions(game) -> tuple[int, ...]:
+    """The row positions S of a game: the sorted bit positions of the
+    unprimed variables its transition assertions and weight guards mention."""
+    position = {name: k for k, name in enumerate(game.vars.names)}
+    mentioned = set()
+    for a in (game.rho_e, game.rho_s, *(rule.guard for rule in game.weights)):
+        mentioned |= {position[name] for name, primed in asr.assertion_vars(a)
+                      if not primed and name in position}
+    return tuple(sorted(mentioned))
 
 
 def _state_mask(var_positions, n_states, a):
@@ -91,11 +113,13 @@ def _assignment_bits(count, order_positions):
     return out
 
 
-def _pair_lookup(var_positions, x_positions, y_positions, n_states):
-    """Lookup producing broadcastable (N, NX, NY) truth arrays for transition assertions."""
+def _pair_lookup(var_positions, s_positions, x_positions, y_positions):
+    """Lookup producing broadcastable (R, NX, NY) truth arrays for transition
+    assertions; an unprimed variable reads its bit of the row index."""
+    pos_to_s = {p: j for j, p in enumerate(s_positions)}
     pos_to_x = {p: j for j, p in enumerate(x_positions)}
     pos_to_y = {p: j for j, p in enumerate(y_positions)}
-    s_idx = np.arange(n_states, dtype=np.int64)[:, None, None]
+    r_idx = np.arange(1 << len(s_positions), dtype=np.int64)[:, None, None]
     x_idx = np.arange(1 << len(x_positions), dtype=np.int64)[None, :, None]
     y_idx = np.arange(1 << len(y_positions), dtype=np.int64)[None, None, :]
 
@@ -104,7 +128,7 @@ def _pair_lookup(var_positions, x_positions, y_positions, n_states):
             raise MalformedAssertionError(f"unknown variable {name!r}")
         p = var_positions[name]
         if not primed:
-            return ((s_idx >> p) & 1).astype(bool)
+            return ((r_idx >> pos_to_s[p]) & 1).astype(bool)
         if p in pos_to_x:
             return ((x_idx >> pos_to_x[p]) & 1).astype(bool)
         return ((y_idx >> pos_to_y[p]) & 1).astype(bool)
@@ -115,15 +139,21 @@ def _pair_lookup(var_positions, x_positions, y_positions, n_states):
 def build_tables(game) -> GameTables:
     """Materialize the transition relations, weights, and priorities of a game."""
     vs = game.vars
-    check_memory(len(vs.names))
+    s_positions = row_positions(game)
+    check_memory(len(vs.names), len(s_positions))
     var_positions = {name: k for k, name in enumerate(vs.names)}
     x_positions = tuple(k for k, name in enumerate(vs.names) if name in vs.inputs)
     y_positions = tuple(k for k, name in enumerate(vs.names) if name not in vs.inputs)
     n = len(vs.names)
     n_states = 1 << n
     nx, ny = len(x_positions), len(y_positions)
-    look = _pair_lookup(var_positions, x_positions, y_positions, n_states)
-    shape = (n_states, 1 << nx, 1 << ny)
+    look = _pair_lookup(var_positions, s_positions, x_positions, y_positions)
+    shape = (1 << len(s_positions), 1 << nx, 1 << ny)
+
+    states = np.arange(n_states, dtype=np.int64)
+    row = np.zeros(n_states, dtype=np.int64)
+    for j, p in enumerate(s_positions):
+        row |= ((states >> p) & 1) << j
 
     rho_e = np.broadcast_to(asr.eval_terms(game.rho_e, look), shape)[:, :, 0].copy()
     rho_s = np.broadcast_to(asr.eval_terms(game.rho_s, look), shape).copy()
@@ -135,15 +165,16 @@ def build_tables(game) -> GameTables:
 
     weight = np.full(shape, DEAD, dtype=np.int64)
     for rule in reversed(game.weights):  # in reverse, so the first match wins
-        weight = np.where(asr.eval_terms(rule.guard, look), rule.weight, weight)
+        np.copyto(weight, rule.weight, where=asr.eval_terms(rule.guard, look))
     missing = rho_s & (weight == DEAD)
     if missing.any():
-        s, xi, yi = (int(v[0]) for v in np.nonzero(missing))
+        s = int(np.argmax(missing.any(axis=(1, 2))[row]))
+        xi, yi = (int(v[0]) for v in np.nonzero(missing[row[s]]))
         raise IncompleteWeightCoverError(
             f"no weight rule matches the system transition"
             f" (state {s}, input {xi}, output {yi})"
         )
-    weight = dead_moves(rho_s, weight)
+    np.copyto(weight, DEAD, where=~rho_s)
 
     prio = None
     if getattr(game, "priorities", None) is not None:
@@ -164,7 +195,7 @@ def build_tables(game) -> GameTables:
                 f"no priority guard covers state {missing_state}"
             )
 
-    for arr in (rho_e, rho_s, weight, succ, prio):
+    for arr in (row, rho_e, rho_s, weight, succ, prio):
         if arr is not None:
             arr.setflags(write=False)
     return GameTables(
@@ -174,6 +205,7 @@ def build_tables(game) -> GameTables:
         n_states=n_states,
         n_inputs=1 << nx,
         n_outputs=1 << ny,
+        row=row,
         rho_e=rho_e,
         rho_s=rho_s,
         weight=weight,

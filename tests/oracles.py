@@ -168,8 +168,9 @@ def ec_scalar(game, c, s, t, e):
 def ecpre_env_cases(game, c, f: EnergyFunction) -> EnergyFunction:
     """The environment's step, from its own case analysis rather than duality.
 
-    For each state the environment picks the best valid input (integer min)
-    after the system's worst answer (integer max).
+    For each table row the environment picks the best valid input (integer
+    min) after the system's worst answer (integer max); each state reads its
+    row's value.
     """
     t = game.tables()
     e = f.values[t.succ][None, :, :]
@@ -185,7 +186,7 @@ def ecpre_env_cases(game, c, f: EnergyFunction) -> EnergyFunction:
     dead = t.rho_e[:, :, None] & ~t.rho_s
     val = np.where((e == 0) | dead, 0, val)    # case 2
     val = np.where(~t.rho_e[:, :, None], INF, val)  # case 1: invalid input
-    return EnergyFunction(c, val.max(axis=2).min(axis=1))
+    return EnergyFunction(c, val.max(axis=2).min(axis=1)[t.row])
 
 
 def ecpre_enum(game, c, f: EnergyFunction) -> EnergyFunction:

@@ -222,8 +222,11 @@ def test_out_of_memory_exits_2(g1_path, tmp_path, capsys, monkeypatch):
 
     names = [f"v{i}" for i in range(10)]
     game = tmp_path / "big.game"
+    # a weight guard that reads every variable gives each state its own row
+    weights = [{"guard": " & ".join(names), "weight": 2},
+               {"guard": "true", "weight": 1}]
     game.write_text(json.dumps({**CYCLE, "vars": names, "rho_s": "true",
-                                "weights": [{"guard": "true", "weight": 1}]}))
+                                "weights": weights}))
     monkeypatch.setattr(tables, "_available_memory", lambda: 16 << 20)
     assert run(["solve", str(game), "--bound", "2"]) == 2
     assert "10 variables need about 17 MiB" in capsys.readouterr().err
@@ -354,3 +357,15 @@ def test_state_is_checked_before_solving(g1_path, monkeypatch, capsys):
     for state in ("x & !x", "x &", "w"):
         assert run(["solve", g1_path, "--state", state]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("names", [(), ("x",), ("x", "y"), ("a", "b", "c", "d")])
+def test_state_names_are_the_minterms(names):
+    from emu import State, VariableSet, WeightedGameStructure
+    from emu.assertions import TRUE
+    from emu.cli import _state_names
+
+    game = WeightedGameStructure(VariableSet(names, frozenset(names[:1])),
+                                 TRUE, TRUE, ())
+    assert _state_names(game) == [State(game.vars, i).minterm()
+                                  for i in range(game.n_states)]

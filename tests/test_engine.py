@@ -95,3 +95,19 @@ def test_valuation_must_share_the_bound(g1):
         eval_energy(g1, 2, f, {"X": EnergyFunction.top(3, g1.n_states)})
     top = EnergyFunction.top(2, g1.n_states)
     assert eval_energy(g1, 2, f, {"X": top}) == top
+
+
+def test_each_atom_is_built_once_per_evaluation(g1, monkeypatch):
+    # buchi J=y iterates two nested fixpoints over its one atom
+    calls = []
+    state_mask = type(g1.tables()).state_mask
+    monkeypatch.setattr(type(g1.tables()), "state_mask",
+                        lambda t, a: calls.append(a) or state_mask(t, a))
+    f = fm.builtin("buchi", J="y")
+    stats = FixpointStats()
+    eval_energy(g1, 2, f, stats=stats)
+    assert len(calls) == 1 and sum(apps for apps, _ in stats.caps) > 1
+    eval_classical(g1, fm.builtin("reach", p="y"))
+    assert len(calls) == 2
+    # the cached mask is shared by every iteration, so it cannot be written
+    assert not eval_classical(g1, fm.parse_formula('@"y"')).flags.writeable

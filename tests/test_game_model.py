@@ -48,15 +48,24 @@ def test_variable_set_validation():
 def test_games_too_large_for_memory_are_refused(monkeypatch):
     from emu import reduce_game, tables
 
-    # 10 variables: 4^10 move cells of 17 bytes, about 17 MiB
+    # 10 variables, all read by a weight guard: one table row per state, so
+    # 4^10 move cells of 17 bytes, about 17 MiB
     monkeypatch.setattr(tables, "_available_memory", lambda: 16 << 20)
     names = tuple(f"v{i}" for i in range(10))
+
+    def reads_all(vars_):
+        return [(" & ".join(vars_), 1), ("true", 0)]
+
     with pytest.raises(StateCapError, match="10 variables need about 17 MiB"):
-        _game(vars_=names, inputs=("v0",)).tables()
-    small = _game(vars_=names[:9], inputs=("v0",))
+        _game(vars_=names, inputs=("v0",), weights=reads_all(names)).tables()
+    small = _game(vars_=names[:9], inputs=("v0",), weights=reads_all(names[:9]))
     assert small.tables().n_states == 512
     with pytest.raises(StateCapError):
         reduce_game(small, 1)
+    # transitions that read 2 of the 10 variables share 4 rows between states
+    narrow = _game(rho_s="v1 -> v2'", weights=[("v2", 1), ("true", 0)],
+                   vars_=names, inputs=("v0",))
+    assert narrow.tables().n_states == 1024 and len(narrow.tables().rho_e) == 4
 
 
 def test_state_round_trip():

@@ -30,7 +30,7 @@ def _rho_s_holds(rg, s1, c1, s2, c2):
     s2_full = rg.state_index(s2, c2)
     x = sum(((s2_full >> p) & 1) << j for j, p in enumerate(t.x_positions))
     y = sum(((s2_full >> p) & 1) << j for j, p in enumerate(t.y_positions))
-    return bool(t.rho_s[rg.state_index(s1, c1), x, y])
+    return bool(t.rho_s[t.row[rg.state_index(s1, c1)], x, y])
 
 
 def test_reduce_g1_c2(g1):
