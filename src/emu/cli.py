@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import random
@@ -109,12 +110,18 @@ def _state_names(game):
     return names
 
 
-def _credit_str(v) -> str:
-    return "inf" if v == INF else str(int(v))
+def _credit_strs(credits: EnergyFunction) -> list[str]:
+    inf = int(INF)
+    return ["inf" if v == inf else str(v) for v in credits.values.tolist()]
 
 
-def solve_report_to_json(report, game, formula) -> dict:
-    names = _state_names(game)
+def _names_where(names, mask) -> list[str]:
+    """The names of the states in a bool state mask, in index order."""
+    return [name for name, hit in zip(names, mask.tolist()) if hit]
+
+
+def solve_report_to_json(report, names, formula) -> dict:
+    """The JSON document of a solve; ``names`` are the ``_state_names``."""
     return {
         "schema": SCHEMA_VERSION,
         "command": "solve",
@@ -127,11 +134,11 @@ def solve_report_to_json(report, game, formula) -> dict:
         "m": report.bound_breakdown.formula_length,
         "d": report.bound_breakdown.alternation_depth,
         "min_credits": [
-            {"state": names[i], "credit": _credit_str(report.min_credits.values[i])}
-            for i in range(game.n_states)
+            {"state": name, "credit": credit}
+            for name, credit in zip(names, _credit_strs(report.min_credits))
         ],
-        "w_sys": [names[i] for i in range(game.n_states) if report.sys_region[i]],
-        "w_env": [names[i] for i in range(game.n_states) if report.env_region[i]],
+        "w_sys": _names_where(names, report.sys_region),
+        "w_env": _names_where(names, report.env_region),
     }
 
 
@@ -164,33 +171,29 @@ def cmd_solve(args) -> int:
     names = _state_names(game)
 
     if args.format == "json":
-        doc = solve_report_to_json(report, game, formula)
+        doc = solve_report_to_json(report, names, formula)
         if query_mask is not None:
+            rows = doc["min_credits"]
             doc["query"] = {
                 "state": args.state,
-                "results": [
-                    {"state": names[i],
-                     "credit": _credit_str(report.min_credits.values[i])}
-                    for i in np.nonzero(query_mask)[0]
-                ],
+                "results": [rows[i] for i in np.flatnonzero(query_mask).tolist()],
             }
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(doc))
     else:
         print(f"effective bound: {report.effective_bound}"
               + (" (computed: requested inf)" if report.unbounded else ""))
         bb = report.bound_breakdown
         print(f"N={bb.n_states} K={bb.max_abs_weight} m={bb.formula_length}"
               f" d={bb.alternation_depth} variant={bb.variant}")
+        credits = _credit_strs(report.min_credits)
         if query_mask is None:
             print("min credits:")
-            for i in range(game.n_states):
-                print(f"  {names[i]}: {_credit_str(report.min_credits.values[i])}")
+            for name, credit in zip(names, credits):
+                print(f"  {name}: {credit}")
         else:
-            for i in np.nonzero(query_mask)[0]:
-                verdict = ("wins" if report.min_credits.values[i] != INF
-                           else "loses")
-                print(f"state {names[i]}: min credit"
-                      f" {_credit_str(report.min_credits.values[i])}"
+            for i in np.flatnonzero(query_mask).tolist():
+                verdict = "loses" if credits[i] == "inf" else "wins"
+                print(f"state {names[i]}: min credit {credits[i]}"
                       f" -> system {verdict}")
         print(f"W_sys: {int(report.sys_region.sum())} states,"
               f" W_env: {int(report.env_region.sum())} states")
@@ -216,7 +219,7 @@ def cmd_bound(args) -> int:
             "d": bb.alternation_depth,
             "variant": bb.variant,
             "bound": bb.bound,
-        }, indent=2))
+        }))
     else:
         print(f"N={bb.n_states} K={bb.max_abs_weight} m={bb.formula_length}"
               f" d={bb.alternation_depth}")
@@ -232,8 +235,8 @@ def cmd_region(args) -> int:
         raise _UsageError("region needs a finite --bound")
     report = solve(SolveRequest(game=game, formula=formula, bound=args.bound))
     names = _state_names(game)
-    w_sys = [names[i] for i in range(game.n_states) if report.sys_region[i]]
-    w_env = [names[i] for i in range(game.n_states) if report.env_region[i]]
+    w_sys = _names_where(names, report.sys_region)
+    w_env = _names_where(names, report.env_region)
     if args.format == "json":
         print(json.dumps({
             "schema": SCHEMA_VERSION,
@@ -241,7 +244,7 @@ def cmd_region(args) -> int:
             "bound": report.effective_bound,
             "w_sys": w_sys,
             "w_env": w_env,
-        }, indent=2))
+        }))
     else:
         print(f"W_sys ({len(w_sys)} states):")
         for s in w_sys:
@@ -341,7 +344,11 @@ def _add_formula_args(p):
     p.add_argument("--format", choices=("text", "json"), default="text")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``emu`` argument parser, built once per process: ``parse_args``
+    writes only to a fresh namespace, and no default is a mutable object
+    two parses could share."""
     top = argparse.ArgumentParser(
         prog="emu",
         description="Solve omega-regular energy games with fixpoint formulas.",

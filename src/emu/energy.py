@@ -11,6 +11,14 @@ integer max, the constant-infinity function is the lattice bottom and the
 constant-zero function is the top.  Negation maps 0 to infinity, infinity
 to 0, and x to c+1-x otherwise, which makes the lattice a De Morgan algebra
 and the environment's step operator the dual of the system's.
+
+Values that enter from outside the engine are checked: ``EnergyFunction(...)``
+checks its bound and its values, ``eval_energy`` its bound and valuation, and
+``ecpre`` that its function has the bound it is given.  Results the engine
+builds itself (atoms, ``join``, ``meet``, ``neg``, ``ecpre``, ``ecpre_env``)
+are in range by construction, from checked operands, so they are made with
+the unchecked ``EnergyFunction._of``; a fixpoint iteration therefore pays
+for the arithmetic only.  Every value array is read-only either way.
 """
 
 from __future__ import annotations
@@ -40,6 +48,9 @@ class EnergyFunction:
     values: np.ndarray  # int64 (n_states,)
 
     def __post_init__(self):
+        if not 0 <= self.bound <= LIMIT:
+            raise InvalidCreditError(
+                f"the bound must be a natural number up to 2^60, got {self.bound!r}")
         vals = np.asarray(self.values, dtype=np.int64)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -48,6 +59,16 @@ class EnergyFunction:
             raise InvalidCreditError(
                 f"values outside [0, {self.bound}] in an energy function"
             )
+
+    @classmethod
+    def _of(cls, bound: int, values: np.ndarray) -> "EnergyFunction":
+        """An engine result: int64 ``values`` in range by construction, so
+        unchecked.  ``values`` becomes read-only; the caller must own it."""
+        values.setflags(write=False)
+        f = object.__new__(cls)
+        object.__setattr__(f, "bound", bound)
+        object.__setattr__(f, "values", values)
+        return f
 
     @classmethod
     def constant(cls, bound: int, n_states: int, value) -> "EnergyFunction":
@@ -66,7 +87,9 @@ class EnergyFunction:
     def __eq__(self, other):
         if not isinstance(other, EnergyFunction):
             return NotImplemented
-        return self.bound == other.bound and np.array_equal(self.values, other.values)
+        a, b = self.values, other.values
+        return (self.bound == other.bound and a.shape == b.shape
+                and bool((a == b).all()))
 
     def __getitem__(self, state_index: int):
         return int(self.values[state_index])
@@ -85,13 +108,13 @@ def _same_bound(f: EnergyFunction, g: EnergyFunction):
 def join(f: EnergyFunction, g: EnergyFunction) -> EnergyFunction:
     """Pointwise best case for the system: integer minimum."""
     _same_bound(f, g)
-    return EnergyFunction(f.bound, np.minimum(f.values, g.values))
+    return EnergyFunction._of(f.bound, np.minimum(f.values, g.values))
 
 
 def meet(f: EnergyFunction, g: EnergyFunction) -> EnergyFunction:
     """Pointwise worst case for the system: integer maximum."""
     _same_bound(f, g)
-    return EnergyFunction(f.bound, np.maximum(f.values, g.values))
+    return EnergyFunction._of(f.bound, np.maximum(f.values, g.values))
 
 
 def leq(f: EnergyFunction, g: EnergyFunction) -> bool:
@@ -100,12 +123,21 @@ def leq(f: EnergyFunction, g: EnergyFunction) -> bool:
     return bool((f.values >= g.values).all())
 
 
+def _clip(c: int, v: np.ndarray) -> np.ndarray:
+    """The credit of a need v at bound c: INF above c, else max(v, 0)."""
+    return np.where(v > c, INF, np.maximum(v, 0))
+
+
 def neg(f: EnergyFunction) -> EnergyFunction:
-    """Pointwise De Morgan negation: 0 <-> INF, x -> bound+1-x."""
+    """Pointwise De Morgan negation: 0 <-> INF, x -> bound+1-x.
+
+    It is the clip of ``ecpre`` applied to c+1-v, case by case: 0 maps to
+    c+1, which is above c, so to INF; x in [1, c] maps to c+1-x, which stays
+    in [1, c]; INF maps to c+1-2^62, which is negative, so to 0.  With
+    c <= 2^60 nothing wraps.
+    """
     c = f.bound
-    v = f.values
-    out = np.where(v == 0, INF, np.where(v == INF, 0, c + 1 - v))
-    return EnergyFunction(c, out)
+    return EnergyFunction._of(c, _clip(c, (c + 1) - f.values))
 
 
 def ecpre(game, c: int, f: EnergyFunction) -> EnergyFunction:
@@ -116,9 +148,10 @@ def ecpre(game, c: int, f: EnergyFunction) -> EnergyFunction:
     A move needs the credit of its target minus its weight, unattainable
     above the bound; a move the system cannot make, or into an unattainable
     target, is unattainable; an input the environment cannot play is free.
-    The clip ``INF if v > c else max(v, 0)`` of a need v is monotone, so it
-    commutes with min and max and comes last; a dead move (weight DEAD) or
-    an INF target needs more than c, and |w|, c <= LIMIT rule out wrapping.
+    The clip of a need v (``_clip``: INF above c, else max(v, 0)) is
+    monotone, so it commutes with min and max and comes last; a dead move
+    (weight DEAD) or an INF target needs more than c, and |w|, c <= LIMIT
+    rule out wrapping.
     The kernel and the clip run once per table row; each state then reads
     the value of its row.
     """
@@ -127,7 +160,7 @@ def ecpre(game, c: int, f: EnergyFunction) -> EnergyFunction:
     t = game.tables()
     v = (f.values[t.succ] - t.weight).min(axis=2)
     v = np.where(t.rho_e, v, 0).max(axis=1)
-    return EnergyFunction(c, np.where(v > c, INF, np.maximum(v, 0))[t.row])
+    return EnergyFunction._of(c, _clip(c, v)[t.row])
 
 
 def ecpre_env(game, c: int, f: EnergyFunction) -> EnergyFunction:
@@ -157,7 +190,7 @@ def eval_energy(game, c: int, f: fm.Formula, valuation=None,
                 f"valuation for {name!r} has bound {g.bound}, expected {c}")
 
     lat = Lattice(
-        atom=lambda mask: EnergyFunction(c, np.where(mask, 0, INF)),
+        atom=lambda mask: EnergyFunction._of(c, np.where(mask, 0, INF)),
         neg=neg,
         join=join,
         meet=meet,

@@ -165,6 +165,14 @@ def ec_scalar(game, c, s, t, e):
     return max(0, int(e) - w)
 
 
+def neg_cases(f: EnergyFunction) -> EnergyFunction:
+    """De Morgan negation, case by case: 0 <-> INF, x -> c+1-x otherwise."""
+    c, inf = f.bound, int(INF)
+    return EnergyFunction(c, np.array(
+        [inf if v == 0 else 0 if v == inf else c + 1 - v for v in f.values.tolist()],
+        dtype=np.int64))
+
+
 def ecpre_env_cases(game, c, f: EnergyFunction) -> EnergyFunction:
     """The environment's step, from its own case analysis rather than duality.
 

@@ -1,4 +1,5 @@
 import json
+import math
 import shutil
 import time
 
@@ -190,6 +191,35 @@ def test_bound_of_deeply_nested_binders_is_fast(g1_path, capsys):
         assert run(["bound", g1_path, "--formula", formula, "--format", "json"]) == 0
         assert time.perf_counter() - start < 1
         assert json.loads(capsys.readouterr().out)["d"] == depth
+
+
+@pytest.mark.parametrize("extra", [["--bound", "2"], ["--bound", "inf"],
+                                   ["--bound", "0", "--state", "y"]])
+def test_solve_json_is_one_line(extra, g1_path, capsys):
+    from emu import SolveRequest, load_game, solve
+    from emu import formulas as fm
+
+    code = run(["solve", g1_path, "--builtin", "buchi", "--param", "J=y",
+                "--format", "json", *extra])
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1 and out.endswith("\n")
+    bound, credits, w_sys, w_env = solve_report_from_json(json.loads(out))
+    report = solve(SolveRequest(load_game(g1_path), fm.builtin("buchi", J="y"),
+                                math.inf if extra[1] == "inf" else int(extra[1])))
+    assert bound == report.effective_bound and credits == report.min_credits
+    assert (w_sys == report.sys_region).all() and (w_env == report.env_region).all()
+    assert code in (0, 1)
+
+
+def test_parser_is_built_once_and_keeps_no_state(g1_path, capsys):
+    from emu.cli import build_parser
+
+    assert build_parser() is build_parser()
+    assert run(["solve", g1_path, "--builtin", "buchi", "--param", "J=y",
+                "--bound", "2"]) == 0
+    # a --param left over from the first parse would be refused here
+    assert run(["solve", g1_path, "--builtin", "safety", "--bound", "2"]) == 0
+    assert "error:" not in capsys.readouterr().err
 
 
 def test_bound_and_region_json(g1_path, capsys):

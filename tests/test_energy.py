@@ -25,7 +25,8 @@ from emu import assertions as asr
 from emu import formulas as fm
 from emu.errors import BoundMismatchError, InvalidCreditError, NonMonotoneFormulaError
 from emu.randgen import random_wgs
-from oracles import buchi_loop_energy, ec_scalar, ecpre_env_cases, ecpre_enum, state_of
+from oracles import (buchi_loop_energy, ec_scalar, ecpre_env_cases, ecpre_enum,
+                     neg_cases, state_of)
 
 
 def _f(c, values):
@@ -47,6 +48,9 @@ def test_energy_function_validation():
         _f(2, [-1, 0])
     f = _f(2, [0, 1, 2, INF])
     assert f[3] == INF and f[0] == 0
+    for bound in (-1, LIMIT + 1):
+        with pytest.raises(InvalidCreditError):
+            _f(bound, [0])
 
 
 def test_join_meet_leq_examples():
@@ -82,6 +86,31 @@ def test_de_morgan_algebra(c, data):
     assert neg(neg(f)) == f
     assert neg(meet(f, g)) == join(neg(f), neg(g))
     assert neg(join(f, g)) == meet(neg(f), neg(g))
+
+
+_BOUNDS = st.one_of(st.sampled_from((0, 1, LIMIT)), st.integers(0, 9))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32), _BOUNDS, st.data())
+def test_engine_results_need_no_check(seed, c, data):
+    """Atoms, join, meet, neg, ecpre and ecpre_env skip the range check of
+    EnergyFunction(...); each result must pass it all the same."""
+    g = random_wgs(random.Random(seed), 2, 5, max_weight=3)
+    n = g.n_states
+    pool = sorted({0, min(1, c), c // 2, max(c - 1, 0), c, int(INF)})
+    f, h = (_f(c, data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+            for _ in range(2))
+    atom = eval_energy(g, c, fm.Atom(asr.Var(g.vars.names[-1])))
+    results = (atom, join(f, h), meet(f, h), neg(f), ecpre(g, c, f), ecpre_env(g, c, f))
+    for r in results:
+        assert r.values.dtype == np.int64 and not r.values.flags.writeable
+        assert r == EnergyFunction(c, r.values.copy())
+    assert neg(f) == neg_cases(f)
+    assert neg(neg(f)) == f
+    other = c + 1 if c < LIMIT else c - 1
+    assert (f == _f(c, f.values[1:])) is False
+    assert (EnergyFunction.top(c, n) == EnergyFunction.top(other, n)) is False
 
 
 # ---------------------------------------------------------------------------
