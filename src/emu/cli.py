@@ -293,9 +293,9 @@ def _check_one_parity(rng, args, mutate):
     if mutate:
         symbolic = _mutate_credits(symbolic)
     explicit = solve_energy_parity(from_parity_wgs(game), c)
-    for s in range(game.n_states):
-        if int(symbolic.values[s]) != explicit[s]:
-            return game, c, "parity", "symbolic and explicit credits disagree"
+    explicit = np.fromiter(explicit.values(), dtype=np.int64, count=game.n_states)
+    if not np.array_equal(symbolic.values, explicit):
+        return game, c, "parity", "symbolic and explicit credits disagree"
     return None
 
 

@@ -99,10 +99,10 @@ class EnergyFunction:
 
 
 def _same_bound(f: EnergyFunction, g: EnergyFunction):
-    if f.bound != g.bound:
+    if f.bound != g.bound or f.values.shape != g.values.shape:
         raise BoundMismatchError(
-            f"cannot combine energy functions at bounds {f.bound} and {g.bound}"
-        )
+            f"cannot combine energy functions at bounds {f.bound} and {g.bound},"
+            f" over {len(f.values)} and {len(g.values)} states")
 
 
 def join(f: EnergyFunction, g: EnergyFunction) -> EnergyFunction:

@@ -62,7 +62,7 @@ class InvalidCreditError(EmuError):
 
 
 class BoundMismatchError(EmuError):
-    """Energy functions with different bounds were combined."""
+    """Energy functions with different bounds or state counts were combined."""
 
 
 class PriorityPartitionError(EmuError):

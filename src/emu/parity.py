@@ -1,4 +1,4 @@
-"""Explicit turn-based parity and energy parity games.
+"""Explicit turn-based parity and energy parity games, as numpy arrays.
 
 Player 0 wins an infinite play when the minimum priority seen infinitely
 often is even, and a finite play when it ends in a deadlock of player 1;
@@ -7,40 +7,75 @@ non-negative.  This module provides the explicit expansion of a symbolic
 parity game, the credit-layer unfolding that turns a bounded energy parity
 game into a plain parity game, attractors, and a recursive parity solver.
 It is the second, independent oracle next to the credit-tracking reduction.
+
+A game of n states and E edges is held in arrays: ``owners`` int8 (n,),
+``prios`` int64 (n,), and the edge list ``src``/``dst`` int64 (E,), plus
+``weight`` int64 (E,) in an energy parity game.  The edges are sorted by
+``src``, stably, so the edges of a state form one run in their given order.
+The unfolding at bound c packs (state s, credit) as s*(c+2) + credit for
+credit in [0, c] and puts the overflow state of s at s*(c+2) + c + 1.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .energy import INF
-from .errors import ConsistencyError, EmuError, GameFormatError
+from . import tables
+from .energy import INF, LIMIT
+from .errors import (ConsistencyError, EmuError, GameFormatError, StateCapError,
+                     WeightDomainError)
 from .game import WeightedGameStructure
 
 
-@dataclass(frozen=True)
-class EnergyParityGame:
-    """Explicit graph game with owners, priorities, and edge weights."""
+@dataclass(frozen=True, eq=False)
+class ParityGame:
+    """Explicit graph game with owners and priorities, no weights."""
 
-    owners: tuple[int, ...]              # 0 or 1 per state
-    prios: tuple[int, ...]
-    edges: tuple[tuple[tuple[int, int], ...], ...]  # per state: (dst, weight)
+    owners: np.ndarray   # int8 (n,): 0 or 1
+    prios: np.ndarray    # int64 (n,)
+    src: np.ndarray      # int64 (E,), sorted stably
+    dst: np.ndarray      # int64 (E,)
 
     def __post_init__(self):
-        n = len(self.owners)
-        if len(self.prios) != n or len(self.edges) != n:
+        try:
+            a = {f.name: np.asarray(getattr(self, f.name), dtype=np.int64)
+                 for f in fields(self)}
+        except OverflowError:
+            raise EmuError("game entries must fit in 64-bit integers") from None
+        n, src, dst = len(a["owners"]), a["src"], a["dst"]
+        if len(a["prios"]) != n or len({len(src), len(dst), len(a.get("weight", dst))}) > 1:
             raise EmuError("owners, prios, and edges must have equal length")
-        if any(o not in (0, 1) for o in self.owners):
+        if ((a["owners"] != 0) & (a["owners"] != 1)).any():
             raise EmuError("owners must be 0 or 1")
-        if any(p < 0 for p in self.prios):
+        if (a["prios"] < 0).any():
             raise EmuError("priorities must be natural numbers")
-        for src, out in enumerate(self.edges):
-            for dst, _w in out:
-                if not 0 <= dst < n:
-                    raise EmuError(f"edge {src}->{dst} leaves the state space")
+        out = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
+        if out.any():
+            raise EmuError(f"edge {src[out][0]}->{dst[out][0]} leaves the state space")
+        if (src[1:] < src[:-1]).any():
+            raise EmuError("edges must be sorted by their source")
+        a["owners"] = a["owners"].astype(np.int8)
+        for name, arr in a.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @classmethod
+    def of(cls, owners, prios, edges):
+        """The game whose state s has the out-edges ``edges[s]``, in order:
+        destinations, or (destination, weight) pairs in an energy game."""
+        src = np.repeat(np.arange(len(edges)), [len(out) for out in edges])
+        cols = np.array([e for out in edges for e in out], dtype=object)
+        # the edge columns after src: dst, and weight in an energy game
+        return cls(owners, prios, src, *cols.reshape(len(src), len(fields(cls)) - 3).T)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
     @property
     def n_states(self) -> int:
@@ -49,26 +84,23 @@ class EnergyParityGame:
     @property
     def n_priorities(self) -> int:
         """Number of distinct priorities (the d of the sufficient bound)."""
-        return len(set(self.prios))
+        return len(np.unique(self.prios))
+
+
+@dataclass(frozen=True, eq=False)
+class EnergyParityGame(ParityGame):
+    """Explicit graph game with owners, priorities, and edge weights."""
+
+    weight: np.ndarray   # int64 (E,), |weight| <= 2^60
+
+    def __post_init__(self):
+        super().__post_init__()
+        if ((self.weight < -LIMIT) | (self.weight > LIMIT)).any():
+            raise WeightDomainError("edge weights must be at most 2^60 in absolute value")
 
     @property
     def max_abs_weight(self) -> int:
-        return max(
-            (abs(w) for out in self.edges for _dst, w in out), default=0
-        )
-
-
-@dataclass(frozen=True)
-class ParityGame:
-    """Explicit graph game with owners and priorities, no weights."""
-
-    owners: tuple[int, ...]
-    prios: tuple[int, ...]
-    edges: tuple[tuple[int, ...], ...]  # per state: destinations
-
-    @property
-    def n_states(self) -> int:
-        return len(self.owners)
+        return int(np.abs(self.weight).max(initial=0))
 
 
 def from_parity_wgs(game: WeightedGameStructure) -> EnergyParityGame:
@@ -83,24 +115,17 @@ def from_parity_wgs(game: WeightedGameStructure) -> EnergyParityGame:
     t = game.tables()
     if t.prio is None:
         raise EmuError("the game carries no priority annotation")
-    N, NX, NY = t.n_states, t.n_inputs, t.n_outputs
-    owners = [1] * N + [0] * (N * NX)
-    prios = [int(t.prio[s]) for s in range(N)]
-    prios += [int(t.prio[s]) for s in range(N) for _ in range(NX)]
-    edges: list[tuple[tuple[int, int], ...]] = []
-    for s in range(N):
-        edges.append(tuple(
-            (N + s * NX + x, 0) for x in range(NX) if t.rho_e[t.row[s], x]
-        ))
-    for s in range(N):
-        r = t.row[s]
-        for x in range(NX):
-            out = []
-            for y in range(NY):
-                if t.rho_s[r, x, y]:
-                    out.append((int(t.succ[x, y]), int(t.weight[r, x, y])))
-            edges.append(tuple(out))
-    return EnergyParityGame(tuple(owners), tuple(prios), tuple(edges))
+    N, NX = t.n_states, t.n_inputs
+    s, x = np.nonzero(t.rho_e[t.row])
+    ss, sx, sy = np.nonzero((t.weight != tables.DEAD)[t.row])
+    return EnergyParityGame(
+        owners=np.repeat(np.array([1, 0], dtype=np.int8), [N, N * NX]),
+        prios=np.concatenate([t.prio, np.repeat(t.prio, NX)]),
+        src=np.concatenate([s, N + ss * NX + sx]),
+        dst=np.concatenate([N + s * NX + x, t.succ[sx, sy]]),
+        weight=np.concatenate([np.zeros(len(s), dtype=np.int64),
+                               t.weight[t.row[ss], sx, sy]]),
+    )
 
 
 def unfold_with_bound(g: EnergyParityGame, c: int) -> ParityGame:
@@ -110,70 +135,74 @@ def unfold_with_bound(g: EnergyParityGame, c: int) -> ParityGame:
     Moves update the credit by the edge weight, clipped above at c; a drop
     below zero moves to the overflow state instead, which is a deadlock
     owned by player 0 (losing it the play).  Priorities are inherited.
-    State packing: s*(c+2) + credit, overflow at s*(c+2) + c + 1.
+    State packing: s*(c+2) + credit, overflow at s*(c+2) + c + 1.  State
+    (s, credit) keeps the edge order of s.
+
+    An unfolding that would not fit in the free memory is refused before
+    anything is allocated.  Each unfolded edge costs 72 bytes: its ``src``
+    and ``dst``, and the solver's copy of them with the deadlock edges, sort
+    order, predecessor list and one edge-sized temporary.  Each unfolded
+    state costs 64: owner, priority, predecessor offset, pending count and
+    the solver's bool masks.  On random games of 4e4-1e6 unfolded edges the
+    peak that ``tracemalloc`` saw was at most 0.82 of this estimate.
     """
     if c < 0:
         raise ValueError("the bound must be a natural number")
+    c, n, E = int(c), g.n_states, len(g.src)
     span = c + 2
-    owners = []
-    prios = []
-    edges: list[tuple[int, ...]] = []
-    for s in range(g.n_states):
-        for credit in range(c + 1):
-            owners.append(g.owners[s])
-            prios.append(g.prios[s])
-            out = []
-            for dst, w in g.edges[s]:
-                nxt = credit + w
-                if nxt < 0:
-                    out.append(dst * span + c + 1)
-                else:
-                    out.append(dst * span + min(c, nxt))
-            edges.append(tuple(out))
-        owners.append(0)  # overflow: a player-0 deadlock
-        prios.append(g.prios[s])
-        edges.append(())
-    return ParityGame(tuple(owners), tuple(prios), tuple(edges))
+    need, free = 72 * E * (c + 1) + 64 * n * span, tables._available_memory()
+    if need > free:
+        raise StateCapError(f"the unfolding at bound {c} needs about {need >> 20}"
+                            f" MiB, more than the {free >> 20} MiB free")
+    credit = np.arange(c + 1)
+    deg = np.bincount(g.src, minlength=n)
+    first = (np.cumsum(deg) - deg)[g.src]       # each edge's source's first edge
+    # edge k of state s at credit r goes to position first*(c+1) + r*deg + k
+    pos = (first * c + np.arange(E))[:, None] + credit * deg[g.src][:, None]
+    level = np.minimum(credit + g.weight[:, None], c)
+    level[level < 0] = c + 1
+    src, dst = np.empty((2, E * (c + 1)), dtype=np.int64)
+    src[pos] = g.src[:, None] * span + credit
+    dst[pos] = g.dst[:, None] * span + level
+    owners = np.zeros((n, span), dtype=np.int8)  # overflow: a player-0 deadlock
+    owners[:, :c + 1] = g.owners[:, None]
+    return ParityGame(owners.ravel(), np.repeat(g.prios, span), src, dst)
 
 
-def _predecessors(edges) -> list[list[int]]:
-    preds: list[list[int]] = [[] for _ in edges]
-    for s, out in enumerate(edges):
-        for d in out:
-            preds[d].append(s)
-    return preds
+def _predecessors(src, dst, n):
+    """Predecessor index: the sources of the edges into d are
+    ``pred[ptr[d]:ptr[d+1]]``."""
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(dst, minlength=n), out=ptr[1:])
+    return ptr, src[np.argsort(dst, kind="stable")]
 
 
-def _attract(owners, edges, preds, player, base, active):
+def _attract(owners, src, dst, preds, player, base, active):
     """Attractor of ``base`` for ``player`` within the subgame ``active``.
 
+    Each round takes the predecessors of the states the last round added.
     Own states need one successor inside, opponent states all of their
-    active successors; an opponent state's count of pending successors is
-    taken when the attractor first reaches it.  Deadlocks are not added
+    active successors: an opponent state's count of pending successors
+    drops by one per edge into the attractor.  Deadlocks are not added
     here: a caller whose game has them puts them into ``base``.
     """
+    ptr, pred = preds
     in_attr = base.copy()
-    pending = {}
-    stack = list(np.nonzero(base)[0])
-    while stack:
-        s = int(stack.pop())
-        for p in preds[s]:
-            if not active[p] or in_attr[p]:
-                continue
-            if owners[p] == player:
-                in_attr[p] = True
-                stack.append(p)
-            else:
-                if p not in pending:
-                    pending[p] = sum(1 for d in edges[p] if active[d])
-                pending[p] -= 1
-                if pending[p] == 0:
-                    in_attr[p] = True
-                    stack.append(p)
+    pending = np.bincount(src[active[dst]], minlength=len(owners))
+    frontier = np.flatnonzero(base)
+    while frontier.size:
+        lo, size = ptr[frontier], ptr[frontier + 1] - ptr[frontier]
+        p = pred[np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())]
+        p = p[active[p] & ~in_attr[p]]
+        own = owners[p] == player
+        opp, hits = np.unique(p[~own], return_counts=True)
+        pending[opp] -= hits
+        frontier = np.concatenate([np.unique(p[own]), opp[pending[opp] == 0]])
+        in_attr[frontier] = True
     return in_attr
 
 
-def attractor(game, player: int, target) -> set[int]:
+def attractor(game: ParityGame, player: int, target) -> set[int]:
     """States from which ``player`` forces a visit to ``target`` or a
     deadlock of the opponent, in finitely many steps.
 
@@ -181,76 +210,58 @@ def attractor(game, player: int, target) -> set[int]:
     (vacuously satisfied by opponent deadlocks).
     """
     n = game.n_states
-    edges = [
-        [dst for dst, _w in out] if isinstance(game, EnergyParityGame) else out
-        for out in game.edges
-    ]
     base = np.zeros(n, dtype=bool)
     base[list(target)] = True
-    for s in range(n):
-        if game.owners[s] != player and not edges[s]:
-            base[s] = True
-    in_attr = _attract(game.owners, edges, _predecessors(edges), player, base,
+    base |= (game.owners != player) & (np.bincount(game.src, minlength=n) == 0)
+    in_attr = _attract(game.owners, game.src, game.dst,
+                       _predecessors(game.src, game.dst, n), player, base,
                        np.ones(n, dtype=bool))
-    return set(np.nonzero(in_attr)[0].tolist())
+    return set(np.flatnonzero(in_attr).tolist())
 
 
-def solve_parity(game: ParityGame) -> tuple[set[int], set[int]]:
-    """Winning regions (W0, W1); every state is in exactly one.
+def solve_parity(game: ParityGame) -> tuple[np.ndarray, np.ndarray]:
+    """Winning regions (W0, W1) as bool (n,) arrays; every state is in
+    exactly one.
 
     Recursive attractor decomposition on a deadlock-free extension: each
     deadlock gets a single edge to a sink that loses for its owner, which
     keeps the subgame recursion total.
     """
     n = game.n_states
-    sink0 = n      # self-loop, priority 0: winning for player 0
-    sink1 = n + 1  # self-loop, priority 1: winning for player 1
-    owners = list(game.owners) + [0, 0]
-    prios = list(game.prios) + [0, 1]
-    edges = []
-    for s in range(n):
-        out = list(game.edges[s])
-        if not out:
-            out = [sink0 if game.owners[s] == 1 else sink1]
-        edges.append(out)
-    edges += [[sink0], [sink1]]
-    preds = _predecessors(edges)
-    prios_arr = np.array(prios, dtype=np.int64)
+    sinks = np.array([n, n + 1])  # self-loops of priority 0 and 1, player 0's
+    dead = np.flatnonzero(np.bincount(game.src, minlength=n) == 0)
+    src = np.concatenate([game.src, dead, sinks])
+    dst = np.concatenate([game.dst, np.where(game.owners[dead] == 1, n, n + 1), sinks])
+    owners = np.concatenate([game.owners, np.zeros(2, dtype=np.int8)])
+    prios = np.concatenate([game.prios, [0, 1]])
+    preds = _predecessors(src, dst, n + 2)
 
     def recurse(active):
+        """[W0, W1] of the subgame ``active``; no array is written in place."""
         if not active.any():
-            empty = np.zeros(n + 2, dtype=bool)
-            return empty, empty.copy()
-        p = int(prios_arr[active].min())
+            return [active, active]
+        p = int(prios[active].min())
         i = p % 2
-        base = active & (prios_arr == p)
-        a = _attract(owners, edges, preds, i, base, active)
-        w0, w1 = recurse(active & ~a)
-        wi, wj = (w0, w1) if i == 0 else (w1, w0)
-        if not wj.any():
-            return (active.copy(), np.zeros(n + 2, dtype=bool)) if i == 0 else (
-                np.zeros(n + 2, dtype=bool), active.copy())
-        b = _attract(owners, edges, preds, 1 - i, wj, active)
-        w0b, w1b = recurse(active & ~b)
-        if i == 0:
-            return w0b, w1b | b
-        return w0b | b, w1b
+        a = _attract(owners, src, dst, preds, i, active & (prios == p), active)
+        w = recurse(active & ~a)
+        if not w[1 - i].any():
+            w[i] = active
+            return w
+        b = _attract(owners, src, dst, preds, 1 - i, w[1 - i], active)
+        w = recurse(active & ~b)
+        w[1 - i] = w[1 - i] | b
+        return w
 
     limit = sys.getrecursionlimit()
-    needed = 4 * (n + 2) + 100
-    raised = limit < needed
-    if raised:
-        sys.setrecursionlimit(needed)
+    sys.setrecursionlimit(max(limit, 4 * (n + 2) + 100))
     try:
         w0, w1 = recurse(np.ones(n + 2, dtype=bool))
     finally:
-        if raised:
-            sys.setrecursionlimit(limit)
-    W0 = {s for s in range(n) if w0[s]}
-    W1 = {s for s in range(n) if w1[s]}
-    if W0 | W1 != set(range(n)) or W0 & W1:
+        sys.setrecursionlimit(limit)
+    w0, w1 = w0[:n], w1[:n]
+    if not (w0 ^ w1).all():
         raise ConsistencyError("parity solve did not partition the states")
-    return W0, W1
+    return w0, w1
 
 
 def solve_energy_parity(g: EnergyParityGame, c: int) -> dict[int, int]:
@@ -259,18 +270,10 @@ def solve_energy_parity(g: EnergyParityGame, c: int) -> dict[int, int]:
     Solves the credit-layer unfolding as a plain parity game and reads, for
     each state, the least credit layer won by player 0.
     """
-    unfolded = unfold_with_bound(g, c)
-    w0, _w1 = solve_parity(unfolded)
-    span = c + 2
-    out = {}
-    for s in range(g.n_states):
-        best = INF
-        for credit in range(c + 1):
-            if s * span + credit in w0:
-                best = credit
-                break
-        out[s] = int(best)
-    return out
+    w0, _w1 = solve_parity(unfold_with_bound(g, c))
+    won = w0.reshape(g.n_states, int(c) + 2)[:, :int(c) + 1]
+    credits = np.where(won.any(axis=1), won.argmax(axis=1), INF)
+    return dict(enumerate(credits.tolist()))
 
 
 def bound_ep(n: int, d: int, k: int) -> int:
@@ -289,12 +292,10 @@ def memory_bound(n: int, d: int, k: int) -> int:
 # Line-oriented text format
 
 def format_explicit_game(g: EnergyParityGame) -> str:
-    lines = []
-    for s in range(g.n_states):
-        lines.append(f"state {s} {g.owners[s]} {g.prios[s]}")
-    for s in range(g.n_states):
-        for dst, w in g.edges[s]:
-            lines.append(f"edge {s} {dst} {w}")
+    lines = [f"state {s} {o} {p}"
+             for s, (o, p) in enumerate(zip(g.owners.tolist(), g.prios.tolist()))]
+    lines += [f"edge {s} {d} {w}"
+              for s, d, w in zip(g.src.tolist(), g.dst.tolist(), g.weight.tolist())]
     return "\n".join(lines) + "\n"
 
 
@@ -302,6 +303,7 @@ def parse_explicit_game(text: str) -> EnergyParityGame:
     owners: dict[int, int] = {}
     prios: dict[int, int] = {}
     edges: dict[int, list[tuple[int, int]]] = {}
+    first_use: dict[int, int] = {}  # state -> line of the first edge at it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -312,13 +314,13 @@ def parse_explicit_game(text: str) -> EnergyParityGame:
                 sid, owner, prio = (int(p) for p in parts[1:])
                 if sid in owners:
                     raise GameFormatError(f"line {lineno}: duplicate state {sid}")
-                owners[sid] = owner
-                prios[sid] = prio
-                edges.setdefault(sid, [])
+                owners[sid], prios[sid] = owner, prio
                 continue
             if parts[0] == "edge" and len(parts) == 4:
                 src, dst, w = (int(p) for p in parts[1:])
                 edges.setdefault(src, []).append((dst, w))
+                for sid in (src, dst):
+                    first_use.setdefault(sid, lineno)
                 continue
         except ValueError:
             pass
@@ -327,8 +329,11 @@ def parse_explicit_game(text: str) -> EnergyParityGame:
     n = len(owners)
     if sorted(owners) != list(range(n)):
         raise GameFormatError("state ids must be dense from 0")
-    return EnergyParityGame(
-        tuple(owners[s] for s in range(n)),
-        tuple(prios[s] for s in range(n)),
-        tuple(tuple(edges.get(s, [])) for s in range(n)),
+    for sid, lineno in first_use.items():
+        if sid not in owners:
+            raise GameFormatError(f"line {lineno}: edge at undeclared state {sid}")
+    return EnergyParityGame.of(
+        [owners[s] for s in range(n)],
+        [prios[s] for s in range(n)],
+        [edges.get(s, []) for s in range(n)],
     )

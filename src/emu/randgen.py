@@ -143,4 +143,4 @@ def random_energy_parity_game(
         edges.append(tuple(
             (d, rng.randint(-max_weight, max_weight)) for d in dsts
         ))
-    return EnergyParityGame(owners, prios, tuple(edges))
+    return EnergyParityGame.of(owners, prios, edges)

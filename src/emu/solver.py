@@ -183,14 +183,9 @@ def crosscheck_parity(game: WeightedGameStructure, c: int) -> CrosscheckReport:
     formula = fm.parity_formula(game.priorities)
     symbolic = eval_energy(game, c, formula)
     explicit = solve_energy_parity(from_parity_wgs(game), c)
-    mismatches = []
-    for s in range(game.n_states):
-        a, b = int(symbolic.values[s]), int(explicit[s])
-        if a != b:
-            mismatches.append((s, a, b))
-    return CrosscheckReport(
-        ok=not mismatches,
-        bound=c,
-        formula=formula,
-        mismatches=tuple(mismatches),
-    )
+    explicit = np.fromiter(explicit.values(), dtype=np.int64, count=game.n_states)
+    bad = np.flatnonzero(symbolic.values != explicit)
+    mismatches = tuple(zip(bad.tolist(), symbolic.values[bad].tolist(),
+                           explicit[bad].tolist()))
+    return CrosscheckReport(ok=not mismatches, bound=c, formula=formula,
+                            mismatches=mismatches)

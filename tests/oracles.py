@@ -8,6 +8,8 @@ moves and weights, and the references built on them.
 from __future__ import annotations
 
 import itertools
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +24,7 @@ from emu import (
 )
 from emu import assertions as asr
 from emu.errors import (
+    ConsistencyError,
     EmuError,
     IncompleteWeightCoverError,
     MalformedAssertionError,
@@ -265,6 +268,7 @@ def _play_winner(pg, start, choice0, choice1):
 
 def parity_winners_brute(pg):
     """Winning regions by enumerating memoryless strategies of both players."""
+    pg = listed(pg)
     n = pg.n_states
     options = []
     for s in range(n):
@@ -291,3 +295,201 @@ def parity_winners_brute(pg):
         if winning:
             w0.add(start)
     return w0, set(range(n)) - w0
+
+
+# ---------------------------------------------------------------------------
+# The explicit energy parity pipeline written with loops over tuples: the
+# scalar reference for the array pipeline of ``emu.parity``.
+
+@dataclass(frozen=True)
+class ListGame:
+    """An explicit game as per-state tuples of out-edges: destinations, or
+    (destination, weight) pairs."""
+
+    owners: tuple[int, ...]
+    prios: tuple[int, ...]
+    edges: tuple[tuple, ...]
+
+    @property
+    def n_states(self) -> int:
+        return len(self.owners)
+
+
+def listed(g) -> ListGame:
+    """The per-state tuples of an array game (a ``ListGame`` stays as is)."""
+    if isinstance(g, ListGame):
+        return g
+    cols = [g.dst.tolist()] + ([g.weight.tolist()] if hasattr(g, "weight") else [])
+    edges = [[] for _ in range(g.n_states)]
+    for s, *e in zip(g.src.tolist(), *cols):
+        edges[s].append(tuple(e) if len(e) > 1 else e[0])
+    return ListGame(tuple(g.owners.tolist()), tuple(g.prios.tolist()),
+                    tuple(tuple(out) for out in edges))
+
+
+def from_parity_wgs_loops(game) -> ListGame:
+    """Explicit expansion of a priority-annotated weighted game."""
+    t = game.tables()
+    N, NX, NY = t.n_states, t.n_inputs, t.n_outputs
+    owners = [1] * N + [0] * (N * NX)
+    prios = [int(t.prio[s]) for s in range(N)]
+    prios += [int(t.prio[s]) for s in range(N) for _ in range(NX)]
+    edges: list[tuple[tuple[int, int], ...]] = []
+    for s in range(N):
+        edges.append(tuple(
+            (N + s * NX + x, 0) for x in range(NX) if t.rho_e[t.row[s], x]
+        ))
+    for s in range(N):
+        r = t.row[s]
+        for x in range(NX):
+            out = []
+            for y in range(NY):
+                if t.rho_s[r, x, y]:
+                    out.append((int(t.succ[x, y]), int(t.weight[r, x, y])))
+            edges.append(tuple(out))
+    return ListGame(tuple(owners), tuple(prios), tuple(edges))
+
+
+def unfold_with_bound_loops(g, c: int) -> ListGame:
+    """Credit layers (s, credit) at s*(c+2) + credit, overflow at
+    s*(c+2) + c + 1, a player-0 deadlock."""
+    g = listed(g)
+    span = c + 2
+    owners = []
+    prios = []
+    edges: list[tuple[int, ...]] = []
+    for s in range(g.n_states):
+        for credit in range(c + 1):
+            owners.append(g.owners[s])
+            prios.append(g.prios[s])
+            out = []
+            for dst, w in g.edges[s]:
+                nxt = credit + w
+                if nxt < 0:
+                    out.append(dst * span + c + 1)
+                else:
+                    out.append(dst * span + min(c, nxt))
+            edges.append(tuple(out))
+        owners.append(0)  # overflow: a player-0 deadlock
+        prios.append(g.prios[s])
+        edges.append(())
+    return ListGame(tuple(owners), tuple(prios), tuple(edges))
+
+
+def _predecessors(edges) -> list[list[int]]:
+    preds: list[list[int]] = [[] for _ in edges]
+    for s, out in enumerate(edges):
+        for d in out:
+            preds[d].append(s)
+    return preds
+
+
+def _attract(owners, edges, preds, player, base, active):
+    """Attractor of ``base`` for ``player`` within ``active``, one state at
+    a time; an opponent state's pending count is taken when first reached."""
+    in_attr = base.copy()
+    pending = {}
+    stack = list(np.nonzero(base)[0])
+    while stack:
+        s = int(stack.pop())
+        for p in preds[s]:
+            if not active[p] or in_attr[p]:
+                continue
+            if owners[p] == player:
+                in_attr[p] = True
+                stack.append(p)
+            else:
+                if p not in pending:
+                    pending[p] = sum(1 for d in edges[p] if active[d])
+                pending[p] -= 1
+                if pending[p] == 0:
+                    in_attr[p] = True
+                    stack.append(p)
+    return in_attr
+
+
+def attractor_loops(game, player: int, target) -> set[int]:
+    """States from which ``player`` forces a visit to ``target`` or a
+    deadlock of the opponent."""
+    game = listed(game)
+    n = game.n_states
+    edges = [[e[0] if isinstance(e, tuple) else e for e in out] for out in game.edges]
+    base = np.zeros(n, dtype=bool)
+    base[list(target)] = True
+    for s in range(n):
+        if game.owners[s] != player and not edges[s]:
+            base[s] = True
+    in_attr = _attract(game.owners, edges, _predecessors(edges), player, base,
+                       np.ones(n, dtype=bool))
+    return set(np.nonzero(in_attr)[0].tolist())
+
+
+def solve_parity_loops(game) -> tuple[set[int], set[int]]:
+    """Winning regions (W0, W1) by recursive attractor decomposition, each
+    deadlock given one edge to a sink that loses for its owner."""
+    game = listed(game)
+    n = game.n_states
+    sink0 = n      # self-loop, priority 0: winning for player 0
+    sink1 = n + 1  # self-loop, priority 1: winning for player 1
+    owners = list(game.owners) + [0, 0]
+    prios = list(game.prios) + [0, 1]
+    edges = []
+    for s in range(n):
+        out = [e[0] if isinstance(e, tuple) else e for e in game.edges[s]]
+        if not out:
+            out = [sink0 if game.owners[s] == 1 else sink1]
+        edges.append(out)
+    edges += [[sink0], [sink1]]
+    preds = _predecessors(edges)
+    prios_arr = np.array(prios, dtype=np.int64)
+
+    def recurse(active):
+        if not active.any():
+            empty = np.zeros(n + 2, dtype=bool)
+            return empty, empty.copy()
+        p = int(prios_arr[active].min())
+        i = p % 2
+        base = active & (prios_arr == p)
+        a = _attract(owners, edges, preds, i, base, active)
+        w0, w1 = recurse(active & ~a)
+        wi, wj = (w0, w1) if i == 0 else (w1, w0)
+        if not wj.any():
+            return (active.copy(), np.zeros(n + 2, dtype=bool)) if i == 0 else (
+                np.zeros(n + 2, dtype=bool), active.copy())
+        b = _attract(owners, edges, preds, 1 - i, wj, active)
+        w0b, w1b = recurse(active & ~b)
+        if i == 0:
+            return w0b, w1b | b
+        return w0b | b, w1b
+
+    limit = sys.getrecursionlimit()
+    needed = 4 * (n + 2) + 100
+    raised = limit < needed
+    if raised:
+        sys.setrecursionlimit(needed)
+    try:
+        w0, w1 = recurse(np.ones(n + 2, dtype=bool))
+    finally:
+        if raised:
+            sys.setrecursionlimit(limit)
+    W0 = {s for s in range(n) if w0[s]}
+    W1 = {s for s in range(n) if w1[s]}
+    if W0 | W1 != set(range(n)) or W0 & W1:
+        raise ConsistencyError("parity solve did not partition the states")
+    return W0, W1
+
+
+def solve_energy_parity_loops(g, c: int) -> dict[int, int]:
+    """Per-state least credit layer won by player 0 (INF if none)."""
+    g = listed(g)
+    w0, _w1 = solve_parity_loops(unfold_with_bound_loops(g, c))
+    span = c + 2
+    out = {}
+    for s in range(g.n_states):
+        best = INF
+        for credit in range(c + 1):
+            if s * span + credit in w0:
+                best = credit
+                break
+        out[s] = int(best)
+    return out

@@ -160,6 +160,18 @@ def test_check_parity_oracle(tmp_path, capsys):
     assert "checked 6 cases, 0 mismatches" in out
 
 
+def test_check_parity_unfolding_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    from emu import tables
+
+    # 2-variable tables need at most 368 bytes; the unfolding of at least
+    # 24 states, 64 bytes each, does not fit in 1 KiB
+    monkeypatch.setattr(tables, "_available_memory", lambda: 1 << 10)
+    code = run(["check", "--oracle", "parity", "--seed", "3", "--cases", "1",
+                "--max-vars", "2", "--dump-dir", str(tmp_path)])
+    assert code == 2
+    assert "the unfolding at bound" in capsys.readouterr().err
+
+
 def test_check_parity_mutation(tmp_path, capsys):
     code = run(["check", "--oracle", "parity", "--seed", "3", "--cases", "4",
                 "--max-vars", "3", "--dump-dir", str(tmp_path), "--mutate"])

@@ -68,6 +68,10 @@ def test_join_meet_leq_examples():
 def test_bound_mismatch():
     with pytest.raises(BoundMismatchError):
         join(_f(2, [0]), _f(3, [0]))
+    # functions over different state counts must not broadcast
+    for op in (join, meet, leq):
+        with pytest.raises(BoundMismatchError, match="over 1 and 4 states"):
+            op(EnergyFunction.top(2, 1), EnergyFunction.bottom(2, 4))
 
 
 def test_neg_examples():
@@ -355,3 +359,51 @@ def test_bounds_beyond_the_limit_are_rejected():
     report = solve(SolveRequest(_buchi_game(-LIMIT), buchi, 3))
     assert not report.sys_region.any() and report.env_region.all()
     assert compute_bound(_buchi_game(-2), buchi).bound == 76
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**32), st.booleans(),
+       st.sampled_from(_EDGE_BOUNDS + (LIMIT + 1, math.inf)), st.data())
+def test_solve_at_the_limits(seed, prio, bound, data):
+    """solve() with weights near +-2^60 and bounds at both ends of their
+    range: it refuses the input with an EmuError, or its regions partition
+    the states, W_sys is where the credit is finite, and the credits agree
+    with an oracle wherever the oracle's game fits in memory.
+
+    At bounds near 2^60 the weights of one game share a sign (or are 0): a
+    cycle whose weights sum to a small negative number takes about c/|sum|
+    fixpoint iterations to exceed the bound c, which does not finish there.
+    """
+    import dataclasses
+
+    from emu import (SolveRequest, from_parity_wgs, oracle_min_credit_sys, solve,
+                     solve_energy_parity)
+    from emu.errors import EmuError, StateCapError
+    from emu.randgen import random_formula
+
+    rng = random.Random(seed)
+    g = random_wgs(rng, 2, 3, max_weight=0, priorities=prio)
+    weights = _EDGE_WEIGHTS
+    if LIMIT - 1 <= bound <= LIMIT:
+        sign = data.draw(st.sampled_from((-1, 1)))
+        weights = st.one_of(st.just(0), st.integers(LIMIT - 2, LIMIT)).map(sign.__mul__)
+    g = dataclasses.replace(g, weights=tuple(
+        WeightRule(r.guard, data.draw(weights)) for r in g.weights))
+    formula = fm.parity_formula(g.priorities) if prio else random_formula(rng, g.vars)[1]
+    try:
+        report = solve(SolveRequest(g, formula, bound))
+    except EmuError:
+        return
+    credits, c = report.min_credits, report.effective_bound
+    assert (report.sys_region ^ report.env_region).all()
+    assert np.array_equal(report.sys_region, credits.is_finite())
+    if prio:
+        ep = from_parity_wgs(g)
+        if c >= LIMIT - 1:  # 2^66 bytes or more: refused before it allocates
+            with pytest.raises(StateCapError):
+                solve_energy_parity(ep, c)
+        elif ep.n_states * (c + 2) <= 20_000:
+            want = solve_energy_parity(ep, c)
+            assert credits.values.tolist() == [want[s] for s in range(g.n_states)]
+    elif len(g.vars.names) + max(1, c.bit_length()) <= 9:
+        assert credits == oracle_min_credit_sys(g, c, formula)

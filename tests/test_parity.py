@@ -17,23 +17,44 @@ from emu import (
     solve_parity,
     unfold_with_bound,
 )
-from emu.errors import EmuError, GameFormatError, PriorityPartitionError
-from emu.randgen import random_energy_parity_game
-from oracles import parity_winners_brute
+from emu.errors import (
+    EmuError,
+    GameFormatError,
+    PriorityPartitionError,
+    StateCapError,
+    WeightDomainError,
+)
+from emu.randgen import random_energy_parity_game, random_wgs
+from oracles import (
+    attractor_loops,
+    from_parity_wgs_loops,
+    listed,
+    parity_winners_brute,
+    solve_energy_parity_loops,
+    solve_parity_loops,
+    unfold_with_bound_loops,
+)
 
 import dataclasses
+
+import numpy as np
 
 
 def _with_prio(g1, path):
     return dataclasses.replace(g1, priorities=load_priorities(path))
 
 
+def _regions(g):
+    """The winning regions of ``solve_parity`` as sets of states."""
+    return tuple(set(np.flatnonzero(w).tolist()) for w in solve_parity(g))
+
+
 def test_from_parity_wgs_counts(g1, fixtures_dir):
     g = _with_prio(g1, fixtures_dir / "g1_buchi.prio")
     ep = from_parity_wgs(g)
     assert ep.n_states == 4 + 4 * 2
-    assert ep.owners[:4] == (1, 1, 1, 1)
-    assert set(ep.owners[4:]) == {0}
+    assert ep.owners[:4].tolist() == [1, 1, 1, 1]
+    assert set(ep.owners[4:].tolist()) == {0}
     assert ep.n_priorities == 2
     assert ep.max_abs_weight == 1
     # intermediate positions inherit the source priority
@@ -73,14 +94,14 @@ def test_from_parity_wgs_needs_partition(g1):
 
 
 def test_unfold_tiny_examples():
-    loop = EnergyParityGame((0,), (0,), (((0, -1),),))
-    u = unfold_with_bound(loop, 1)
+    loop = EnergyParityGame.of((0,), (0,), (((0, -1),),))
+    u = listed(unfold_with_bound(loop, 1))
     assert u.n_states == 3
     assert u.edges == ((2,), (0,), ())
     assert u.owners == (0, 0, 0)
 
-    zero = EnergyParityGame((0, 1), (0, 1), (((1, 0),), ((0, 0),)))
-    u0 = unfold_with_bound(zero, 2)
+    zero = EnergyParityGame.of((0, 1), (0, 1), (((1, 0),), ((0, 0),)))
+    u0 = listed(unfold_with_bound(zero, 2))
     assert u0.n_states == 2 * 4
     # credit layers never mix when all weights are zero
     for s in range(2):
@@ -96,12 +117,12 @@ def test_unfold_counts(g1, fixtures_dir):
 
 
 def test_attractor_examples():
-    chain = ParityGame((0, 0, 0), (0, 0, 0), ((1,), (2,), ()))
+    chain = ParityGame.of((0, 0, 0), (0, 0, 0), ((1,), (2,), ()))
     assert attractor(chain, 0, {2}) == {0, 1, 2}
     assert attractor(chain, 0, set(range(3))) == {0, 1, 2}
     # player-1 state with an escape outside the target is not attracted;
     # the deadlocked state 2 is player-0-owned, so it is not attracted either
-    g = ParityGame((1, 0, 0), (0, 0, 0), ((1, 2), (), ()))
+    g = ParityGame.of((1, 0, 0), (0, 0, 0), ((1, 2), (), ()))
     assert attractor(g, 0, {1}) == {1}
     # once both successors are in, the universal clause fires
     assert attractor(g, 0, {1, 2}) == {0, 1, 2}
@@ -109,7 +130,7 @@ def test_attractor_examples():
 
 def test_attractor_deadlock_conventions():
     # opponent deadlocks are attracted vacuously
-    g = ParityGame((0, 1), (0, 0), ((), ()))
+    g = ParityGame.of((0, 1), (0, 0), ((), ()))
     assert attractor(g, 0, set()) == {1}
     assert attractor(g, 1, set()) == {0}
 
@@ -126,42 +147,39 @@ def test_attractor_monotone_idempotent():
 
 
 def test_solve_parity_single_states():
-    assert solve_parity(ParityGame((0,), (0,), ((0,),))) == ({0}, set())
-    assert solve_parity(ParityGame((0,), (1,), ((0,),))) == (set(), {0})
+    assert _regions(ParityGame.of((0,), (0,), ((0,),))) == ({0}, set())
+    assert _regions(ParityGame.of((0,), (1,), ((0,),))) == (set(), {0})
 
 
 def test_solve_parity_two_state_alternation():
-    g = ParityGame((0, 0), (0, 1), ((1, 0), (0,)))
-    w0, w1 = solve_parity(g)
+    g = ParityGame.of((0, 0), (0, 1), ((1, 0), (0,)))
+    w0, w1 = _regions(g)
     assert (w0, w1) == parity_winners_brute(g)
     assert w0 == {0, 1}
 
 
 def test_solve_parity_deadlocks():
     # player-1 deadlock wins for player 0 and vice versa
-    g = ParityGame((1, 0), (1, 0), ((), ()))
-    assert solve_parity(g) == ({0}, {1})
+    g = ParityGame.of((1, 0), (1, 0), ((), ()))
+    assert _regions(g) == ({0}, {1})
 
 
 def test_solve_parity_matches_brute_force():
     rng = random.Random(59)
     for _ in range(60):
         ep = random_energy_parity_game(rng, max_states=5)
-        pg = ParityGame(
-            ep.owners, ep.prios,
-            tuple(tuple(d for d, _w in out) for out in ep.edges),
-        )
-        assert solve_parity(pg) == parity_winners_brute(pg)
+        pg = ParityGame(ep.owners, ep.prios, ep.src, ep.dst)
+        assert _regions(pg) == parity_winners_brute(pg)
 
 
 def test_solve_energy_parity_examples():
-    up = EnergyParityGame((0,), (0,), (((0, 1),),))
+    up = EnergyParityGame.of((0,), (0,), (((0, 1),),))
     assert solve_energy_parity(up, 1) == {0: 0}
-    down = EnergyParityGame((0,), (0,), (((0, -1),),))
+    down = EnergyParityGame.of((0,), (0,), (((0, -1),),))
     for c in (0, 3, 7):
         assert solve_energy_parity(down, c) == {0: int(INF)}
     # gain one, pay one: needs nothing with bound >= 1
-    seesaw = EnergyParityGame((0, 0), (0, 0), (((1, 1),), ((0, -1),)))
+    seesaw = EnergyParityGame.of((0, 0), (0, 0), (((1, 1),), ((0, -1),)))
     assert solve_energy_parity(seesaw, 1) == {0: 0, 1: 1}
     assert solve_energy_parity(seesaw, 0) == {0: int(INF), 1: int(INF)}
 
@@ -173,8 +191,9 @@ def test_energy_parity_determinacy_random():
         c = rng.randint(0, 6)
         u = unfold_with_bound(ep, c)
         w0, w1 = solve_parity(u)
-        assert w0 | w1 == set(range(u.n_states))
-        assert not (w0 & w1)
+        assert w0.shape == w1.shape == (u.n_states,)
+        assert (w0 | w1).all()
+        assert not (w0 & w1).any()
 
 
 def test_bound_formulas():
@@ -218,3 +237,67 @@ def test_text_format_errors():
         parse_explicit_game("state 0 0 0\nstate 2 0 0\n")
     with pytest.raises(GameFormatError):
         parse_explicit_game("state 0 0 0\nstate 0 1 1\n")
+    # an edge from or to a state that is never declared
+    with pytest.raises(GameFormatError, match="line 2: edge at undeclared state 5"):
+        parse_explicit_game("state 0 0 0\nedge 5 0 1\n")
+    with pytest.raises(GameFormatError, match="line 3: edge at undeclared state 7"):
+        parse_explicit_game("state 0 0 0\nedge 0 0 1\nedge 0 7 1\n")
+
+
+def test_array_pipeline_matches_loops():
+    """Expansion, unfolding, attractors and the solver against the loop
+    versions of ``tests/oracles.py``, on games with deadlocks."""
+    rng = random.Random(79)
+    for _ in range(300):
+        ep = random_energy_parity_game(rng, max_states=8)
+        c = rng.randint(0, 8)
+        u = unfold_with_bound(ep, c)
+        assert listed(u) == unfold_with_bound_loops(ep, c)
+        assert _regions(u) == solve_parity_loops(u)
+        target = set(rng.sample(range(ep.n_states), rng.randint(0, ep.n_states)))
+        player = rng.randint(0, 1)
+        assert attractor(ep, player, target) == attractor_loops(ep, player, target)
+    for _ in range(30):
+        game = random_wgs(rng, 2, 5, 3, priorities=True)
+        ep = from_parity_wgs(game)
+        assert listed(ep) == from_parity_wgs_loops(game)
+        c = rng.randint(0, 12)
+        assert solve_energy_parity(ep, c) == solve_energy_parity_loops(ep, c)
+
+
+def test_explicit_game_validation():
+    with pytest.raises(EmuError, match="owners must be 0 or 1"):
+        EnergyParityGame.of((2,), (0,), ((),))
+    with pytest.raises(EmuError, match="priorities must be natural numbers"):
+        EnergyParityGame.of((0,), (-1,), ((),))
+    with pytest.raises(EmuError, match="edge 0->1 leaves the state space"):
+        EnergyParityGame.of((0,), (0,), (((1, 0),),))
+    with pytest.raises(EmuError, match="equal length"):
+        ParityGame((0, 1), (0,), (), ())
+    with pytest.raises(EmuError, match="equal length"):
+        EnergyParityGame((0,), (0,), (0,), (0,), ())
+    with pytest.raises(EmuError, match="sorted by their source"):
+        ParityGame((0, 0), (0, 0), (1, 0), (0, 1))
+    for w in ((1 << 60) + 1, -(1 << 63)):
+        with pytest.raises(WeightDomainError):
+            EnergyParityGame.of((0,), (0,), (((0, w),),))
+    with pytest.raises(EmuError, match="64-bit"):
+        EnergyParityGame.of((0,), (0,), (((0, 1 << 64),),))
+    g = EnergyParityGame.of((0, 1), (0, 3), (((1, 2), (0, -1)), ()))
+    assert g.src.tolist() == [0, 0] and g.dst.tolist() == [1, 0]
+    assert g.weight.tolist() == [2, -1] and g.owners.dtype == np.int8
+    assert not g.dst.flags.writeable
+
+
+def test_unfoldings_too_large_for_memory_are_refused(monkeypatch):
+    from emu import tables
+
+    seesaw = EnergyParityGame.of((0, 0), (0, 0), (((1, 1),), ((0, -1),)))
+    # each credit layer holds 2 edges and 2 states, 2*72 + 2*64 bytes, and
+    # the overflow layer 2 states more
+    monkeypatch.setattr(tables, "_available_memory", lambda: 272 * 100)
+    assert solve_energy_parity(seesaw, 98) == {0: 0, 1: 1}
+    with pytest.raises(StateCapError, match="unfolding at bound 99 needs about"):
+        solve_energy_parity(seesaw, 99)
+    with pytest.raises(StateCapError):
+        unfold_with_bound(seesaw, 1 << 60)
