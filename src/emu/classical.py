@@ -18,6 +18,7 @@ import numpy as np
 
 from . import formulas as fm
 from .errors import IterationCapError, UnboundVariableError
+from .tables import DEAD
 
 StateSet = np.ndarray  # bool array of shape (n_states,)
 
@@ -138,7 +139,7 @@ def cpre_sys(game, target: StateSet) -> StateSet:
     a valid input with no valid output rules the state out.
     """
     t = game.tables()
-    hit = t.rho_s & target[t.succ][None, :, :]
+    hit = (t.weight != DEAD) & target[t.succ][None, :, :]
     exists_out = hit.any(axis=2)
     return (~t.rho_e | exists_out).all(axis=1)[t.row]
 

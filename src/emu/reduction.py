@@ -83,7 +83,7 @@ def reduce_game(game: WeightedGameStructure, c: int) -> ReducedGame:
     c1 = (np.arange(R * layers, dtype=np.int64) // R)[:, None, None]
     c2 = (np.arange(NY * layers, dtype=np.int64) >> ny)[None, None, :]
     w = np.tile(base.weight, (layers, 1, layers))  # DEAD fails c1 + w >= c2
-    rho_s = (c1 <= c) & (c2 <= c) & (c1 + w >= c2)
+    weight = np.where((c1 <= c) & (c2 <= c) & (c1 + w >= c2), 0, DEAD)
 
     succ = (
         np.tile(base.succ, (1, layers))
@@ -94,8 +94,7 @@ def reduce_game(game: WeightedGameStructure, c: int) -> ReducedGame:
     for j, name in enumerate(names):
         var_positions[name] = n + j
 
-    weight = np.where(rho_s, 0, DEAD)
-    for arr in (row, rho_e, rho_s, weight, succ):
+    for arr in (row, rho_e, weight, succ):
         arr.setflags(write=False)
     tables = GameTables(
         var_positions=var_positions,
@@ -106,7 +105,6 @@ def reduce_game(game: WeightedGameStructure, c: int) -> ReducedGame:
         n_outputs=NY * layers,
         row=row,
         rho_e=rho_e,
-        rho_s=rho_s,
         weight=weight,
         succ=succ,
         prio=None,

@@ -79,7 +79,6 @@ class SolveReport:
     min_credits: EnergyFunction
     sys_region: np.ndarray        # bool (n_states,)
     env_region: np.ndarray
-    metrics: fm.FormulaMetrics
     bound_breakdown: BoundBreakdown
 
 
@@ -116,7 +115,6 @@ def solve(req: SolveRequest) -> SolveReport:
         min_credits=credits,
         sys_region=w_sys,
         env_region=w_env,
-        metrics=fm.metrics(req.formula),
         bound_breakdown=breakdown,
     )
 

@@ -44,7 +44,6 @@ class GameTables:
     n_outputs: int                 # number of output assignments (2^|Y|)
     row: np.ndarray                # int64 (N,): the table row of each state
     rho_e: np.ndarray              # bool (R, NX), R = 2^|S| rows
-    rho_s: np.ndarray              # bool (R, NX, NY)
     weight: np.ndarray             # int64 (R, NX, NY); DEAD where rho_s fails
     succ: np.ndarray               # int64 (NX, NY): successor state index
     prio: np.ndarray | None        # int64 (N,) state priorities, if annotated
@@ -65,13 +64,13 @@ def check_memory(n_vars, row_bits):
     """Refuse a game of ``n_vars`` variables and 2^``row_bits`` table rows
     whose tables would not fit in the free physical memory.
 
-    Each (row, input, output) cell costs 17 bytes: the 1-byte ``rho_s`` and
-    8-byte ``weight`` the tables keep, and 8 bytes of temporaries, which are
-    the step kernel's int64 needs or, while the tables are built, the bool
-    masks of the guards and of the cover check.  Each state costs 24 bytes
-    more: its ``row`` and ``succ`` entries and the kernel's gathered targets.
+    Each (row, input, output) cell costs 16 bytes: the 8-byte ``weight`` the
+    tables keep, and 8 bytes of temporaries, which are the step kernel's
+    int64 needs or, while the tables are built, the bool masks of the guards
+    and of the cover check.  Each state costs 24 bytes more: its ``row`` and
+    ``succ`` entries and the kernel's gathered targets.
     """
-    need = (17 << (n_vars + row_bits)) + (24 << n_vars)
+    need = (16 << (n_vars + row_bits)) + (24 << n_vars)
     free = _available_memory()
     if need > free:
         raise StateCapError(f"{n_vars} variables need about {need >> 20} MiB of"
@@ -156,7 +155,7 @@ def build_tables(game) -> GameTables:
         row |= ((states >> p) & 1) << j
 
     rho_e = np.broadcast_to(asr.eval_terms(game.rho_e, look), shape)[:, :, 0].copy()
-    rho_s = np.broadcast_to(asr.eval_terms(game.rho_s, look), shape).copy()
+    moves = asr.eval_terms(game.rho_s, look)  # broadcastable to shape
 
     succ = (
         _assignment_bits(nx, x_positions)[:, None]
@@ -166,7 +165,7 @@ def build_tables(game) -> GameTables:
     weight = np.full(shape, DEAD, dtype=np.int64)
     for rule in reversed(game.weights):  # in reverse, so the first match wins
         np.copyto(weight, rule.weight, where=asr.eval_terms(rule.guard, look))
-    missing = rho_s & (weight == DEAD)
+    missing = moves & (weight == DEAD)
     if missing.any():
         s = int(np.argmax(missing.any(axis=(1, 2))[row]))
         xi, yi = (int(v[0]) for v in np.nonzero(missing[row[s]]))
@@ -174,7 +173,7 @@ def build_tables(game) -> GameTables:
             f"no weight rule matches the system transition"
             f" (state {s}, input {xi}, output {yi})"
         )
-    np.copyto(weight, DEAD, where=~rho_s)
+    np.copyto(weight, DEAD, where=~moves)
 
     prio = None
     if getattr(game, "priorities", None) is not None:
@@ -195,7 +194,7 @@ def build_tables(game) -> GameTables:
                 f"no priority guard covers state {missing_state}"
             )
 
-    for arr in (row, rho_e, rho_s, weight, succ, prio):
+    for arr in (row, rho_e, weight, succ, prio):
         if arr is not None:
             arr.setflags(write=False)
     return GameTables(
@@ -207,7 +206,6 @@ def build_tables(game) -> GameTables:
         n_outputs=1 << ny,
         row=row,
         rho_e=rho_e,
-        rho_s=rho_s,
         weight=weight,
         succ=succ,
         prio=prio,

@@ -30,6 +30,7 @@ from emu.errors import (
     MalformedAssertionError,
     WeightDomainError,
 )
+from emu.tables import DEAD
 
 
 class MissingNextStateError(EmuError):
@@ -194,7 +195,7 @@ def ecpre_env_cases(game, c, f: EnergyFunction) -> EnergyFunction:
     val = np.where(is_inf, c + 1 + w, val)     # case 5: from INF, mid-range weight
     val = np.where(is_inf & (w >= 0), INF, val)  # case 4
     val = np.where(is_inf & (w + c < 0), 0, val)  # case 3
-    dead = t.rho_e[:, :, None] & ~t.rho_s
+    dead = t.rho_e[:, :, None] & (w == DEAD)
     val = np.where((e == 0) | dead, 0, val)    # case 2
     val = np.where(~t.rho_e[:, :, None], INF, val)  # case 1: invalid input
     return EnergyFunction(c, val.max(axis=2).min(axis=1)[t.row])
@@ -328,24 +329,29 @@ def listed(g) -> ListGame:
 
 
 def from_parity_wgs_loops(game) -> ListGame:
-    """Explicit expansion of a priority-annotated weighted game."""
-    t = game.tables()
-    N, NX, NY = t.n_states, t.n_inputs, t.n_outputs
+    """Explicit expansion of a priority-annotated weighted game, each edge
+    decided by the scalar semantics of the game's own assertions."""
+    vs = game.vars
+    states = list(all_states(vs))
+    inputs = list(_assignments(vs.x_names))
+    N, NX = len(states), len(inputs)
+    prios = [next(r.priority for r in game.priorities if eval_assertion(r.guard, s))
+             for s in states]
     owners = [1] * N + [0] * (N * NX)
-    prios = [int(t.prio[s]) for s in range(N)]
-    prios += [int(t.prio[s]) for s in range(N) for _ in range(NX)]
+    prios += [p for p in prios for _ in range(NX)]
     edges: list[tuple[tuple[int, int], ...]] = []
-    for s in range(N):
+    for s in states:
         edges.append(tuple(
-            (N + s * NX + x, 0) for x in range(NX) if t.rho_e[t.row[s], x]
+            (N + s.index * NX + x, 0) for x, s_x in enumerate(inputs)
+            if eval_assertion(game.rho_e, s, state_of(vs, s_x))
         ))
-    for s in range(N):
-        r = t.row[s]
-        for x in range(NX):
+    for s in states:
+        for s_x in inputs:
             out = []
-            for y in range(NY):
-                if t.rho_s[r, x, y]:
-                    out.append((int(t.succ[x, y]), int(t.weight[r, x, y])))
+            for s_y in _assignments(vs.y_names):
+                t = state_of(vs, s_x | s_y)
+                if eval_assertion(game.rho_s, s, t):
+                    out.append((t.index, weight(game, s, t)))
             edges.append(tuple(out))
     return ListGame(tuple(owners), tuple(prios), tuple(edges))
 

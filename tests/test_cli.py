@@ -271,7 +271,7 @@ def test_out_of_memory_exits_2(g1_path, tmp_path, capsys, monkeypatch):
                                 "weights": weights}))
     monkeypatch.setattr(tables, "_available_memory", lambda: 16 << 20)
     assert run(["solve", str(game), "--bound", "2"]) == 2
-    assert "10 variables need about 17 MiB" in capsys.readouterr().err
+    assert "10 variables need about 16 MiB" in capsys.readouterr().err
 
     def no_memory(*args):
         raise MemoryError()

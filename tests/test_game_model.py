@@ -49,14 +49,14 @@ def test_games_too_large_for_memory_are_refused(monkeypatch):
     from emu import reduce_game, tables
 
     # 10 variables, all read by a weight guard: one table row per state, so
-    # 4^10 move cells of 17 bytes, about 17 MiB
+    # 4^10 move cells of 16 bytes, about 16 MiB
     monkeypatch.setattr(tables, "_available_memory", lambda: 16 << 20)
     names = tuple(f"v{i}" for i in range(10))
 
     def reads_all(vars_):
         return [(" & ".join(vars_), 1), ("true", 0)]
 
-    with pytest.raises(StateCapError, match="10 variables need about 17 MiB"):
+    with pytest.raises(StateCapError, match="10 variables need about 16 MiB"):
         _game(vars_=names, inputs=("v0",), weights=reads_all(names)).tables()
     small = _game(vars_=names[:9], inputs=("v0",), weights=reads_all(names[:9]))
     assert small.tables().n_states == 512

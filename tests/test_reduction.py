@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -10,6 +11,7 @@ from emu import (
     VariableSet,
     WeightRule,
     WeightedGameStructure,
+    cpre_sys,
     eval_classical,
     eval_energy,
     oracle_max_credit_env,
@@ -17,20 +19,41 @@ from emu import (
     parse_assertion,
     reduce_game,
 )
+from emu import assertions as asr
 from emu import formulas as fm
 from emu.errors import ConsistencyError, FragmentError, StateCapError
 from emu.randgen import random_formula, random_wgs
 from emu.tables import DEAD
-from oracles import state_of
+from oracles import all_states, env_choices, eval_assertion, state_of, sys_choices, weight
+
+
+def _move_weight(t, s, s_next):
+    """The table weight of the move between two state indices."""
+    x = sum(((s_next >> p) & 1) << j for j, p in enumerate(t.x_positions))
+    y = sum(((s_next >> p) & 1) << j for j, p in enumerate(t.y_positions))
+    return int(t.weight[t.row[s], x, y])
 
 
 def _rho_s_holds(rg, s1, c1, s2, c2):
-    """Membership of ((s1,c1),(s2,c2)) in the reduced system relation."""
+    """Membership of ((s1,c1),(s2,c2)) in the reduced system relation, as
+    the tables record it: a move the system can make does not weigh DEAD."""
     t = rg.tables()
-    s2_full = rg.state_index(s2, c2)
-    x = sum(((s2_full >> p) & 1) << j for j, p in enumerate(t.x_positions))
-    y = sum(((s2_full >> p) & 1) << j for j, p in enumerate(t.y_positions))
-    return bool(t.rho_s[t.row[rg.state_index(s1, c1)], x, y])
+    return _move_weight(t, rg.state_index(s1, c1), rg.state_index(s2, c2)) != DEAD
+
+
+def _base_moves(g):
+    """{(s, s_next): weight} over the system moves of a game, from the
+    scalar semantics of its own assertions."""
+    return {(s.index, t.index): weight(g, s, t)
+            for s in all_states(g.vars) for t in all_states(g.vars)
+            if eval_assertion(g.rho_s, s, t)}
+
+
+def _reduced_move(moves, c, s, c1, s_next, c2):
+    """The reduced system relation, scalar: the base move exists, both
+    credits are in [0, c], and c1 plus the weight covers the claimed c2."""
+    return ((s, s_next) in moves and c1 <= c and c2 <= c
+            and c1 + moves[s, s_next] >= c2)
 
 
 def test_reduce_g1_c2(g1):
@@ -86,12 +109,66 @@ def test_reduce_respects_state_cap():
 
 
 def test_dead_moves_weigh_dead(g1):
+    """DEAD marks exactly the moves the system cannot make, in the tables of
+    a game and of its reductions, checked against the game itself."""
     rng = random.Random(47)
     games = [g1] + [random_wgs(rng, 2, 3, max_weight=LIMIT) for _ in range(20)]
     for g in games:
-        for t in [g.tables()] + [reduce_game(g, c).tables() for c in (0, 3)]:
-            assert np.array_equal(t.weight == DEAD, ~t.rho_s)
-            assert (np.abs(t.weight[t.rho_s]) <= LIMIT).all()
+        moves = _base_moves(g)
+        t = g.tables()
+        for s, s2 in itertools.product(range(g.n_states), repeat=2):
+            w = _move_weight(t, s, s2)
+            assert (w == DEAD) == ((s, s2) not in moves)
+            assert w == DEAD or (abs(w) <= LIMIT and w == moves[s, s2])
+        for c in (0, 3):
+            rg = reduce_game(g, c)
+            rt = rg.tables()
+            layers = range(1 << rg.n_credit_bits)
+            for s, s2 in itertools.product(range(g.n_states), repeat=2):
+                for c1, c2 in itertools.product(layers, repeat=2):
+                    w = _move_weight(rt, rg.state_index(s, c1), rg.state_index(s2, c2))
+                    assert (w != DEAD) == _reduced_move(moves, c, s, c1, s2, c2)
+                    assert w in (0, DEAD)
+
+
+def _cpre_sys_reduced_enum(g, rg, target):
+    """cpre_sys of the reduced game by enumeration: every valid input of the
+    base game has a reduced move (base output, claimed credit) into target."""
+    moves = _base_moves(g)
+    layers = range(1 << rg.n_credit_bits)
+    out = np.zeros(len(target), dtype=bool)
+    for s in all_states(g.vars):
+        for c1 in layers:
+            out[rg.state_index(s.index, c1)] = all(
+                any(_reduced_move(moves, rg.bound, s.index, c1, t, c2)
+                    and target[rg.state_index(t, c2)]
+                    for s_y in sys_choices(g, s, s_x)
+                    for t in [state_of(g.vars, s_x | s_y).index]
+                    for c2 in layers)
+                for s_x in env_choices(g, s))
+    return out
+
+
+def test_cpre_sys_on_reduced_games():
+    """cpre_sys over reduced tables, where the oracle runs it, against the
+    scalar reduced moves; games get environment deadlocks (no valid input
+    where the first variable holds) and dead outputs (none into a state
+    where the last variable holds)."""
+    rng = random.Random(53)
+    for i in range(24):
+        g = random_wgs(rng, 2, 4)
+        rho_e, rho_s = g.rho_e, g.rho_s
+        if i % 2:
+            rho_e = asr.And(rho_e, asr.Not(asr.Var(g.vars.names[0])))
+        if i // 2 % 2:
+            rho_s = asr.And(rho_s, asr.Not(asr.Var(g.vars.names[-1], primed=True)))
+        g = WeightedGameStructure(vars=g.vars, rho_e=rho_e, rho_s=rho_s,
+                                  weights=g.weights)
+        rg = reduce_game(g, (0, 1, 3)[i % 3])
+        for _ in range(3):
+            target = np.array([rng.random() < 0.6 for _ in range(rg.tables().n_states)])
+            assert np.array_equal(cpre_sys(rg, target),
+                                  _cpre_sys_reduced_enum(g, rg, target))
 
 
 def test_oracle_min_credit_g1(g1):
