@@ -31,10 +31,12 @@ class FixpointStats:
     # (applications, cap) per fixpoint; stabilization happened at
     # applications - 1 strict changes, which must stay <= cap.
     caps: list[tuple[int, int]] = field(default_factory=list)
+    cuts: int = 0  # fixpoint evaluations whose iterates the lattice's cut changed
 
-    def record(self, iterations, cap):
+    def record(self, iterations, cap, cut=False):
         self.fixpoints += 1
         self.caps.append((iterations, cap))
+        self.cuts += cut
 
     def within_caps(self) -> bool:
         return all(apps - 1 <= cap for apps, cap in self.caps)
@@ -48,6 +50,11 @@ class Lattice:
     interpret ``<>``/``[]``, and ``leq`` is the lattice order with ``bottom``
     least and ``top`` greatest.  ``height`` bounds the strict changes of any
     fixpoint chain.
+
+    ``cut``, if given, maps a fixpoint node to None or to a map applied to
+    each of its iterates.  The map must be monotone, move no element above
+    its argument in a greatest fixpoint (below it in a least one) and fix
+    the fixpoint's value; the cut chain then ends exactly at that value.
     """
 
     atom: Callable[[np.ndarray], Any]
@@ -61,6 +68,7 @@ class Lattice:
     leq: Callable[[Any, Any], bool]
     eq: Callable[[Any, Any], bool]
     height: int
+    cut: Callable[[Any], Callable | None] | None = None
 
 
 def evaluate(lat: Lattice, tables, f: fm.Formula, valuation=None,
@@ -71,10 +79,12 @@ def evaluate(lat: Lattice, tables, f: fm.Formula, valuation=None,
     iterate up from ``bottom``, greatest fixpoints down from ``top``; each
     must stabilize within ``height`` strict changes, and its iterates must
     form a monotone chain.  Violations raise, as they indicate a broken
-    operator rather than a bad input.
+    operator rather than a bad input.  Where ``lat.cut`` gives a fixpoint
+    node a cut, each new iterate is cut before that check.
     """
     fm.require_monotone(f)
     atoms = {}  # id(node) -> element, so fixpoint iterations reuse each atom
+    cuts = {}  # id(node) -> the lattice's cut of a fixpoint node, or None
 
     def atom(node):
         key = id(node)
@@ -105,8 +115,12 @@ def evaluate(lat: Lattice, tables, f: fm.Formula, valuation=None,
             return lat.neg(ev(node.sub, env))
         if isinstance(node, (fm.Mu, fm.Nu)):
             ascending = isinstance(node, fm.Mu)
+            key = id(node)
+            if key not in cuts:
+                cuts[key] = lat.cut(node) if lat.cut else None
+            cut = cuts[key]
             current = lat.bottom if ascending else lat.top
-            iterations = 0
+            iterations, was_cut = 0, False
             while True:
                 iterations += 1
                 if iterations > lat.height + 1:
@@ -115,6 +129,11 @@ def evaluate(lat: Lattice, tables, f: fm.Formula, valuation=None,
                         f" {lat.height} changes"
                     )
                 new = ev(node.sub, {**env, node.name: current})
+                if cut is not None:
+                    cut_new = cut(new)
+                    if stats is not None and not was_cut:
+                        was_cut = not lat.eq(cut_new, new)
+                    new = cut_new
                 if not (lat.leq(current, new) if ascending
                         else lat.leq(new, current)):
                     direction = "ascending" if ascending else "descending"
@@ -125,7 +144,7 @@ def evaluate(lat: Lattice, tables, f: fm.Formula, valuation=None,
                     break
                 current = new
             if stats is not None:
-                stats.record(iterations, lat.height)
+                stats.record(iterations, lat.height, was_cut)
             return current
         raise TypeError(f"not a formula node: {node!r}")
 

@@ -485,6 +485,23 @@ def is_buchi_shape(f: Formula) -> Optional[asr.Assertion]:
     return None
 
 
+def is_safety_shape(f: Formula) -> bool:
+    """Whether f is ``nu X . psi`` with psi built from atoms, ``&``, ``|`` and
+    ``<>X`` only, or its De Morgan mirror ``mu X . psi`` over atoms, ``&``,
+    ``|`` and ``[]X``; such a fixpoint is closed."""
+    if not isinstance(f, (Mu, Nu)):
+        return False
+    step = Diamond(RelVar(f.name)) if isinstance(f, Nu) else Box(RelVar(f.name))
+    stack = [f.sub]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (And, Or)):
+            stack += (node.left, node.right)
+        elif node != step and not isinstance(node, (Atom, NegAtom)):
+            return False
+    return True
+
+
 def parity_formula(priorities) -> Formula:
     """The fixpoint formula for a min-even parity condition.
 

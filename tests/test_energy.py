@@ -10,6 +10,7 @@ from emu import (
     LIMIT,
     EnergyFunction,
     FixpointStats,
+    VariableSet,
     WeightRule,
     WeightedGameStructure,
     ecpre,
@@ -311,6 +312,116 @@ def test_mixed_fragment_accepted(g1):
     f = fm.parse_formula("nu X . (<>X & []X)")
     out = eval_energy(g1, 2, f)
     assert out.bound == 2  # evaluates without error
+
+
+# ---------------------------------------------------------------------------
+# the credit-cap cut of safety fixpoints
+
+def _game(names, weights):
+    """Outputs ``names``, every move allowed; ``weights`` are (guard, weight)
+    rules."""
+    return WeightedGameStructure(
+        vars=VariableSet(tuple(names), frozenset()),
+        rho_e=asr.TRUE,
+        rho_s=asr.TRUE,
+        weights=tuple(WeightRule(parse_assertion(g), w) for g, w in weights),
+    )
+
+
+_LOSSY = _game(("a", "b"), [("true", -1)])  # N = 4, K = 1, cap 3
+
+
+def _uncut(g, c, node):
+    """The fixpoint ``node`` by iterating its body to stability; the body has
+    no fixpoint, so nothing is cut.  Returns (value, applications)."""
+    n = g.n_states
+    current = (EnergyFunction.top(c, n) if isinstance(node, fm.Nu)
+               else EnergyFunction.bottom(c, n))
+    applications = 0
+    while True:
+        applications += 1
+        new = eval_energy(g, c, node.sub, valuation={node.name: current})
+        if new == current:
+            return current, applications
+        current = new
+
+
+def test_credit_beyond_the_expansion_cap():
+    # (N'-1)K, N' = N(1+2^|X|) the size of the explicit expansion, is no cap
+    # for box-free formulas: here it allows 3, and the credit is 5, because
+    # the nested <> off the fixpoint path adds weighted moves to each round.
+    from emu import SolveRequest, oracle_min_credit_sys, solve
+
+    g = _game(("y",), [("y'", -1), ("true", 0)])
+    f = fm.parse_formula("nu Z . ((<>(y & <>(y & <>(y & <>(y & <>y))))) & <>Z)")
+    assert not fm.is_safety_shape(f)
+    report = solve(SolveRequest(g, f, math.inf))
+    assert report.effective_bound == 214
+    assert report.min_credits.values.tolist() == [5, 5]
+    assert eval_energy(g, 100, f).values.tolist() == [5, 5]
+    assert eval_energy(g, 8, f) == oracle_min_credit_sys(g, 8, f)
+
+
+def test_cut_matches_the_uncut_fixpoint():
+    rng = random.Random(88)
+    bodies = ["nu X . <>X", "nu X . (p & <>X)", "nu X . ((p & <>X) | q)",
+              "nu X . (<>X & (p | <>X))"]
+    fired = 0
+    for seed in range(16):
+        g = random_wgs(random.Random(seed), 2, 5, 5)
+        n, cap = g.n_states, (g.n_states - 1) * g.max_abs_weight
+        p, q = g.vars.names[0], g.vars.names[-1]
+        for text in bodies:
+            f = fm.parse_formula(text.replace("p", p).replace("q", q))
+            for node in (f, fm.negate(f)):
+                assert fm.is_safety_shape(node)
+                for c in (cap + 1, 2 * cap + 3, 10 * cap + 7, rng.randint(0, 12 * cap + 9)):
+                    stats = FixpointStats()
+                    got = eval_energy(g, c, node, stats=stats)
+                    want, uncut_apps = _uncut(g, c, node)
+                    assert got == want
+                    (apps, _), = stats.caps
+                    # each state's cut value climbs through at most cap+2 values
+                    assert apps <= uncut_apps and apps - 1 <= n * (cap + 1)
+                    if cap >= c:
+                        assert stats.cuts == 0 and apps == uncut_apps
+                    fired += stats.cuts
+    assert fired >= 100
+
+
+def test_cut_chain_can_outlast_cap_plus_two():
+    # cap+2 applications are not a bound: values may climb slower than one
+    # unit per round before the cut, here on N = 4 states with cap 12
+    g = random_wgs(random.Random(372), 2, 5, 5)
+    assert (g.n_states, g.max_abs_weight) == (4, 4)
+    stats = FixpointStats()
+    got = eval_energy(g, 13, fm.builtin("safety"), stats=stats)
+    assert stats.caps == [(15, 56)] and stats.cuts == 1
+    assert got == _uncut(g, 13, fm.builtin("safety"))[0]
+
+
+def test_credit_can_reach_the_cap():
+    g = random_wgs(random.Random(1905740), 1, 4, 3)
+    assert (g.n_states, g.max_abs_weight) == (2, 3)
+    for c in (3, 4, 100):
+        stats = FixpointStats()
+        assert eval_energy(g, c, fm.builtin("safety"), stats=stats).values.tolist() == [0, 3]
+        assert stats.cuts == 0  # no iterate passes the cap, so none is cut
+
+
+def test_lossy_safety_at_the_largest_bound():
+    safety = fm.builtin("safety")
+    for c in (10, LIMIT):
+        stats = FixpointStats()
+        assert eval_energy(_LOSSY, c, safety, stats=stats) == EnergyFunction.bottom(c, 4)
+        assert stats.caps == [(5, 4 * (c + 1))] and stats.cuts == 1
+        stats = FixpointStats()
+        assert eval_energy(_LOSSY, c, fm.negate(safety), stats=stats) == EnergyFunction.top(c, 4)
+        assert stats.caps == [(5, 4 * (c + 1))] and stats.cuts == 1
+    # at c <= cap nothing is cut, and the climb ends at c+2 applications
+    stats = FixpointStats()
+    assert eval_energy(_LOSSY, 3, safety, stats=stats) == EnergyFunction.bottom(3, 4)
+    assert stats.caps == [(5, 16)] and stats.cuts == 0
 
 
 # ---------------------------------------------------------------------------

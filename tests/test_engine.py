@@ -50,6 +50,7 @@ def test_fixture_iteration_counts(g1, name, params):
         eval_energy(g1, c, f, stats=stats)
         assert stats.caps == want
         assert stats.fixpoints == len(want)
+        assert stats.cuts == 0  # cap (N-1)K = 3 is not below c
 
 
 # A step that flips its argument is not monotone: from bottom it jumps to top

@@ -200,6 +200,22 @@ def test_is_buchi_shape():
     assert fm.is_buchi_shape(fm.builtin("cobuchi", J="y")) is None
 
 
+def test_is_safety_shape():
+    for text in ["nu X . <>X", "nu X . (p & <>X)", "nu X . ((p & <>X) | !q)",
+                 "nu X . (<>X & (p | <>X))", "nu X . p", "mu X . ([]X | p)"]:
+        f = fm.parse_formula(text)
+        assert fm.is_safety_shape(f) and fm.is_safety_shape(fm.negate(f))
+    for text in ["mu X . <>X", "nu X . []X", "nu X . (X & <>X)",
+                 "nu X . <>(p & X)", "nu X . <>(p & <>X)", "nu X . (<>X & []X)",
+                 "nu X . (<>X & Y)", "nu X . nu Y . <>X", "nu X . !<>!X",
+                 "nu X . (<>X & mu Y . <>Y)", "p & <>p"]:
+        assert not fm.is_safety_shape(fm.parse_formula(text)), text
+    for name, params in [("reach", {"p": "y"}), ("buchi", {"J": "y"}),
+                         ("cobuchi", {"J": "y"}), ("dual-buchi", {"J": "y"})]:
+        assert not fm.is_safety_shape(fm.builtin(name, **params))
+    assert fm.is_safety_shape(fm.builtin("safety"))
+
+
 def test_parity_formula_degenerate_cases():
     from emu import PriorityRule
 
