@@ -41,7 +41,6 @@ from .formulas import (
 )
 from .game import (
     PriorityRule,
-    State,
     VariableSet,
     WeightRule,
     WeightedGameStructure,
@@ -52,10 +51,7 @@ from .parity import (
     ParityGame,
     attractor,
     bound_ep,
-    format_explicit_game,
     from_parity_wgs,
-    memory_bound,
-    parse_explicit_game,
     solve_energy_parity,
     solve_parity,
     unfold_with_bound,
@@ -64,12 +60,10 @@ from .reduction import ReducedGame, oracle_max_credit_env, oracle_min_credit_sys
 from .solver import (
     BoundBreakdown,
     CrosscheckReport,
-    EnvCreditReport,
     SolveReport,
     SolveRequest,
     compute_bound,
     crosscheck_parity,
-    env_max_credit,
     solve,
     winning_regions,
 )

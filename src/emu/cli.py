@@ -26,10 +26,9 @@ from .energy import INF, EnergyFunction, eval_energy
 from .errors import ConsistencyError, EmuError, IterationCapError
 from .game import WeightedGameStructure
 from .gamefile import game_to_dict, load_game, load_priorities, save_game
-from .parity import from_parity_wgs, solve_energy_parity
 from .randgen import random_formula, random_wgs
 from .reduction import oracle_max_credit_env, oracle_min_credit_sys
-from .solver import SolveRequest, compute_bound, solve
+from .solver import SolveRequest, compute_bound, crosscheck_parity, solve
 from . import assertions as asr
 
 EXIT_WIN = 0
@@ -99,7 +98,7 @@ def _parse_bound(text):
 
 
 def _state_names(game):
-    """``State.minterm`` of every state, in index order, built by doubling:
+    """Each state's minterm (``!x & y``) in index order, built by doubling:
     each variable, as the next higher bit, extends every name both ways."""
     vs = game.vars.names
     if not vs:
@@ -288,13 +287,10 @@ def _check_one_reduction(rng, args, mutate):
 def _check_one_parity(rng, args, mutate):
     game = random_wgs(rng, 2, args.max_vars, args.max_weight, priorities=True)
     c = rng.randint(0, args.max_bound)
-    formula = fm.parity_formula(game.priorities)
-    symbolic = eval_energy(game, c, formula)
-    if mutate:
-        symbolic = _mutate_credits(symbolic)
-    explicit = solve_energy_parity(from_parity_wgs(game), c)
-    explicit = np.fromiter(explicit.values(), dtype=np.int64, count=game.n_states)
-    if not np.array_equal(symbolic.values, explicit):
+    agree = crosscheck_parity(game, c).ok
+    # --mutate stands for a corrupted symbolic credit, which differs from the
+    # explicit credit wherever the two agreed
+    if mutate or not agree:
         return game, c, "parity", "symbolic and explicit credits disagree"
     return None
 

@@ -51,7 +51,10 @@ class EnergyFunction:
         if not 0 <= self.bound <= LIMIT:
             raise InvalidCreditError(
                 f"the bound must be a natural number up to 2^60, got {self.bound!r}")
-        vals = np.asarray(self.values, dtype=np.int64)
+        vals = np.asarray(self.values)
+        if vals.size and vals.dtype.kind not in "iu":  # bool, float, beyond int64
+            raise InvalidCreditError(f"credits must be integers, got {vals.dtype}")
+        vals = vals.astype(np.int64, copy=False)  # uint64 >= 2^63 turns negative
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         finite = vals[vals != INF]

@@ -62,39 +62,6 @@ class VariableSet:
     def n_states(self) -> int:
         return 1 << len(self.names)
 
-    def position(self, name: str) -> int:
-        return self.names.index(name)
-
-
-@dataclass(frozen=True)
-class State:
-    """A truth assignment to all game variables, packed into an index.
-
-    Bit ``k`` of ``index`` is the value of ``vars.names[k]``.
-    """
-
-    vars: VariableSet
-    index: int
-
-    def __post_init__(self):
-        if not 0 <= self.index < self.vars.n_states:
-            raise EmuError(f"state index {self.index} out of range")
-
-    def value(self, name: str) -> bool:
-        return bool((self.index >> self.vars.position(name)) & 1)
-
-    def minterm(self) -> str:
-        """Render as a conjunction of literals, e.g. ``!x & y``."""
-        if not self.vars.names:
-            return "true"
-        return " & ".join(
-            n if self.value(n) else f"!{n}" for n in self.vars.names
-        )
-
-    def __repr__(self):
-        bits = ", ".join(f"{n}={int(self.value(n))}" for n in self.vars.names)
-        return f"State({bits})"
-
 
 @dataclass(frozen=True)
 class WeightRule:

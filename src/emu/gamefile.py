@@ -18,14 +18,27 @@ from .errors import EmuError, GameFormatError
 from .game import PriorityRule, VariableSet, WeightedGameStructure, WeightRule
 
 
+def _integer(value, what):
+    """A JSON integer; floats, strings and booleans are refused, not cast."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _names(value, what):
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise TypeError(f"{what} must be a list of variable names, got {value!r}")
+    return value
+
+
 def game_from_dict(doc: dict) -> WeightedGameStructure:
     try:
-        names = tuple(doc["vars"])
-        inputs = frozenset(doc["inputs"])
+        names = tuple(_names(doc["vars"], "vars"))
+        inputs = frozenset(_names(doc["inputs"], "inputs"))
         rho_e = asr.parse_assertion(doc["rho_e"])
         rho_s = asr.parse_assertion(doc["rho_s"])
         weights = tuple(
-            WeightRule(asr.parse_assertion(w["guard"]), int(w["weight"]))
+            WeightRule(asr.parse_assertion(w["guard"]), _integer(w["weight"], "a weight"))
             for w in doc["weights"]
         )
         priorities = None
@@ -89,7 +102,8 @@ def save_game(game: WeightedGameStructure, path) -> None:
 
 def parse_priorities(rows) -> tuple[PriorityRule, ...]:
     return tuple(
-        PriorityRule(asr.parse_assertion(r["guard"]), int(r["priority"]))
+        PriorityRule(asr.parse_assertion(r["guard"]),
+                     _integer(r["priority"], "a priority"))
         for r in rows
     )
 

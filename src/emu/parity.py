@@ -25,8 +25,7 @@ import numpy as np
 
 from . import tables
 from .energy import INF, LIMIT
-from .errors import (ConsistencyError, EmuError, GameFormatError, StateCapError,
-                     WeightDomainError)
+from .errors import ConsistencyError, EmuError, StateCapError, WeightDomainError
 from .game import WeightedGameStructure
 
 
@@ -264,16 +263,16 @@ def solve_parity(game: ParityGame) -> tuple[np.ndarray, np.ndarray]:
     return w0, w1
 
 
-def solve_energy_parity(g: EnergyParityGame, c: int) -> dict[int, int]:
-    """Per-state minimum winning credit w.r.t. the bound c (INF if none).
+def solve_energy_parity(g: EnergyParityGame, c: int) -> np.ndarray:
+    """Per-state minimum winning credit w.r.t. the bound c (INF if none),
+    as an int64 (n,) array.
 
     Solves the credit-layer unfolding as a plain parity game and reads, for
     each state, the least credit layer won by player 0.
     """
     w0, _w1 = solve_parity(unfold_with_bound(g, c))
     won = w0.reshape(g.n_states, int(c) + 2)[:, :int(c) + 1]
-    credits = np.where(won.any(axis=1), won.argmax(axis=1), INF)
-    return dict(enumerate(credits.tolist()))
+    return np.where(won.any(axis=1), won.argmax(axis=1), INF)
 
 
 def bound_ep(n: int, d: int, k: int) -> int:
@@ -281,59 +280,3 @@ def bound_ep(n: int, d: int, k: int) -> int:
     if n < 1:
         raise ValueError("a game has at least one state")
     return d * (n - 1) * k
-
-
-def memory_bound(n: int, d: int, k: int) -> int:
-    """Strategy memory upper bound d*(n-1)*K + 1."""
-    return bound_ep(n, d, k) + 1
-
-
-# ---------------------------------------------------------------------------
-# Line-oriented text format
-
-def format_explicit_game(g: EnergyParityGame) -> str:
-    lines = [f"state {s} {o} {p}"
-             for s, (o, p) in enumerate(zip(g.owners.tolist(), g.prios.tolist()))]
-    lines += [f"edge {s} {d} {w}"
-              for s, d, w in zip(g.src.tolist(), g.dst.tolist(), g.weight.tolist())]
-    return "\n".join(lines) + "\n"
-
-
-def parse_explicit_game(text: str) -> EnergyParityGame:
-    owners: dict[int, int] = {}
-    prios: dict[int, int] = {}
-    edges: dict[int, list[tuple[int, int]]] = {}
-    first_use: dict[int, int] = {}  # state -> line of the first edge at it
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        try:
-            if parts[0] == "state" and len(parts) == 4:
-                sid, owner, prio = (int(p) for p in parts[1:])
-                if sid in owners:
-                    raise GameFormatError(f"line {lineno}: duplicate state {sid}")
-                owners[sid], prios[sid] = owner, prio
-                continue
-            if parts[0] == "edge" and len(parts) == 4:
-                src, dst, w = (int(p) for p in parts[1:])
-                edges.setdefault(src, []).append((dst, w))
-                for sid in (src, dst):
-                    first_use.setdefault(sid, lineno)
-                continue
-        except ValueError:
-            pass
-        raise GameFormatError(f"line {lineno}: expected 'state <id> <owner> "
-                              f"<priority>' or 'edge <src> <dst> <weight>'")
-    n = len(owners)
-    if sorted(owners) != list(range(n)):
-        raise GameFormatError("state ids must be dense from 0")
-    for sid, lineno in first_use.items():
-        if sid not in owners:
-            raise GameFormatError(f"line {lineno}: edge at undeclared state {sid}")
-    return EnergyParityGame.of(
-        [owners[s] for s in range(n)],
-        [prios[s] for s in range(n)],
-        [edges.get(s, []) for s in range(n)],
-    )

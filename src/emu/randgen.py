@@ -120,27 +120,3 @@ def random_formula(rng: random.Random, vs: VariableSet):
     target = random_assertion(rng, vs.names, (), depth=1)
     param = "p" if name == "reach" else "J"
     return name, fm.builtin(name, **{param: target})
-
-
-def random_energy_parity_game(
-    rng: random.Random,
-    max_states: int = 8,
-    max_priorities: int = 3,
-    max_weight: int = 2,
-    allow_deadlocks: bool = True,
-):
-    """A random explicit energy parity game (may contain deadlocks)."""
-    from .parity import EnergyParityGame
-
-    n = rng.randint(1, max_states)
-    owners = tuple(rng.randint(0, 1) for _ in range(n))
-    prios = tuple(rng.randrange(max_priorities) for _ in range(n))
-    edges = []
-    for _s in range(n):
-        lo = 0 if allow_deadlocks else 1
-        degree = rng.randint(lo, min(3, n))
-        dsts = rng.sample(range(n), degree)
-        edges.append(tuple(
-            (d, rng.randint(-max_weight, max_weight)) for d in dsts
-        ))
-    return EnergyParityGame.of(owners, prios, edges)

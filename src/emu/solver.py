@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import formulas as fm
-from .energy import INF, EnergyFunction, eval_energy, neg
+from .energy import EnergyFunction, eval_energy
 from .errors import ConsistencyError, EmuError, FragmentError
 from .game import WeightedGameStructure
 from .parity import from_parity_wgs, solve_energy_parity
@@ -120,47 +119,6 @@ def solve(req: SolveRequest) -> SolveReport:
 
 
 @dataclass(frozen=True)
-class EnvCreditReport:
-    """Environment-side view at bound c, recovered from the dual formula.
-
-    ``dual_value`` is the energy value of the negated formula: 0 where the
-    environment wins for every credit in [0, c], INF where it wins for none,
-    and m in between meaning it wins exactly for credits up to c - m.
-    ``recovered_min_credits`` is its De Morgan negation and equals the
-    system's minimum credits.
-    """
-
-    bound: int
-    dual_formula: fm.Formula
-    dual_value: EnergyFunction
-    recovered_min_credits: EnergyFunction
-
-    def max_env_credit(self, state_index: int) -> Optional[int]:
-        """Largest credit winning for the environment, None if none is."""
-        v = self.dual_value[state_index]
-        if v == INF:
-            return None
-        return self.bound - v
-
-    def env_wins_all_credits(self, state_index: int) -> bool:
-        return self.dual_value[state_index] == 0
-
-
-def env_max_credit(
-    game: WeightedGameStructure, c: int, formula: fm.Formula
-) -> EnvCreditReport:
-    """Solve from the environment's side by negating the formula."""
-    dual = fm.negate(formula)
-    g = eval_energy(game, c, dual)
-    return EnvCreditReport(
-        bound=c,
-        dual_formula=dual,
-        dual_value=g,
-        recovered_min_credits=neg(g),
-    )
-
-
-@dataclass(frozen=True)
 class CrosscheckReport:
     ok: bool
     bound: int
@@ -180,8 +138,7 @@ def crosscheck_parity(game: WeightedGameStructure, c: int) -> CrosscheckReport:
         raise EmuError("the game carries no priority annotation")
     formula = fm.parity_formula(game.priorities)
     symbolic = eval_energy(game, c, formula)
-    explicit = solve_energy_parity(from_parity_wgs(game), c)
-    explicit = np.fromiter(explicit.values(), dtype=np.int64, count=game.n_states)
+    explicit = solve_energy_parity(from_parity_wgs(game), c)[:game.n_states]
     bad = np.flatnonzero(symbolic.values != explicit)
     mismatches = tuple(zip(bad.tolist(), symbolic.values[bad].tolist(),
                            explicit[bad].tolist()))

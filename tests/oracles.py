@@ -2,12 +2,14 @@
 
 Everything here is written from scratch against single states rather than
 the vectorized evaluators it checks: the scalar semantics of assertions,
-moves and weights, and the references built on them.
+moves and weights, the references built on them, and random explicit
+energy parity games for the explicit pipeline.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 import sys
 from dataclasses import dataclass
 
@@ -16,7 +18,8 @@ import numpy as np
 from emu import (
     INF,
     EnergyFunction,
-    State,
+    EnergyParityGame,
+    VariableSet,
     cpre_sys,
     ecpre,
     join,
@@ -57,6 +60,36 @@ def eval_bool(a, lookup) -> bool:
     if isinstance(a, asr.Iff):
         return eval_bool(a.left, lookup) == eval_bool(a.right, lookup)
     raise TypeError(f"not an assertion node: {a!r}")
+
+
+@dataclass(frozen=True)
+class State:
+    """A truth assignment to all game variables, packed into an index.
+
+    Bit ``k`` of ``index`` is the value of ``vars.names[k]``.
+    """
+
+    vars: VariableSet
+    index: int
+
+    def __post_init__(self):
+        if not 0 <= self.index < self.vars.n_states:
+            raise EmuError(f"state index {self.index} out of range")
+
+    def value(self, name: str) -> bool:
+        return bool((self.index >> self.vars.names.index(name)) & 1)
+
+    def minterm(self) -> str:
+        """Render as a conjunction of literals, e.g. ``!x & y``."""
+        if not self.vars.names:
+            return "true"
+        return " & ".join(
+            n if self.value(n) else f"!{n}" for n in self.vars.names
+        )
+
+    def __repr__(self):
+        bits = ", ".join(f"{n}={int(self.value(n))}" for n in self.vars.names)
+        return f"State({bits})"
 
 
 def state_of(vs, true_vars) -> State:
@@ -298,6 +331,25 @@ def parity_winners_brute(pg):
     return w0, set(range(n)) - w0
 
 
+def random_energy_parity_game(
+    rng: random.Random,
+    max_states: int = 8,
+    max_priorities: int = 3,
+    max_weight: int = 2,
+) -> EnergyParityGame:
+    """A random explicit energy parity game (may contain deadlocks)."""
+    n = rng.randint(1, max_states)
+    owners = tuple(rng.randint(0, 1) for _ in range(n))
+    prios = tuple(rng.randrange(max_priorities) for _ in range(n))
+    edges = []
+    for _s in range(n):
+        dsts = rng.sample(range(n), rng.randint(0, min(3, n)))
+        edges.append(tuple(
+            (d, rng.randint(-max_weight, max_weight)) for d in dsts
+        ))
+    return EnergyParityGame.of(owners, prios, edges)
+
+
 # ---------------------------------------------------------------------------
 # The explicit energy parity pipeline written with loops over tuples: the
 # scalar reference for the array pipeline of ``emu.parity``.
@@ -485,17 +537,17 @@ def solve_parity_loops(game) -> tuple[set[int], set[int]]:
     return W0, W1
 
 
-def solve_energy_parity_loops(g, c: int) -> dict[int, int]:
+def solve_energy_parity_loops(g, c: int) -> list[int]:
     """Per-state least credit layer won by player 0 (INF if none)."""
     g = listed(g)
     w0, _w1 = solve_parity_loops(unfold_with_bound_loops(g, c))
     span = c + 2
-    out = {}
+    out = []
     for s in range(g.n_states):
         best = INF
         for credit in range(c + 1):
             if s * span + credit in w0:
                 best = credit
                 break
-        out[s] = int(best)
+        out.append(int(best))
     return out

@@ -91,7 +91,15 @@ def test_usage_errors(g1_path, tmp_path, capsys):
     assert run(["solve", g1_path, "--bound", "1", "--formula", "nu X . <>X",
                 "--builtin", "safety"]) == 2
     assert run(["solve", g1_path, "--bound", "1", "--state", "x & !x"]) == 2
-    capsys.readouterr()
+    # a weight or priority that is not an integer is refused, not rounded
+    doc = json.loads(open(g1_path).read())
+    doc["weights"][0]["weight"] = -1.7
+    (tmp_path / "bad.game").write_text(json.dumps(doc))
+    assert run(["solve", str(tmp_path / "bad.game"), "--bound", "1"]) == 2
+    (tmp_path / "bad.prio").write_text('[{"guard": "true", "priority": 0.9}]')
+    assert run(["solve", g1_path, "--bound", "1",
+                "--priorities", str(tmp_path / "bad.prio")]) == 2
+    assert capsys.readouterr().err.count("must be an integer") == 2
 
 
 def test_solve_rejects_weight_beyond_int64(g1_path, tmp_path, capsys):
@@ -403,9 +411,10 @@ def test_state_is_checked_before_solving(g1_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("names", [(), ("x",), ("x", "y"), ("a", "b", "c", "d")])
 def test_state_names_are_the_minterms(names):
-    from emu import State, VariableSet, WeightedGameStructure
+    from emu import VariableSet, WeightedGameStructure
     from emu.assertions import TRUE
     from emu.cli import _state_names
+    from oracles import State
 
     game = WeightedGameStructure(VariableSet(names, frozenset(names[:1])),
                                  TRUE, TRUE, ())

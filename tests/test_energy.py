@@ -52,6 +52,12 @@ def test_energy_function_validation():
     for bound in (-1, LIMIT + 1):
         with pytest.raises(InvalidCreditError):
             _f(bound, [0])
+    # values that are not int64 integers are refused, not cast
+    for values in ([1.5, 0.2], [True, False], [2**70],
+                   np.array([1 << 63], dtype=np.uint64)):
+        with pytest.raises(InvalidCreditError):
+            EnergyFunction(2, values)
+    assert EnergyFunction(2, [2, int(INF)]) == _f(2, [2, INF])
 
 
 def test_join_meet_leq_examples():
@@ -515,6 +521,6 @@ def test_solve_at_the_limits(seed, prio, bound, data):
                 solve_energy_parity(ep, c)
         elif ep.n_states * (c + 2) <= 20_000:
             want = solve_energy_parity(ep, c)
-            assert credits.values.tolist() == [want[s] for s in range(g.n_states)]
+            assert credits.values.tolist() == want[:g.n_states].tolist()
     elif len(g.vars.names) + max(1, c.bit_length()) <= 9:
         assert credits == oracle_min_credit_sys(g, c, formula)

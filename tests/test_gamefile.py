@@ -35,6 +35,33 @@ def test_missing_field():
     assert "rho_e" in str(e.value)
 
 
+# a number that is not an integer, or names that are not a list, would be
+# read as some other game: -1.7 as -1, 0.9 as 0, "xy" as ["x", "y"]
+_MALFORMED = [
+    ("weight", -1.7), ("weight", "-1"), ("weight", True),
+    ("priority", 0.9), ("priority", "0"), ("priority", False),
+    ("vars", "xy"), ("inputs", "x"),
+]
+
+
+@pytest.mark.parametrize("field, value", _MALFORMED)
+def test_malformed_values(g1, fixtures_dir, tmp_path, field, value):
+    doc = game_to_dict(g1)
+    doc["priorities"] = json.loads((fixtures_dir / "g1_buchi.prio").read_text())
+    rows = {"weight": "weights", "priority": "priorities"}.get(field)
+    if rows:
+        doc[rows][0][field] = value
+    else:
+        doc[field] = value
+    with pytest.raises(GameFormatError, match="must be"):
+        game_from_dict(doc)
+    if field == "priority":
+        path = tmp_path / "bad.prio"
+        path.write_text(json.dumps(doc["priorities"]))
+        with pytest.raises(GameFormatError, match="must be an integer"):
+            load_priorities(path)
+
+
 def test_bad_json(tmp_path):
     p = tmp_path / "bad.game"
     p.write_text("{nope")

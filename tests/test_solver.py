@@ -3,14 +3,15 @@ import random
 
 import dataclasses
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from emu import (
     INF,
     EnergyFunction,
+    FixpointStats,
     SolveRequest,
     compute_bound,
     crosscheck_parity,
-    env_max_credit,
     eval_energy,
     load_priorities,
     neg,
@@ -98,30 +99,38 @@ def test_winning_regions_env_deadlock_game():
     assert w_sys.all() and not w_env.any()
 
 
-def test_env_max_credit_recovery(g1):
+def test_environment_view_of_the_fixture(g1):
+    # the dual value is 0 where the environment wins for every credit in
+    # [0, c], INF where it wins for none, and m where it wins up to c - m
     buchi = fm.builtin("buchi", J="y")
-    rep2 = env_max_credit(g1, 2, buchi)
-    assert rep2.dual_value == EnergyFunction.bottom(2, g1.n_states)
-    assert rep2.recovered_min_credits == eval_energy(g1, 2, buchi)
-    assert rep2.max_env_credit(0) is None
-    assert not rep2.env_wins_all_credits(0)
+    dual2 = eval_energy(g1, 2, fm.negate(buchi))
+    assert dual2 == EnergyFunction.bottom(2, g1.n_states)
+    assert neg(dual2) == eval_energy(g1, 2, buchi)
+    assert dual2[0] == INF  # no environment credit wins
 
-    rep0 = env_max_credit(g1, 0, buchi)
-    assert rep0.dual_value == EnergyFunction.top(0, g1.n_states)
-    assert rep0.recovered_min_credits == eval_energy(g1, 0, buchi)
-    assert rep0.max_env_credit(0) == 0
-    assert rep0.env_wins_all_credits(0)
+    dual0 = eval_energy(g1, 0, fm.negate(buchi))
+    assert dual0 == EnergyFunction.top(0, g1.n_states)
+    assert neg(dual0) == eval_energy(g1, 0, buchi)
+    assert dual0[0] == 0  # credit 0, and so every credit up to c, wins
 
 
-def test_env_recovery_matches_direct_random():
-    rng = random.Random(73)
-    for _ in range(30):
-        g = random_wgs(rng, 2, 3)
-        c = rng.randint(0, 6)
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32), st.booleans(), st.integers(0, 40))
+def test_dual_formula_is_the_negated_value(seed, prio, c):
+    """The environment's view is the De Morgan dual of the system's: the
+    negated formula evaluates to the negated value, through fixpoint chains
+    of the same lengths and cuts."""
+    rng = random.Random(seed)
+    g = random_wgs(rng, 2, 3, priorities=prio)
+    if prio and rng.random() < 0.5:
+        psi = fm.parity_formula(g.priorities)
+    else:
         _, psi = random_formula(rng, g.vars)
-        rep = env_max_credit(g, c, psi)
-        assert rep.recovered_min_credits == eval_energy(g, c, psi)
-        assert rep.dual_value == neg(eval_energy(g, c, psi))
+    direct, dual = FixpointStats(), FixpointStats()
+    want = eval_energy(g, c, psi, stats=direct)
+    assert neg(eval_energy(g, c, fm.negate(psi), stats=dual)) == want
+    assert (dual.fixpoints, dual.caps, dual.cuts) == (
+        direct.fixpoints, direct.caps, direct.cuts)
 
 
 def test_crosscheck_parity_g1(g1, fixtures_dir):
@@ -137,6 +146,21 @@ def test_crosscheck_parity_g1(g1, fixtures_dir):
         credits = eval_energy(g, c, rep2.formula)
         assert credits == eval_energy(g, c, buchi)
         assert all(int(v) == want for v in credits.values)
+
+
+def test_crosscheck_parity_reports_a_corrupted_credit(g1, fixtures_dir,
+                                                       monkeypatch):
+    from emu import solver
+    from emu.cli import _mutate_credits
+
+    g = dataclasses.replace(
+        g1, priorities=load_priorities(fixtures_dir / "g1_buchi.prio"))
+    honest = solver.eval_energy
+    monkeypatch.setattr(solver, "eval_energy",
+                        lambda *args: _mutate_credits(honest(*args)))
+    rep = crosscheck_parity(g, 2)
+    assert not rep.ok
+    assert rep.mismatches == ((0, int(INF), 0),)
 
 
 def test_crosscheck_parity_random():

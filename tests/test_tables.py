@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from emu import (
     INF,
     EnergyFunction,
-    State,
     VariableSet,
     WeightRule,
     WeightedGameStructure,
@@ -26,7 +25,7 @@ from emu import assertions as asr
 from emu import formulas as fm
 from emu.errors import IncompleteWeightCoverError
 from emu.randgen import random_assertion, random_formula, random_priorities
-from oracles import cpre_sys_enum, ecpre_env_cases, ecpre_enum
+from oracles import State, cpre_sys_enum, ecpre_env_cases, ecpre_enum
 
 
 def _row_game(rng, n, read_mask):
