@@ -32,6 +32,7 @@ class FixpointStats:
     # applications - 1 strict changes, which must stay <= cap.
     caps: list[tuple[int, int]] = field(default_factory=list)
     cuts: int = 0  # fixpoint evaluations whose iterates the lattice's cut changed
+    hoisted: int = 0  # evaluations of loop-invariant subterms before a loop
 
     def record(self, iterations, cap, cut=False):
         self.fixpoints += 1
@@ -51,10 +52,14 @@ class Lattice:
     least and ``top`` greatest.  ``height`` bounds the strict changes of any
     fixpoint chain.
 
-    ``cut``, if given, maps a fixpoint node to None or to a map applied to
-    each of its iterates.  The map must be monotone, move no element above
-    its argument in a greatest fixpoint (below it in a least one) and fix
-    the fixpoint's value; the cut chain then ends exactly at that value.
+    ``cut``, if given, maps a fixpoint node, as ``evaluate`` rewrites it,
+    to None or to a function of the environment the node is evaluated in.
+    That function gives None or a map applied to each iterate of that
+    evaluation.  The map must be monotone, move no element above its
+    argument in a greatest fixpoint (below it in a least one) and fix the
+    fixpoint's value under that environment; the cut chain then ends
+    exactly at that value.  ``cut`` is called once per node and evaluation,
+    its function once per evaluation of the node.
     """
 
     atom: Callable[[np.ndarray], Any]
@@ -71,6 +76,110 @@ class Lattice:
     cut: Callable[[Any], Callable | None] | None = None
 
 
+_ATOMS = {fm.Atom, fm.NegAtom}
+_BINARY = {fm.And, fm.Or}
+_BINDERS = {fm.Mu, fm.Nu}
+_UNARY = {fm.Diamond, fm.Box, fm.Not}
+
+
+def _hoist(f: fm.Formula):
+    """``f`` with its loop-invariant subterms moved out of their loops; it
+    raises ``NonMonotoneFormulaError`` as ``formulas.require_monotone`` does.
+
+    A binder's depth is the number of binders on the path from the root to
+    it, itself included, and a subterm's level is the depth of the deepest
+    binder whose variable it uses (0 if it uses none).  While the fixpoints
+    of depth above that level iterate, the subterm keeps its value.  So a
+    subterm whose level is below its parent's (a fixpoint's body: below the
+    fixpoint's depth), and which is not a bare atom or variable, is replaced
+    by a placeholder variable and evaluated once per evaluation of the
+    binder at depth level+1 above it, before that binder's loop starts.
+
+    Returns the rewritten formula and, per rewritten fixpoint node (by
+    ``id``), its (placeholder, subterm) pairs in evaluation order; a pair
+    may read the placeholders before it and those of the binders above.
+    The placeholders are ``#0``, ``#1``, ..., names no parsed formula binds,
+    one per hoisted position, so binders that share a name cannot make two
+    collide.  It is one walk, one frame per node, and it checks
+    monotonicity on the way, so an evaluation walks its formula once.
+    """
+    hoists = {}
+    pending = []  # pending[k]: the pairs of the binder at depth k+1 on the path
+    bound = {}  # variable -> (depth, negations above) of its binder on the path
+    count = 0
+
+    def lift(node, own):
+        """A placeholder for ``node``, of level ``own``, evaluated before the
+        loop of the binder at depth own+1; bare atoms and variables stay."""
+        nonlocal count
+        if isinstance(node, (fm.Atom, fm.NegAtom, fm.RelVar)):
+            return node
+        name = f"#{count}"
+        count += 1
+        pending[own].append((name, node))
+        return fm.RelVar(name)
+
+    def walk(node, negs):
+        """(rewritten node, uses), where bit k-1 of uses is set iff the node
+        reads the variable of the binder at depth k; negs counts the Not
+        nodes above it."""
+        kind = type(node)
+        if kind in _ATOMS:
+            return node, 0
+        if kind is fm.RelVar:
+            if node.name not in bound:
+                return node, 0
+            d, above = bound[node.name]
+            if (negs - above) % 2:
+                fm.require_monotone(f)  # raises, naming the path
+            return node, 1 << (d - 1)
+        if kind in _BINARY:
+            left, lu = walk(node.left, negs)
+            right, ru = walk(node.right, negs)
+            uses = lu | ru
+            if lu != ru:  # a child whose level is below the node's moves out
+                level = uses.bit_length()
+                if lu.bit_length() < level:
+                    left = lift(left, lu.bit_length())
+                elif ru.bit_length() < level:
+                    right = lift(right, ru.bit_length())
+            if left is node.left and right is node.right:
+                return node, uses
+            return kind(left, right), uses
+        if kind in _BINDERS:
+            d = len(pending) + 1
+            outer = bound.get(node.name)
+            bound[node.name] = d, negs
+            pending.append([])
+            sub, uses = walk(node.sub, negs)
+            if uses.bit_length() < d:  # the body does not read the loop
+                sub = lift(sub, uses.bit_length())
+            own = pending.pop()
+            if outer is None:
+                del bound[node.name]
+            else:
+                bound[node.name] = outer
+            uses &= ~(1 << (d - 1))
+            if sub is node.sub:
+                return node, uses
+            node = kind(node.name, sub)
+            if own:
+                hoists[id(node)] = own
+            return node, uses
+        if kind in _UNARY:
+            sub, uses = walk(node.sub, negs + (kind is fm.Not))
+            return (node if sub is node.sub else kind(sub)), uses
+        raise TypeError(f"not a formula node: {node!r}")
+
+    try:
+        return walk(f, 0)[0], hoists
+    finally:
+        # walk refers to itself through its closure; unbinding it breaks the
+        # cycle, so reference counting frees this walk's state at once
+        # rather than a garbage-collector pass, which the small ops pay for
+        del walk, lift
+
+
 def evaluate(lat: Lattice, tables, f: fm.Formula, valuation=None,
              stats: FixpointStats | None = None):
     """The element of ``lat`` denoted by ``f``.
@@ -79,10 +188,15 @@ def evaluate(lat: Lattice, tables, f: fm.Formula, valuation=None,
     iterate up from ``bottom``, greatest fixpoints down from ``top``; each
     must stabilize within ``height`` strict changes, and its iterates must
     form a monotone chain.  Violations raise, as they indicate a broken
-    operator rather than a bad input.  Where ``lat.cut`` gives a fixpoint
-    node a cut, each new iterate is cut before that check.
+    operator rather than a bad input.
+
+    Before a fixpoint's loop starts, the subterms of its body that no
+    iteration can change are evaluated once (``_hoist``), and the loop reads
+    their values as variables.  Where ``lat.cut`` gives the fixpoint, with
+    those values, a cut, each new iterate is cut before the monotonicity
+    check.
     """
-    fm.require_monotone(f)
+    f, hoists = _hoist(f)
     atoms = {}  # id(node) -> element, so fixpoint iterations reuse each atom
     cuts = {}  # id(node) -> the lattice's cut of a fixpoint node, or None
 
@@ -116,9 +230,16 @@ def evaluate(lat: Lattice, tables, f: fm.Formula, valuation=None,
         if isinstance(node, (fm.Mu, fm.Nu)):
             ascending = isinstance(node, fm.Mu)
             key = id(node)
+            hoisted = hoists.get(key, ())
+            if hoisted:
+                env = dict(env)
+                for name, term in hoisted:
+                    env[name] = ev(term, env)
+                if stats is not None:
+                    stats.hoisted += len(hoisted)
             if key not in cuts:
                 cuts[key] = lat.cut(node) if lat.cut else None
-            cut = cuts[key]
+            cut = cuts[key](env) if cuts[key] else None
             current = lat.bottom if ascending else lat.top
             iterations, was_cut = 0, False
             while True:

@@ -40,6 +40,15 @@ INF = np.int64(1) << 62
 LIMIT = 1 << 60
 
 
+def _check_bound(c):
+    """Raise unless c is a natural number up to LIMIT; bool, numpy bool and
+    float are refused though they compare like numbers."""
+    if (not isinstance(c, (int, np.integer)) or isinstance(c, bool)
+            or not 0 <= c <= LIMIT):
+        raise InvalidCreditError(
+            f"the bound must be a natural number up to 2^60, got {c!r}")
+
+
 @dataclass(frozen=True)
 class EnergyFunction:
     """A total map from states to credits in [0, bound] or INF."""
@@ -48,9 +57,7 @@ class EnergyFunction:
     values: np.ndarray  # int64 (n_states,)
 
     def __post_init__(self):
-        if not 0 <= self.bound <= LIMIT:
-            raise InvalidCreditError(
-                f"the bound must be a natural number up to 2^60, got {self.bound!r}")
+        _check_bound(self.bound)
         vals = np.asarray(self.values)
         if vals.size and vals.dtype.kind not in "iu":  # bool, float, beyond int64
             raise InvalidCreditError(f"credits must be integers, got {vals.dtype}")
@@ -172,17 +179,31 @@ def ecpre_env(game, c: int, f: EnergyFunction) -> EnergyFunction:
     return neg(ecpre(game, c, neg(f)))
 
 
+def _two_valued(f: EnergyFunction) -> bool:
+    """Whether every value of f is 0 or INF."""
+    v = f.values
+    return bool(((v == 0) | (v == INF)).all())
+
+
 def _credit_cap_cut(c: int, cap: int):
     """The ``Lattice.cut`` of the energy semantics at bound c, for
     cap = (N-1)K < c on N states with weights up to K in absolute value.
 
-    It cuts the fixpoints that ``formulas.is_safety_shape`` accepts: in
-    ``nu X . psi`` (psi over atoms, ``&``, ``|`` and ``<>X``) values above
-    cap become INF, and in the mirror ``mu X . psi'`` (``[]X``) values up to
-    c-cap become 0.  Every other fixpoint is left alone.
+    It cuts the fixpoints that ``formulas.is_safety_shape`` accepts when
+    their free variables count as atoms, in each evaluation where every
+    free variable has a value in {0, INF}: in ``nu X . psi`` (psi over
+    atoms, such variables, ``&``, ``|`` and ``<>X``) values above cap become
+    INF, and in the mirror ``mu X . psi'`` (``[]X``) values up to c-cap
+    become 0.  Every other fixpoint evaluation is left alone.
 
     Why this is sound, for ``nu X . psi``:
 
+    0. The node is the one ``classical.evaluate`` iterates, whose loop-
+       invariant subterms are hoisted into variables, so its free variables
+       are those of the formula and the hoisted subterms.  None of them
+       changes while the fixpoint iterates, and at each state each has the
+       value 0 or INF, as an atom does.  So below they are atoms, and the
+       cut is decided per evaluation, from their values.
     1. At each state, psi is a lattice polynomial in y = ecpre(X) with the
        constants 0 and INF, so it is 0, INF or y there.  So each round of
        the fixpoint crosses exactly one weighted move: it is the game that
@@ -209,14 +230,24 @@ def _credit_cap_cut(c: int, cap: int):
     6. ``negate`` turns ``nu X . psi`` into the mirror, and ``neg`` is an
        exact lattice anti-isomorphism with ecpre_env = neg o ecpre o neg, so
        the mirror's iterates are the ``neg`` of the safety ones.  ``neg``
-       maps (cap, c] onto [1, c-cap] and INF to 0, hence the mirror cut.
+       maps (cap, c] onto [1, c-cap] and INF to 0, hence the mirror cut;
+       it swaps 0 and INF, so the mirror's free variables pass step 0
+       exactly when the safety ones do.
     """
+    def down(f):
+        return EnergyFunction._of(c, np.where(f.values > cap, INF, f.values))
+
+    def up(f):
+        return EnergyFunction._of(c, np.where(f.values <= c - cap, 0, f.values))
+
     def cut(node):
-        if not fm.is_safety_shape(node):
+        free = fm.free_variables(node)
+        if not fm.is_safety_shape(node, atoms=free):
             return None
-        if isinstance(node, fm.Nu):
-            return lambda f: EnergyFunction._of(c, np.where(f.values > cap, INF, f.values))
-        return lambda f: EnergyFunction._of(c, np.where(f.values <= c - cap, 0, f.values))
+        clip = down if isinstance(node, fm.Nu) else up
+        # an unbound variable gets no cut; evaluating the body then raises
+        return lambda env: clip if all(
+            name in env and _two_valued(env[name]) for name in free) else None
     return cut
 
 
@@ -230,16 +261,18 @@ def eval_energy(game, c: int, f: fm.Formula, valuation=None,
     n_states*(c+1).
 
     A fixpoint can climb one unit per iteration.  Where c exceeds
-    cap = (N-1)K, the fixpoints of the safety fragment and its mirror
-    (``formulas.is_safety_shape``) are cut at cap (``_credit_cap_cut``), so
-    ``safety`` on a 2-variable game whose moves all weigh -1 ends after
-    cap+2 = 5 iterations at any c > 3.  Every other fixpoint still climbs
-    with c, so a large c is slow there: ``buchi`` on that game runs 4c+3
+    cap = (N-1)K, a fixpoint of the safety fragment or its mirror
+    (``formulas.is_safety_shape``, free variables counting as atoms) is cut
+    at cap (``_credit_cap_cut``) in each evaluation in which its free
+    variables, the hoisted subterms of its body included, take only the
+    values 0 and INF.  So ``safety`` on a 2-variable game whose moves all
+    weigh -1 ends after cap+2 = 5 iterations at any c > 3, and so does the
+    inner nu of ``cobuchi`` or of a two-priority parity formula while the
+    outer mu's variable is still INF.  Other fixpoints still climb with c,
+    so a large c is slow there: ``buchi`` on that game runs 4c+3
     iterations, 23 s at c = 10^5 on a 2-core Xeon.
     """
-    if not isinstance(c, (int, np.integer)) or c < 0 or c > LIMIT:
-        raise InvalidCreditError(
-            f"the bound must be a natural number up to 2^60, got {c!r}")
+    _check_bound(c)
     c = int(c)
     t = game.tables()
     n = t.n_states

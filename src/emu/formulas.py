@@ -485,19 +485,27 @@ def is_buchi_shape(f: Formula) -> Optional[asr.Assertion]:
     return None
 
 
-def is_safety_shape(f: Formula) -> bool:
+def is_safety_shape(f: Formula, atoms=frozenset()) -> bool:
     """Whether f is ``nu X . psi`` with psi built from atoms, ``&``, ``|`` and
     ``<>X`` only, or its De Morgan mirror ``mu X . psi`` over atoms, ``&``,
-    ``|`` and ``[]X``; such a fixpoint is closed."""
+    ``|`` and ``[]X``.  A variable named in ``atoms`` counts as an atom; by
+    default none does, so such a fixpoint is closed."""
     if not isinstance(f, (Mu, Nu)):
         return False
-    step = Diamond(RelVar(f.name)) if isinstance(f, Nu) else Box(RelVar(f.name))
+    step = Diamond if isinstance(f, Nu) else Box
     stack = [f.sub]
     while stack:
         node = stack.pop()
-        if isinstance(node, (And, Or)):
+        kind = type(node)
+        if kind is And or kind is Or:
             stack += (node.left, node.right)
-        elif node != step and not isinstance(node, (Atom, NegAtom)):
+        elif kind is step:
+            if not (type(node.sub) is RelVar and node.sub.name == f.name):
+                return False
+        elif kind is RelVar:
+            if node.name == f.name or node.name not in atoms:
+                return False
+        elif kind is not Atom and kind is not NegAtom:
             return False
     return True
 

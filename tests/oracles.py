@@ -14,6 +14,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+from hypothesis import strategies as st
 
 from emu import (
     INF,
@@ -22,10 +23,13 @@ from emu import (
     VariableSet,
     cpre_sys,
     ecpre,
+    ecpre_env,
     join,
     meet,
+    neg,
 )
 from emu import assertions as asr
+from emu import formulas as fm
 from emu.errors import (
     ConsistencyError,
     EmuError,
@@ -281,6 +285,126 @@ def buchi_loop_energy(game, c, f_j: EnergyFunction) -> EnergyFunction:
         if y == z:
             return z
         z = y
+
+
+# ---------------------------------------------------------------------------
+# Nested fixpoint formulas and their plain semantics
+
+_BINDER_NAMES = ("X", "Y", "Z")
+
+
+def random_nested_formula(rng, atoms=("a", "b"), size=10, max_binders=3):
+    """A closed monotone formula over the state variables ``atoms`` that nests
+    mu and nu, steps with ``<>`` and ``[]``, and reads outer fixpoint
+    variables inside inner bodies.
+
+    The root is a fixpoint.  A body is its variable's step (``<>`` in a nu,
+    ``[]`` in a mu, mostly) joined or met with a random term, which may hold
+    more fixpoints.  Binders are named from X, Y and Z, so names repeat and
+    inner binders shadow outer ones.  A subterm object already made is
+    placed again, now and then, wherever its variables are in scope: one
+    object can then sit where its variable is an outer binder's, invariant
+    for the loops in between, and where it is the variable of the loop that
+    reads it.
+    """
+    made = []  # (subterm, its free variables), for placing again
+    binders = max_binders
+
+    def term(scope, size):
+        if made and rng.random() < 0.15:
+            node, free = rng.choice(made)
+            if free <= scope:
+                return node, free
+        r = rng.random()
+        if size <= 1 or r < 0.15:
+            node, free = leaf(scope)
+        elif r < 0.45 and binders:
+            node, free = fixpoint(scope, size)
+        elif r < 0.85:
+            left, lf = term(scope, size // 2)
+            right, rf = term(scope, size - size // 2)
+            node, free = rng.choice((fm.And, fm.Or))(left, right), lf | rf
+        else:
+            sub, free = term(scope, size - 1)
+            node = rng.choice((fm.Diamond, fm.Box))(sub)
+        made.append((node, free))
+        return node, free
+
+    def fixpoint(scope, size):
+        nonlocal binders
+        binders -= 1
+        name = rng.choice(_BINDER_NAMES)
+        kind = rng.choice((fm.Mu, fm.Nu))
+        step = fm.Box if kind is fm.Mu else fm.Diamond
+        if rng.random() < 0.2:  # a step that keeps it out of the safety shape
+            step = fm.Diamond if step is fm.Box else fm.Box
+        # a body that reads only outer variables besides its step is
+        # safety-shaped up to what the engine hoists out of it
+        inner = scope if scope and rng.random() < 0.4 else scope | {name}
+        rest, free = term(inner, size - 2)
+        pair = (step(fm.RelVar(name)), rest)
+        if rng.random() < 0.5:
+            pair = pair[::-1]
+        return kind(name, rng.choice((fm.And, fm.Or))(*pair)), free - {name}
+
+    def leaf(scope):
+        r = rng.random()
+        if scope and r < 0.6:
+            name = rng.choice(sorted(scope))
+            if r < 0.1:
+                return fm.RelVar(name), {name}
+            return rng.choice((fm.Diamond, fm.Box))(fm.RelVar(name)), {name}
+        a = rng.choice([asr.Var(n) for n in atoms] + [asr.TRUE])
+        return rng.choice((fm.Atom, fm.NegAtom))(a), set()
+
+    return fixpoint(set(), size)[0]
+
+
+def nested_formulas(atoms=("a", "b")):
+    """Hypothesis strategy for ``random_nested_formula``."""
+    return st.randoms(use_true_random=False).map(
+        lambda rng: random_nested_formula(rng, atoms))
+
+
+def eval_energy_plain(game, c, f) -> EnergyFunction:
+    """The energy value of f by the plain fixpoint semantics: each fixpoint
+    iterates its whole body from bottom or top until two iterates agree.
+    Nothing is hoisted or cut, and no cap is checked.  Atoms come from the
+    scalar ``eval_assertion``, the rest from ``emu.energy``'s
+    ``join``/``meet``/``neg``/``ecpre``/``ecpre_env``."""
+    states = list(all_states(game.vars))
+    n = len(states)
+    masks = {}
+
+    def atom(a, holds):
+        if a not in masks:
+            masks[a] = np.array([eval_assertion(a, s) for s in states])
+        return EnergyFunction(c, np.where(masks[a] == holds, 0, INF))
+
+    def ev(node, env):
+        if isinstance(node, (fm.Atom, fm.NegAtom)):
+            return atom(node.assertion, isinstance(node, fm.Atom))
+        if isinstance(node, fm.RelVar):
+            return env[node.name]
+        if isinstance(node, fm.And):
+            return meet(ev(node.left, env), ev(node.right, env))
+        if isinstance(node, fm.Or):
+            return join(ev(node.left, env), ev(node.right, env))
+        if isinstance(node, fm.Diamond):
+            return ecpre(game, c, ev(node.sub, env))
+        if isinstance(node, fm.Box):
+            return ecpre_env(game, c, ev(node.sub, env))
+        if isinstance(node, fm.Not):
+            return neg(ev(node.sub, env))
+        current = (EnergyFunction.bottom(c, n) if isinstance(node, fm.Mu)
+                   else EnergyFunction.top(c, n))
+        while True:
+            new = ev(node.sub, {**env, node.name: current})
+            if new == current:
+                return current
+            current = new
+
+    return ev(f, {})
 
 
 def _play_winner(pg, start, choice0, choice1):

@@ -49,9 +49,12 @@ def test_energy_function_validation():
         _f(2, [-1, 0])
     f = _f(2, [0, 1, 2, INF])
     assert f[3] == INF and f[0] == 0
-    for bound in (-1, LIMIT + 1):
+    # a bound must be a natural number: bools and floats compare like
+    # numbers, but are refused
+    for bound in (-1, LIMIT + 1, 2.5, 2.0, True, np.bool_(True)):
         with pytest.raises(InvalidCreditError):
             _f(bound, [0])
+    assert _f(np.int64(2), [2]) == _f(2, [2])
     # values that are not int64 integers are refused, not cast
     for values in ([1.5, 0.2], [True, False], [2**70],
                    np.array([1 << 63], dtype=np.uint64)):
@@ -272,8 +275,9 @@ def test_eval_energy_g1_goldens(g1):
 def test_eval_energy_rejects_bad_input(g1):
     with pytest.raises(NonMonotoneFormulaError):
         eval_energy(g1, 2, fm.parse_formula("mu X . !X"))
-    with pytest.raises(InvalidCreditError):
-        eval_energy(g1, -1, fm.builtin("safety"))
+    for bound in (-1, 2.5, True, np.bool_(True)):
+        with pytest.raises(InvalidCreditError):
+            eval_energy(g1, bound, fm.builtin("safety"))
 
 
 def test_negation_laws_random():
@@ -428,6 +432,24 @@ def test_lossy_safety_at_the_largest_bound():
     stats = FixpointStats()
     assert eval_energy(_LOSSY, 3, safety, stats=stats) == EnergyFunction.bottom(3, 4)
     assert stats.caps == [(5, 16)] and stats.cuts == 0
+
+
+@pytest.mark.parametrize("f", [
+    fm.builtin("cobuchi", J="a"),  # mu Y . nu Z . (a & <>Z) | <>Y
+    fm.parse_formula("mu Z1 . nu Z2 . (a & <>Z1) | (!a & <>Z2)"),
+], ids=["cobuchi", "parity"])
+def test_lossy_cobuchi_and_parity_at_the_largest_bound(f):
+    # The inner nu runs while the outer mu's variable is INF, so its hoisted
+    # subterm (<>Y, or a & <>Z1) is INF everywhere: the body is safety-shaped
+    # up to it, and the nu is cut at cap 3.  It ends where the outer mu's
+    # first iterate does.  Uncut, the inner nu runs c+2 applications.
+    for c in (10, LIMIT):
+        for node, want in ((f, EnergyFunction.bottom(c, 4)),
+                           (fm.negate(f), EnergyFunction.top(c, 4))):
+            stats = FixpointStats()
+            assert eval_energy(_LOSSY, c, node, stats=stats) == want
+            assert [apps for apps, _ in stats.caps] == [5, 1]
+            assert stats.cuts == 1 and stats.hoisted == 1
 
 
 # ---------------------------------------------------------------------------

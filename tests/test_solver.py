@@ -21,6 +21,7 @@ from emu import (
 from emu import formulas as fm
 from emu.errors import EmuError, FragmentError, InvalidCreditError
 from emu.randgen import random_formula, random_wgs
+from oracles import nested_formulas
 
 
 def test_sufficient_bound_variants(g1, fixtures_dir):
@@ -73,7 +74,7 @@ def test_solve_rejects_open_formula(g1):
         solve(SolveRequest(game=g1, formula=fm.parse_formula("<>X"), bound=1))
 
 
-@pytest.mark.parametrize("bound", [2.7, "3", -1])
+@pytest.mark.parametrize("bound", [2.7, "3", -1, True])
 def test_solve_rejects_a_bound_that_is_not_a_natural_number(g1, bound):
     with pytest.raises(InvalidCreditError):
         solve(SolveRequest(game=g1, formula=fm.builtin("safety"), bound=bound))
@@ -115,22 +116,25 @@ def test_environment_view_of_the_fixture(g1):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2**32), st.booleans(), st.integers(0, 40))
-def test_dual_formula_is_the_negated_value(seed, prio, c):
+@given(st.integers(0, 2**32), st.booleans(), st.integers(0, 40), st.booleans(),
+       nested_formulas())
+def test_dual_formula_is_the_negated_value(seed, prio, c, use_nested, nested):
     """The environment's view is the De Morgan dual of the system's: the
     negated formula evaluates to the negated value, through fixpoint chains
-    of the same lengths and cuts."""
+    of the same lengths, cuts and hoisted work."""
     rng = random.Random(seed)
-    g = random_wgs(rng, 2, 3, priorities=prio)
-    if prio and rng.random() < 0.5:
+    g = random_wgs(rng, 2, 3, priorities=prio)  # its variables include a and b
+    if use_nested:
+        psi = nested
+    elif prio and rng.random() < 0.5:
         psi = fm.parity_formula(g.priorities)
     else:
         _, psi = random_formula(rng, g.vars)
     direct, dual = FixpointStats(), FixpointStats()
     want = eval_energy(g, c, psi, stats=direct)
     assert neg(eval_energy(g, c, fm.negate(psi), stats=dual)) == want
-    assert (dual.fixpoints, dual.caps, dual.cuts) == (
-        direct.fixpoints, direct.caps, direct.cuts)
+    assert (dual.fixpoints, dual.caps, dual.cuts, dual.hoisted) == (
+        direct.fixpoints, direct.caps, direct.cuts, direct.hoisted)
 
 
 def test_crosscheck_parity_g1(g1, fixtures_dir):
