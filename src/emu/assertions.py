@@ -102,14 +102,14 @@ def _tokens(text, start, error):
 class _Cursor:
     """A recursive-descent parser's place in the tokens of ``text[start:]``.
 
-    A subclass defines one language: its syntax error class ``error``, the
-    frames ``link`` its tree walks take per node, and its grammar levels,
-    ``expression`` the outermost.  ``depth`` is the frames charged for what
-    is open around the current token, ``peak`` the most in the current operand.
+    A subclass defines one language: its syntax error class ``error`` and
+    its grammar levels, ``expression`` the outermost.  ``depth`` is the
+    frames charged for what is open around the current token, ``peak`` the
+    most in the current operand.  The tree walks of both languages take one
+    frame per node.
     """
 
     error = AssertionSyntaxError
-    link = 1
 
     def __init__(self, text, start=0, depth=0):
         self.text = text
@@ -145,8 +145,8 @@ class _Cursor:
     def chain(self, operand, ops):
         """``operand (op operand)*``; ``ops`` maps each operator to its
         precedence (higher binds tighter), its node class and whether it is
-        right-associative.  A node is charged ``link`` frames over the deeper
-        of its operands."""
+        right-associative.  A node is charged one frame over the deeper of
+        its operands."""
         base = self.depth
         trees, pending = [], []  # (tree, peak) pairs; (precedence, node, position)
         while True:
@@ -156,7 +156,7 @@ class _Cursor:
             while pending and pending[-1][0] >= precedence + right:
                 _, op, at = pending.pop()
                 (b, b_peak), (a, a_peak) = trees.pop(), trees.pop()
-                trees.append((op(a, b), max(a_peak, b_peak) + self.link))
+                trees.append((op(a, b), max(a_peak, b_peak) + 1))
                 self._charge(trees[-1][1], at)
             if node is None:
                 self.depth, self.peak = base, trees[0][1]
@@ -176,7 +176,7 @@ class _AssertionParser(_Cursor):
 
     def unary(self):
         if self.kind == "!":
-            self.open(self.link)
+            self.open(1)
             return Not(self.unary())
         return self.atom()
 

@@ -19,7 +19,7 @@ atom.  Bound variables are renamed apart during parsing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import assertions as asr
@@ -108,7 +108,6 @@ _BINARY = {"|": (1, Or, False), "&": (2, And, False)}  # as assertions._BINARY
 
 class _FormulaParser(asr._Cursor):
     error = FormulaSyntaxError
-    link = 2  # the tree walks below take up to two frames per node
 
     def expression(self):
         return self.chain(self.unary, _BINARY)
@@ -116,7 +115,7 @@ class _FormulaParser(asr._Cursor):
     def unary(self):
         kind = self.kind
         if kind in _PREFIX:
-            self.open(self.link)
+            self.open(1)
             sub = self.unary()
             if kind == "!" and isinstance(sub, (Atom, NegAtom)):
                 return _DUAL[type(sub)](sub.assertion)
@@ -167,26 +166,30 @@ def _is_relvar(name):
 def _rename_apart(f: Formula) -> Formula:
     """Give every binder a fresh variable so each is bound exactly once."""
     used = {n.name for n in _subformulas(f) if isinstance(n, (Mu, Nu, RelVar))}
+    seen = free_variables(f)  # so no binder reuses a free variable's name
 
-    def fresh(base):  # base is in use: it names a binder of f
-        k = 1
-        while f"{base}{k}" in used:
-            k += 1
-        used.add(f"{base}{k}")
-        return f"{base}{k}"
-
-    def walk(node, env, bound_seen):
-        if isinstance(node, RelVar):
+    def walk(node, env):
+        kind = type(node)
+        if kind is RelVar:
             return RelVar(env.get(node.name, node.name))
-        if isinstance(node, (Mu, Nu)):
-            if node.name in bound_seen:
-                env = {**env, node.name: fresh(node.name)}
-                node = replace(node, name=env[node.name])
-            bound_seen.add(node.name)
-        return _rebuild(node, [walk(c, env, bound_seen) for c in _children(node)])
+        if kind is And or kind is Or:
+            return kind(walk(node.left, env), walk(node.right, env))
+        if kind is Mu or kind is Nu:
+            name = node.name
+            if name in seen:  # bound before or free: take the first unused name{k}
+                k = 1
+                while f"{name}{k}" in used:
+                    k += 1
+                name = f"{name}{k}"
+                used.add(name)
+                env = {**env, node.name: name}
+            seen.add(name)
+            return kind(name, walk(node.sub, env))
+        if kind is Atom or kind is NegAtom:
+            return node
+        return kind(walk(node.sub, env))  # Not, Diamond, Box
 
-    # Seed with the free variables so no binder reuses their names.
-    return walk(f, {}, set(free_variables(f)))
+    return walk(f, {})
 
 
 def parse_formula(text: str) -> Formula:
@@ -253,17 +256,6 @@ def _children(f):
     return ()
 
 
-def _rebuild(node, children, kind=None):
-    """``node`` with ``children`` as its subformulas, as a ``kind`` node if given;
-    ``kind`` must have the fields of ``node``'s class, as each pair in ``_DUAL``."""
-    kind = kind or type(node)
-    if isinstance(node, (Mu, Nu)):
-        return kind(node.name, *children)
-    if isinstance(node, (Atom, NegAtom)):
-        return kind(node.assertion)
-    return kind(*children) if children else node
-
-
 def _subformulas(f):
     """f and every node below it, in preorder."""
     stack = [f]
@@ -296,11 +288,6 @@ def classify_fragment(f: Formula) -> str:
     return "env" if Box in kinds else "both"
 
 
-def length(f: Formula) -> int:
-    """AST node count."""
-    return sum(1 for _ in _subformulas(f))
-
-
 def alternation_depth(f: Formula) -> int:
     """Number of blocks in the longest chain of interdependent alternating
     fixpoints (0 without fixpoints, 1 without genuine alternation).
@@ -316,7 +303,8 @@ def alternation_depth(f: Formula) -> int:
 
     # One bottom-up pass.  Per node: the largest depth of a binder in it, and
     # per (binder class, variable) that of a binder of that class in it with
-    # the variable free, which a dual binder of that variable above extends.
+    # the variable free, which a dual binder of that variable above extends
+    # and any binder of that variable ends; (RelVar, variable) marks it free.
     deepest, uses = {}, {}
     for node in reversed(list(_subformulas(f))):
         kids = [id(c) for c in _children(node)]
@@ -324,10 +312,13 @@ def alternation_depth(f: Formula) -> int:
         for k in kids:
             for key, d in uses[k].items():
                 best[key] = max(best.get(key, 0), d)
-        if isinstance(node, (Mu, Nu)):
+        if isinstance(node, RelVar):
+            best[RelVar, node.name] = 0
+        elif isinstance(node, (Mu, Nu)):
             dual = Nu if isinstance(node, Mu) else Mu
             top = max(1, top, best.get((dual, node.name), 0) + 1)
-            for name in free_variables(node):
+            best = {key: d for key, d in best.items() if key[1] != node.name}
+            for _, name in list(best):  # the variables free in node
                 best[type(node), name] = max(best.get((type(node), name), 0), top)
         deepest[id(node)], uses[id(node)] = top, best
     return deepest[id(f)]
@@ -335,7 +326,7 @@ def alternation_depth(f: Formula) -> int:
 
 @dataclass(frozen=True)
 class FormulaMetrics:
-    length: int
+    length: int  # AST node count
     alternation_depth: int
     closed: bool
     fragment: str
@@ -343,7 +334,7 @@ class FormulaMetrics:
 
 def metrics(f: Formula) -> FormulaMetrics:
     return FormulaMetrics(
-        length=length(f),
+        length=sum(1 for _ in _subformulas(f)),
         alternation_depth=alternation_depth(f),
         closed=is_closed(f),
         fragment=classify_fragment(f),
@@ -411,14 +402,21 @@ _DUAL = {a: b for pair in ((And, Or), (Diamond, Box), (Mu, Nu), (Atom, NegAtom))
 
 
 def _push(node, negating, flipped):
-    if isinstance(node, Not):
+    kind = type(node)
+    if kind is Not:
         return _push(node.sub, not negating, flipped)
-    if isinstance(node, RelVar):
+    if kind is RelVar:
         return Not(node) if negating != (node.name in flipped) else node
-    if isinstance(node, (Mu, Nu)):
+    out = _DUAL[kind] if negating else kind
+    if kind is Atom or kind is NegAtom:
+        return out(node.assertion)
+    if kind is And or kind is Or:
+        return out(_push(node.left, negating, flipped),
+                   _push(node.right, negating, flipped))
+    if kind is Mu or kind is Nu:
         flipped = flipped | {node.name} if negating else flipped - {node.name}
-    children = [_push(c, negating, flipped) for c in _children(node)]
-    return _rebuild(node, children, _DUAL[type(node)] if negating else None)
+        return out(node.name, _push(node.sub, negating, flipped))
+    return out(_push(node.sub, negating, flipped))  # Diamond, Box
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +478,8 @@ def is_buchi_shape(f: Formula) -> Optional[asr.Assertion]:
             and isinstance(f.sub.sub.left, And)):
         return None
     j = f.sub.sub.left.left
-    if isinstance(j, Atom) and f == _buchi(j, f.name, f.sub.name):
+    if (isinstance(j, Atom) and f.name != f.sub.name
+            and f == _buchi(j, f.name, f.sub.name)):
         return j.assertion
     return None
 

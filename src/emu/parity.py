@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import tables
-from .energy import INF, LIMIT
+from .energy import INF, LIMIT, _check_bound
 from .errors import ConsistencyError, EmuError, StateCapError, WeightDomainError
 from .game import WeightedGameStructure
 
@@ -145,8 +145,7 @@ def unfold_with_bound(g: EnergyParityGame, c: int) -> ParityGame:
     the solver's bool masks.  On random games of 4e4-1e6 unfolded edges the
     peak that ``tracemalloc`` saw was at most 0.82 of this estimate.
     """
-    if c < 0:
-        raise ValueError("the bound must be a natural number")
+    _check_bound(c)
     c, n, E = int(c), g.n_states, len(g.src)
     span = c + 2
     need, free = 72 * E * (c + 1) + 64 * n * span, tables._available_memory()

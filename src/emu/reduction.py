@@ -17,7 +17,7 @@ import numpy as np
 
 from . import formulas as fm
 from .classical import eval_classical
-from .energy import INF, EnergyFunction
+from .energy import INF, EnergyFunction, _check_bound
 from .errors import ConsistencyError, FragmentError
 from .game import VariableSet, WeightedGameStructure
 from .tables import DEAD, GameTables, check_memory, row_positions
@@ -62,8 +62,7 @@ def _credit_names(existing, k):
 
 def reduce_game(game: WeightedGameStructure, c: int) -> ReducedGame:
     """Encode the bound-c energy objective into the transition relation."""
-    if c < 0:
-        raise ValueError("the bound must be a natural number")
+    _check_bound(c)
     # ceil(log2(c+1)) bits encode [0, c]; a bound of 0 still gets one bit.
     k = max(1, int(c).bit_length())
     n = len(game.vars.names)

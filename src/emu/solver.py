@@ -102,7 +102,7 @@ def solve(req: SolveRequest) -> SolveReport:
     if not fm.is_closed(req.formula):
         raise FragmentError("the solver needs a closed formula")
     breakdown = compute_bound(req.game, req.formula)
-    unbounded = req.bound == math.inf or req.bound == "inf"
+    unbounded = req.bound == math.inf
     c = breakdown.bound if unbounded else req.bound
     credits = eval_energy(req.game, c, req.formula)
     w_sys, w_env = winning_regions(req.game, c, req.formula)

@@ -94,9 +94,8 @@ def test_syntax_error_positions(text, language, error, position):
 
 
 M = asr.MAX_NESTING
-# (language, text with n units, the most units within MAX_NESTING).  An
-# assertion is charged 1 frame per operator and 4 per parenthesis; a formula
-# 2 per operator and 4 per parenthesis or binder.
+# (language, text with n units, the most units within MAX_NESTING).  Both
+# languages charge 1 frame per operator and 4 per parenthesis or binder.
 _DEEP = {
     "a-and-chain": ("assertion", lambda n: " & ".join(["x"] * (n + 1)), M),
     "a-dnf": ("assertion", lambda n: " | ".join(["x & y"] * n), M),
@@ -106,9 +105,9 @@ _DEEP = {
                         M - 1),
     "a-equivalences": ("assertion", lambda n: "x <-> " * n + "x", M),
     "a-negations": ("assertion", lambda n: "!" * n + "x", M),
-    "f-diamonds": ("formula", lambda n: "nu X . " + "<>" * n + "X", (M - 4) // 2),
+    "f-diamonds": ("formula", lambda n: "nu X . " + "<>" * n + "X", M - 4),
     "f-and-chain": ("formula", lambda n: "nu X . " + " & ".join(["<>X"] * (n + 1)),
-                    (M - 6) // 2),
+                    M - 5),
     "f-parens": ("formula", lambda n: "nu X . " + "(" * n + "<><>X" + ")" * n,
                  (M - 8) // 4),
     "f-binders": ("formula", lambda n: "nu X . "
@@ -116,7 +115,7 @@ _DEEP = {
     "f-escaped-parens": ("formula", lambda n: 'mu X . (@"' + "(" * n + "y" + ")" * n
                          + '" | <>X)', (M - 10) // 4),
     "f-escaped-and-chain": ("formula", lambda n: 'mu X . (@"'
-                            + " & ".join(["y"] * (n + 1)) + '" | <>X)', M - 10),
+                            + " & ".join(["y"] * (n + 1)) + '" | <>X)', M - 9),
 }
 
 

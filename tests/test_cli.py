@@ -330,7 +330,7 @@ def _nested_solve_argv(shape, over, g1_path, tmp_path):
         n = (M - 8) // 4 + over
         formula = "nu X . " + "(" * n + "<><>X" + ")" * n
     elif shape == "diamonds":
-        formula = "nu X . " + "<>" * ((M - 4) // 2 + over) + "X"
+        formula = "nu X . " + "<>" * (M - 4 + over) + "X"
     else:  # an escaped assertion
         n = (M - 10) // 4 + over
         formula = 'mu X . (@"' + "(" * n + "y" + ")" * n + '" | <>X)'
@@ -371,8 +371,8 @@ def test_long_input_still_solves(rho_s, formula, g1_path, tmp_path, capsys):
 @pytest.mark.parametrize("rho_s, formula", [
     (" & ".join(["true"] * 1500), None),
     (None, "(" * 2000 + "nu X . <>X" + ")" * 2000),
-    (None, "nu X . " + "<>" * 500 + "X"),
-], ids=["rho_s-1500-clauses", "formula-2000-parens", "formula-500-diamonds"])
+    (None, "nu X . " + "<>" * 1000 + "X"),
+], ids=["rho_s-1500-clauses", "formula-2000-parens", "formula-1000-diamonds"])
 def test_deep_input_exits_2_without_a_traceback(rho_s, formula, g1_path, tmp_path,
                                                  capsys):
     doc = json.loads(open(g1_path).read())

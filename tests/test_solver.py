@@ -13,15 +13,20 @@ from emu import (
     compute_bound,
     crosscheck_parity,
     eval_energy,
+    from_parity_wgs,
     load_priorities,
     neg,
+    reduce_game,
     solve,
+    solve_energy_parity,
+    unfold_with_bound,
     winning_regions,
 )
+from emu import assertions as asr
 from emu import formulas as fm
 from emu.errors import EmuError, FragmentError, InvalidCreditError
 from emu.randgen import random_formula, random_wgs
-from oracles import nested_formulas
+from oracles import nested_formulas, random_nested_formula
 
 
 def test_sufficient_bound_variants(g1, fixtures_dir):
@@ -33,6 +38,34 @@ def test_sufficient_bound_variants(g1, fixtures_dir):
     bb = compute_bound(g1, fm.builtin("safety"))
     assert (bb.n_states, bb.max_abs_weight, bb.formula_length,
             bb.alternation_depth, bb.variant) == (4, 1, 3, 1, "general")
+
+
+def _shadowed_buchi():
+    """nu Z . mu Z . ((y & <>Z) | <>Z): both steps read the inner Z."""
+    step = fm.Diamond(fm.RelVar("Z"))
+    return fm.Nu("Z", fm.Mu("Z", fm.Or(fm.And(fm.Atom(asr.Var("y")), step), step)))
+
+
+@pytest.mark.parametrize("f", [
+    _shadowed_buchi(),
+    fm.Mu("X", fm.Nu("X", fm.Nu("W", fm.Diamond(fm.RelVar("X"))))),
+], ids=["shadowed-buchi", "shadowed-mu-nu"])
+def test_shadowed_binders_analyse_as_their_reparse(g1, f):
+    # Parsing renames binders apart; a tree built by hand may reuse a name,
+    # and must get the same metrics and bound as its renamed reparse.
+    again = fm.parse_formula(fm.formula_to_str(f))
+    assert again != f
+    assert fm.metrics(f) == fm.metrics(again)
+    assert compute_bound(g1, f) == compute_bound(g1, again)
+    assert compute_bound(g1, f).variant == "general"
+
+
+def test_metrics_of_a_shadowing_tree_are_those_of_its_reparse():
+    # random_nested_formula reuses the names X, Y and Z, so inner binders
+    # shadow outer ones
+    for seed in range(500):
+        f = random_nested_formula(random.Random(seed))
+        assert fm.metrics(f) == fm.metrics(fm.parse_formula(fm.formula_to_str(f))), seed
 
 
 def test_bound_clamped_to_max_weight():
@@ -78,6 +111,17 @@ def test_solve_rejects_open_formula(g1):
 def test_solve_rejects_a_bound_that_is_not_a_natural_number(g1, bound):
     with pytest.raises(InvalidCreditError):
         solve(SolveRequest(game=g1, formula=fm.builtin("safety"), bound=bound))
+
+
+@pytest.mark.parametrize("bound", [-1, True, 2.5])
+def test_oracles_reject_a_bound_that_is_not_a_natural_number(g1, fixtures_dir, bound):
+    with_prio = dataclasses.replace(
+        g1, priorities=load_priorities(fixtures_dir / "g1_buchi.prio"))
+    explicit = from_parity_wgs(with_prio)
+    for oracle, game in [(reduce_game, g1), (unfold_with_bound, explicit),
+                         (solve_energy_parity, explicit)]:
+        with pytest.raises(InvalidCreditError):
+            oracle(game, bound)
 
 
 def test_winning_regions_partition(g1):
