@@ -31,13 +31,15 @@ class FixpointStats:
     # (applications, cap) per fixpoint; stabilization happened at
     # applications - 1 strict changes, which must stay <= cap.
     caps: list[tuple[int, int]] = field(default_factory=list)
-    cuts: int = 0  # fixpoint evaluations whose iterates the lattice's cut changed
+    cuts: int = 0  # fixpoint evaluations whose iterates a cut changed
+    root_cuts: int = 0  # those of them cut by the lattice's ``root_cut``
     hoisted: int = 0  # evaluations of loop-invariant subterms before a loop
 
-    def record(self, iterations, cap, cut=False):
+    def record(self, iterations, cap, cut=False, root=False):
         self.fixpoints += 1
         self.caps.append((iterations, cap))
         self.cuts += cut
+        self.root_cuts += cut and root
 
     def within_caps(self) -> bool:
         return all(apps - 1 <= cap for apps, cap in self.caps)
@@ -60,6 +62,9 @@ class Lattice:
     fixpoint's value under that environment; the cut chain then ends
     exactly at that value.  ``cut`` is called once per node and evaluation,
     its function once per evaluation of the node.
+
+    ``root_cut``, if given, is such a map for the formula's outermost
+    fixpoint, applied to its iterates where ``cut`` gives none.
     """
 
     atom: Callable[[np.ndarray], Any]
@@ -74,6 +79,7 @@ class Lattice:
     eq: Callable[[Any, Any], bool]
     height: int
     cut: Callable[[Any], Callable | None] | None = None
+    root_cut: Callable | None = None
 
 
 _ATOMS = {fm.Atom, fm.NegAtom}
@@ -193,8 +199,9 @@ def evaluate(lat: Lattice, tables, f: fm.Formula, valuation=None,
     Before a fixpoint's loop starts, the subterms of its body that no
     iteration can change are evaluated once (``_hoist``), and the loop reads
     their values as variables.  Where ``lat.cut`` gives the fixpoint, with
-    those values, a cut, each new iterate is cut before the monotonicity
-    check.
+    those values, a cut, or else the fixpoint is the root and
+    ``lat.root_cut`` is given, each new iterate is cut before the
+    monotonicity check.
     """
     f, hoists = _hoist(f)
     atoms = {}  # id(node) -> element, so fixpoint iterations reuse each atom
@@ -240,6 +247,9 @@ def evaluate(lat: Lattice, tables, f: fm.Formula, valuation=None,
             if key not in cuts:
                 cuts[key] = lat.cut(node) if lat.cut else None
             cut = cuts[key](env) if cuts[key] else None
+            at_root = cut is None and node is f and lat.root_cut is not None
+            if at_root:
+                cut = lat.root_cut
             current = lat.bottom if ascending else lat.top
             iterations, was_cut = 0, False
             while True:
@@ -265,7 +275,7 @@ def evaluate(lat: Lattice, tables, f: fm.Formula, valuation=None,
                     break
                 current = new
             if stats is not None:
-                stats.record(iterations, lat.height, was_cut)
+                stats.record(iterations, lat.height, was_cut, at_root)
             return current
         raise TypeError(f"not a formula node: {node!r}")
 

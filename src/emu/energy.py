@@ -185,6 +185,17 @@ def _two_valued(f: EnergyFunction) -> bool:
     return bool(((v == 0) | (v == INF)).all())
 
 
+def _cap_maps(c: int, cap: int):
+    """The cuts at cap of a greatest fixpoint and of its mirror: (values
+    above cap to INF, values up to c-cap to 0)."""
+    def down(f):
+        return EnergyFunction._of(c, np.where(f.values > cap, INF, f.values))
+
+    def up(f):
+        return EnergyFunction._of(c, np.where(f.values <= c - cap, 0, f.values))
+    return down, up
+
+
 def _credit_cap_cut(c: int, cap: int):
     """The ``Lattice.cut`` of the energy semantics at bound c, for
     cap = (N-1)K < c on N states with weights up to K in absolute value.
@@ -234,11 +245,7 @@ def _credit_cap_cut(c: int, cap: int):
        it swaps 0 and INF, so the mirror's free variables pass step 0
        exactly when the safety ones do.
     """
-    def down(f):
-        return EnergyFunction._of(c, np.where(f.values > cap, INF, f.values))
-
-    def up(f):
-        return EnergyFunction._of(c, np.where(f.values <= c - cap, 0, f.values))
+    down, up = _cap_maps(c, cap)
 
     def cut(node):
         free = fm.free_variables(node)
@@ -252,7 +259,8 @@ def _credit_cap_cut(c: int, cap: int):
 
 
 def eval_energy(game, c: int, f: fm.Formula, valuation=None,
-                stats: FixpointStats | None = None) -> EnergyFunction:
+                stats: FixpointStats | None = None,
+                root_cap: int | None = None) -> EnergyFunction:
     """The energy function denoted by ``f`` at bound ``c``.
 
     Atoms map to 0 where they hold and INF elsewhere; disjunction is join,
@@ -268,9 +276,18 @@ def eval_energy(game, c: int, f: fm.Formula, valuation=None,
     values 0 and INF.  So ``safety`` on a 2-variable game whose moves all
     weigh -1 ends after cap+2 = 5 iterations at any c > 3, and so does the
     inner nu of ``cobuchi`` or of a two-priority parity formula while the
-    outer mu's variable is still INF.  Other fixpoints still climb with c,
-    so a large c is slow there: ``buchi`` on that game runs 4c+3
-    iterations, 23 s at c = 10^5 on a 2-core Xeon.
+    outer mu's variable is still INF.
+
+    ``root_cap``, if given, must bound the finite values of ``f`` where its
+    outermost binder is nu, and those of ``negate(f)`` where it is mu.  That
+    binder's iterates are then cut at it as above wherever no cut of its own
+    applies: values above it become INF, or, under mu, values up to
+    c - root_cap become 0.  ``solver.solve`` passes the expansion cap
+    (N'-1)K of the Buchi and parity formulas at a bound at or above their
+    sufficient one, where ``solver._root_cap`` proves it.  On the game
+    above, ``buchi`` and ``dual-buchi`` then end after 34 applications at
+    any such bound, 2^60 included; uncut, ``buchi`` runs 4c+3.  Other
+    fixpoints still climb with c, so a large c is slow there.
     """
     _check_bound(c)
     c = int(c)
@@ -295,5 +312,7 @@ def eval_energy(game, c: int, f: fm.Formula, valuation=None,
         eq=operator.eq,
         height=n * (c + 1),
         cut=_credit_cap_cut(c, cap) if cap < c else None,
+        root_cut=(_cap_maps(c, root_cap)[isinstance(f, fm.Mu)]
+                  if root_cap is not None and root_cap < c else None),
     )
     return evaluate(lat, t, f, valuation, stats)

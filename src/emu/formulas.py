@@ -280,12 +280,15 @@ def is_closed(f: Formula) -> bool:
     return not free_variables(f)
 
 
-def classify_fragment(f: Formula) -> str:
-    """One of 'sys', 'env', 'both', 'mixed' by which modal operators occur."""
-    kinds = {type(n) for n in _subformulas(f)}
+def _fragment(kinds) -> str:
     if Diamond in kinds:
         return "mixed" if Box in kinds else "sys"
     return "env" if Box in kinds else "both"
+
+
+def classify_fragment(f: Formula) -> str:
+    """One of 'sys', 'env', 'both', 'mixed' by which modal operators occur."""
+    return _fragment({type(n) for n in _subformulas(f)})
 
 
 def alternation_depth(f: Formula) -> int:
@@ -300,28 +303,7 @@ def alternation_depth(f: Formula) -> int:
         mu A . nu B . mu C . ...                  -> 3 when each depends on
                                                      the variable above it
     """
-
-    # One bottom-up pass.  Per node: the largest depth of a binder in it, and
-    # per (binder class, variable) that of a binder of that class in it with
-    # the variable free, which a dual binder of that variable above extends
-    # and any binder of that variable ends; (RelVar, variable) marks it free.
-    deepest, uses = {}, {}
-    for node in reversed(list(_subformulas(f))):
-        kids = [id(c) for c in _children(node)]
-        top, best = max((deepest[k] for k in kids), default=0), {}
-        for k in kids:
-            for key, d in uses[k].items():
-                best[key] = max(best.get(key, 0), d)
-        if isinstance(node, RelVar):
-            best[RelVar, node.name] = 0
-        elif isinstance(node, (Mu, Nu)):
-            dual = Nu if isinstance(node, Mu) else Mu
-            top = max(1, top, best.get((dual, node.name), 0) + 1)
-            best = {key: d for key, d in best.items() if key[1] != node.name}
-            for _, name in list(best):  # the variables free in node
-                best[type(node), name] = max(best.get((type(node), name), 0), top)
-        deepest[id(node)], uses[id(node)] = top, best
-    return deepest[id(f)]
+    return metrics(f).alternation_depth
 
 
 @dataclass(frozen=True)
@@ -333,12 +315,46 @@ class FormulaMetrics:
 
 
 def metrics(f: Formula) -> FormulaMetrics:
-    return FormulaMetrics(
-        length=sum(1 for _ in _subformulas(f)),
-        alternation_depth=alternation_depth(f),
-        closed=is_closed(f),
-        fragment=classify_fragment(f),
-    )
+    """Node count, alternation depth, closedness and fragment of f, from
+    one bottom-up walk."""
+    # Per node: the largest depth of a binder in it, and per (binder class,
+    # variable) that of a binder of that class in it with the variable free,
+    # which a dual binder of that variable above extends and any binder of
+    # that variable ends; (RelVar, variable) marks it free.  So the
+    # variables named in the root's keys are the free ones.  A node shares
+    # its child's dict where it adds nothing, and never writes one it shares.
+    info, kinds = {}, set()  # id(node) -> (depth, uses)
+    nodes = list(_subformulas(f))
+    for node in reversed(nodes):
+        kind = type(node)
+        kinds.add(kind)
+        if kind is RelVar:
+            info[id(node)] = 0, {(RelVar, node.name): 0}
+            continue
+        if kind is Atom or kind is NegAtom:
+            info[id(node)] = 0, {}
+            continue
+        if kind is And or kind is Or:
+            (top, best), (right, ru) = info[id(node.left)], info[id(node.right)]
+            top = max(top, right)
+            if not best:
+                best = ru
+            elif ru:
+                best = dict(best)
+                for key, d in ru.items():
+                    best[key] = max(best.get(key, 0), d)
+        else:
+            top, best = info[id(node.sub)]
+        if kind is Mu or kind is Nu:
+            dual = Nu if kind is Mu else Mu
+            top = max(1, top, best.get((dual, node.name), 0) + 1)
+            best = {key: d for key, d in best.items() if key[1] != node.name}
+            for _, name in list(best):  # the variables free in node
+                best[kind, name] = max(best.get((kind, name), 0), top)
+        info[id(node)] = top, best
+    top, best = info[id(f)]
+    return FormulaMetrics(length=len(nodes), alternation_depth=top,
+                          closed=not best, fragment=_fragment(kinds))
 
 
 @dataclass(frozen=True)

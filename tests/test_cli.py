@@ -124,6 +124,24 @@ def test_solve_at_a_finite_bound_with_a_huge_sufficient_bound(g1_path, tmp_path,
     assert "error:" in capsys.readouterr().err
 
 
+def test_buchi_at_the_largest_bound_ends(tmp_path, capsys):
+    # every move loses 1, so no credit wins; the outermost nu of buchi is cut
+    # at (N'-1)K = 7, where uncut it would climb 4c+3 applications at c = 2^60
+    path = tmp_path / "lossy.game"
+    path.write_text(json.dumps({
+        "vars": ["a", "b"], "inputs": [], "rho_e": "true", "rho_s": "true",
+        "weights": [{"guard": "true", "weight": -1}], "formula": "nu X . <>X"}))
+    start = time.perf_counter()
+    code = run(["solve", str(path), "--bound", "1152921504606846976",
+                "--builtin", "buchi", "--param", "J=b", "--format", "json"])
+    assert time.perf_counter() - start < 5
+    assert code == 1
+    doc = json.loads(capsys.readouterr().out)
+    bound, credits, w_sys, w_env = solve_report_from_json(doc)
+    assert bound == 1 << 60 and not w_sys.any() and w_env.all()
+    assert not credits.is_finite().any()
+
+
 def test_check_clean(tmp_path, capsys):
     code = run(["check", "--seed", "7", "--cases", "12", "--max-vars", "3",
                 "--dump-dir", str(tmp_path)])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -10,6 +11,7 @@ from emu import (
     LIMIT,
     EnergyFunction,
     FixpointStats,
+    PriorityRule,
     VariableSet,
     WeightRule,
     WeightedGameStructure,
@@ -342,8 +344,9 @@ _LOSSY = _game(("a", "b"), [("true", -1)])  # N = 4, K = 1, cap 3
 
 
 def _uncut(g, c, node):
-    """The fixpoint ``node`` by iterating its body to stability; the body has
-    no fixpoint, so nothing is cut.  Returns (value, applications)."""
+    """The fixpoint ``node`` by iterating its body to stability outside the
+    engine, so no cut of ``node`` itself applies.  Returns (value,
+    applications)."""
     n = g.n_states
     current = (EnergyFunction.top(c, n) if isinstance(node, fm.Nu)
                else EnergyFunction.bottom(c, n))
@@ -453,6 +456,132 @@ def test_lossy_cobuchi_and_parity_at_the_largest_bound(f):
 
 
 # ---------------------------------------------------------------------------
+# the cut of the outermost nu of the Buchi and parity formulas
+
+def _root_games():
+    """Seeded (kind, game, formula) triples: Buchi, dual-Buchi, and parity
+    with the least priority even and odd, on 4 states where every move is
+    allowed and weights lean negative, so many iterates climb."""
+    from emu.randgen import random_assertion, random_priorities
+
+    kinds = ("buchi", "dual-buchi", "parity-even", "parity-odd")
+    names = ("a", "b")
+    for seed in range(40):
+        rng = random.Random(seed)
+        kind = kinds[seed % 4]
+        vs = VariableSet(names, frozenset(rng.sample(names, rng.randint(0, 1))))
+        weights = [(random_assertion(rng, names, names, depth=1), rng.randint(-2, 1))
+                   for _ in range(rng.randint(0, 2))]
+        weights.append((asr.TRUE, rng.randint(-2, 1)))
+        g = WeightedGameStructure(vars=vs, rho_e=asr.TRUE, rho_s=asr.TRUE,
+                                  weights=tuple(WeightRule(*w) for w in weights))
+        if kind.startswith("parity"):
+            prios = random_priorities(rng, vs, 2)
+            shift = (min(r.priority for r in prios) % 2) ^ (kind == "parity-odd")
+            g = dataclasses.replace(g, priorities=tuple(
+                PriorityRule(r.guard, r.priority + shift) for r in prios))
+            yield kind, g, fm.parity_formula(g.priorities)
+        else:
+            yield kind, g, fm.builtin(kind, J=random_assertion(rng, names, (), depth=1))
+
+
+def _ladder(k):
+    """Outputs a, b, c: state i moves only to i+1, losing k, and state 7, the
+    Buchi target and priority 0, loops at weight 0.  State 0 needs credit
+    7k = (N-1)K, so a cap below that changes its value."""
+    names = ("a", "b", "c")
+
+    def minterm(i, prime=""):
+        return " & ".join(("" if i >> j & 1 else "!") + v + prime
+                          for j, v in enumerate(names))
+
+    moves = [(i, min(i + 1, 7)) for i in range(8)]
+    rho_s = " | ".join(f"({minterm(i)} & {minterm(j, chr(39))})" for i, j in moves)
+    top = parse_assertion(minterm(7))
+    g = WeightedGameStructure(
+        vars=VariableSet(names, frozenset()), rho_e=asr.TRUE,
+        rho_s=parse_assertion(rho_s),
+        weights=(WeightRule(parse_assertion(f"{minterm(7)} & {minterm(7, chr(39))}"), 0),
+                 WeightRule(asr.TRUE, -k)),
+        priorities=(PriorityRule(top, 0), PriorityRule(asr.Not(top), 1)))
+    yield "buchi", g, fm.builtin("buchi", J=top)
+    yield "dual-buchi", g, fm.builtin("dual-buchi", J=top)
+    yield "parity-even", g, fm.parity_formula(g.priorities)
+
+
+def test_root_cut_matches_the_uncut_fixpoint():
+    from emu import compute_bound, from_parity_wgs, solve_energy_parity
+    from emu.solver import _root_cap
+
+    fired = 0
+    for kind, g, f in (*_root_games(), *_ladder(2)):
+        nu_form = fm.negate(f) if kind == "dual-buchi" else f
+        b = compute_bound(g, nu_form).bound
+        n, nx, k = g.n_states, g.tables().n_inputs, g.max_abs_weight
+        for node in (f, fm.negate(f)):
+            for c in (b, b + 1, 2 * b, b - 1)[:4 if b else 3]:
+                cap = _root_cap(g, node, c)
+                expansion_cap = (n * (1 + nx) - 1) * k
+                if kind == "parity-odd" or c < b or expansion_cap >= c:
+                    assert cap is None
+                else:
+                    assert cap == expansion_cap
+                stats = FixpointStats()
+                got = eval_energy(g, c, node, stats=stats, root_cap=cap)
+                want, uncut_apps = _uncut(g, c, node)
+                assert got == want, (kind, c)
+                assert stats.caps[-1][0] <= uncut_apps
+                if cap is None:
+                    assert stats.root_cuts == 0
+                fired += stats.root_cuts
+            if kind.startswith("parity") and node is f:
+                explicit = solve_energy_parity(from_parity_wgs(g), b)[:n]
+                assert eval_energy(g, b, f, root_cap=_root_cap(g, f, b)).values.tolist() \
+                    == explicit.tolist()
+    assert fired >= 48
+    # the ladder's credit reaches (N-1)K = 14, so a smaller cap changes it
+    _, g, buchi = next(_ladder(2))
+    assert eval_energy(g, 284, buchi).values.tolist() == [14, 12, 10, 8, 6, 4, 2, 0]
+
+
+def test_no_root_cut_beyond_the_two_shapes():
+    # the formula whose credit exceeds (N'-1)K, and the lossy game's other
+    # formulas, get no root cap at any bound at or above their own
+    from emu import compute_bound
+    from emu.solver import _root_cap
+
+    g = _game(("y",), [("y'", -1), ("true", 0)])
+    f = fm.parse_formula("nu Z . ((<>(y & <>(y & <>(y & <>(y & <>y))))) & <>Z)")
+    for c in (214, 428, LIMIT):
+        assert _root_cap(g, f, c) is None
+    for f in (fm.builtin("safety"), fm.builtin("cobuchi", J="a"),
+              fm.builtin("reach", p="a")):
+        b = compute_bound(_LOSSY, f).bound
+        assert _root_cap(_LOSSY, f, b) is None
+        assert _root_cap(_LOSSY, fm.negate(f), b) is None
+
+
+@pytest.mark.parametrize("name, want", [("buchi", INF), ("dual-buchi", 0)])
+def test_lossy_buchi_solves_at_the_largest_bound(name, want, monkeypatch):
+    # uncut, buchi runs 4c+3 applications per evaluation on this game, as at
+    # c = 37, below the sufficient bound 38; with the root cut at cap
+    # (N'-1)K = 7 each of the three evaluations of a solve takes 34, at any
+    # bound at or above it
+    from emu import SolveRequest, solve, solver
+
+    f = fm.builtin(name, J="b")
+    evaluate, stats = solver.eval_energy, None
+    monkeypatch.setattr(solver, "eval_energy",
+                        lambda *a, **kw: evaluate(*a, stats=stats, **kw))
+    for c, apps, cuts in ((10**5, 34, 3), (1 << 60, 34, 3), (37, 4 * 37 + 3, 0)):
+        stats = FixpointStats()
+        report = solve(SolveRequest(_LOSSY, f, c))
+        assert report.min_credits == EnergyFunction.constant(c, 4, want)
+        assert sum(a for a, _ in stats.caps) == 3 * apps
+        assert stats.root_cuts == cuts
+
+
+# ---------------------------------------------------------------------------
 # the int64 credit encoding
 
 def _buchi_game(w):
@@ -513,8 +642,6 @@ def test_solve_at_the_limits(seed, prio, bound, data):
     cycle whose weights sum to a small negative number takes about c/|sum|
     fixpoint iterations to exceed the bound c, which does not finish there.
     """
-    import dataclasses
-
     from emu import (SolveRequest, from_parity_wgs, oracle_min_credit_sys, solve,
                      solve_energy_parity)
     from emu.errors import EmuError, StateCapError
