@@ -32,7 +32,7 @@ class FixpointStats:
     # applications - 1 strict changes, which must stay <= cap.
     caps: list[tuple[int, int]] = field(default_factory=list)
     cuts: int = 0  # fixpoint evaluations whose iterates a cut changed
-    root_cuts: int = 0  # those of them cut by the lattice's ``root_cut``
+    root_cuts: int = 0  # cut evaluations of the formula's outermost fixpoint
     hoisted: int = 0  # evaluations of loop-invariant subterms before a loop
 
     def record(self, iterations, cap, cut=False, root=False):
@@ -55,16 +55,14 @@ class Lattice:
     fixpoint chain.
 
     ``cut``, if given, maps a fixpoint node, as ``evaluate`` rewrites it,
-    to None or to a function of the environment the node is evaluated in.
+    and whether that node is the formula's root (outermost), to None or to
+    a function of the environment the node is evaluated in.
     That function gives None or a map applied to each iterate of that
     evaluation.  The map must be monotone, move no element above its
     argument in a greatest fixpoint (below it in a least one) and fix the
     fixpoint's value under that environment; the cut chain then ends
     exactly at that value.  ``cut`` is called once per node and evaluation,
     its function once per evaluation of the node.
-
-    ``root_cut``, if given, is such a map for the formula's outermost
-    fixpoint, applied to its iterates where ``cut`` gives none.
     """
 
     atom: Callable[[np.ndarray], Any]
@@ -78,8 +76,7 @@ class Lattice:
     leq: Callable[[Any, Any], bool]
     eq: Callable[[Any, Any], bool]
     height: int
-    cut: Callable[[Any], Callable | None] | None = None
-    root_cut: Callable | None = None
+    cut: Callable[[Any, bool], Callable | None] | None = None
 
 
 _ATOMS = {fm.Atom, fm.NegAtom}
@@ -199,9 +196,8 @@ def evaluate(lat: Lattice, tables, f: fm.Formula, valuation=None,
     Before a fixpoint's loop starts, the subterms of its body that no
     iteration can change are evaluated once (``_hoist``), and the loop reads
     their values as variables.  Where ``lat.cut`` gives the fixpoint, with
-    those values, a cut, or else the fixpoint is the root and
-    ``lat.root_cut`` is given, each new iterate is cut before the
-    monotonicity check.
+    those values, a cut, each new iterate is cut before the monotonicity
+    check.
     """
     f, hoists = _hoist(f)
     atoms = {}  # id(node) -> element, so fixpoint iterations reuse each atom
@@ -245,11 +241,8 @@ def evaluate(lat: Lattice, tables, f: fm.Formula, valuation=None,
                 if stats is not None:
                     stats.hoisted += len(hoisted)
             if key not in cuts:
-                cuts[key] = lat.cut(node) if lat.cut else None
+                cuts[key] = lat.cut(node, node is f) if lat.cut else None
             cut = cuts[key](env) if cuts[key] else None
-            at_root = cut is None and node is f and lat.root_cut is not None
-            if at_root:
-                cut = lat.root_cut
             current = lat.bottom if ascending else lat.top
             iterations, was_cut = 0, False
             while True:
@@ -275,7 +268,7 @@ def evaluate(lat: Lattice, tables, f: fm.Formula, valuation=None,
                     break
                 current = new
             if stats is not None:
-                stats.record(iterations, lat.height, was_cut, at_root)
+                stats.record(iterations, lat.height, was_cut, node is f)
             return current
         raise TypeError(f"not a formula node: {node!r}")
 

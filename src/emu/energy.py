@@ -185,73 +185,151 @@ def _two_valued(f: EnergyFunction) -> bool:
     return bool(((v == 0) | (v == INF)).all())
 
 
-def _cap_maps(c: int, cap: int):
-    """The cuts at cap of a greatest fixpoint and of its mirror: (values
-    above cap to INF, values up to c-cap to 0)."""
+def _root_proven(game, f: fm.Formula, c: int) -> bool:
+    """Whether premise (R) of ``_credit_cap_cut`` holds for the outermost
+    fixpoint of ``f`` at bound c: ``f`` or ``negate(f)`` is P, the stock
+    Buchi formula (``formulas.is_buchi_shape``) or the parity formula of the
+    game's priorities, with nu outermost, and c >= d(N^2+N-1)K, where d is 2
+    for Buchi and the priority count for parity.  That is
+    ``solver.compute_bound(game, P).bound``, except for Buchi on a game with
+    priorities, where ``compute_bound`` counts the game's priorities."""
+    n, k = game.n_states, game.max_abs_weight
+    per_priority = (n * n + n - 1) * k
+    if c < per_priority:  # below every such bound, as d >= 1
+        return False
+    root = fm.negate(f) if isinstance(f, fm.Mu) else f
+    if not isinstance(root, fm.Nu):
+        return False
+    if fm.is_buchi_shape(root) is not None:
+        d = 2
+    elif game.priorities is not None and root == fm.parity_formula(game.priorities):
+        d = len({r.priority for r in game.priorities})
+    else:
+        return False
+    return c >= d * per_priority
+
+
+def _credit_cap_cut(c: int, cap: int, root_proven: bool):
+    """The ``Lattice.cut`` of the energy semantics at bound c, for
+    cap = (N-1)K < c on N states with weights up to K in absolute value.
+
+    It cuts two kinds of fixpoint evaluation.  In ``nu X . psi`` values
+    above cap become INF, and in its mirror ``mu X . psi'`` values up to
+    c-cap become 0:
+
+    (S) a fixpoint that ``formulas.is_safety_shape`` accepts when its free
+        variables count as atoms, in each evaluation where every free
+        variable has a value in {0, INF} (psi over atoms, such variables,
+        ``&``, ``|`` and ``<>X``; psi' with ``[]X``);
+    (R) the formula's outermost fixpoint, where ``root_proven`` holds
+        (``_root_proven``): the formula or its negation is P, the stock
+        Buchi formula or the parity formula of the game's priorities, with
+        nu outermost, at c >= d(N^2+N-1)K.
+
+    Every other fixpoint evaluation is left alone.
+
+    The game G below is ``parity.from_parity_wgs`` of the game: the N game
+    states belong to the environment and move, with weight 0, to the
+    positions after an input; from these the system moves, with the
+    move's weight, into a game state.  A deadlock of the environment counts
+    as a move of weight 0 into a sink with a loop of weight 0 and priority 0.
+
+    Lemma.  Let W be the states of G from which the system wins a parity
+    condition with some credit, the energy level not truncated.  Then the
+    system has a memoryless strategy sigma on W under which a segment of a
+    play from a game state loses at most (N-1)K, and every game state in W
+    needs credit at most (N-1)K.
+      (a) Good-for-energy strategies (Chatterjee and Doyen, "Energy parity
+          games", TCS 2012).  The environment cannot leave W, for the
+          system wins nowhere outside it, and the system can stay in it.
+          She has a memoryless strategy on W under which every cycle is
+          good: its weight is > 0, or it is 0 and the least priority on it
+          is even.  Proof: weigh a move from s by M*w + (-1)^p(s) * B^(D-p(s)),
+          with B above |W|, D the largest priority and M > |W|*B^D.  A
+          simple cycle then weighs > 0 exactly when it is good, and never 0.
+          Mean-payoff games have memoryless optimal strategies, and each
+          value is the mean of a simple cycle (Ehrenfeucht and Mycielski
+          1979).  If the value at some s in W were < 0, the environment's
+          optimal strategy would make each cycle reachable from s bad (the
+          system would reach a good one and repeat it otherwise).  A play
+          from s under it is then a path of at most |W| moves plus simple
+          cycles, each of weight <= 0: infinitely many weigh < 0, so the
+          level drops below any credit, or from some point all weigh 0 with
+          odd least priorities, so the play loses the parity condition.  The
+          system would not win from s.  So every value on W is > 0, and her
+          optimal strategy sigma makes every cycle good.
+      (b) Under sigma no cycle weighs < 0, so a segment of a play loses at
+          most what the simple path left once its cycles are erased loses.
+          The weighted moves of a simple path from a game state enter
+          distinct game states other than its first, so there are at most
+          N-1 of them, and it loses at most (N-1)K.  Let e(s) be the largest
+          loss of a segment from s under sigma, V the least credits on W and
+          T = max V.  From a game state s with credit e(s), the system plays
+          sigma until the level reaches T, then a strategy that wins from
+          the state reached with credit V there.  Before the switch the
+          level is at least e of the current state, so >= 0.  If she never
+          switches, only finitely many of the play's cycles weigh > 0, for
+          each adds at least 1 to the level, which stays below T; the rest
+          weigh 0, so their least priorities are even, and the play wins.
+          So V(s) <= e(s) <= (N-1)K.
+
+    Premise (S), for ``nu X . psi``:
+      0. The node is the one ``classical.evaluate`` iterates, whose loop-
+         invariant subterms are hoisted into variables, so its free
+         variables are those of the formula and the hoisted subterms.  None
+         of them changes while the fixpoint iterates, and at each state each
+         has the value 0 or INF, as an atom does.  So below they are atoms,
+         and the cut is decided per evaluation, from their values.
+      1. At each state, psi is a lattice polynomial in y = ecpre(X) with the
+         constants 0 and INF, so it is 0, INF or y there.  So each round of
+         the fixpoint crosses exactly one weighted move: it is the safety
+         game on G (every priority 0) that is won at once where psi is 0,
+         lost where it is INF, and goes on by one round of ``ecpre``
+         elsewhere.
+      2. ``ecpre`` at bound c is the step of that game with the level
+         truncated at c: a move of weight w from level e needs e + w >= 0
+         and goes on at min(e + w, c).  Truncation only takes energy away,
+         so credit e that wins under truncation wins without it.
+      3. By the Lemma, credit (N-1)K wins under truncation at c > cap too:
+         under sigma the level starts at cap or is reset to c, and a segment
+         after either loses at most cap.  Every finite value is <= cap.
+    Premise (R), for P:
+      1. At every c the value of P at a game state is its least credit in G
+         (for Buchi with priority 0 on J and 1 elsewhere) with the level
+         truncated at c.  This is the source paper's reading of P, which
+         ``solver.crosscheck_parity`` checks at every bound; ``negate(P)``
+         has the ``neg`` of P's value.
+      2. The input count NX is at most N, so G has N' = N(1+NX) <= N^2+N
+         states and c >= d(N'-1)K, the sufficient bound of an energy parity
+         game (``parity.bound_ep``, after Chatterjee and Doyen): at it,
+         truncation changes no least credit.  ``solver.solve`` rests on the
+         same premise for ``--bound inf``.
+      3. So by the Lemma every finite value of P at c is <= cap.
+    Under either premise:
+      4. The cut is monotone, moves no element up and fixes the fixpoint's
+         value V, whose finite values are <= cap, so the cut iterates
+         descend and stay above V; their limit L is a post-fixpoint of psi,
+         L <= psi(L), so L <= V by Knaster-Tarski, and L = V.
+      5. ``negate`` turns ``nu X . psi`` into the mirror, and ``neg`` is an
+         exact lattice anti-isomorphism with ecpre_env = neg o ecpre o neg,
+         so the mirror's iterates are the ``neg`` of the nu ones.  ``neg``
+         maps (cap, c] onto [1, c-cap] and INF to 0, hence the mirror cut;
+         it swaps 0 and INF, so the mirror's free variables pass step 0
+         of (S) exactly when the nu ones do.
+    """
     def down(f):
         return EnergyFunction._of(c, np.where(f.values > cap, INF, f.values))
 
     def up(f):
         return EnergyFunction._of(c, np.where(f.values <= c - cap, 0, f.values))
-    return down, up
 
-
-def _credit_cap_cut(c: int, cap: int):
-    """The ``Lattice.cut`` of the energy semantics at bound c, for
-    cap = (N-1)K < c on N states with weights up to K in absolute value.
-
-    It cuts the fixpoints that ``formulas.is_safety_shape`` accepts when
-    their free variables count as atoms, in each evaluation where every
-    free variable has a value in {0, INF}: in ``nu X . psi`` (psi over
-    atoms, such variables, ``&``, ``|`` and ``<>X``) values above cap become
-    INF, and in the mirror ``mu X . psi'`` (``[]X``) values up to c-cap
-    become 0.  Every other fixpoint evaluation is left alone.
-
-    Why this is sound, for ``nu X . psi``:
-
-    0. The node is the one ``classical.evaluate`` iterates, whose loop-
-       invariant subterms are hoisted into variables, so its free variables
-       are those of the formula and the hoisted subterms.  None of them
-       changes while the fixpoint iterates, and at each state each has the
-       value 0 or INF, as an atom does.  So below they are atoms, and the
-       cut is decided per evaluation, from their values.
-    1. At each state, psi is a lattice polynomial in y = ecpre(X) with the
-       constants 0 and INF, so it is 0, INF or y there.  So each round of
-       the fixpoint crosses exactly one weighted move: it is the game that
-       is won at once where psi is 0, lost where it is INF, and goes on by
-       one round of ``ecpre`` elsewhere.
-    2. ``ecpre`` at bound c is the step of the energy game whose level is
-       truncated at c: a move of weight w from level e needs e + w >= 0 and
-       goes on at min(e + w, c).  Truncation only takes energy away, so
-       credit e that wins under truncation wins without it.
-    3. Without truncation the system has a memoryless strategy that wins
-       from every winning state, and every cycle of the game graph under
-       it has non-negative weight; otherwise the environment would repeat
-       a negative one.
-    4. Under it, any segment of a play is a simple path plus such cycles.
-       The path's weighted moves enter distinct states other than its
-       first, so there are at most N-1 of them, and the segment loses at
-       most (N-1)K.  So credit (N-1)K wins under truncation at c >= cap
-       too: the level starts at cap or is reset to c, and a segment after
-       either loses at most cap.  Every finite value is therefore <= cap.
-    5. The cut is monotone, moves no element up and fixes the fixpoint's
-       value V, so the cut iterates descend and stay above V; their limit
-       L is a post-fixpoint of psi, L <= psi(L), so L <= V by
-       Knaster-Tarski, and L = V.
-    6. ``negate`` turns ``nu X . psi`` into the mirror, and ``neg`` is an
-       exact lattice anti-isomorphism with ecpre_env = neg o ecpre o neg, so
-       the mirror's iterates are the ``neg`` of the safety ones.  ``neg``
-       maps (cap, c] onto [1, c-cap] and INF to 0, hence the mirror cut;
-       it swaps 0 and INF, so the mirror's free variables pass step 0
-       exactly when the safety ones do.
-    """
-    down, up = _cap_maps(c, cap)
-
-    def cut(node):
+    def cut(node, root):
+        clip = down if isinstance(node, fm.Nu) else up
+        if root and root_proven:
+            return lambda env: clip
         free = fm.free_variables(node)
         if not fm.is_safety_shape(node, atoms=free):
             return None
-        clip = down if isinstance(node, fm.Nu) else up
         # an unbound variable gets no cut; evaluating the body then raises
         return lambda env: clip if all(
             name in env and _two_valued(env[name]) for name in free) else None
@@ -259,8 +337,7 @@ def _credit_cap_cut(c: int, cap: int):
 
 
 def eval_energy(game, c: int, f: fm.Formula, valuation=None,
-                stats: FixpointStats | None = None,
-                root_cap: int | None = None) -> EnergyFunction:
+                stats: FixpointStats | None = None) -> EnergyFunction:
     """The energy function denoted by ``f`` at bound ``c``.
 
     Atoms map to 0 where they hold and INF elsewhere; disjunction is join,
@@ -269,25 +346,22 @@ def eval_energy(game, c: int, f: fm.Formula, valuation=None,
     n_states*(c+1).
 
     A fixpoint can climb one unit per iteration.  Where c exceeds
-    cap = (N-1)K, a fixpoint of the safety fragment or its mirror
-    (``formulas.is_safety_shape``, free variables counting as atoms) is cut
-    at cap (``_credit_cap_cut``) in each evaluation in which its free
-    variables, the hoisted subterms of its body included, take only the
-    values 0 and INF.  So ``safety`` on a 2-variable game whose moves all
-    weigh -1 ends after cap+2 = 5 iterations at any c > 3, and so does the
-    inner nu of ``cobuchi`` or of a two-priority parity formula while the
-    outer mu's variable is still INF.
-
-    ``root_cap``, if given, must bound the finite values of ``f`` where its
-    outermost binder is nu, and those of ``negate(f)`` where it is mu.  That
-    binder's iterates are then cut at it as above wherever no cut of its own
-    applies: values above it become INF, or, under mu, values up to
-    c - root_cap become 0.  ``solver.solve`` passes the expansion cap
-    (N'-1)K of the Buchi and parity formulas at a bound at or above their
-    sufficient one, where ``solver._root_cap`` proves it.  On the game
-    above, ``buchi`` and ``dual-buchi`` then end after 34 applications at
-    any such bound, 2^60 included; uncut, ``buchi`` runs 4c+3.  Other
-    fixpoints still climb with c, so a large c is slow there.
+    cap = (N-1)K, two kinds of fixpoint are cut at cap (``_credit_cap_cut``):
+    values above cap become INF in a nu, and values up to c-cap become 0 in
+    its mirror mu.  One is a fixpoint of the safety fragment or its mirror
+    (``formulas.is_safety_shape``, free variables counting as atoms), in
+    each evaluation in which its free variables, the hoisted subterms of
+    its body included, take only the values 0 and INF.  So ``safety`` on a
+    2-variable game whose moves all weigh -1 ends after cap+2 = 5
+    iterations at any c > 3, and so does the inner nu of ``cobuchi`` or of
+    a two-priority parity formula while the outer mu's variable is still
+    INF.  The other is the outermost fixpoint of the stock Buchi formula or
+    the parity formula of the game's priorities, nu outermost, and of their
+    negations such as ``dual-buchi``, at any c at or above their sufficient
+    bound (``_root_proven``).  On the game above, ``buchi`` and
+    ``dual-buchi`` then end after 18 applications at any such bound, 2^60
+    included; uncut, ``buchi`` runs 4c+3.  Other fixpoints still climb with
+    c, so a large c is slow there.
     """
     _check_bound(c)
     c = int(c)
@@ -311,8 +385,7 @@ def eval_energy(game, c: int, f: fm.Formula, valuation=None,
         leq=leq,
         eq=operator.eq,
         height=n * (c + 1),
-        cut=_credit_cap_cut(c, cap) if cap < c else None,
-        root_cut=(_cap_maps(c, root_cap)[isinstance(f, fm.Mu)]
-                  if root_cap is not None and root_cap < c else None),
+        cut=(_credit_cap_cut(c, cap, _root_proven(game, f, c))
+             if cap < c else None),
     )
     return evaluate(lat, t, f, valuation, stats)

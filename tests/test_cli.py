@@ -126,7 +126,7 @@ def test_solve_at_a_finite_bound_with_a_huge_sufficient_bound(g1_path, tmp_path,
 
 def test_buchi_at_the_largest_bound_ends(tmp_path, capsys):
     # every move loses 1, so no credit wins; the outermost nu of buchi is cut
-    # at (N'-1)K = 7, where uncut it would climb 4c+3 applications at c = 2^60
+    # at (N-1)K = 3, where uncut it would climb 4c+3 applications at c = 2^60
     path = tmp_path / "lossy.game"
     path.write_text(json.dumps({
         "vars": ["a", "b"], "inputs": [], "rho_e": "true", "rho_s": "true",
@@ -184,6 +184,25 @@ def test_check_parity_oracle(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "checked 6 cases, 0 mismatches" in out
+
+
+def test_check_parity_oracle_covers_the_root_cut(tmp_path, capsys, monkeypatch):
+    # at bounds up to 300 the root is cut on many of these 2-variable games,
+    # and the explicit oracle must still agree everywhere: 48 of the root
+    # cuts are of one-priority (safety-shaped) parity formulas, 34 of
+    # formulas that only the Buchi/parity premise cuts
+    from emu import FixpointStats, solver
+
+    stats = FixpointStats()
+    evaluate = solver.eval_energy
+    monkeypatch.setattr(solver, "eval_energy",
+                        lambda *a, **kw: evaluate(*a, stats=stats, **kw))
+    code = run(["check", "--oracle", "parity", "--seed", "5", "--cases", "1000",
+                "--max-vars", "2", "--max-weight", "2", "--max-bound", "300",
+                "--dump-dir", str(tmp_path)])
+    assert code == 0
+    assert "checked 1000 cases, 0 mismatches" in capsys.readouterr().out
+    assert stats.root_cuts >= 82
 
 
 def test_check_parity_unfolding_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):

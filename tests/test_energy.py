@@ -509,63 +509,108 @@ def _ladder(k):
     yield "parity-even", g, fm.parity_formula(g.priorities)
 
 
+def _root_random_games():
+    """Seeded (kind, game, formula) triples from ``random_wgs``: 2-3
+    variables, deadlocks allowed, priorities on every game, and in turn the
+    game's parity formula, Buchi and dual-Buchi."""
+    from emu.randgen import random_assertion
+
+    for seed in range(200):
+        rng = random.Random(seed)
+        g = random_wgs(rng, 2, 3, 2, priorities=True)
+        kind = ("parity", "buchi", "dual-buchi")[seed % 3]
+        if kind == "parity":
+            yield kind, g, fm.parity_formula(g.priorities)
+        else:
+            yield kind, g, fm.builtin(
+                kind, J=random_assertion(rng, g.vars.names, (), depth=1))
+
+
+def _check_root_cut(g, c, node):
+    """Evaluate ``node`` at c against ``_uncut``; the number of root cuts."""
+    from emu.energy import _root_proven
+
+    cap = (g.n_states - 1) * g.max_abs_weight
+    stats = FixpointStats()
+    got = eval_energy(g, c, node, stats=stats)
+    want, uncut_apps = _uncut(g, c, node)
+    assert got == want, (node, c)
+    assert stats.caps[-1][0] <= uncut_apps
+    if _root_proven(g, node, c):
+        # the premise of the root cut: finite credits stay within cap, so
+        # the values c+1-v of the mirror stay at or above c+1-cap
+        v = want.values[(want.values != 0) & want.is_finite()]
+        assert (v <= cap).all() if isinstance(node, fm.Nu) else (v > c - cap).all()
+    elif not fm.is_safety_shape(node):
+        assert stats.root_cuts == 0
+    if cap >= c:
+        assert stats.root_cuts == 0
+    return stats.root_cuts
+
+
 def test_root_cut_matches_the_uncut_fixpoint():
     from emu import compute_bound, from_parity_wgs, solve_energy_parity
-    from emu.solver import _root_cap
+    from emu.energy import _root_proven
 
     fired = 0
     for kind, g, f in (*_root_games(), *_ladder(2)):
         nu_form = fm.negate(f) if kind == "dual-buchi" else f
         b = compute_bound(g, nu_form).bound
-        n, nx, k = g.n_states, g.tables().n_inputs, g.max_abs_weight
         for node in (f, fm.negate(f)):
             for c in (b, b + 1, 2 * b, b - 1)[:4 if b else 3]:
-                cap = _root_cap(g, node, c)
-                expansion_cap = (n * (1 + nx) - 1) * k
-                if kind == "parity-odd" or c < b or expansion_cap >= c:
-                    assert cap is None
-                else:
-                    assert cap == expansion_cap
-                stats = FixpointStats()
-                got = eval_energy(g, c, node, stats=stats, root_cap=cap)
-                want, uncut_apps = _uncut(g, c, node)
-                assert got == want, (kind, c)
-                assert stats.caps[-1][0] <= uncut_apps
-                if cap is None:
-                    assert stats.root_cuts == 0
-                fired += stats.root_cuts
+                assert _root_proven(g, node, c) == (kind != "parity-odd" and c >= b)
+                fired += _check_root_cut(g, c, node)
             if kind.startswith("parity") and node is f:
+                n = g.n_states
                 explicit = solve_energy_parity(from_parity_wgs(g), b)[:n]
-                assert eval_energy(g, b, f, root_cap=_root_cap(g, f, b)).values.tolist() \
-                    == explicit.tolist()
+                assert eval_energy(g, b, f).values.tolist() == explicit.tolist()
     assert fired >= 48
-    # the ladder's credit reaches (N-1)K = 14, so a smaller cap changes it
+    # counterexample search on games with deadlocks and up to 8 states, at
+    # the computed bound
+    fired = 0
+    for kind, g, f in _root_random_games():
+        b = compute_bound(g, fm.negate(f) if kind == "dual-buchi" else f).bound
+        for node in (f, fm.negate(f)):
+            fired += _check_root_cut(g, b, node)
+    assert fired >= 22
+    # the ladder's credit reaches (N-1)K = 14, so a smaller cap changes it;
+    # no iterate passes the cap, so the cut changes none
     _, g, buchi = next(_ladder(2))
-    assert eval_energy(g, 284, buchi).values.tolist() == [14, 12, 10, 8, 6, 4, 2, 0]
+    stats = FixpointStats()
+    assert eval_energy(g, 284, buchi, stats=stats).values.tolist() \
+        == [14, 12, 10, 8, 6, 4, 2, 0]
+    assert stats.root_cuts == 0
 
 
 def test_no_root_cut_beyond_the_two_shapes():
-    # the formula whose credit exceeds (N'-1)K, and the lossy game's other
-    # formulas, get no root cap at any bound at or above their own
+    # the formula whose credit, 5, exceeds (N-1)K = 1, and the lossy game's
+    # other formulas, get no root cut at any bound at or above their own
     from emu import compute_bound
-    from emu.solver import _root_cap
+    from emu.energy import _root_proven
 
     g = _game(("y",), [("y'", -1), ("true", 0)])
     f = fm.parse_formula("nu Z . ((<>(y & <>(y & <>(y & <>(y & <>y))))) & <>Z)")
     for c in (214, 428, LIMIT):
-        assert _root_cap(g, f, c) is None
+        assert not _root_proven(g, f, c)
+        stats = FixpointStats()
+        assert eval_energy(g, c, f, stats=stats).values.tolist() == [5, 5]
+        assert stats.root_cuts == 0
     for f in (fm.builtin("safety"), fm.builtin("cobuchi", J="a"),
               fm.builtin("reach", p="a")):
         b = compute_bound(_LOSSY, f).bound
-        assert _root_cap(_LOSSY, f, b) is None
-        assert _root_cap(_LOSSY, fm.negate(f), b) is None
+        for node in (f, fm.negate(f)):
+            assert not _root_proven(_LOSSY, node, b)
+            stats = FixpointStats()
+            eval_energy(_LOSSY, b, node, stats=stats)
+            # safety's root is cut as a safety-shaped fixpoint, not as a root
+            assert stats.root_cuts == (f == fm.builtin("safety"))
 
 
 @pytest.mark.parametrize("name, want", [("buchi", INF), ("dual-buchi", 0)])
 def test_lossy_buchi_solves_at_the_largest_bound(name, want, monkeypatch):
     # uncut, buchi runs 4c+3 applications per evaluation on this game, as at
     # c = 37, below the sufficient bound 38; with the root cut at cap
-    # (N'-1)K = 7 each of the three evaluations of a solve takes 34, at any
+    # (N-1)K = 3 each of the three evaluations of a solve takes 18, at any
     # bound at or above it
     from emu import SolveRequest, solve, solver
 
@@ -573,7 +618,7 @@ def test_lossy_buchi_solves_at_the_largest_bound(name, want, monkeypatch):
     evaluate, stats = solver.eval_energy, None
     monkeypatch.setattr(solver, "eval_energy",
                         lambda *a, **kw: evaluate(*a, stats=stats, **kw))
-    for c, apps, cuts in ((10**5, 34, 3), (1 << 60, 34, 3), (37, 4 * 37 + 3, 0)):
+    for c, apps, cuts in ((10**5, 18, 3), (1 << 60, 18, 3), (37, 4 * 37 + 3, 0)):
         stats = FixpointStats()
         report = solve(SolveRequest(_LOSSY, f, c))
         assert report.min_credits == EnergyFunction.constant(c, 4, want)
