@@ -17,6 +17,7 @@ import json
 import math
 import random
 import sys
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -44,10 +45,7 @@ class _UsageError(EmuError):
 
 
 def _formula_from_args(args, game):
-    sources = [
-        s for s in ("formula", "formula_file", "builtin")
-        if getattr(args, s, None)
-    ]
+    sources = [s for s in ("formula", "formula_file", "builtin") if getattr(args, s, None)]
     if len(sources) > 1:
         raise _UsageError("give at most one of --formula/--formula-file/--builtin")
     if args.param and not args.builtin:
@@ -72,15 +70,12 @@ def _formula_from_args(args, game):
 def _game_from_args(args) -> WeightedGameStructure:
     game = load_game(args.game)
     if getattr(args, "priorities", None):
-        game = dataclasses.replace(
-            game, priorities=load_priorities(args.priorities)
-        )
+        game = dataclasses.replace(game, priorities=load_priorities(args.priorities))
     return game
 
 
 def _at_least(least):
     """An argparse type accepting integers no smaller than ``least``."""
-
     def parse(text):
         try:
             value = int(text)
@@ -89,7 +84,6 @@ def _at_least(least):
         if value < least:
             raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
         return value
-
     return parse
 
 
@@ -97,65 +91,74 @@ def _parse_bound(text):
     return math.inf if text == "inf" else _at_least(0)(text)
 
 
-def _state_names(game):
+def _state_names(game, quote=str):
     """Each state's minterm (``!x & y``) in index order, built by doubling:
-    each variable, as the next higher bit, extends every name both ways."""
-    vs = game.vars.names
-    if not vs:
-        return ["true"]
-    names = ["!" + vs[0], vs[0]]
+    each variable, as the next higher bit, extends every name both ways.
+    ``quote`` maps each variable name once; the separators need no quoting."""
+    vs = [quote(v) for v in game.vars.names]
+    names = ["!" + vs[0], vs[0]] if vs else ["true"]
     for v in vs[1:]:
-        names = [p + " & !" + v for p in names] + [p + " & " + v for p in names]
+        neg, pos = " & !" + v, " & " + v
+        names = [p + neg for p in names] + [p + pos for p in names]
     return names
 
 
-def _credit_strs(credits: EnergyFunction) -> list[str]:
-    inf = int(INF)
-    return ["inf" if v == inf else str(v) for v in credits.values.tolist()]
+def _report_names(game, report, quote=str):
+    """The state names of every writer, then the names in W_sys and W_env."""
+    names = _state_names(game, quote)
+    return (names, list(compress(names, report.sys_region.tolist())),
+            list(compress(names, report.env_region.tolist())))
 
 
-def _names_where(names, mask) -> list[str]:
-    """The names of the states in a bool state mask, in index order."""
-    return [name for name, hit in zip(names, mask.tolist()) if hit]
+def _credit_texts(report):
+    """Each state's credit, and the text of each distinct one (``inf``)."""
+    values = report.min_credits.values.tolist()
+    return values, {v: "inf" if v == INF else str(v) for v in set(values)}
 
 
-def solve_report_to_json(report, names, formula) -> dict:
-    """The JSON document of a solve; ``names`` are the ``_state_names``."""
-    return {
-        "schema": SCHEMA_VERSION,
-        "command": "solve",
+def _json_list(items, left='"', right='"') -> str:
+    """``[left item right, ...]``, spaced as ``json.dumps`` spaces a list."""
+    return "[" + left + (right + ", " + left).join(items) + right + "]" if items else "[]"
+
+
+def solve_report_json(report, game, formula, query=None) -> str:
+    """The solve's JSON document, written in one pass and byte for byte what
+    ``json.dumps`` writes with its default separators; ``query`` is the
+    ``--state`` text and its state mask, or None."""
+    bb = report.bound_breakdown
+    head = json.dumps({
+        "schema": SCHEMA_VERSION, "command": "solve",
         "formula": fm.formula_to_str(formula),
         "requested_bound": "inf" if report.unbounded else report.effective_bound,
-        "effective_bound": report.effective_bound,
-        "bound_variant": report.bound_breakdown.variant,
-        "N": report.bound_breakdown.n_states,
-        "K": report.bound_breakdown.max_abs_weight,
-        "m": report.bound_breakdown.formula_length,
-        "d": report.bound_breakdown.alternation_depth,
-        "min_credits": [
-            {"state": name, "credit": credit}
-            for name, credit in zip(names, _credit_strs(report.min_credits))
-        ],
-        "w_sys": _names_where(names, report.sys_region),
-        "w_env": _names_where(names, report.env_region),
-    }
+        "effective_bound": report.effective_bound, "bound_variant": bb.variant,
+        "N": bb.n_states, "K": bb.max_abs_weight, "m": bb.formula_length,
+        "d": bb.alternation_depth,
+    })
+    names, w_sys, w_env = _report_names(game, report, lambda v: json.dumps(v)[1:-1])
+    values, texts = _credit_texts(report)
+    tail = {v: '", "credit": "' + text for v, text in texts.items()}
+    # each row is a min_credits entry between '{"state": "' and '"}'
+    rows = [name + tail[v] for name, v in zip(names, values)]
+    row = ('{"state": "', '"}')
+    parts = [head[:-1], ', "min_credits": ', _json_list(rows, *row),
+             ', "w_sys": ', _json_list(w_sys), ', "w_env": ', _json_list(w_env)]
+    if query is not None:
+        picked = [rows[i] for i in np.flatnonzero(query[1]).tolist()]
+        parts += [', "query": {"state": ', json.dumps(query[0]), ', "results": ',
+                  _json_list(picked, *row), "}"]
+    return "".join(parts) + "}"
 
 
 def solve_report_from_json(doc: dict):
     """Rebuild the solved quantities from a JSON report (for round-tripping)."""
     if doc.get("schema") != SCHEMA_VERSION:
         raise EmuError(f"unsupported report schema {doc.get('schema')!r}")
-    bound = int(doc["effective_bound"])
-    values = [
-        INF if row["credit"] == "inf" else int(row["credit"])
-        for row in doc["min_credits"]
-    ]
+    bound, rows = int(doc["effective_bound"]), doc["min_credits"]
+    values = [INF if row["credit"] == "inf" else int(row["credit"]) for row in rows]
     credits = EnergyFunction(bound, np.array(values, dtype=np.int64))
-    states = [row["state"] for row in doc["min_credits"]]
-    sys_states, env_states = set(doc["w_sys"]), set(doc["w_env"])
-    w_sys = np.array([s in sys_states for s in states])
-    w_env = np.array([s in env_states for s in states])
-    return bound, credits, w_sys, w_env
+    w_sys, w_env = ([row["state"] in names for row in rows]
+                    for names in (set(doc["w_sys"]), set(doc["w_env"])))
+    return bound, credits, np.array(w_sys), np.array(w_env)
 
 
 def cmd_solve(args) -> int:
@@ -167,40 +170,31 @@ def cmd_solve(args) -> int:
         if not query_mask.any():
             raise _UsageError(f"no state satisfies {args.state!r}")
     report = solve(SolveRequest(game=game, formula=formula, bound=args.bound))
-    names = _state_names(game)
 
     if args.format == "json":
-        doc = solve_report_to_json(report, names, formula)
-        if query_mask is not None:
-            rows = doc["min_credits"]
-            doc["query"] = {
-                "state": args.state,
-                "results": [rows[i] for i in np.flatnonzero(query_mask).tolist()],
-            }
-        print(json.dumps(doc))
+        query = None if query_mask is None else (args.state, query_mask)
+        print(solve_report_json(report, game, formula, query))
     else:
+        names, w_sys, w_env = _report_names(game, report)
         print(f"effective bound: {report.effective_bound}"
               + (" (computed: requested inf)" if report.unbounded else ""))
         bb = report.bound_breakdown
         print(f"N={bb.n_states} K={bb.max_abs_weight} m={bb.formula_length}"
               f" d={bb.alternation_depth} variant={bb.variant}")
-        credits = _credit_strs(report.min_credits)
+        values, texts = _credit_texts(report)
         if query_mask is None:
             print("min credits:")
-            for name, credit in zip(names, credits):
-                print(f"  {name}: {credit}")
+            for name, v in zip(names, values):
+                print(f"  {name}: {texts[v]}")
         else:
             for i in np.flatnonzero(query_mask).tolist():
-                verdict = "loses" if credits[i] == "inf" else "wins"
-                print(f"state {names[i]}: min credit {credits[i]}"
-                      f" -> system {verdict}")
-        print(f"W_sys: {int(report.sys_region.sum())} states,"
-              f" W_env: {int(report.env_region.sum())} states")
+                credit = texts[values[i]]
+                verdict = "loses" if credit == "inf" else "wins"
+                print(f"state {names[i]}: min credit {credit} -> system {verdict}")
+        print(f"W_sys: {len(w_sys)} states, W_env: {len(w_env)} states")
 
-    if query_mask is not None:
-        wins = bool(report.sys_region[query_mask].all())
-    else:
-        wins = bool(report.sys_region.any())
+    wins = (report.sys_region.any() if query_mask is None
+            else report.sys_region[query_mask].all())
     return EXIT_WIN if wins else EXIT_LOSE
 
 
@@ -233,9 +227,7 @@ def cmd_region(args) -> int:
     if args.bound == math.inf:
         raise _UsageError("region needs a finite --bound")
     report = solve(SolveRequest(game=game, formula=formula, bound=args.bound))
-    names = _state_names(game)
-    w_sys = _names_where(names, report.sys_region)
-    w_env = _names_where(names, report.env_region)
+    _, w_sys, w_env = _report_names(game, report)
     if args.format == "json":
         print(json.dumps({
             "schema": SCHEMA_VERSION,
@@ -296,19 +288,15 @@ def _check_one_parity(rng, args, mutate):
 
 
 def cmd_check(args) -> int:
-    mismatches = 0
-    done = 0
     checker = (_check_one_parity if args.oracle == "parity"
                else _check_one_reduction)
     for i in range(args.cases):
-        rng = random.Random(args.seed * 1_000_003 + i)
-        bad = checker(rng, args, args.mutate)
-        done = i + 1
-        if bad is None:
-            print(f"case {i:04d} ok")
-            continue
+        bad = checker(random.Random(args.seed * 1_000_003 + i), args, args.mutate)
+        if bad is not None:
+            break
+        print(f"case {i:04d} ok")
+    if bad is not None:
         game, c, name, why = bad
-        mismatches += 1
         stem = Path(args.dump_dir) / f"counterexample-seed{args.seed}-case{i}"
         save_game(game, stem.with_suffix(".game"))
         stem.with_suffix(".json").write_text(json.dumps({
@@ -324,9 +312,8 @@ def cmd_check(args) -> int:
         }, indent=2) + "\n")
         print(f"case {i:04d} MISMATCH: {why}")
         print(f"  reproduce from {stem.with_suffix('.game')} (bound {c})")
-        break
-    print(f"checked {done} cases, {mismatches} mismatches")
-    return EXIT_INTERNAL if mismatches else EXIT_WIN
+    print(f"checked {i + 1} cases, {int(bad is not None)} mismatches")
+    return EXIT_WIN if bad is None else EXIT_INTERNAL
 
 
 def _add_formula_args(p):
@@ -404,3 +391,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     raise SystemExit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -188,11 +188,9 @@ def _two_valued(f: EnergyFunction) -> bool:
 def _root_proven(game, f: fm.Formula, c: int) -> bool:
     """Whether premise (R) of ``_credit_cap_cut`` holds for the outermost
     fixpoint of ``f`` at bound c: ``f`` or ``negate(f)`` is P, the stock
-    Buchi formula (``formulas.is_buchi_shape``) or the parity formula of the
-    game's priorities, with nu outermost, and c >= d(N^2+N-1)K, where d is 2
-    for Buchi and the priority count for parity.  That is
-    ``solver.compute_bound(game, P).bound``, except for Buchi on a game with
-    priorities, where ``compute_bound`` counts the game's priorities."""
+    Buchi formula or the parity formula of the game's priorities, with nu
+    outermost, and c >= d(N^2+N-1)K = ``solver.compute_bound(game, P).bound``
+    (``formulas.bound_variant`` gives d to both)."""
     n, k = game.n_states, game.max_abs_weight
     per_priority = (n * n + n - 1) * k
     if c < per_priority:  # below every such bound, as d >= 1
@@ -200,13 +198,11 @@ def _root_proven(game, f: fm.Formula, c: int) -> bool:
     root = fm.negate(f) if isinstance(f, fm.Mu) else f
     if not isinstance(root, fm.Nu):
         return False
-    if fm.is_buchi_shape(root) is not None:
-        d = 2
-    elif game.priorities is not None and root == fm.parity_formula(game.priorities):
-        d = len({r.priority for r in game.priorities})
-    else:
-        return False
-    return c >= d * per_priority
+    priorities = game.priorities
+    if priorities is not None and min(r.priority for r in priorities) % 2:
+        priorities = None  # P is mu-rooted: a nu root is at most its negation
+    variant, d = fm.bound_variant(root, priorities)
+    return variant != "general" and c >= d * per_priority
 
 
 def _credit_cap_cut(c: int, cap: int, root_proven: bool):

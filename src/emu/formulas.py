@@ -500,6 +500,20 @@ def is_buchi_shape(f: Formula) -> Optional[asr.Assertion]:
     return None
 
 
+def bound_variant(f: Formula, priorities=None) -> tuple[str, Optional[int]]:
+    """The sufficient-bound variant of f on a game with these priorities
+    and its d: ``parity`` (the priority count) when f or its negation is
+    ``parity_formula(priorities)``, ``buchi`` (2) when ``is_buchi_shape``
+    accepts f, else ``general`` (None: the bound counts alternation depth)."""
+    if priorities is not None:
+        p = parity_formula(priorities)
+        if f == p or negate(f) == p:
+            return "parity", len({r.priority for r in priorities})
+    if is_buchi_shape(f) is not None:
+        return "buchi", 2
+    return "general", None
+
+
 def is_safety_shape(f: Formula, atoms=frozenset()) -> bool:
     """Whether f is ``nu X . psi`` with psi built from atoms, ``&``, ``|`` and
     ``<>X`` only, or its De Morgan mirror ``mu X . psi`` over atoms, ``&``,

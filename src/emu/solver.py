@@ -35,24 +35,19 @@ class BoundBreakdown:
 def compute_bound(game: WeightedGameStructure, formula: fm.Formula) -> BoundBreakdown:
     """A bound above which increasing it adds no winning states.
 
-    Uses the priority count d for priority-annotated games (d*(N^2+N-1)*K),
-    the specialized 2*(N^2+N-1)*K for the stock buchi formula, and the
-    general (d+1)*((N^2+N)*m-1)*K otherwise, never below K.
+    d*(N^2+N-1)*K for the game's parity formula (d its priority count) and
+    for the stock buchi formula (d = 2), the general
+    (d+1)*((N^2+N)*m-1)*K with d the alternation depth otherwise, never
+    below K (``formulas.bound_variant`` decides which).
     """
     n = game.n_states
     k = game.max_abs_weight
     met = fm.metrics(formula)
-    if game.priorities is not None:
-        d = len({r.priority for r in game.priorities})
-        variant = "parity"
+    variant, d = fm.bound_variant(formula, game.priorities)
+    if d is not None:
         bound = d * (n * n + n - 1) * k
-    elif fm.is_buchi_shape(formula) is not None:
-        d = met.alternation_depth
-        variant = "buchi"
-        bound = 2 * (n * n + n - 1) * k
     else:
         d = met.alternation_depth
-        variant = "general"
         bound = (d + 1) * ((n * n + n) * met.length - 1) * k
     return BoundBreakdown(
         n_states=n,

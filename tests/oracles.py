@@ -675,3 +675,37 @@ def solve_energy_parity_loops(g, c: int) -> list[int]:
                 break
         out.append(int(best))
     return out
+
+
+# ---------------------------------------------------------------------------
+# The solve report as a document: the reference for ``cli.solve_report_json``.
+
+
+def solve_report_dict(report, vs, formula, query=None) -> dict:
+    """The schema-1 document of ``emu solve --format json`` as a dict, each
+    state named by ``State.minterm``; ``json.dumps`` of it is the writer's
+    output byte for byte.  ``query`` is the ``--state`` text and its mask."""
+    names = [s.minterm() for s in all_states(vs)]
+    rows = [{"state": name, "credit": "inf" if v == INF else str(v)}
+            for name, v in zip(names, report.min_credits.values.tolist())]
+    bb = report.bound_breakdown
+    doc = {
+        "schema": 1,
+        "command": "solve",
+        "formula": fm.formula_to_str(formula),
+        "requested_bound": "inf" if report.unbounded else report.effective_bound,
+        "effective_bound": report.effective_bound,
+        "bound_variant": bb.variant,
+        "N": bb.n_states,
+        "K": bb.max_abs_weight,
+        "m": bb.formula_length,
+        "d": bb.alternation_depth,
+        "min_credits": rows,
+        "w_sys": [n for n, hit in zip(names, report.sys_region) if hit],
+        "w_env": [n for n, hit in zip(names, report.env_region) if hit],
+    }
+    if query is not None:
+        state, mask = query
+        doc["query"] = {"state": state,
+                        "results": [r for r, hit in zip(rows, mask) if hit]}
+    return doc

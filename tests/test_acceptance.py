@@ -294,7 +294,7 @@ def test_ac10_fixture_goldens(fixtures_dir, g1, capsys):
 
     code, out = cli("bound", game, "--priorities", prio)
     assert code == 0
-    assert out == "N=4 K=1 m=9 d=2\nvariant: parity\nbound: 38\n"
+    assert out == "N=4 K=1 m=9 d=2\nvariant: buchi\nbound: 38\n"
 
     code, out = cli("solve", game, "--builtin", "buchi", "--param", "J=y",
                     "--bound", "inf")

@@ -1,11 +1,28 @@
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from emu.cli import run, solve_report_from_json
+from emu import (
+    INF,
+    EnergyFunction,
+    SolveReport,
+    VariableSet,
+    WeightedGameStructure,
+)
+from emu import formulas as fm
+from emu.assertions import TRUE
+from emu.cli import run, solve_report_from_json, solve_report_json
+from emu.solver import BoundBreakdown
+from oracles import solve_report_dict
 
 
 @pytest.fixture
@@ -70,7 +87,7 @@ def test_bound_command(g1_path, prio_path, capsys):
     assert "bound: 38" in capsys.readouterr().out
     assert run(["bound", g1_path, "--priorities", prio_path]) == 0
     out = capsys.readouterr().out
-    assert "bound: 38" in out and "variant: parity" in out
+    assert "bound: 38" in out and "variant: buchi" in out
 
 
 def test_region_command(g1_path, capsys):
@@ -457,3 +474,88 @@ def test_state_names_are_the_minterms(names):
                                  TRUE, TRUE, ())
     assert _state_names(game) == [State(game.vars, i).minterm()
                                   for i in range(game.n_states)]
+
+
+# Variable names that JSON must escape: a quote, a backslash, a control
+# character, non-ASCII text and a line separator, besides plain letters.
+_NAMES = st.text(st.sampled_from('xy"\\\x01\u00e9\u2028'), min_size=1, max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_NAMES, max_size=3, unique=True), st.booleans(),
+       st.integers(0, 5), st.sampled_from(("parity", "buchi", "general")),
+       st.data())
+def test_solve_json_is_json_dumps_of_the_reference(names, unbounded, bound,
+                                                   variant, data):
+    """The one-pass writer against ``json.dumps`` of the reference document,
+    byte for byte, with and without a --state query."""
+    vs = VariableSet(names, frozenset())
+    game = WeightedGameStructure(vs, TRUE, TRUE, ())
+    n = game.n_states
+    cell = st.one_of(st.just(int(INF)), st.integers(0, bound))
+    credits = data.draw(st.lists(cell, min_size=n, max_size=n))
+    w_sys = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    w_env = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    report = SolveReport(
+        effective_bound=bound, unbounded=unbounded,
+        min_credits=EnergyFunction(bound, np.array(credits, dtype=np.int64)),
+        sys_region=np.array(w_sys, dtype=bool),
+        env_region=np.array(w_env, dtype=bool),
+        bound_breakdown=BoundBreakdown(n, 1, 9, 2, variant, bound))
+    formula = data.draw(st.sampled_from(
+        (fm.builtin("safety"), fm.parse_formula('nu Z . @"true" & <>Z'))))
+    query = None
+    if data.draw(st.booleans()):
+        mask = data.draw(st.lists(st.booleans(), min_size=n, max_size=n)
+                         .filter(any))
+        query = (data.draw(st.text(max_size=4)), np.array(mask))
+    assert solve_report_json(report, game, formula, query) == json.dumps(
+        solve_report_dict(report, vs, formula, query))
+
+
+def test_solve_json_bytes_of_the_fixture(g1_path, capsys):
+    """The exact text, separators and key order included, which the parsed
+    comparisons elsewhere cannot see."""
+    assert run(["solve", g1_path, "--builtin", "buchi", "--param", "J=y",
+                "--bound", "2", "--format", "json"]) == 0
+    assert capsys.readouterr().out == (
+        '{"schema": 1, "command": "solve", "formula": "nu Z . mu Y . y & <>Z'
+        ' | <>Y", "requested_bound": 2, "effective_bound": 2,'
+        ' "bound_variant": "buchi", "N": 4, "K": 1, "m": 9, "d": 2,'
+        ' "min_credits": [{"state": "!x & !y", "credit": "0"},'
+        ' {"state": "x & !y", "credit": "0"}, {"state": "!x & y", "credit": "0"},'
+        ' {"state": "x & y", "credit": "0"}],'
+        ' "w_sys": ["!x & !y", "x & !y", "!x & y", "x & y"], "w_env": []}\n')
+
+
+def test_priorities_leave_another_formula_alone(tmp_path, capsys):
+    # every move loses 1 and the formula needs six of them: credit 6 wins,
+    # whether or not the game carries a priority annotation
+    game = tmp_path / "g.game"
+    game.write_text(json.dumps({
+        "vars": ["x"], "inputs": [], "rho_e": "true", "rho_s": "true",
+        "weights": [{"guard": "true", "weight": -1}],
+        "formula": "<><><><><><>true"}))
+    prio = tmp_path / "p.prio"
+    prio.write_text('[{"guard": "true", "priority": 0}]')
+    for extra in ([], ["--priorities", str(prio)]):
+        assert run(["solve", str(game), "--format", "json", *extra]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["effective_bound"], doc["bound_variant"]) == (41, "general")
+        assert [row["credit"] for row in doc["min_credits"]] == ["6", "6"]
+        assert doc["w_sys"] == ["!x", "x"] and doc["w_env"] == []
+
+
+@pytest.mark.parametrize("module", ["emu", "emu.cli"])
+def test_python_dash_m_runs_the_cli(module, g1_path):
+    src = str(Path(__file__).parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "solve", g1_path, "--builtin", "buchi",
+         "--param", "J=y", "--bound", "0", "--state", "x & y"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == (
+        "effective bound: 0\nN=4 K=1 m=9 d=2 variant=buchi\n"
+        "state x & y: min credit inf -> system loses\n"
+        "W_sys: 0 states, W_env: 4 states\n")

@@ -40,6 +40,29 @@ def test_sufficient_bound_variants(g1, fixtures_dir):
             bb.alternation_depth, bb.variant) == (4, 1, 3, 1, "general")
 
 
+def test_priorities_change_no_other_formula_at_inf():
+    """A priority annotation decides the bound of the game's parity formula
+    and its negation only: every other formula solves at --bound inf to the
+    same bound, variant and credits as on the game without priorities."""
+    rng = random.Random(11)
+    compared = 0
+    for i in range(200):
+        g = random_wgs(rng, 2, 2 if i % 2 else 3, max_weight=1, priorities=True)
+        if i % 2:  # over the atoms a and b, the first two variables
+            f = random_nested_formula(rng, size=8, max_binders=2)
+        else:
+            _, f = random_formula(rng, g.vars)
+        p = fm.parity_formula(g.priorities)
+        if f == p or fm.negate(f) == p:
+            continue
+        want = solve(SolveRequest(dataclasses.replace(g, priorities=None), f, math.inf))
+        got = solve(SolveRequest(g, f, math.inf))
+        assert got.bound_breakdown == want.bound_breakdown
+        assert got.min_credits == want.min_credits
+        compared += 1
+    assert compared == 200  # no draw at this seed is the parity formula
+
+
 def _shadowed_buchi():
     """nu Z . mu Z . ((y & <>Z) | <>Z): both steps read the inner Z."""
     step = fm.Diamond(fm.RelVar("Z"))
