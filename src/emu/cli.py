@@ -254,49 +254,57 @@ def _mutate_credits(credits: EnergyFunction) -> EnergyFunction:
     return EnergyFunction(credits.bound, values)
 
 
-def _check_one_reduction(rng, args, mutate):
+def _draw_reduction(rng, args):
     game = random_wgs(rng, 2, args.max_vars, args.max_weight)
     c = rng.randint(0, args.max_bound)
-    name, formula = random_formula(rng, game.vars)
+    return (game, c, *random_formula(rng, game.vars))
+
+
+def _check_reduction(game, c, formula, mutate):
     mine = eval_energy(game, c, formula)
     if mutate:
         mine = _mutate_credits(mine)
     want = oracle_min_credit_sys(game, c, formula)
     if mine != want:
-        return game, c, name, "system-side minimum credits disagree"
+        return "system-side minimum credits disagree"
     dual = fm.negate(formula)
     mine_env = eval_energy(game, c, dual)
     want_env = oracle_max_credit_env(game, c, dual)
     if mine_env != want_env:
-        return game, c, name, "environment-side values disagree"
+        return "environment-side values disagree"
     w_sys = mine.is_finite()
     w_env = mine_env.values == 0
     if (w_sys & w_env).any() or not (w_sys | w_env).all():
-        return game, c, name, "regions do not partition the states"
+        return "regions do not partition the states"
     return None
 
 
-def _check_one_parity(rng, args, mutate):
+def _draw_parity(rng, args):
     game = random_wgs(rng, 2, args.max_vars, args.max_weight, priorities=True)
-    c = rng.randint(0, args.max_bound)
-    agree = crosscheck_parity(game, c).ok
+    return game, rng.randint(0, args.max_bound), "parity", None
+
+
+def _check_parity(game, c, formula, mutate):
     # --mutate stands for a corrupted symbolic credit, which differs from the
     # explicit credit wherever the two agreed
-    if mutate or not agree:
-        return game, c, "parity", "symbolic and explicit credits disagree"
+    if mutate or not crosscheck_parity(game, c).ok:
+        return "symbolic and explicit credits disagree"
     return None
 
 
 def cmd_check(args) -> int:
-    checker = (_check_one_parity if args.oracle == "parity"
-               else _check_one_reduction)
+    draw, check = ((_draw_parity, _check_parity) if args.oracle == "parity"
+                   else (_draw_reduction, _check_reduction))
     for i in range(args.cases):
-        bad = checker(random.Random(args.seed * 1_000_003 + i), args, args.mutate)
-        if bad is not None:
+        game, c, name, formula = draw(random.Random(args.seed * 1_000_003 + i), args)
+        try:
+            why = check(game, c, formula, args.mutate)
+        except (ConsistencyError, IterationCapError) as e:
+            why = str(e)  # an oracle or the engine found itself inconsistent
+        if why is not None:
             break
         print(f"case {i:04d} ok")
-    if bad is not None:
-        game, c, name, why = bad
+    if why is not None:
         stem = Path(args.dump_dir) / f"counterexample-seed{args.seed}-case{i}"
         save_game(game, stem.with_suffix(".game"))
         stem.with_suffix(".json").write_text(json.dumps({
@@ -312,8 +320,8 @@ def cmd_check(args) -> int:
         }, indent=2) + "\n")
         print(f"case {i:04d} MISMATCH: {why}")
         print(f"  reproduce from {stem.with_suffix('.game')} (bound {c})")
-    print(f"checked {i + 1} cases, {int(bad is not None)} mismatches")
-    return EXIT_WIN if bad is None else EXIT_INTERNAL
+    print(f"checked {i + 1} cases, {int(why is not None)} mismatches")
+    return EXIT_WIN if why is None else EXIT_INTERNAL
 
 
 def _add_formula_args(p):

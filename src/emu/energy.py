@@ -213,8 +213,8 @@ def _credit_cap_cut(c: int, cap: int, root_proven: bool):
     above cap become INF, and in its mirror ``mu X . psi'`` values up to
     c-cap become 0:
 
-    (S) a fixpoint that ``formulas.is_safety_shape`` accepts when its free
-        variables count as atoms, in each evaluation where every free
+    (S) a fixpoint that ``formulas.safety_reads`` accepts, its free
+        variables counting as atoms, in each evaluation where every free
         variable has a value in {0, INF} (psi over atoms, such variables,
         ``&``, ``|`` and ``<>X``; psi' with ``[]X``);
     (R) the formula's outermost fixpoint, where ``root_proven`` holds
@@ -323,8 +323,8 @@ def _credit_cap_cut(c: int, cap: int, root_proven: bool):
         clip = down if isinstance(node, fm.Nu) else up
         if root and root_proven:
             return lambda env: clip
-        free = fm.free_variables(node)
-        if not fm.is_safety_shape(node, atoms=free):
+        free = fm.safety_reads(node)
+        if free is None:
             return None
         # an unbound variable gets no cut; evaluating the body then raises
         return lambda env: clip if all(
@@ -345,7 +345,7 @@ def eval_energy(game, c: int, f: fm.Formula, valuation=None,
     cap = (N-1)K, two kinds of fixpoint are cut at cap (``_credit_cap_cut``):
     values above cap become INF in a nu, and values up to c-cap become 0 in
     its mirror mu.  One is a fixpoint of the safety fragment or its mirror
-    (``formulas.is_safety_shape``, free variables counting as atoms), in
+    (``formulas.safety_reads``, free variables counting as atoms), in
     each evaluation in which its free variables, the hoisted subterms of
     its body included, take only the values 0 and INF.  So ``safety`` on a
     2-variable game whose moves all weigh -1 ends after cap+2 = 5

@@ -205,7 +205,9 @@ _FPREC = {Or: 1, And: 2, Not: 3, Diamond: 3, Box: 3, Mu: 0, Nu: 0,
 
 
 def formula_to_str(f: Formula) -> str:
-    """Render a formula; reparsing yields an equal tree."""
+    """Render a formula.  Reparsing yields an equal tree for any tree the
+    parser can produce, not for every tree: ``Not(Atom(a))`` prints as
+    ``!a``, which reparses to ``NegAtom(a)``."""
 
     def plain_atom(a):
         if isinstance(a, asr.Const):
@@ -514,15 +516,15 @@ def bound_variant(f: Formula, priorities=None) -> tuple[str, Optional[int]]:
     return "general", None
 
 
-def is_safety_shape(f: Formula, atoms=frozenset()) -> bool:
-    """Whether f is ``nu X . psi`` with psi built from atoms, ``&``, ``|`` and
-    ``<>X`` only, or its De Morgan mirror ``mu X . psi`` over atoms, ``&``,
-    ``|`` and ``[]X``.  A variable named in ``atoms`` counts as an atom; by
-    default none does, so such a fixpoint is closed."""
+def safety_reads(f: Formula) -> Optional[set[str]]:
+    """The variables other than its own that f reads, when f is
+    ``nu X . psi`` with psi built from atoms, such variables, ``&``, ``|``
+    and ``<>X`` only, or its De Morgan mirror ``mu X . psi`` with ``[]X``;
+    None otherwise.  psi holds no binder, so these are f's free variables."""
     if not isinstance(f, (Mu, Nu)):
-        return False
+        return None
     step = Diamond if isinstance(f, Nu) else Box
-    stack = [f.sub]
+    reads, stack = set(), [f.sub]
     while stack:
         node = stack.pop()
         kind = type(node)
@@ -530,13 +532,12 @@ def is_safety_shape(f: Formula, atoms=frozenset()) -> bool:
             stack += (node.left, node.right)
         elif kind is step:
             if not (type(node.sub) is RelVar and node.sub.name == f.name):
-                return False
-        elif kind is RelVar:
-            if node.name == f.name or node.name not in atoms:
-                return False
+                return None
+        elif kind is RelVar and node.name != f.name:
+            reads.add(node.name)
         elif kind is not Atom and kind is not NegAtom:
-            return False
-    return True
+            return None
+    return reads
 
 
 def parity_formula(priorities) -> Formula:

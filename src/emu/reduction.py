@@ -18,8 +18,8 @@ import numpy as np
 from . import formulas as fm
 from .classical import eval_classical
 from .energy import INF, EnergyFunction, _check_bound
-from .errors import ConsistencyError, FragmentError
-from .game import VariableSet, WeightedGameStructure
+from .errors import ConsistencyError, FragmentError, StateCapError
+from .game import MAX_VARS, WeightedGameStructure
 from .tables import DEAD, GameTables, check_memory, row_positions
 
 
@@ -28,36 +28,22 @@ class ReducedGame:
     """The credit-tracking game built from a weighted game and a bound.
 
     State indices extend the original packing: the low bits are the original
-    state, the high bits the credit.  Table rows extend the original rows the
+    state, the high bits the credit, which are unnamed system outputs, so no
+    formula atom can read them.  Table rows extend the original rows the
     same way, one block of them per credit layer.  Credit encodings above the
     bound are made unreachable by the transition relation.
     """
 
     original: WeightedGameStructure
     bound: int
-    credit_vars: tuple[str, ...]
-    vars: VariableSet
+    n_credit_bits: int
     _tables: GameTables
 
     def tables(self) -> GameTables:
         return self._tables
 
-    @property
-    def n_credit_bits(self) -> int:
-        return len(self.credit_vars)
-
     def state_index(self, s: int, credit: int) -> int:
         return s | (credit << len(self.original.vars.names))
-
-
-def _credit_names(existing, k):
-    names = []
-    for j in range(k):
-        name = f"credit{j}"
-        while name in existing or name in names:
-            name = "_" + name
-        names.append(name)
-    return tuple(names)
 
 
 def reduce_game(game: WeightedGameStructure, c: int) -> ReducedGame:
@@ -66,10 +52,11 @@ def reduce_game(game: WeightedGameStructure, c: int) -> ReducedGame:
     # ceil(log2(c+1)) bits encode [0, c]; a bound of 0 still gets one bit.
     k = max(1, int(c).bit_length())
     n = len(game.vars.names)
+    if n + k > MAX_VARS:
+        raise StateCapError(f"{n + k} variables exceed the cap of {MAX_VARS}"
+                            f" ({1 << MAX_VARS} enumerated states)")
     check_memory(n + k, len(row_positions(game)) + k)
     base = game.tables()
-    names = _credit_names(set(game.vars.names), k)
-    new_vars = VariableSet(game.vars.names + names, game.vars.inputs)
 
     layers = 1 << k
     N, NX, NY = base.n_states, base.n_inputs, base.n_outputs
@@ -89,14 +76,10 @@ def reduce_game(game: WeightedGameStructure, c: int) -> ReducedGame:
         + (np.repeat(np.arange(layers, dtype=np.int64), NY) << n)[None, :]
     )
 
-    var_positions = dict(base.var_positions)
-    for j, name in enumerate(names):
-        var_positions[name] = n + j
-
     for arr in (row, rho_e, weight, succ):
         arr.setflags(write=False)
     tables = GameTables(
-        var_positions=var_positions,
+        var_positions=base.var_positions,
         x_positions=base.x_positions,
         y_positions=base.y_positions + tuple(range(n, n + k)),
         n_states=N * layers,
@@ -108,9 +91,7 @@ def reduce_game(game: WeightedGameStructure, c: int) -> ReducedGame:
         succ=succ,
         prio=None,
     )
-    return ReducedGame(
-        original=game, bound=c, credit_vars=names, vars=new_vars, _tables=tables
-    )
+    return ReducedGame(original=game, bound=c, n_credit_bits=k, _tables=tables)
 
 
 def _credit_readout(game, c, formula, side):
@@ -129,23 +110,20 @@ def _credit_readout(game, c, formula, side):
         raise FragmentError(
             "the system-side oracle needs a box-free formula" if side == "sys"
             else "the environment-side oracle needs a diamond-free formula")
-    rg = reduce_game(game, c)
-    layers = eval_classical(rg, f).reshape(1 << rg.n_credit_bits, game.n_states)
-    out = np.full(game.n_states, INF, dtype=np.int64)
-    for s in range(game.n_states):
-        credits = [c0 for c0 in range(c + 1) if layers[c0, s]]
-        if not credits:
-            continue
-        lo, hi = credits[0], credits[-1]
-        if side == "sys":
-            closed, shape, out[s] = hi == c, "upward", lo
-        else:
-            closed, shape, out[s] = lo == 0, "downward", c - hi
-        if not closed or len(credits) != hi - lo + 1:
-            raise ConsistencyError(
-                f"winning credits of state {s} are not {shape} closed: {credits}"
-            )
-    return EnergyFunction(c, out)
+    won = eval_classical(reduce_game(game, c), f).reshape(-1, game.n_states)
+    won = won[:c + 1]
+    # a well-shaped column is unchanged by an or-scan from its open end
+    scan = won if side == "sys" else won[::-1]
+    bad = np.flatnonzero((np.logical_or.accumulate(scan) != scan).any(axis=0))
+    if bad.size:
+        s = int(bad[0])
+        raise ConsistencyError(
+            f"winning credits of state {s} are not"
+            f" {'upward' if side == 'sys' else 'downward'} closed:"
+            f" {np.flatnonzero(won[:, s]).tolist()}")
+    # both sides' value is c + 1 - count: lo of [lo, c], c - hi of [0, hi]
+    count = won.sum(axis=0)
+    return EnergyFunction(c, np.where(count > 0, c + 1 - count, INF))
 
 
 def oracle_min_credit_sys(

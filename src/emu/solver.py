@@ -43,6 +43,9 @@ def compute_bound(game: WeightedGameStructure, formula: fm.Formula) -> BoundBrea
     n = game.n_states
     k = game.max_abs_weight
     met = fm.metrics(formula)
+    if not met.closed:
+        raise FragmentError("the solver needs a closed formula")
+    fm.require_monotone(formula)
     variant, d = fm.bound_variant(formula, game.priorities)
     if d is not None:
         bound = d * (n * n + n - 1) * k
@@ -95,8 +98,6 @@ def winning_regions(game: WeightedGameStructure, c: int, formula: fm.Formula):
 
 def solve(req: SolveRequest) -> SolveReport:
     """Minimum credits and winning regions at the requested or computed bound."""
-    if not fm.is_closed(req.formula):
-        raise FragmentError("the solver needs a closed formula")
     breakdown = compute_bound(req.game, req.formula)
     unbounded = req.bound == math.inf
     c = breakdown.bound if unbounded else req.bound

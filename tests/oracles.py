@@ -407,6 +407,34 @@ def eval_energy_plain(game, c, f) -> EnergyFunction:
     return ev(f, {})
 
 
+def credit_readout_loops(layers, c, side) -> list[int]:
+    """Per-state credits from the winning layers of a reduced game, row e
+    the states that win with credit e; rows above c are not read.
+
+    On the ``sys`` side the winning credits of each state must be upward
+    closed [lo, c] and its value is lo; on the ``env`` side downward closed
+    [0, hi], value c - hi.  A state with no winning credit gets INF, and the
+    first state of the wrong shape raises ``ConsistencyError``.
+    """
+    out = []
+    for s in range(layers.shape[1]):
+        credits = [c0 for c0 in range(c + 1) if layers[c0, s]]
+        if not credits:
+            out.append(INF)
+            continue
+        lo, hi = credits[0], credits[-1]
+        if side == "sys":
+            closed, shape, value = hi == c, "upward", lo
+        else:
+            closed, shape, value = lo == 0, "downward", c - hi
+        if not closed or len(credits) != hi - lo + 1:
+            raise ConsistencyError(
+                f"winning credits of state {s} are not {shape} closed: {credits}"
+            )
+        out.append(value)
+    return out
+
+
 def _play_winner(pg, start, choice0, choice1):
     """Winner of the unique play under two memoryless strategies."""
     seen = {}

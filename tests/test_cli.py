@@ -20,6 +20,7 @@ from emu import (
 )
 from emu import formulas as fm
 from emu.assertions import TRUE
+from emu.errors import IterationCapError
 from emu.cli import run, solve_report_from_json, solve_report_json
 from emu.solver import BoundBreakdown
 from oracles import solve_report_dict
@@ -88,6 +89,17 @@ def test_bound_command(g1_path, prio_path, capsys):
     assert run(["bound", g1_path, "--priorities", prio_path]) == 0
     out = capsys.readouterr().out
     assert "bound: 38" in out and "variant: buchi" in out
+
+
+@pytest.mark.parametrize("formula, why", [
+    ("nu X . <>Y", "the solver needs a closed formula"),
+    ("mu X . !X", "odd number of negations"),
+])
+def test_bound_refuses_what_solve_refuses(formula, why, g1_path, capsys):
+    for argv in (["bound"], ["solve"], ["region", "--bound", "2"]):
+        assert run(argv + [g1_path, "--formula", formula]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and why in captured.err
 
 
 def test_region_command(g1_path, capsys):
@@ -193,6 +205,38 @@ def test_check_mutation_detected(tmp_path, capsys):
     load_game(games[0])
     meta = json.loads(reports[0].read_text())
     assert meta["seed"] == 7 and meta["oracle"] == "reduction"
+
+
+@pytest.mark.parametrize("oracle", ["reduction", "parity"])
+def test_check_dumps_an_inconsistent_case(oracle, tmp_path, capsys, monkeypatch):
+    # an oracle or the engine that finds itself inconsistent makes that case
+    # a mismatch, dumped like any other, not an escape from the check
+    from emu import classical, reduction, solver
+
+    def gap(rg, f):  # state 0 wins at credits 0 and 2 only (the bound is 7)
+        won = classical.eval_classical(rg, f).reshape(-1, rg.original.n_states)
+        won[:, 0] = False
+        won[[0, 2], 0] = True
+        return won.reshape(-1)
+
+    def stuck(game, c, f):
+        raise IterationCapError("a fixpoint did not stabilize")
+
+    if oracle == "reduction":
+        monkeypatch.setattr(reduction, "eval_classical", gap)
+        why = "winning credits of state 0 are not upward closed: [0, 2]"
+    else:
+        monkeypatch.setattr(solver, "eval_energy", stuck)
+        why = "a fixpoint did not stabilize"
+    code = run(["check", "--oracle", oracle, "--seed", "0", "--cases", "2",
+                "--max-vars", "3", "--dump-dir", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 3
+    assert f"case 0000 MISMATCH: {why}" in out
+    assert "checked 1 cases, 1 mismatches" in out
+    meta = json.loads((tmp_path / "counterexample-seed0-case0.json").read_text())
+    assert meta["reason"] == why and meta["oracle"] == oracle
+    assert (tmp_path / "counterexample-seed0-case0.game").exists()
 
 
 def test_check_parity_oracle(tmp_path, capsys):

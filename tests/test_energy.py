@@ -367,7 +367,7 @@ def test_credit_beyond_the_expansion_cap():
 
     g = _game(("y",), [("y'", -1), ("true", 0)])
     f = fm.parse_formula("nu Z . ((<>(y & <>(y & <>(y & <>(y & <>y))))) & <>Z)")
-    assert not fm.is_safety_shape(f)
+    assert fm.safety_reads(f) is None
     report = solve(SolveRequest(g, f, math.inf))
     assert report.effective_bound == 214
     assert report.min_credits.values.tolist() == [5, 5]
@@ -387,7 +387,7 @@ def test_cut_matches_the_uncut_fixpoint():
         for text in bodies:
             f = fm.parse_formula(text.replace("p", p).replace("q", q))
             for node in (f, fm.negate(f)):
-                assert fm.is_safety_shape(node)
+                assert fm.safety_reads(node) == set()
                 for c in (cap + 1, 2 * cap + 3, 10 * cap + 7, rng.randint(0, 12 * cap + 9)):
                     stats = FixpointStats()
                     got = eval_energy(g, c, node, stats=stats)
@@ -541,7 +541,7 @@ def _check_root_cut(g, c, node):
         # the values c+1-v of the mirror stay at or above c+1-cap
         v = want.values[(want.values != 0) & want.is_finite()]
         assert (v <= cap).all() if isinstance(node, fm.Nu) else (v > c - cap).all()
-    elif not fm.is_safety_shape(node):
+    elif fm.safety_reads(node) is None:
         assert stats.root_cuts == 0
     if cap >= c:
         assert stats.root_cuts == 0

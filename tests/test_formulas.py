@@ -200,20 +200,30 @@ def test_is_buchi_shape():
     assert fm.is_buchi_shape(fm.builtin("cobuchi", J="y")) is None
 
 
-def test_is_safety_shape():
+def test_safety_reads():
     for text in ["nu X . <>X", "nu X . (p & <>X)", "nu X . ((p & <>X) | !q)",
                  "nu X . (<>X & (p | <>X))", "nu X . p", "mu X . ([]X | p)"]:
         f = fm.parse_formula(text)
-        assert fm.is_safety_shape(f) and fm.is_safety_shape(fm.negate(f))
+        assert fm.safety_reads(f) == set() == fm.safety_reads(fm.negate(f))
     for text in ["mu X . <>X", "nu X . []X", "nu X . (X & <>X)",
                  "nu X . <>(p & X)", "nu X . <>(p & <>X)", "nu X . (<>X & []X)",
-                 "nu X . (<>X & Y)", "nu X . nu Y . <>X", "nu X . !<>!X",
+                 "nu X . nu Y . <>X", "nu X . !<>!X",
                  "nu X . (<>X & mu Y . <>Y)", "p & <>p"]:
-        assert not fm.is_safety_shape(fm.parse_formula(text)), text
+        assert fm.safety_reads(fm.parse_formula(text)) is None, text
     for name, params in [("reach", {"p": "y"}), ("buchi", {"J": "y"}),
                          ("cobuchi", {"J": "y"}), ("dual-buchi", {"J": "y"})]:
-        assert not fm.is_safety_shape(fm.builtin(name, **params))
-    assert fm.is_safety_shape(fm.builtin("safety"))
+        assert fm.safety_reads(fm.builtin(name, **params)) is None
+    assert fm.safety_reads(fm.builtin("safety")) == set()
+    # the other variables a fixpoint reads, which are its free variables
+    for text, reads in [("nu X . (<>X & Y)", {"Y"}),
+                        ("nu X . ((Y | <>X) & (p | Z))", {"Y", "Z"}),
+                        ("mu X . (Y & []X) | Y", {"Y"}),
+                        ("nu X . (<>X & !Y)", None),
+                        ("nu X . (<>X & <>Y)", None)]:
+        f = fm.parse_formula(text)
+        assert fm.safety_reads(f) == reads, text
+        if reads is not None:
+            assert reads == fm.free_variables(f)
 
 
 def test_parity_formula_degenerate_cases():

@@ -21,10 +21,23 @@ from emu import (
 )
 from emu import assertions as asr
 from emu import formulas as fm
-from emu.errors import ConsistencyError, FragmentError, StateCapError
+from emu.errors import (
+    ConsistencyError,
+    FragmentError,
+    MalformedAssertionError,
+    StateCapError,
+)
 from emu.randgen import random_formula, random_wgs
 from emu.tables import DEAD
-from oracles import all_states, env_choices, eval_assertion, state_of, sys_choices, weight
+from oracles import (
+    all_states,
+    credit_readout_loops,
+    env_choices,
+    eval_assertion,
+    state_of,
+    sys_choices,
+    weight,
+)
 
 
 def _move_weight(t, s, s_next):
@@ -59,10 +72,8 @@ def _reduced_move(moves, c, s, c1, s_next, c2):
 def test_reduce_g1_c2(g1):
     rg = reduce_game(g1, 2)
     assert rg.n_credit_bits == 2
-    assert rg.vars.names[:2] == ("x", "y")
-    assert len(rg.vars.names) == 4
-    # credit vars are system-controlled
-    assert rg.vars.inputs == frozenset({"x"})
+    # the credit bits are system outputs above the game's variables
+    assert rg.tables().y_positions[-2:] == (2, 3)
 
     s = state_of(g1.vars, set()).index
     t_y = state_of(g1.vars, {"y"}).index
@@ -106,6 +117,19 @@ def test_reduce_respects_state_cap():
     )
     with pytest.raises(StateCapError):
         reduce_game(g, 100)  # needs 7 credit bits, 29 > 24
+
+
+def test_reduce_caps_the_credit_bits_too():
+    # 20 + 5 variables: the variable cap refuses them before any memory estimate
+    vs = VariableSet(tuple(f"v{i}" for i in range(20)), frozenset())
+    g = WeightedGameStructure(
+        vars=vs,
+        rho_e=parse_assertion("true"),
+        rho_s=parse_assertion("true"),
+        weights=(WeightRule(parse_assertion("true"), 0),),
+    )
+    with pytest.raises(StateCapError, match="25 variables exceed the cap of 24"):
+        reduce_game(g, 16)
 
 
 def test_dead_moves_weigh_dead(g1):
@@ -280,3 +304,74 @@ def test_credit_readout_checks_the_shape(g1, monkeypatch, side, column, want):
             oracle(g1, 2, formula)
     else:
         assert oracle(g1, 2, formula).values.tolist() == [want] + [INF] * 3
+
+
+def test_readout_matches_the_loop_reference(g1, monkeypatch):
+    """The array readout against ``oracles.credit_readout_loops`` on random
+    winning layers, well and badly shaped, on both sides: the same values,
+    or the same ``ConsistencyError`` text."""
+    from emu import reduction
+
+    rng = np.random.default_rng(29)
+    n = g1.n_states
+    safety = fm.builtin("safety")
+    raised = 0
+    for case in range(400):
+        c = int(rng.integers(0, 9))
+        side = ("sys", "env")[case % 2]
+        e = np.arange(c + 1)[:, None]
+        cut = rng.integers(-1, c + 2, size=n)
+        layers = e >= cut if side == "sys" else e <= cut
+        bad = rng.random(n) < (0.0, 0.1, 0.5)[case % 3]
+        noise = rng.random((c + 1, n)) < 0.5
+        layers = np.where(bad, noise, layers)
+        # the encodings above c are not credits and must not be read
+        rows = 1 << max(1, c.bit_length())
+        padded = np.vstack([layers, rng.random((rows - c - 1, n)) < 0.5])
+        monkeypatch.setattr(reduction, "eval_classical",
+                            lambda rg, f: padded.reshape(-1))
+        oracle, formula = ((oracle_min_credit_sys, safety) if side == "sys"
+                           else (oracle_max_credit_env, fm.negate(safety)))
+        try:
+            want = credit_readout_loops(layers, c, side)
+        except ConsistencyError as e:
+            raised += 1
+            with pytest.raises(ConsistencyError) as got:
+                oracle(g1, c, formula)
+            assert str(got.value) == str(e)
+        else:
+            assert oracle(g1, c, formula).values.tolist() == want
+    assert 50 < raised < 350
+
+
+@pytest.mark.parametrize("text", ["mu X . credit0 | <>X", "nu X . _credit0 & <>X"])
+def test_credit_bits_are_not_atoms(g1, text):
+    # the credit bits are unnamed: an atom naming no game variable is
+    # refused by the oracle as by the engine, on both sides
+    f = fm.parse_formula(text)
+    for evaluate in (eval_energy, oracle_min_credit_sys):
+        with pytest.raises(MalformedAssertionError, match="unknown variable"):
+            evaluate(g1, 2, f)
+    for evaluate in (eval_energy, oracle_max_credit_env):
+        with pytest.raises(MalformedAssertionError, match="unknown variable"):
+            evaluate(g1, 2, fm.negate(f))
+
+
+def test_a_game_variable_named_like_a_credit_bit():
+    vs = VariableSet(("x", "credit0"), frozenset({"x"}))
+    g = WeightedGameStructure(
+        vars=vs,
+        rho_e=parse_assertion("true"),
+        rho_s=parse_assertion("true"),
+        weights=(WeightRule(parse_assertion("credit0'"), -1),
+                 WeightRule(parse_assertion("true"), 1)),
+    )
+    f = fm.parse_formula("nu X . credit0 & <>X")
+    for c in (0, 1, 3):
+        assert oracle_min_credit_sys(g, c, f) == eval_energy(g, c, f)
+        assert oracle_max_credit_env(g, c, fm.negate(f)) == eval_energy(
+            g, c, fm.negate(f))
+    f = fm.parse_formula("nu X . _credit0 & <>X")
+    for evaluate in (eval_energy, oracle_min_credit_sys):
+        with pytest.raises(MalformedAssertionError, match="unknown variable"):
+            evaluate(g, 3, f)
