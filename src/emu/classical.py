@@ -282,9 +282,8 @@ def cpre_sys(game, target: StateSet) -> StateSet:
     a valid input with no valid output rules the state out.
     """
     t = game.tables()
-    hit = (t.weight != DEAD) & target[t.succ][None, :, :]
-    exists_out = hit.any(axis=2)
-    return (~t.rho_e | exists_out).all(axis=1)[t.row]
+    hit = (t.weight != DEAD) & target[t.succ].any(axis=2)[:, :, None]
+    return (~t.rho_e.T | hit.any(axis=0)).all(axis=0)[t.row]
 
 
 def cpre_env(game, target: StateSet) -> StateSet:

@@ -133,21 +133,17 @@ def leq(f: EnergyFunction, g: EnergyFunction) -> bool:
     return bool((f.values >= g.values).all())
 
 
-def _clip(c: int, v: np.ndarray) -> np.ndarray:
-    """The credit of a need v at bound c: INF above c, else max(v, 0)."""
-    return np.where(v > c, INF, np.maximum(v, 0))
-
-
 def neg(f: EnergyFunction) -> EnergyFunction:
     """Pointwise De Morgan negation: 0 <-> INF, x -> bound+1-x.
 
-    It is the clip of ``ecpre`` applied to c+1-v, case by case: 0 maps to
-    c+1, which is above c, so to INF; x in [1, c] maps to c+1-x, which stays
-    in [1, c]; INF maps to c+1-2^62, which is negative, so to 0.  With
-    c <= 2^60 nothing wraps.
+    It is the clip of a need (``ecpre``: INF above c, else max(v, 0))
+    applied to v = c+1-x, case by case: 0 maps to c+1, which is above c, so
+    to INF; x in [1, c] maps to c+1-x, which stays in [1, c]; INF maps to
+    c+1-2^62, which is negative, so to 0.  With c <= 2^60 nothing wraps.
     """
     c = f.bound
-    return EnergyFunction._of(c, _clip(c, (c + 1) - f.values))
+    v = (c + 1) - f.values
+    return EnergyFunction._of(c, np.where(v > c, INF, np.maximum(v, 0)))
 
 
 def ecpre(game, c: int, f: EnergyFunction) -> EnergyFunction:
@@ -158,19 +154,23 @@ def ecpre(game, c: int, f: EnergyFunction) -> EnergyFunction:
     A move needs the credit of its target minus its weight, unattainable
     above the bound; a move the system cannot make, or into an unattainable
     target, is unattainable; an input the environment cannot play is free.
-    The clip of a need v (``_clip``: INF above c, else max(v, 0)) is
-    monotone, so it commutes with min and max and comes last; a dead move
-    (weight DEAD) or an INF target needs more than c, and |w|, c <= LIMIT
-    rule out wrapping.
-    The kernel and the clip run once per table row; each state then reads
-    the value of its row.
+    The clip of a need v (INF above c, else max(v, 0)) is monotone, so it
+    commutes with min and max and comes last; a dead move (weight DEAD) or
+    an INF target needs more than c, and |w|, c <= LIMIT rule out wrapping.
+
+    Neither the weight nor ``rho_s`` reads a free output (``tables``), so
+    min over y of f(succ) - w is the min over the read outputs of (the min
+    over the free outputs of f(succ)) - w: the kernel reduces the gathered
+    targets first, subtracts once per (read output, input, row) cell and
+    reduces along axis 0 twice.  The max starts at 0, so v >= 0 and the
+    clip only maps v > c to INF; each state reads the value of its row.
     """
     if f.bound != c:
         raise BoundMismatchError(f"function bound {f.bound} differs from c={c}")
     t = game.tables()
-    v = (f.values[t.succ] - t.weight).min(axis=2)
-    v = v.max(axis=1, initial=0, where=t.rho_e)
-    return EnergyFunction._of(c, _clip(c, v)[t.row])
+    v = f.values[t.succ].min(axis=2)[:, :, None] - t.weight
+    v = v.min(axis=0).max(axis=0, initial=0, where=t.rho_e.T)
+    return EnergyFunction._of(c, np.where(v > c, INF, v)[t.row])
 
 
 def ecpre_env(game, c: int, f: EnergyFunction) -> EnergyFunction:
@@ -198,10 +198,10 @@ def _root_proven(game, f: fm.Formula, c: int) -> bool:
     root = fm.negate(f) if isinstance(f, fm.Mu) else f
     if not isinstance(root, fm.Nu):
         return False
-    priorities = game.priorities
-    if priorities is not None and min(r.priority for r in priorities) % 2:
-        priorities = None  # P is mu-rooted: a nu root is at most its negation
-    variant, d = fm.bound_variant(root, priorities)
+    parity = game.parity_formula()
+    if isinstance(parity, fm.Mu):
+        parity = None  # P is mu-rooted: a nu root is at most its negation
+    variant, d = fm.bound_variant(root, parity)
     return variant != "general" and c >= d * per_priority
 
 

@@ -502,15 +502,18 @@ def is_buchi_shape(f: Formula) -> Optional[asr.Assertion]:
     return None
 
 
-def bound_variant(f: Formula, priorities=None) -> tuple[str, Optional[int]]:
-    """The sufficient-bound variant of f on a game with these priorities
-    and its d: ``parity`` (the priority count) when f or its negation is
-    ``parity_formula(priorities)``, ``buchi`` (2) when ``is_buchi_shape``
-    accepts f, else ``general`` (None: the bound counts alternation depth)."""
-    if priorities is not None:
-        p = parity_formula(priorities)
-        if f == p or negate(f) == p:
-            return "parity", len({r.priority for r in priorities})
+def bound_variant(f: Formula, parity: Optional[Formula] = None
+                  ) -> tuple[str, Optional[int]]:
+    """The sufficient-bound variant of f and its d, given the parity formula
+    of the game's priorities (``parity_formula``; None if it has none):
+    ``parity`` (the priority count, one binder each) when f or its negation
+    is ``parity``, ``buchi`` (2) when ``is_buchi_shape`` accepts f, else
+    ``general`` (None: the bound counts alternation depth)."""
+    if parity is not None and (f == parity or negate(f) == parity):
+        d, node = 0, parity
+        while isinstance(node, (Mu, Nu)):
+            d, node = d + 1, node.sub
+        return "parity", d
     if is_buchi_shape(f) is not None:
         return "buchi", 2
     return "general", None

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import assertions as asr
+from . import formulas as fm
 from .errors import (
     EmuError,
     MalformedAssertionError,
@@ -148,3 +149,11 @@ class WeightedGameStructure:
             t = build_tables(self)
             self.__dict__["_tables"] = t
         return t
+
+    def parity_formula(self):
+        """``formulas.parity_formula`` of the priorities, None without them;
+        built once, like the tables."""
+        if "_parity" not in self.__dict__:
+            self.__dict__["_parity"] = (None if self.priorities is None
+                                        else fm.parity_formula(self.priorities))
+        return self.__dict__["_parity"]

@@ -114,16 +114,21 @@ def from_parity_wgs(game: WeightedGameStructure) -> EnergyParityGame:
     t = game.tables()
     if t.prio is None:
         raise EmuError("the game carries no priority annotation")
-    N, NX = t.n_states, t.n_inputs
+    N, NX, NYf = t.n_states, t.n_inputs, t.succ.shape[2]
     s, x = np.nonzero(t.rho_e[t.row])
-    ss, sx, sy = np.nonzero((t.weight != tables.DEAD)[t.row])
+    # each valid (state, input, read output) move, over the free outputs;
+    # then sorted by source and, within one, by target, which is by output
+    ss, sx, sy = np.nonzero((t.weight != tables.DEAD)[:, :, t.row].T)
+    src = np.repeat(N + ss * NX + sx, NYf)
+    dst = t.succ[sy, sx].ravel()
+    order = np.lexsort((dst, src))
     return EnergyParityGame(
         owners=np.repeat(np.array([1, 0], dtype=np.int8), [N, N * NX]),
         prios=np.concatenate([t.prio, np.repeat(t.prio, NX)]),
-        src=np.concatenate([s, N + ss * NX + sx]),
-        dst=np.concatenate([N + s * NX + x, t.succ[sx, sy]]),
+        src=np.concatenate([s, src[order]]),
+        dst=np.concatenate([N + s * NX + x, dst[order]]),
         weight=np.concatenate([np.zeros(len(s), dtype=np.int64),
-                               t.weight[t.row[ss], sx, sy]]),
+                               np.repeat(t.weight[sy, sx, t.row[ss]], NYf)[order]]),
     )
 
 

@@ -20,7 +20,7 @@ from .classical import eval_classical
 from .energy import INF, EnergyFunction, _check_bound
 from .errors import ConsistencyError, FragmentError, StateCapError
 from .game import MAX_VARS, WeightedGameStructure
-from .tables import DEAD, GameTables, check_memory, row_positions
+from .tables import DEAD, GameTables, check_memory, read_positions
 
 
 @dataclass(frozen=True)
@@ -30,8 +30,10 @@ class ReducedGame:
     State indices extend the original packing: the low bits are the original
     state, the high bits the credit, which are unnamed system outputs, so no
     formula atom can read them.  Table rows extend the original rows the
-    same way, one block of them per credit layer.  Credit encodings above the
-    bound are made unreachable by the transition relation.
+    same way, one block of them per credit layer, and so do the read
+    outputs, for the moves read the claimed credit; the free outputs stay
+    those of the original.  Credit encodings above the bound are made
+    unreachable by the transition relation.
     """
 
     original: WeightedGameStructure
@@ -55,36 +57,40 @@ def reduce_game(game: WeightedGameStructure, c: int) -> ReducedGame:
     if n + k > MAX_VARS:
         raise StateCapError(f"{n + k} variables exceed the cap of {MAX_VARS}"
                             f" ({1 << MAX_VARS} enumerated states)")
-    check_memory(n + k, len(row_positions(game)) + k)
+    s_positions, yr_positions = read_positions(game)
+    nx = len(game.vars.x_names)
+    check_memory(n + k, len(s_positions) + nx + len(yr_positions) + 2 * k)
     base = game.tables()
 
     layers = 1 << k
-    N, NX, NY = base.n_states, base.n_inputs, base.n_outputs
-    R = len(base.rho_e)
-    ny = len(base.y_positions)
+    N, NX = base.n_states, base.n_inputs
+    NYr, R = len(base.weight), len(base.rho_e)
 
     row = np.tile(base.row, layers) + np.repeat(np.arange(layers) * R, N)
     rho_e = np.tile(base.rho_e, (layers, 1))
 
-    c1 = (np.arange(R * layers, dtype=np.int64) // R)[:, None, None]
-    c2 = (np.arange(NY * layers, dtype=np.int64) >> ny)[None, None, :]
+    # the claimed credit c2 is a read output, the current one c1 a row bit
+    c2 = (np.arange(NYr * layers, dtype=np.int64) // NYr)[:, None, None]
+    c1 = (np.arange(R * layers, dtype=np.int64) // R)[None, None, :]
     w = np.tile(base.weight, (layers, 1, layers))  # DEAD fails c1 + w >= c2
     weight = np.where((c1 <= c) & (c2 <= c) & (c1 + w >= c2), 0, DEAD)
 
     succ = (
-        np.tile(base.succ, (1, layers))
-        + (np.repeat(np.arange(layers, dtype=np.int64), NY) << n)[None, :]
+        np.tile(base.succ, (layers, 1, 1))
+        + (np.repeat(np.arange(layers, dtype=np.int64), NYr) << n)[:, None, None]
     )
 
     for arr in (row, rho_e, weight, succ):
         arr.setflags(write=False)
+    credits = tuple(range(n, n + k))
     tables = GameTables(
         var_positions=base.var_positions,
         x_positions=base.x_positions,
-        y_positions=base.y_positions + tuple(range(n, n + k)),
+        y_positions=base.y_positions + credits,
+        yr_positions=base.yr_positions + credits,
         n_states=N * layers,
         n_inputs=NX,
-        n_outputs=NY * layers,
+        n_outputs=base.n_outputs * layers,
         row=row,
         rho_e=rho_e,
         weight=weight,

@@ -46,7 +46,7 @@ def compute_bound(game: WeightedGameStructure, formula: fm.Formula) -> BoundBrea
     if not met.closed:
         raise FragmentError("the solver needs a closed formula")
     fm.require_monotone(formula)
-    variant, d = fm.bound_variant(formula, game.priorities)
+    variant, d = fm.bound_variant(formula, game.parity_formula())
     if d is not None:
         bound = d * (n * n + n - 1) * k
     else:
@@ -134,7 +134,7 @@ def crosscheck_parity(game: WeightedGameStructure, c: int) -> CrosscheckReport:
     """
     if game.priorities is None:
         raise EmuError("the game carries no priority annotation")
-    formula = fm.parity_formula(game.priorities)
+    formula = game.parity_formula()
     symbolic = eval_energy(game, c, formula)
     explicit = solve_energy_parity(from_parity_wgs(game), c)[:game.n_states]
     bad = np.flatnonzero(symbolic.values != explicit)

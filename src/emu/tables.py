@@ -12,6 +12,12 @@ at S low, in that order.  States that agree on S have the same moves, so
 they share a row: the tables hold 2^|S| rows, and ``row`` maps each state to
 its own.  When the transitions read every variable, S is every position and
 each state is its own row.
+
+The moves are laid out over the outputs they read: those that ``rho_s``
+or a weight guard mentions primed.  No table entry but the successor
+depends on the other, free, outputs, so ``weight`` holds one cell per
+(read output, input, row), 2^(|Yr|+|X|+|S|) cells, outputs outermost, and
+``succ`` spreads each (read output, input) over the free outputs.
 """
 
 from __future__ import annotations
@@ -39,13 +45,14 @@ class GameTables:
     var_positions: dict[str, int]  # variable name -> bit position in a state index
     x_positions: tuple[int, ...]   # bit positions of environment variables
     y_positions: tuple[int, ...]   # bit positions of system variables
+    yr_positions: tuple[int, ...]  # outputs rho_s or a guard reads primed (Yr)
     n_states: int
     n_inputs: int                  # number of input assignments (2^|X|)
     n_outputs: int                 # number of output assignments (2^|Y|)
     row: np.ndarray                # int64 (N,): the table row of each state
     rho_e: np.ndarray              # bool (R, NX), R = 2^|S| rows
-    weight: np.ndarray             # int64 (R, NX, NY); DEAD where rho_s fails
-    succ: np.ndarray               # int64 (NX, NY): successor state index
+    weight: np.ndarray             # int64 (NYr, NX, R); DEAD where rho_s fails
+    succ: np.ndarray               # int64 (NYr, NX, NYf): successor state index
     prio: np.ndarray | None        # int64 (N,) state priorities, if annotated
 
     def state_mask(self, a: asr.Assertion) -> np.ndarray:
@@ -60,32 +67,36 @@ def _available_memory():
         return float("inf")
 
 
-def check_memory(n_vars, row_bits):
-    """Refuse a game of ``n_vars`` variables and 2^``row_bits`` table rows
-    whose tables would not fit in the free physical memory.
+def check_memory(n_vars, cell_bits):
+    """Refuse a game of ``n_vars`` variables whose tables hold 2^``cell_bits``
+    (read output, input, row) cells and would not fit in the free physical
+    memory.
 
-    Each (row, input, output) cell costs 16 bytes: the 8-byte ``weight`` the
-    tables keep, and 8 bytes of temporaries, which are the step kernel's
-    int64 needs or, while the tables are built, the bool masks of the guards
-    and of the cover check.  Each state costs 24 bytes more: its ``row`` and
-    ``succ`` entries and the kernel's gathered targets.
+    Each cell costs 16 bytes: the 8-byte ``weight`` the tables keep, and 8
+    bytes of temporaries, which are the step kernel's int64 needs or, while
+    the tables are built, the bool masks of the guards and of the cover
+    check.  Each state costs 24 bytes more: its ``row`` and ``succ`` entries
+    and the kernel's gathered targets.
     """
-    need = (16 << (n_vars + row_bits)) + (24 << n_vars)
+    need = (16 << cell_bits) + (24 << n_vars)
     free = _available_memory()
     if need > free:
         raise StateCapError(f"{n_vars} variables need about {need >> 20} MiB of"
                             f" tables, more than the {free >> 20} MiB free")
 
 
-def row_positions(game) -> tuple[int, ...]:
-    """The row positions S of a game: the sorted bit positions of the
-    unprimed variables its transition assertions and weight guards mention."""
+def read_positions(game) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The row positions S and the read outputs Yr of a game: the sorted bit
+    positions of the variables its transition assertions and weight guards
+    mention unprimed, and of the outputs they mention primed."""
     position = {name: k for k, name in enumerate(game.vars.names)}
-    mentioned = set()
+    read = {False: set(), True: set()}
     for a in (game.rho_e, game.rho_s, *(rule.guard for rule in game.weights)):
-        mentioned |= {position[name] for name, primed in asr.assertion_vars(a)
-                      if not primed and name in position}
-    return tuple(sorted(mentioned))
+        for name, primed in asr.assertion_vars(a):
+            if name in position:
+                read[primed].add(position[name])
+    outputs = {position[name] for name in game.vars.y_names}
+    return tuple(sorted(read[False])), tuple(sorted(read[True] & outputs))
 
 
 def _state_mask(var_positions, n_states, a):
@@ -112,15 +123,15 @@ def _assignment_bits(count, order_positions):
     return out
 
 
-def _pair_lookup(var_positions, s_positions, x_positions, y_positions):
-    """Lookup producing broadcastable (R, NX, NY) truth arrays for transition
+def _pair_lookup(var_positions, s_positions, x_positions, yr_positions):
+    """Lookup producing broadcastable (NYr, NX, R) truth arrays for transition
     assertions; an unprimed variable reads its bit of the row index."""
     pos_to_s = {p: j for j, p in enumerate(s_positions)}
     pos_to_x = {p: j for j, p in enumerate(x_positions)}
-    pos_to_y = {p: j for j, p in enumerate(y_positions)}
-    r_idx = np.arange(1 << len(s_positions), dtype=np.int64)[:, None, None]
+    pos_to_y = {p: j for j, p in enumerate(yr_positions)}
+    r_idx = np.arange(1 << len(s_positions), dtype=np.int64)[None, None, :]
     x_idx = np.arange(1 << len(x_positions), dtype=np.int64)[None, :, None]
-    y_idx = np.arange(1 << len(y_positions), dtype=np.int64)[None, None, :]
+    y_idx = np.arange(1 << len(yr_positions), dtype=np.int64)[:, None, None]
 
     def look(name, primed):
         if name not in var_positions:
@@ -138,28 +149,30 @@ def _pair_lookup(var_positions, s_positions, x_positions, y_positions):
 def build_tables(game) -> GameTables:
     """Materialize the transition relations, weights, and priorities of a game."""
     vs = game.vars
-    s_positions = row_positions(game)
-    check_memory(len(vs.names), len(s_positions))
+    s_positions, yr_positions = read_positions(game)
     var_positions = {name: k for k, name in enumerate(vs.names)}
     x_positions = tuple(k for k, name in enumerate(vs.names) if name in vs.inputs)
     y_positions = tuple(k for k, name in enumerate(vs.names) if name not in vs.inputs)
+    yf_positions = tuple(p for p in y_positions if p not in yr_positions)
     n = len(vs.names)
     n_states = 1 << n
-    nx, ny = len(x_positions), len(y_positions)
-    look = _pair_lookup(var_positions, s_positions, x_positions, y_positions)
-    shape = (1 << len(s_positions), 1 << nx, 1 << ny)
+    nx, nyr = len(x_positions), len(yr_positions)
+    check_memory(n, len(s_positions) + nx + nyr)
+    look = _pair_lookup(var_positions, s_positions, x_positions, yr_positions)
+    shape = (1 << nyr, 1 << nx, 1 << len(s_positions))
 
     states = np.arange(n_states, dtype=np.int64)
     row = np.zeros(n_states, dtype=np.int64)
     for j, p in enumerate(s_positions):
         row |= ((states >> p) & 1) << j
 
-    rho_e = np.broadcast_to(asr.eval_terms(game.rho_e, look), shape)[:, :, 0].copy()
+    rho_e = np.broadcast_to(asr.eval_terms(game.rho_e, look), shape)[0].T.copy()
     moves = asr.eval_terms(game.rho_s, look)  # broadcastable to shape
 
     succ = (
-        _assignment_bits(nx, x_positions)[:, None]
-        | _assignment_bits(ny, y_positions)[None, :]
+        _assignment_bits(nyr, yr_positions)[:, None, None]
+        | _assignment_bits(nx, x_positions)[None, :, None]
+        | _assignment_bits(len(yf_positions), yf_positions)[None, None, :]
     )
 
     weight = np.full(shape, DEAD, dtype=np.int64)
@@ -167,8 +180,10 @@ def build_tables(game) -> GameTables:
         np.copyto(weight, rule.weight, where=asr.eval_terms(rule.guard, look))
     missing = moves & (weight == DEAD)
     if missing.any():
-        s = int(np.argmax(missing.any(axis=(1, 2))[row]))
-        xi, yi = (int(v[0]) for v in np.nonzero(missing[row[s]]))
+        s = int(np.argmax(missing.any(axis=(0, 1))[row]))
+        xi, yri = (int(v[0]) for v in np.nonzero(missing[:, :, row[s]].T))
+        yi = sum(((yri >> j) & 1) << y_positions.index(p)
+                 for j, p in enumerate(yr_positions))
         raise IncompleteWeightCoverError(
             f"no weight rule matches the system transition"
             f" (state {s}, input {xi}, output {yi})"
@@ -201,9 +216,10 @@ def build_tables(game) -> GameTables:
         var_positions=var_positions,
         x_positions=x_positions,
         y_positions=y_positions,
+        yr_positions=yr_positions,
         n_states=n_states,
         n_inputs=1 << nx,
-        n_outputs=1 << ny,
+        n_outputs=1 << len(y_positions),
         row=row,
         rho_e=rho_e,
         weight=weight,

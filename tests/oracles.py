@@ -218,12 +218,14 @@ def ecpre_env_cases(game, c, f: EnergyFunction) -> EnergyFunction:
     """The environment's step, from its own case analysis rather than duality.
 
     For each table row the environment picks the best valid input (integer
-    min) after the system's worst answer (integer max); each state reads its
-    row's value.
+    min) after the system's worst answer (integer max) over all outputs,
+    read and free; each state reads its row's value.  Cells are indexed by
+    (read output, input, free output, row).
     """
     t = game.tables()
-    e = f.values[t.succ][None, :, :]
-    w = t.weight
+    e = f.values[t.succ][:, :, :, None]
+    w = t.weight[:, :, None, :]
+    valid = t.rho_e.T[None, :, None, :]
     is_inf = e == INF
     ew = e + w
     val = ew                                   # case 8: pay the weight backwards
@@ -232,10 +234,10 @@ def ecpre_env_cases(game, c, f: EnergyFunction) -> EnergyFunction:
     val = np.where(is_inf, c + 1 + w, val)     # case 5: from INF, mid-range weight
     val = np.where(is_inf & (w >= 0), INF, val)  # case 4
     val = np.where(is_inf & (w + c < 0), 0, val)  # case 3
-    dead = t.rho_e[:, :, None] & (w == DEAD)
+    dead = valid & (w == DEAD)
     val = np.where((e == 0) | dead, 0, val)    # case 2
-    val = np.where(~t.rho_e[:, :, None], INF, val)  # case 1: invalid input
-    return EnergyFunction(c, val.max(axis=2).min(axis=1)[t.row])
+    val = np.where(~valid, INF, val)           # case 1: invalid input
+    return EnergyFunction(c, val.max(axis=(0, 2)).min(axis=0)[t.row])
 
 
 def ecpre_enum(game, c, f: EnergyFunction) -> EnergyFunction:

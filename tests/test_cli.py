@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -370,8 +371,10 @@ def test_out_of_memory_exits_2(g1_path, tmp_path, capsys, monkeypatch):
 
     names = [f"v{i}" for i in range(10)]
     game = tmp_path / "big.game"
-    # a weight guard that reads every variable gives each state its own row
-    weights = [{"guard": " & ".join(names), "weight": 2},
+    # a weight guard that reads every variable gives each state its own row,
+    # and one read output per output assignment as it reads them primed too
+    guard = " & ".join(names + [f"{v}'" for v in names])
+    weights = [{"guard": guard, "weight": 2},
                {"guard": "true", "weight": 1}]
     game.write_text(json.dumps({**CYCLE, "vars": names, "rho_s": "true",
                                 "weights": weights}))
@@ -385,6 +388,19 @@ def test_out_of_memory_exits_2(g1_path, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(energy, "ecpre", no_memory)
     assert run(["solve", g1_path, "--builtin", "safety", "--bound", "2"]) == 2
     assert capsys.readouterr().err == "error: out of memory\n"
+
+
+def test_sixteen_variable_solve_is_byte_identical(fixtures_dir, capsys):
+    # 16 variables whose moves read 2 of their 8 outputs: the digest of the
+    # whole report pins every state's credit
+    game = str(fixtures_dir / "local16.game")
+    assert run(["solve", game, "--builtin", "safety", "--bound", "10",
+                "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "81b9eb3665d3a3c68588c07b3013339dab4ab02917941664bbe14fc9a4039a6d")
+    credits = {row["credit"] for row in json.loads(out)["min_credits"]}
+    assert credits == {"0", "1", "3", "6"}
 
 
 def test_empty_priority_list_is_rejected(tmp_path, capsys):

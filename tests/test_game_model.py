@@ -48,13 +48,15 @@ def test_variable_set_validation():
 def test_games_too_large_for_memory_are_refused(monkeypatch):
     from emu import reduce_game, tables
 
-    # 10 variables, all read by a weight guard: one table row per state, so
-    # 4^10 move cells of 16 bytes, about 16 MiB
+    # 10 variables, all read by a weight guard, which reads every output
+    # primed too: one table row per state and one read output per output
+    # assignment, so 4^10 cells of 16 bytes, about 16 MiB
     monkeypatch.setattr(tables, "_available_memory", lambda: 16 << 20)
     names = tuple(f"v{i}" for i in range(10))
 
-    def reads_all(vars_):
-        return [(" & ".join(vars_), 1), ("true", 0)]
+    def reads_all(vars_):  # v0 is the input
+        return [(" & ".join([*vars_, *(f"{v}'" for v in vars_[1:])]), 1),
+                ("true", 0)]
 
     with pytest.raises(StateCapError, match="10 variables need about 16 MiB"):
         _game(vars_=names, inputs=("v0",), weights=reads_all(names)).tables()
@@ -66,6 +68,24 @@ def test_games_too_large_for_memory_are_refused(monkeypatch):
     narrow = _game(rho_s="v1 -> v2'", weights=[("v2", 1), ("true", 0)],
                    vars_=names, inputs=("v0",))
     assert narrow.tables().n_states == 1024 and len(narrow.tables().rho_e) == 4
+
+
+def test_memory_counts_only_the_outputs_the_moves_read(fixtures_dir, monkeypatch):
+    import dataclasses
+
+    from emu import load_game, tables
+
+    # 20 variables, 7 read unprimed, 10 inputs and 2 of the 10 outputs read
+    # primed: 2^19 cells of 16 bytes and 2^20 states of 24, about 32 MiB
+    monkeypatch.setattr(tables, "_available_memory", lambda: 64 << 20)
+    game = load_game(fixtures_dir / "local20.game")
+    t = game.tables()
+    assert t.weight.shape == (4, 1 << 10, 1 << 7) and t.succ.shape == (4, 1 << 10, 256)
+    # a guard that reads every output primed needs 2^27 cells, 2 GiB
+    every = parse_assertion(" & ".join(f"{v}'" for v in game.vars.y_names))
+    wide = dataclasses.replace(game, weights=(WeightRule(every, 1), *game.weights))
+    with pytest.raises(StateCapError, match="20 variables need about 2072 MiB"):
+        wide.tables()
 
 
 def test_state_round_trip():

@@ -43,8 +43,8 @@ from oracles import (
 def _move_weight(t, s, s_next):
     """The table weight of the move between two state indices."""
     x = sum(((s_next >> p) & 1) << j for j, p in enumerate(t.x_positions))
-    y = sum(((s_next >> p) & 1) << j for j, p in enumerate(t.y_positions))
-    return int(t.weight[t.row[s], x, y])
+    y = sum(((s_next >> p) & 1) << j for j, p in enumerate(t.yr_positions))
+    return int(t.weight[y, x, t.row[s]])
 
 
 def _rho_s_holds(rg, s1, c1, s2, c2):

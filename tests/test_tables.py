@@ -28,13 +28,17 @@ from emu.randgen import random_assertion, random_formula, random_priorities
 from oracles import State, cpre_sys_enum, ecpre_env_cases, ecpre_enum
 
 
-def _row_game(rng, n, read_mask):
+def _row_game(rng, n, read_mask, primed_mask):
     """A random priority-annotated game of ``n`` variables whose transition
     assertions and weight guards read exactly the variables in ``read_mask``
-    unprimed, and any variable primed."""
+    unprimed, and primed the inputs and exactly the outputs in
+    ``primed_mask``."""
     names = tuple(f"v{i}" for i in range(n))
     read = [v for i, v in enumerate(names) if (read_mask >> i) & 1]
     vs = VariableSet(names, frozenset(rng.sample(names, rng.randint(0, n))))
+    read_out = [v for i, v in enumerate(names)
+                if (primed_mask >> i) & 1 and v not in vs.inputs]
+    primed = [*vs.x_names, *read_out]
 
     def live(primed):  # mostly live: the constraint can often be escaped
         if rng.random() < 0.3:
@@ -42,16 +46,17 @@ def _row_game(rng, n, read_mask):
         return asr.Or(random_assertion(rng, read, primed, depth=2),
                       random_assertion(rng, read, primed, depth=1))
 
-    rules = [WeightRule(random_assertion(rng, read, names, depth=2),
+    rules = [WeightRule(random_assertion(rng, read, primed, depth=2),
                         rng.randint(-3, 3)) for _ in range(rng.randint(0, 2))]
-    if read:  # a guard that mentions every variable of read_mask
-        every = asr.Var(read[0])
-        for v in read[1:]:
-            every = asr.Or(every, asr.Var(v))
+    atoms = [asr.Var(v) for v in read] + [asr.Var(v, primed=True) for v in read_out]
+    if atoms:  # a guard that mentions every variable of both masks
+        every = atoms[0]
+        for v in atoms[1:]:
+            every = asr.Or(every, v)
         rules.insert(rng.randint(0, len(rules)), WeightRule(every, rng.randint(-3, 3)))
     rules.append(WeightRule(asr.TRUE, rng.randint(-3, 3)))
     return WeightedGameStructure(
-        vars=vs, rho_e=live(vs.x_names), rho_s=live(names), weights=tuple(rules),
+        vars=vs, rho_e=live(vs.x_names), rho_s=live(primed), weights=tuple(rules),
         priorities=random_priorities(rng, vs),
     )
 
@@ -61,7 +66,10 @@ def _row_game(rng, n, read_mask):
 def test_row_sharing_matches_the_scalar_references(seed, n, data):
     rng = random.Random(seed)
     read_mask = data.draw(st.integers(0, (1 << n) - 1))
-    g = _row_game(rng, n, read_mask)
+    # the outputs read primed: none, all, or some
+    primed_mask = data.draw(st.sampled_from([0, (1 << n) - 1])
+                            | st.integers(0, (1 << n) - 1))
+    g = _row_game(rng, n, read_mask, primed_mask)
     t = g.tables()
     states = np.arange(g.n_states)
     s_positions = [p for p in range(n) if (read_mask >> p) & 1]
@@ -69,6 +77,10 @@ def test_row_sharing_matches_the_scalar_references(seed, n, data):
                    np.zeros_like(states))
     assert len(t.rho_e) == 1 << len(s_positions)
     assert np.array_equal(t.row, want_row)
+    yr_positions = tuple(p for p in t.y_positions if (primed_mask >> p) & 1)
+    assert t.yr_positions == yr_positions
+    assert t.weight.shape == (1 << len(yr_positions), t.n_inputs, len(t.rho_e))
+    assert t.succ.size == g.n_states
 
     c = rng.randint(0, 3)
     pool = list(range(c + 1)) + [int(INF)]
@@ -96,7 +108,8 @@ def test_every_variable_read_gives_one_row_per_state():
     )
     t = g.tables()
     assert np.array_equal(t.row, np.arange(g.n_states))
-    assert t.weight.shape == (g.n_states, t.n_inputs, t.n_outputs)
+    # rho_s reads z', the only output read primed: 2 read outputs, y free
+    assert t.weight.shape == (2, t.n_inputs, g.n_states) == (2, 2, 8)
 
 
 def test_uncovered_move_is_named_by_state():
