@@ -205,47 +205,43 @@ _PREC = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5, Var: 6, Const: 6}
 
 def assertion_to_str(a: Assertion) -> str:
     """Render an assertion; reparsing yields an equal tree."""
+    return _render(a, 0)
 
-    def render(node, parent_prec):
-        prec = _PREC[type(node)]
-        if isinstance(node, Var):
-            s = node.name + ("'" if node.primed else "")
-        elif isinstance(node, Const):
-            s = "true" if node.value else "false"
-        elif isinstance(node, Not):
-            s = "!" + render(node.sub, prec)
-        elif isinstance(node, And):
-            s = render(node.left, prec) + " & " + render(node.right, prec + 1)
-        elif isinstance(node, Or):
-            s = render(node.left, prec) + " | " + render(node.right, prec + 1)
-        elif isinstance(node, Implies):
-            # right-associative: left operand needs the tighter context
-            s = render(node.left, prec + 1) + " -> " + render(node.right, prec)
-        else:
-            s = render(node.left, prec + 1) + " <-> " + render(node.right, prec)
-        if prec < parent_prec:
-            return "(" + s + ")"
-        return s
 
-    return render(a, 0)
+def _render(node, parent_prec):
+    prec = _PREC[type(node)]
+    if isinstance(node, Var):
+        s = node.name + ("'" if node.primed else "")
+    elif isinstance(node, Const):
+        s = "true" if node.value else "false"
+    elif isinstance(node, Not):
+        s = "!" + _render(node.sub, prec)
+    elif isinstance(node, And):
+        s = _render(node.left, prec) + " & " + _render(node.right, prec + 1)
+    elif isinstance(node, Or):
+        s = _render(node.left, prec) + " | " + _render(node.right, prec + 1)
+    elif isinstance(node, Implies):
+        # right-associative: left operand needs the tighter context
+        s = _render(node.left, prec + 1) + " -> " + _render(node.right, prec)
+    else:
+        s = _render(node.left, prec + 1) + " <-> " + _render(node.right, prec)
+    if prec < parent_prec:
+        return "(" + s + ")"
+    return s
 
 
 def assertion_vars(a: Assertion) -> set[tuple[str, bool]]:
     """All (name, primed) pairs referenced by the assertion."""
     out: set[tuple[str, bool]] = set()
-
-    def walk(node):
+    stack = [a]
+    while stack:
+        node = stack.pop()
         if isinstance(node, Var):
             out.add((node.name, node.primed))
-        elif isinstance(node, Const):
-            pass
         elif isinstance(node, Not):
-            walk(node.sub)
-        else:
-            walk(node.left)
-            walk(node.right)
-
-    walk(a)
+            stack.append(node.sub)
+        elif not isinstance(node, Const):
+            stack += (node.left, node.right)
     return out
 
 

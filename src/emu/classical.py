@@ -10,6 +10,7 @@ can.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -105,82 +106,78 @@ def _hoist(f: fm.Formula):
     one per hoisted position, so binders that share a name cannot make two
     collide.  It is one walk, one frame per node, and it checks
     monotonicity on the way, so an evaluation walks its formula once.
+
+    The walk is ``_hoist_walk``; its state lives in the tuple it passes
+    down: the root, for ``require_monotone``; per variable, the (depth,
+    negations above) of its binder on the path; per binder on the path
+    (depth k+1 at k), its pairs so far; ``hoists``; a placeholder count.
     """
     hoists = {}
-    pending = []  # pending[k]: the pairs of the binder at depth k+1 on the path
-    bound = {}  # variable -> (depth, negations above) of its binder on the path
-    count = 0
+    return _hoist_walk(f, 0, (f, {}, [], hoists, itertools.count()))[0], hoists
 
-    def lift(node, own):
-        """A placeholder for ``node``, of level ``own``, evaluated before the
-        loop of the binder at depth own+1; bare atoms and variables stay."""
-        nonlocal count
-        if isinstance(node, (fm.Atom, fm.NegAtom, fm.RelVar)):
-            return node
-        name = f"#{count}"
-        count += 1
-        pending[own].append((name, node))
-        return fm.RelVar(name)
 
-    def walk(node, negs):
-        """(rewritten node, uses), where bit k-1 of uses is set iff the node
-        reads the variable of the binder at depth k; negs counts the Not
-        nodes above it."""
-        kind = type(node)
-        if kind in _ATOMS:
+def _lift(node, own, pending, numbers):
+    """A placeholder for ``node``, of level ``own``, evaluated before the
+    loop of the binder at depth own+1; bare atoms and variables stay."""
+    if isinstance(node, (fm.Atom, fm.NegAtom, fm.RelVar)):
+        return node
+    name = f"#{next(numbers)}"
+    pending[own].append((name, node))
+    return fm.RelVar(name)
+
+
+def _hoist_walk(node, negs, state):
+    """(rewritten node, uses), where bit k-1 of uses is set iff the node
+    reads the variable of the binder at depth k; negs counts the Not
+    nodes above it.  ``state`` is ``_hoist``'s."""
+    kind = type(node)
+    if kind in _ATOMS:
+        return node, 0
+    root, bound, pending, hoists, numbers = state
+    if kind is fm.RelVar:
+        if node.name not in bound:
             return node, 0
-        if kind is fm.RelVar:
-            if node.name not in bound:
-                return node, 0
-            d, above = bound[node.name]
-            if (negs - above) % 2:
-                fm.require_monotone(f)  # raises, naming the path
-            return node, 1 << (d - 1)
-        if kind in _BINARY:
-            left, lu = walk(node.left, negs)
-            right, ru = walk(node.right, negs)
-            uses = lu | ru
-            if lu != ru:  # a child whose level is below the node's moves out
-                level = uses.bit_length()
-                if lu.bit_length() < level:
-                    left = lift(left, lu.bit_length())
-                elif ru.bit_length() < level:
-                    right = lift(right, ru.bit_length())
-            if left is node.left and right is node.right:
-                return node, uses
-            return kind(left, right), uses
-        if kind in _BINDERS:
-            d = len(pending) + 1
-            outer = bound.get(node.name)
-            bound[node.name] = d, negs
-            pending.append([])
-            sub, uses = walk(node.sub, negs)
-            if uses.bit_length() < d:  # the body does not read the loop
-                sub = lift(sub, uses.bit_length())
-            own = pending.pop()
-            if outer is None:
-                del bound[node.name]
-            else:
-                bound[node.name] = outer
-            uses &= ~(1 << (d - 1))
-            if sub is node.sub:
-                return node, uses
-            node = kind(node.name, sub)
-            if own:
-                hoists[id(node)] = own
+        d, above = bound[node.name]
+        if (negs - above) % 2:
+            fm.require_monotone(root)  # raises, naming the path
+        return node, 1 << (d - 1)
+    if kind in _BINARY:
+        left, lu = _hoist_walk(node.left, negs, state)
+        right, ru = _hoist_walk(node.right, negs, state)
+        uses = lu | ru
+        if lu != ru:  # a child whose level is below the node's moves out
+            level = uses.bit_length()
+            if lu.bit_length() < level:
+                left = _lift(left, lu.bit_length(), pending, numbers)
+            elif ru.bit_length() < level:
+                right = _lift(right, ru.bit_length(), pending, numbers)
+        if left is node.left and right is node.right:
             return node, uses
-        if kind in _UNARY:
-            sub, uses = walk(node.sub, negs + (kind is fm.Not))
-            return (node if sub is node.sub else kind(sub)), uses
-        raise TypeError(f"not a formula node: {node!r}")
-
-    try:
-        return walk(f, 0)[0], hoists
-    finally:
-        # walk refers to itself through its closure; unbinding it breaks the
-        # cycle, so reference counting frees this walk's state at once
-        # rather than a garbage-collector pass, which the small ops pay for
-        del walk, lift
+        return kind(left, right), uses
+    if kind in _BINDERS:
+        d = len(pending) + 1
+        outer = bound.get(node.name)
+        bound[node.name] = d, negs
+        pending.append([])
+        sub, uses = _hoist_walk(node.sub, negs, state)
+        if uses.bit_length() < d:  # the body does not read the loop
+            sub = _lift(sub, uses.bit_length(), pending, numbers)
+        own = pending.pop()
+        if outer is None:
+            del bound[node.name]
+        else:
+            bound[node.name] = outer
+        uses &= ~(1 << (d - 1))
+        if sub is node.sub:
+            return node, uses
+        node = kind(node.name, sub)
+        if own:
+            hoists[id(node)] = own
+        return node, uses
+    if kind in _UNARY:
+        sub, uses = _hoist_walk(node.sub, negs + (kind is fm.Not), state)
+        return (node if sub is node.sub else kind(sub)), uses
+    raise TypeError(f"not a formula node: {node!r}")
 
 
 def evaluate(lat: Lattice, tables, f: fm.Formula, valuation=None,
@@ -198,81 +195,83 @@ def evaluate(lat: Lattice, tables, f: fm.Formula, valuation=None,
     their values as variables.  Where ``lat.cut`` gives the fixpoint, with
     those values, a cut, each new iterate is cut before the monotonicity
     check.
+
+    The walk is ``_ev``; its state lives in its arguments: the lattice and
+    a tuple of the tables, the rewritten root, its hoists, the atoms and the
+    lattice's cuts (or None) by node ``id``, and ``stats``.
     """
     f, hoists = _hoist(f)
-    atoms = {}  # id(node) -> element, so fixpoint iterations reuse each atom
-    cuts = {}  # id(node) -> the lattice's cut of a fixpoint node, or None
+    run = tables, f, hoists, {}, {}, stats
+    return _ev(f, dict(valuation or {}), lat, run)
 
-    def atom(node):
-        key = id(node)
+
+def _ev(node, env, lat, run):
+    """What ``node`` denotes under ``env``; ``run`` is ``evaluate``'s."""
+    if isinstance(node, (fm.Atom, fm.NegAtom)):
+        atoms, key = run[3], id(node)
         if key not in atoms:
-            mask = tables.state_mask(node.assertion)
+            mask = run[0].state_mask(node.assertion)
             if isinstance(node, fm.NegAtom):
                 mask = ~mask
             mask.setflags(write=False)
             atoms[key] = lat.atom(mask)
         return atoms[key]
-
-    def ev(node, env):
-        if isinstance(node, (fm.Atom, fm.NegAtom)):
-            return atom(node)
-        if isinstance(node, fm.RelVar):
-            if node.name not in env:
-                raise UnboundVariableError(f"no value for variable {node.name!r}")
-            return env[node.name]
-        if isinstance(node, fm.And):
-            return lat.meet(ev(node.left, env), ev(node.right, env))
-        if isinstance(node, fm.Or):
-            return lat.join(ev(node.left, env), ev(node.right, env))
-        if isinstance(node, fm.Diamond):
-            return lat.pre_sys(ev(node.sub, env))
-        if isinstance(node, fm.Box):
-            return lat.pre_env(ev(node.sub, env))
-        if isinstance(node, fm.Not):
-            return lat.neg(ev(node.sub, env))
-        if isinstance(node, (fm.Mu, fm.Nu)):
-            ascending = isinstance(node, fm.Mu)
-            key = id(node)
-            hoisted = hoists.get(key, ())
-            if hoisted:
-                env = dict(env)
-                for name, term in hoisted:
-                    env[name] = ev(term, env)
-                if stats is not None:
-                    stats.hoisted += len(hoisted)
-            if key not in cuts:
-                cuts[key] = lat.cut(node, node is f) if lat.cut else None
-            cut = cuts[key](env) if cuts[key] else None
-            current = lat.bottom if ascending else lat.top
-            iterations, was_cut = 0, False
-            while True:
-                iterations += 1
-                if iterations > lat.height + 1:
-                    raise IterationCapError(
-                        f"fixpoint of {node.name} still moving after"
-                        f" {lat.height} changes"
-                    )
-                new = ev(node.sub, {**env, node.name: current})
-                if cut is not None:
-                    cut_new = cut(new)
-                    if stats is not None and not was_cut:
-                        was_cut = not lat.eq(cut_new, new)
-                    new = cut_new
-                if not (lat.leq(current, new) if ascending
-                        else lat.leq(new, current)):
-                    direction = "ascending" if ascending else "descending"
-                    raise IterationCapError(
-                        f"fixpoint iterates for {node.name} are not {direction}"
-                    )
-                if lat.eq(new, current):
-                    break
-                current = new
+    if isinstance(node, fm.RelVar):
+        if node.name not in env:
+            raise UnboundVariableError(f"no value for variable {node.name!r}")
+        return env[node.name]
+    if isinstance(node, fm.And):
+        return lat.meet(_ev(node.left, env, lat, run), _ev(node.right, env, lat, run))
+    if isinstance(node, fm.Or):
+        return lat.join(_ev(node.left, env, lat, run), _ev(node.right, env, lat, run))
+    if isinstance(node, fm.Diamond):
+        return lat.pre_sys(_ev(node.sub, env, lat, run))
+    if isinstance(node, fm.Box):
+        return lat.pre_env(_ev(node.sub, env, lat, run))
+    if isinstance(node, fm.Not):
+        return lat.neg(_ev(node.sub, env, lat, run))
+    if isinstance(node, (fm.Mu, fm.Nu)):
+        _, root, hoists, _, cuts, stats = run
+        ascending = isinstance(node, fm.Mu)
+        key = id(node)
+        hoisted = hoists.get(key, ())
+        if hoisted:
+            env = dict(env)
+            for name, term in hoisted:
+                env[name] = _ev(term, env, lat, run)
             if stats is not None:
-                stats.record(iterations, lat.height, was_cut, node is f)
-            return current
-        raise TypeError(f"not a formula node: {node!r}")
-
-    return ev(f, dict(valuation or {}))
+                stats.hoisted += len(hoisted)
+        if key not in cuts:
+            cuts[key] = lat.cut(node, node is root) if lat.cut else None
+        cut = cuts[key](env) if cuts[key] else None
+        current = lat.bottom if ascending else lat.top
+        iterations, was_cut = 0, False
+        while True:
+            iterations += 1
+            if iterations > lat.height + 1:
+                raise IterationCapError(
+                    f"fixpoint of {node.name} still moving after"
+                    f" {lat.height} changes"
+                )
+            new = _ev(node.sub, {**env, node.name: current}, lat, run)
+            if cut is not None:
+                cut_new = cut(new)
+                if stats is not None and not was_cut:
+                    was_cut = not lat.eq(cut_new, new)
+                new = cut_new
+            if not (lat.leq(current, new) if ascending
+                    else lat.leq(new, current)):
+                direction = "ascending" if ascending else "descending"
+                raise IterationCapError(
+                    f"fixpoint iterates for {node.name} are not {direction}"
+                )
+            if lat.eq(new, current):
+                break
+            current = new
+        if stats is not None:
+            stats.record(iterations, lat.height, was_cut, node is root)
+        return current
+    raise TypeError(f"not a formula node: {node!r}")
 
 
 def cpre_sys(game, target: StateSet) -> StateSet:

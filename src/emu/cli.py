@@ -103,6 +103,12 @@ def _state_names(game, quote=str):
     return names
 
 
+def _state_name(game, i):
+    """The name of state ``i`` alone, as ``_state_names`` gives it."""
+    return " & ".join(v if i >> k & 1 else "!" + v
+                      for k, v in enumerate(game.vars.names)) or "true"
+
+
 def _report_names(game, report, quote=str):
     """The state names of every writer, then the names in W_sys and W_env."""
     names = _state_names(game, quote)
@@ -175,7 +181,6 @@ def cmd_solve(args) -> int:
         query = None if query_mask is None else (args.state, query_mask)
         print(solve_report_json(report, game, formula, query))
     else:
-        names, w_sys, w_env = _report_names(game, report)
         print(f"effective bound: {report.effective_bound}"
               + (" (computed: requested inf)" if report.unbounded else ""))
         bb = report.bound_breakdown
@@ -184,14 +189,15 @@ def cmd_solve(args) -> int:
         values, texts = _credit_texts(report)
         if query_mask is None:
             print("min credits:")
-            for name, v in zip(names, values):
+            for name, v in zip(_state_names(game), values):
                 print(f"  {name}: {texts[v]}")
         else:
             for i in np.flatnonzero(query_mask).tolist():
                 credit = texts[values[i]]
                 verdict = "loses" if credit == "inf" else "wins"
-                print(f"state {names[i]}: min credit {credit} -> system {verdict}")
-        print(f"W_sys: {len(w_sys)} states, W_env: {len(w_env)} states")
+                print(f"state {_state_name(game, i)}: min credit {credit} -> system {verdict}")
+        print(f"W_sys: {report.sys_region.sum()} states,"
+              f" W_env: {report.env_region.sum()} states")
 
     wins = (report.sys_region.any() if query_mask is None
             else report.sys_region[query_mask].all())

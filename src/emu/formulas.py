@@ -167,29 +167,30 @@ def _rename_apart(f: Formula) -> Formula:
     """Give every binder a fresh variable so each is bound exactly once."""
     used = {n.name for n in _subformulas(f) if isinstance(n, (Mu, Nu, RelVar))}
     seen = free_variables(f)  # so no binder reuses a free variable's name
+    return _rename(f, {}, used, seen)
 
-    def walk(node, env):
-        kind = type(node)
-        if kind is RelVar:
-            return RelVar(env.get(node.name, node.name))
-        if kind is And or kind is Or:
-            return kind(walk(node.left, env), walk(node.right, env))
-        if kind is Mu or kind is Nu:
-            name = node.name
-            if name in seen:  # bound before or free: take the first unused name{k}
-                k = 1
-                while f"{name}{k}" in used:
-                    k += 1
-                name = f"{name}{k}"
-                used.add(name)
-                env = {**env, node.name: name}
-            seen.add(name)
-            return kind(name, walk(node.sub, env))
-        if kind is Atom or kind is NegAtom:
-            return node
-        return kind(walk(node.sub, env))  # Not, Diamond, Box
 
-    return walk(f, {})
+def _rename(node, env, used, seen):
+    kind = type(node)
+    if kind is RelVar:
+        return RelVar(env.get(node.name, node.name))
+    if kind is And or kind is Or:
+        return kind(_rename(node.left, env, used, seen),
+                    _rename(node.right, env, used, seen))
+    if kind is Mu or kind is Nu:
+        name = node.name
+        if name in seen:  # bound before or free: take the first unused name{k}
+            k = 1
+            while f"{name}{k}" in used:
+                k += 1
+            name = f"{name}{k}"
+            used.add(name)
+            env = {**env, node.name: name}
+        seen.add(name)
+        return kind(name, _rename(node.sub, env, used, seen))
+    if kind is Atom or kind is NegAtom:
+        return node
+    return kind(_rename(node.sub, env, used, seen))  # Not, Diamond, Box
 
 
 def parse_formula(text: str) -> Formula:
@@ -208,43 +209,44 @@ def formula_to_str(f: Formula) -> str:
     """Render a formula.  Reparsing yields an equal tree for any tree the
     parser can produce, not for every tree: ``Not(Atom(a))`` prints as
     ``!a``, which reparses to ``NegAtom(a)``."""
+    return _render(f, 0)
 
-    def plain_atom(a):
-        if isinstance(a, asr.Const):
-            return "true" if a.value else "false"
-        if (isinstance(a, asr.Var) and not a.primed and not _is_relvar(a.name)
-                and a.name not in ("mu", "nu")):
-            return a.name
-        return f'@"{asr.assertion_to_str(a)}"'
 
-    def render(node, parent_prec):
-        prec = _FPREC[type(node)]
-        if isinstance(node, Atom):
-            s = plain_atom(node.assertion)
-        elif isinstance(node, NegAtom):
-            s = "!" + plain_atom(node.assertion)
-            prec = _FPREC[Not]
-        elif isinstance(node, RelVar):
-            s = node.name
-        elif isinstance(node, Not):
-            s = "!" + render(node.sub, prec)
-        elif isinstance(node, Diamond):
-            s = "<>" + render(node.sub, prec)
-        elif isinstance(node, Box):
-            s = "[]" + render(node.sub, prec)
-        elif isinstance(node, And):
-            s = render(node.left, prec) + " & " + render(node.right, prec + 1)
-        elif isinstance(node, Or):
-            s = render(node.left, prec) + " | " + render(node.right, prec + 1)
-        elif isinstance(node, Mu):
-            s = f"mu {node.name} . " + render(node.sub, 0)
-        else:
-            s = f"nu {node.name} . " + render(node.sub, 0)
-        if prec < parent_prec:
-            return "(" + s + ")"
-        return s
+def _plain_atom(a):
+    if isinstance(a, asr.Const):
+        return "true" if a.value else "false"
+    if (isinstance(a, asr.Var) and not a.primed and not _is_relvar(a.name)
+            and a.name not in ("mu", "nu")):
+        return a.name
+    return f'@"{asr.assertion_to_str(a)}"'
 
-    return render(f, 0)
+
+def _render(node, parent_prec):
+    prec = _FPREC[type(node)]
+    if isinstance(node, Atom):
+        s = _plain_atom(node.assertion)
+    elif isinstance(node, NegAtom):
+        s = "!" + _plain_atom(node.assertion)
+        prec = _FPREC[Not]
+    elif isinstance(node, RelVar):
+        s = node.name
+    elif isinstance(node, Not):
+        s = "!" + _render(node.sub, prec)
+    elif isinstance(node, Diamond):
+        s = "<>" + _render(node.sub, prec)
+    elif isinstance(node, Box):
+        s = "[]" + _render(node.sub, prec)
+    elif isinstance(node, And):
+        s = _render(node.left, prec) + " & " + _render(node.right, prec + 1)
+    elif isinstance(node, Or):
+        s = _render(node.left, prec) + " | " + _render(node.right, prec + 1)
+    elif isinstance(node, Mu):
+        s = f"mu {node.name} . " + _render(node.sub, 0)
+    else:
+        s = f"nu {node.name} . " + _render(node.sub, 0)
+    if prec < parent_prec:
+        return "(" + s + ")"
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -368,26 +370,22 @@ class MonotonicityReport:
 
 def check_monotone(f: Formula) -> MonotonicityReport:
     """Every bound variable must occur under an even number of negations."""
-
-    def walk(node, parities, path):
-        # parities: bound variable -> parity of enclosing Not nodes (0 even)
+    # per node to visit: each bound variable's parity of the Not nodes
+    # between its binder and the node (0 even), and the labels above it
+    stack = [(f, {}, ())]
+    while stack:
+        node, parities, path = stack.pop()
         if isinstance(node, RelVar):
             if parities.get(node.name, 0) % 2 == 1:
-                return MonotonicityReport(False, node.name, tuple(path))
-            return None
-        label = type(node).__name__
+                return MonotonicityReport(False, node.name, path)
+            continue
         if isinstance(node, Not):
             parities = {v: p + 1 for v, p in parities.items()}
         elif isinstance(node, (Mu, Nu)):
             parities = {**parities, node.name: 0}
-        for c in _children(node):
-            bad = walk(c, parities, path + [label])
-            if bad:
-                return bad
-        return None
-
-    bad = walk(f, {}, [])
-    return bad if bad else MonotonicityReport(True)
+        path += (type(node).__name__,)
+        stack += ((c, parities, path) for c in reversed(_children(node)))
+    return MonotonicityReport(True)
 
 
 def require_monotone(f: Formula):

@@ -84,6 +84,8 @@ class PriorityRule:
     def __post_init__(self):
         if self.priority < 0:
             raise EmuError("priorities must be natural numbers")
+        if self.priority >= 1 << 63:  # the tables hold them as int64
+            raise EmuError(f"priority {self.priority} does not fit in 64 bits")
 
 
 @dataclass(frozen=True)

@@ -237,34 +237,35 @@ def solve_parity(game: ParityGame) -> tuple[np.ndarray, np.ndarray]:
     dst = np.concatenate([game.dst, np.where(game.owners[dead] == 1, n, n + 1), sinks])
     owners = np.concatenate([game.owners, np.zeros(2, dtype=np.int8)])
     prios = np.concatenate([game.prios, [0, 1]])
-    preds = _predecessors(src, dst, n + 2)
-
-    def recurse(active):
-        """[W0, W1] of the subgame ``active``; no array is written in place."""
-        if not active.any():
-            return [active, active]
-        p = int(prios[active].min())
-        i = p % 2
-        a = _attract(owners, src, dst, preds, i, active & (prios == p), active)
-        w = recurse(active & ~a)
-        if not w[1 - i].any():
-            w[i] = active
-            return w
-        b = _attract(owners, src, dst, preds, 1 - i, w[1 - i], active)
-        w = recurse(active & ~b)
-        w[1 - i] = w[1 - i] | b
-        return w
-
+    arrays = owners, prios, src, dst, _predecessors(src, dst, n + 2)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 4 * (n + 2) + 100))
     try:
-        w0, w1 = recurse(np.ones(n + 2, dtype=bool))
+        w0, w1 = _solve_subgame(np.ones(n + 2, dtype=bool), arrays)
     finally:
         sys.setrecursionlimit(limit)
     w0, w1 = w0[:n], w1[:n]
     if not (w0 ^ w1).all():
         raise ConsistencyError("parity solve did not partition the states")
     return w0, w1
+
+
+def _solve_subgame(active, arrays):
+    """[W0, W1] of the subgame ``active``; no array is written in place."""
+    if not active.any():
+        return [active, active]
+    owners, prios, src, dst, preds = arrays
+    p = int(prios[active].min())
+    i = p % 2
+    a = _attract(owners, src, dst, preds, i, active & (prios == p), active)
+    w = _solve_subgame(active & ~a, arrays)
+    if not w[1 - i].any():
+        w[i] = active
+        return w
+    b = _attract(owners, src, dst, preds, 1 - i, w[1 - i], active)
+    w = _solve_subgame(active & ~b, arrays)
+    w[1 - i] = w[1 - i] | b
+    return w
 
 
 def solve_energy_parity(g: EnergyParityGame, c: int) -> np.ndarray:

@@ -90,7 +90,6 @@ def reduce_game(game: WeightedGameStructure, c: int) -> ReducedGame:
         yr_positions=base.yr_positions + credits,
         n_states=N * layers,
         n_inputs=NX,
-        n_outputs=base.n_outputs * layers,
         row=row,
         rho_e=rho_e,
         weight=weight,

@@ -48,7 +48,6 @@ class GameTables:
     yr_positions: tuple[int, ...]  # outputs rho_s or a guard reads primed (Yr)
     n_states: int
     n_inputs: int                  # number of input assignments (2^|X|)
-    n_outputs: int                 # number of output assignments (2^|Y|)
     row: np.ndarray                # int64 (N,): the table row of each state
     rho_e: np.ndarray              # bool (R, NX), R = 2^|S| rows
     weight: np.ndarray             # int64 (NYr, NX, R); DEAD where rho_s fails
@@ -219,7 +218,6 @@ def build_tables(game) -> GameTables:
         yr_positions=yr_positions,
         n_states=n_states,
         n_inputs=1 << nx,
-        n_outputs=1 << len(y_positions),
         row=row,
         rho_e=rho_e,
         weight=weight,

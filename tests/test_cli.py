@@ -141,6 +141,20 @@ def test_solve_rejects_weight_beyond_int64(g1_path, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_solve_rejects_priority_beyond_int64(g1_path, tmp_path, capsys):
+    rules = [{"guard": "y", "priority": 1 << 70}, {"guard": "!y", "priority": 1}]
+    prio = tmp_path / "huge.prio"
+    prio.write_text(json.dumps(rules))
+    doc = json.loads(open(g1_path).read())
+    doc["priorities"] = rules
+    game = tmp_path / "huge.game"
+    game.write_text(json.dumps(doc))
+    for argv in (["solve", g1_path, "--priorities", str(prio)], ["solve", str(game)]):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_solve_at_a_finite_bound_with_a_huge_sufficient_bound(g1_path, tmp_path,
                                                                capsys):
     doc = json.loads(open(g1_path).read())
@@ -527,13 +541,15 @@ def test_state_is_checked_before_solving(g1_path, monkeypatch, capsys):
 def test_state_names_are_the_minterms(names):
     from emu import VariableSet, WeightedGameStructure
     from emu.assertions import TRUE
-    from emu.cli import _state_names
+    from emu.cli import _state_name, _state_names
     from oracles import State
 
     game = WeightedGameStructure(VariableSet(names, frozenset(names[:1])),
                                  TRUE, TRUE, ())
     assert _state_names(game) == [State(game.vars, i).minterm()
                                   for i in range(game.n_states)]
+    assert [_state_name(game, i) for i in range(game.n_states)] == [
+        State(game.vars, i).minterm() for i in range(game.n_states)]
 
 
 # Variable names that JSON must escape: a quote, a backslash, a control

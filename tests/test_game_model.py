@@ -1,14 +1,17 @@
+import dataclasses
 import random
 
 import pytest
 
 from emu import (
+    PriorityRule,
     VariableSet,
     WeightRule,
     WeightedGameStructure,
     parse_assertion,
 )
 from emu.errors import (
+    EmuError,
     IncompleteWeightCoverError,
     MalformedAssertionError,
     StateCapError,
@@ -163,6 +166,16 @@ def test_weight_errors():
         weight(g_partial, s, state_of(g_partial.vars, set()))
     with pytest.raises(IncompleteWeightCoverError):
         g_partial.tables()
+
+
+def test_priorities_must_fit_in_int64():
+    # the tables hold priorities as int64, so 2^63 is refused up front
+    y, not_y = parse_assertion("y"), parse_assertion("!y")
+    with pytest.raises(EmuError, match="does not fit in 64 bits"):
+        PriorityRule(y, 1 << 63)
+    top = PriorityRule(y, (1 << 63) - 1)
+    game = dataclasses.replace(_game(), priorities=(top, PriorityRule(not_y, 1)))
+    assert game.tables().prio.tolist() == [1, 1, (1 << 63) - 1, (1 << 63) - 1]
 
 
 def test_rho_e_must_not_mention_primed_outputs():
