@@ -17,7 +17,6 @@ import json
 import math
 import random
 import sys
-from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +24,6 @@ import numpy as np
 from . import formulas as fm
 from .energy import INF, EnergyFunction, eval_energy
 from .errors import ConsistencyError, EmuError, IterationCapError
-from .game import WeightedGameStructure
 from .gamefile import game_to_dict, load_game, load_priorities, save_game
 from .randgen import random_formula, random_wgs
 from .reduction import oracle_max_credit_env, oracle_min_credit_sys
@@ -38,21 +36,18 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 SCHEMA_VERSION = 1
-
-
-class _UsageError(EmuError):
-    pass
+CHUNK = 1 << 14  # states named and written per run of a report
 
 
 def _formula_from_args(args, game):
     sources = [s for s in ("formula", "formula_file", "builtin") if getattr(args, s, None)]
     if len(sources) > 1:
-        raise _UsageError("give at most one of --formula/--formula-file/--builtin")
+        raise EmuError("give at most one of --formula/--formula-file/--builtin")
     if args.param and not args.builtin:
-        raise _UsageError("--param is only for --builtin")
+        raise EmuError("--param is only for --builtin")
     if not sources:
         if game.formula is None:
-            raise _UsageError("the game file has no formula; give one")
+            raise EmuError("the game file has no formula; give one")
         return game.formula
     if args.formula:
         return fm.parse_formula(args.formula)
@@ -61,17 +56,18 @@ def _formula_from_args(args, game):
     params = {}
     for kv in args.param or []:
         if "=" not in kv:
-            raise _UsageError(f"--param expects k=v, got {kv!r}")
+            raise EmuError(f"--param expects k=v, got {kv!r}")
         k, v = kv.split("=", 1)
         params[k] = v
     return fm.builtin(args.builtin, **params)
 
 
-def _game_from_args(args) -> WeightedGameStructure:
+def _problem_from_args(args):
+    """The game, with its ``--priorities``, and the formula of the command."""
     game = load_game(args.game)
     if getattr(args, "priorities", None):
         game = dataclasses.replace(game, priorities=load_priorities(args.priorities))
-    return game
+    return game, _formula_from_args(args, game)
 
 
 def _at_least(least):
@@ -91,68 +87,83 @@ def _parse_bound(text):
     return math.inf if text == "inf" else _at_least(0)(text)
 
 
-def _state_names(game, quote=str):
-    """Each state's minterm (``!x & y``) in index order, built by doubling:
-    each variable, as the next higher bit, extends every name both ways.
-    ``quote`` maps each variable name once; the separators need no quoting."""
-    vs = [quote(v) for v in game.vars.names]
-    names = ["!" + vs[0], vs[0]] if vs else ["true"]
-    for v in vs[1:]:
+@functools.lru_cache(maxsize=4)
+def _halves(names, in_json):
+    """The bits h of the low half of ``names``, and the minterms (``!x & y``)
+    of the low and the high half in index order, each built by doubling (each
+    name, as the next higher bit, extends every minterm both ways); the low
+    ones end in the separator.  ``in_json`` quotes each name for JSON."""
+    if in_json:
+        names = tuple(json.dumps(v)[1:-1] for v in names)
+    h = len(names) // 2
+    low, high = [""], (["!" + names[h], names[h]] if names else ["true"])
+    for v in names[:h]:
+        neg, pos = "!" + v + " & ", v + " & "
+        low = [p + neg for p in low] + [p + pos for p in low]
+    for v in names[h + 1:]:
         neg, pos = " & !" + v, " & " + v
-        names = [p + neg for p in names] + [p + pos for p in names]
-    return names
+        high = [p + neg for p in high] + [p + pos for p in high]
+    return h, np.array(low, dtype=object), np.array(high, dtype=object)
 
 
-def _state_name(game, i):
-    """The name of state ``i`` alone, as ``_state_names`` gives it."""
-    return " & ".join(v if i >> k & 1 else "!" + v
-                      for k, v in enumerate(game.vars.names)) or "true"
+def state_names(game, states, in_json=False) -> list[str]:
+    """The minterm of each state of the int array ``states``, joined from the
+    minterms of its low and its high half of the variables."""
+    h, low, high = _halves(game.vars.names, in_json)
+    return (low[states & ((1 << h) - 1)] + high[states >> h]).tolist()
 
 
-def _report_names(game, report, quote=str):
-    """The state names of every writer, then the names in W_sys and W_env."""
-    names = _state_names(game, quote)
-    return (names, list(compress(names, report.sys_region.tolist())),
-            list(compress(names, report.env_region.tolist())))
+def _runs(states):
+    """The int array ``states`` in runs of at most ``CHUNK``."""
+    return (states[i:i + CHUNK] for i in range(0, len(states), CHUNK))
 
 
-def _credit_texts(report):
-    """Each state's credit, and the text of each distinct one (``inf``)."""
-    values = report.min_credits.values.tolist()
-    return values, {v: "inf" if v == INF else str(v) for v in set(values)}
+def _named_credits(report, game, states, in_json=False, lead=""):
+    """The name of each state of ``states``, and ``lead`` and the text of its
+    credit (``inf``)."""
+    values = report.min_credits.values[states].tolist()
+    text = {v: lead + ("inf" if v == INF else str(v)) for v in set(values)}
+    return zip(state_names(game, states, in_json), map(text.__getitem__, values))
 
 
-def _json_list(items, left='"', right='"') -> str:
-    """``[left item right, ...]``, spaced as ``json.dumps`` spaces a list."""
-    return "[" + left + (right + ", " + left).join(items) + right + "]" if items else "[]"
+def _write_list(out, report, game, key, states, rows=False):
+    """Write the member ``, "key": [...]`` of a JSON report, spaced as
+    ``json.dumps`` spaces it: the name of each state of ``states`` or, with
+    ``rows``, its ``min_credits`` entry."""
+    left, right = ('{"state": "', '"}') if rows else ('"', '"')
+    sep = f', "{key}": ['
+    for s in _runs(states):
+        items = ([n + c for n, c in _named_credits(report, game, s, True, '", "credit": "')]
+                 if rows else state_names(game, s, True))
+        if items:
+            out.write(sep + left + (right + ", " + left).join(items) + right)
+            sep = ", "
+    out.write("]" if sep == ", " else sep + "]")
 
 
-def solve_report_json(report, game, formula, query=None) -> str:
-    """The solve's JSON document, written in one pass and byte for byte what
-    ``json.dumps`` writes with its default separators; ``query`` is the
-    ``--state`` text and its state mask, or None."""
+def _write_regions(out, report, game):
+    for key, region in (("w_sys", report.sys_region), ("w_env", report.env_region)):
+        _write_list(out, report, game, key, np.flatnonzero(region))
+
+
+def write_solve_json(out, report, game, formula, query=None) -> None:
+    """Write the solve's JSON document and a newline, run by run, byte for
+    byte what ``json.dumps`` writes with its default separators; ``query``
+    is the ``--state`` text and its state mask, or None."""
     bb = report.bound_breakdown
-    head = json.dumps({
-        "schema": SCHEMA_VERSION, "command": "solve",
-        "formula": fm.formula_to_str(formula),
+    out.write(json.dumps({
+        "schema": SCHEMA_VERSION, "command": "solve", "formula": fm.formula_to_str(formula),
         "requested_bound": "inf" if report.unbounded else report.effective_bound,
         "effective_bound": report.effective_bound, "bound_variant": bb.variant,
         "N": bb.n_states, "K": bb.max_abs_weight, "m": bb.formula_length,
-        "d": bb.alternation_depth,
-    })
-    names, w_sys, w_env = _report_names(game, report, lambda v: json.dumps(v)[1:-1])
-    values, texts = _credit_texts(report)
-    tail = {v: '", "credit": "' + text for v, text in texts.items()}
-    # each row is a min_credits entry between '{"state": "' and '"}'
-    rows = [name + tail[v] for name, v in zip(names, values)]
-    row = ('{"state": "', '"}')
-    parts = [head[:-1], ', "min_credits": ', _json_list(rows, *row),
-             ', "w_sys": ', _json_list(w_sys), ', "w_env": ', _json_list(w_env)]
+        "d": bb.alternation_depth})[:-1])
+    _write_list(out, report, game, "min_credits", np.arange(game.n_states), rows=True)
+    _write_regions(out, report, game)
     if query is not None:
-        picked = [rows[i] for i in np.flatnonzero(query[1]).tolist()]
-        parts += [', "query": {"state": ', json.dumps(query[0]), ', "results": ',
-                  _json_list(picked, *row), "}"]
-    return "".join(parts) + "}"
+        out.write(', "query": {"state": ' + json.dumps(query[0]))
+        _write_list(out, report, game, "results", np.flatnonzero(query[1]), rows=True)
+        out.write("}")
+    out.write("}\n")
 
 
 def solve_report_from_json(doc: dict):
@@ -168,57 +179,48 @@ def solve_report_from_json(doc: dict):
 
 
 def cmd_solve(args) -> int:
-    game = _game_from_args(args)
-    formula = _formula_from_args(args, game)
+    game, formula = _problem_from_args(args)
     query_mask = None
     if args.state:
         query_mask = game.tables().state_mask(asr.parse_assertion(args.state))
         if not query_mask.any():
-            raise _UsageError(f"no state satisfies {args.state!r}")
+            raise EmuError(f"no state satisfies {args.state!r}")
     report = solve(SolveRequest(game=game, formula=formula, bound=args.bound))
-
     if args.format == "json":
         query = None if query_mask is None else (args.state, query_mask)
-        print(solve_report_json(report, game, formula, query))
+        write_solve_json(sys.stdout, report, game, formula, query)
     else:
         print(f"effective bound: {report.effective_bound}"
               + (" (computed: requested inf)" if report.unbounded else ""))
         bb = report.bound_breakdown
         print(f"N={bb.n_states} K={bb.max_abs_weight} m={bb.formula_length}"
               f" d={bb.alternation_depth} variant={bb.variant}")
-        values, texts = _credit_texts(report)
         if query_mask is None:
             print("min credits:")
-            for name, v in zip(_state_names(game), values):
-                print(f"  {name}: {texts[v]}")
+            for s in _runs(np.arange(game.n_states)):
+                sys.stdout.write("".join(f"  {n}: {c}\n"
+                                         for n, c in _named_credits(report, game, s)))
         else:
-            for i in np.flatnonzero(query_mask).tolist():
-                credit = texts[values[i]]
-                verdict = "loses" if credit == "inf" else "wins"
-                print(f"state {_state_name(game, i)}: min credit {credit} -> system {verdict}")
+            for s in _runs(np.flatnonzero(query_mask)):
+                sys.stdout.write("".join(
+                    f"state {n}: min credit {c}"
+                    f" -> system {'loses' if c == 'inf' else 'wins'}\n"
+                    for n, c in _named_credits(report, game, s)))
         print(f"W_sys: {report.sys_region.sum()} states,"
               f" W_env: {report.env_region.sum()} states")
-
     wins = (report.sys_region.any() if query_mask is None
             else report.sys_region[query_mask].all())
     return EXIT_WIN if wins else EXIT_LOSE
 
 
 def cmd_bound(args) -> int:
-    game = _game_from_args(args)
-    formula = _formula_from_args(args, game)
+    game, formula = _problem_from_args(args)
     bb = compute_bound(game, formula)
     if args.format == "json":
         print(json.dumps({
-            "schema": SCHEMA_VERSION,
-            "command": "bound",
-            "N": bb.n_states,
-            "K": bb.max_abs_weight,
-            "m": bb.formula_length,
-            "d": bb.alternation_depth,
-            "variant": bb.variant,
-            "bound": bb.bound,
-        }))
+            "schema": SCHEMA_VERSION, "command": "bound", "N": bb.n_states,
+            "K": bb.max_abs_weight, "m": bb.formula_length, "d": bb.alternation_depth,
+            "variant": bb.variant, "bound": bb.bound}))
     else:
         print(f"N={bb.n_states} K={bb.max_abs_weight} m={bb.formula_length}"
               f" d={bb.alternation_depth}")
@@ -228,28 +230,23 @@ def cmd_bound(args) -> int:
 
 
 def cmd_region(args) -> int:
-    game = _game_from_args(args)
-    formula = _formula_from_args(args, game)
+    game, formula = _problem_from_args(args)
     if args.bound == math.inf:
-        raise _UsageError("region needs a finite --bound")
+        raise EmuError("region needs a finite --bound")
     report = solve(SolveRequest(game=game, formula=formula, bound=args.bound))
-    _, w_sys, w_env = _report_names(game, report)
+    out = sys.stdout
     if args.format == "json":
-        print(json.dumps({
-            "schema": SCHEMA_VERSION,
-            "command": "region",
-            "bound": report.effective_bound,
-            "w_sys": w_sys,
-            "w_env": w_env,
-        }))
+        out.write(json.dumps({"schema": SCHEMA_VERSION, "command": "region",
+                              "bound": report.effective_bound})[:-1])
+        _write_regions(out, report, game)
+        out.write("}\n")
     else:
-        print(f"W_sys ({len(w_sys)} states):")
-        for s in w_sys:
-            print(f"  {s}")
-        print(f"W_env ({len(w_env)} states):")
-        for s in w_env:
-            print(f"  {s}")
-        print(f"partition: {len(w_sys)} + {len(w_env)} = {game.n_states}")
+        for key, region in (("W_sys", report.sys_region), ("W_env", report.env_region)):
+            out.write(f"{key} ({region.sum()} states):\n")
+            for s in _runs(np.flatnonzero(region)):
+                out.write("".join(f"  {name}\n" for name in state_names(game, s)))
+        print(f"partition: {report.sys_region.sum()} + {report.env_region.sum()}"
+              f" = {game.n_states}")
     return EXIT_WIN
 
 
@@ -314,16 +311,9 @@ def cmd_check(args) -> int:
         stem = Path(args.dump_dir) / f"counterexample-seed{args.seed}-case{i}"
         save_game(game, stem.with_suffix(".game"))
         stem.with_suffix(".json").write_text(json.dumps({
-            "schema": SCHEMA_VERSION,
-            "command": "check",
-            "seed": args.seed,
-            "case": i,
-            "oracle": args.oracle,
-            "bound": c,
-            "formula_kind": name,
-            "reason": why,
-            "game": game_to_dict(game),
-        }, indent=2) + "\n")
+            "schema": SCHEMA_VERSION, "command": "check", "seed": args.seed, "case": i,
+            "oracle": args.oracle, "bound": c, "formula_kind": name, "reason": why,
+            "game": game_to_dict(game)}, indent=2) + "\n")
         print(f"case {i:04d} MISMATCH: {why}")
         print(f"  reproduce from {stem.with_suffix('.game')} (bound {c})")
     print(f"checked {i + 1} cases, {int(why is not None)} mismatches")

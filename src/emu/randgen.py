@@ -10,6 +10,7 @@ import random
 
 from . import assertions as asr
 from . import formulas as fm
+from .errors import EmuError
 from .game import PriorityRule, VariableSet, WeightedGameStructure, WeightRule
 
 _VAR_POOL = ("a", "b", "x", "y", "z", "u", "v", "w")
@@ -47,6 +48,8 @@ def random_wgs(
     Transition assertions are biased towards mostly-live games but may
     contain environment or system deadlocks.
     """
+    if max_vars > len(_VAR_POOL):
+        raise EmuError(f"random games have at most {len(_VAR_POOL)} variables")
     n = rng.randint(min_vars, max_vars)
     names = _VAR_POOL[:n]
     n_inputs = rng.randint(0, n)

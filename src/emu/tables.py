@@ -99,7 +99,10 @@ def read_positions(game) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def _state_mask(var_positions, n_states, a):
-    idx = np.arange(n_states, dtype=np.int64)
+    """Truth of a pure-state assertion for every state, over a grid with bit k
+    of a state index on axis n-1-k: each operation broadcasts over the axes
+    it reads, and the result is copied once into a fresh (N,) array."""
+    n = n_states.bit_length() - 1
 
     def look(name, primed):
         if primed:
@@ -108,9 +111,11 @@ def _state_mask(var_positions, n_states, a):
             )
         if name not in var_positions:
             raise MalformedAssertionError(f"unknown variable {name!r}")
-        return ((idx >> var_positions[name]) & 1).astype(bool)
+        shape = [1] * n
+        shape[n - 1 - var_positions[name]] = 2
+        return np.array([False, True]).reshape(shape)
 
-    return np.broadcast_to(asr.eval_terms(a, look), (n_states,)).copy()
+    return np.array(np.broadcast_to(asr.eval_terms(a, look), (2,) * n)).reshape(-1)
 
 
 def _assignment_bits(count, order_positions):

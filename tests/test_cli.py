@@ -1,12 +1,15 @@
 import hashlib
+import io
 import json
 import math
 import os
+import random
 import shutil
 import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +25,8 @@ from emu import (
 from emu import formulas as fm
 from emu.assertions import TRUE
 from emu.errors import IterationCapError
-from emu.cli import run, solve_report_from_json, solve_report_json
+from emu import cli
+from emu.cli import run, solve_report_from_json, state_names, write_solve_json
 from emu.solver import BoundBreakdown
 from oracles import solve_report_dict
 
@@ -437,6 +441,7 @@ def test_empty_priority_list_is_rejected(tmp_path, capsys):
     ["check", "--cases", "1", "--max-weight", "-1"],
     ["check", "--cases", "1", "--max-bound", "-1"],
     ["check", "--cases", "-3"],
+    ["check", "--seed", "0", "--cases", "20", "--max-vars", "9"],
 ])
 def test_bad_arguments_exit_2_without_a_traceback(argv, g1_path, capsys):
     assert run([g1_path if a == "G" else a for a in argv]) == 2
@@ -537,19 +542,21 @@ def test_state_is_checked_before_solving(g1_path, monkeypatch, capsys):
         assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("names", [(), ("x",), ("x", "y"), ("a", "b", "c", "d")])
+@pytest.mark.parametrize("names", [(), ("x",), ("x", "y"), ("a", "b", "c"),
+                                   ("a", "b", "c", "d"), ("a", "b", "c", "d", "e")])
 def test_state_names_are_the_minterms(names):
-    from emu import VariableSet, WeightedGameStructure
-    from emu.assertions import TRUE
-    from emu.cli import _state_name, _state_names
     from oracles import State
 
     game = WeightedGameStructure(VariableSet(names, frozenset(names[:1])),
                                  TRUE, TRUE, ())
-    assert _state_names(game) == [State(game.vars, i).minterm()
-                                  for i in range(game.n_states)]
-    assert [_state_name(game, i) for i in range(game.n_states)] == [
+    assert state_names(game, np.arange(game.n_states)) == [
         State(game.vars, i).minterm() for i in range(game.n_states)]
+    assert [state_names(game, np.array([i]))[0] for i in range(game.n_states)] == [
+        State(game.vars, i).minterm() for i in range(game.n_states)]
+    # a shuffled subset, with repeats
+    picked = np.random.default_rng(len(names)).integers(0, game.n_states, 3 * game.n_states)
+    assert state_names(game, picked) == [State(game.vars, i).minterm()
+                                         for i in picked.tolist()]
 
 
 # Variable names that JSON must escape: a quote, a backslash, a control
@@ -563,8 +570,9 @@ _NAMES = st.text(st.sampled_from('xy"\\\x01\u00e9\u2028'), min_size=1, max_size=
        st.data())
 def test_solve_json_is_json_dumps_of_the_reference(names, unbounded, bound,
                                                    variant, data):
-    """The one-pass writer against ``json.dumps`` of the reference document,
-    byte for byte, with and without a --state query."""
+    """The run-by-run writer against ``json.dumps`` of the reference
+    document, byte for byte, with and without a --state query, for runs of
+    1, 2, 3 and the default number of states."""
     vs = VariableSet(names, frozenset())
     game = WeightedGameStructure(vs, TRUE, TRUE, ())
     n = game.n_states
@@ -585,8 +593,46 @@ def test_solve_json_is_json_dumps_of_the_reference(names, unbounded, bound,
         mask = data.draw(st.lists(st.booleans(), min_size=n, max_size=n)
                          .filter(any))
         query = (data.draw(st.text(max_size=4)), np.array(mask))
-    assert solve_report_json(report, game, formula, query) == json.dumps(
-        solve_report_dict(report, vs, formula, query))
+    chunk = data.draw(st.sampled_from((1, 2, 3, cli.CHUNK)))
+    out = io.StringIO()
+    with mock.patch.object(cli, "CHUNK", chunk):
+        write_solve_json(out, report, game, formula, query)
+    assert out.getvalue() == json.dumps(
+        solve_report_dict(report, vs, formula, query)) + "\n"
+
+
+def _five_variable_game(tmp_path):
+    """A seeded 5-variable game whose safety credits at bound 2 are 0, 2 and
+    inf, and whose system wins 20 of its 32 states."""
+    from emu.gamefile import save_game
+    from emu.randgen import random_wgs
+
+    path = tmp_path / "five.game"
+    save_game(random_wgs(random.Random(17), 5, 5, 3), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("game, solve_args", [
+    ("g1", ["--formula", "mu X . ([]X | y)", "--bound", "1", "--state", "!y"]),
+    ("five", ["--builtin", "safety", "--bound", "2", "--state", "a | !b"]),
+])
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_runs_write_the_same_bytes(game, solve_args, chunk, g1_path, tmp_path,
+                                   monkeypatch, capsys):
+    """Every writer gives the same bytes in runs of 1, 2 and 3 states as in
+    runs of the default size, whose one run holds every state."""
+    path = g1_path if game == "g1" else _five_variable_game(tmp_path)
+    no_state = solve_args[:-2]
+    commands = [[command, path, *args, *fmt]
+                for command, args in (("solve", no_state), ("solve", solve_args),
+                                      ("region", no_state))
+                for fmt in ([], ["--format", "json"])]
+    default = []
+    for argv in commands:
+        default.append((run(argv), capsys.readouterr().out))
+    monkeypatch.setattr(cli, "CHUNK", chunk)
+    for argv, want in zip(commands, default):
+        assert (run(argv), capsys.readouterr().out) == want
 
 
 def test_solve_json_bytes_of_the_fixture(g1_path, capsys):

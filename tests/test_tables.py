@@ -23,9 +23,10 @@ from emu import (
 )
 from emu import assertions as asr
 from emu import formulas as fm
-from emu.errors import IncompleteWeightCoverError
+from emu.errors import IncompleteWeightCoverError, MalformedAssertionError
 from emu.randgen import random_assertion, random_formula, random_priorities
-from oracles import State, cpre_sys_enum, ecpre_env_cases, ecpre_enum
+from oracles import (State, all_states, cpre_sys_enum, ecpre_env_cases, ecpre_enum,
+                     eval_assertion)
 
 
 def _row_game(rng, n, read_mask, primed_mask):
@@ -125,3 +126,34 @@ def test_uncovered_move_is_named_by_state():
     with pytest.raises(IncompleteWeightCoverError,
                        match=r"\(state 4, input 0, output 1\)"):
         g.tables()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6), st.randoms(use_true_random=False))
+def test_state_mask_matches_the_scalar_reference(n, rng):
+    names = ("a", "b", "c", "d", "e", "f")[:n]
+    g = WeightedGameStructure(VariableSet(names, frozenset()), asr.TRUE, asr.TRUE,
+                              (WeightRule(asr.TRUE, 0),))
+    a = random_assertion(rng, names, depth=3)
+    mask = g.tables().state_mask(a)
+    assert mask.tolist() == [eval_assertion(a, s) for s in all_states(g.vars)]
+    assert mask.flags.writeable
+    mask[:] = ~mask  # a fresh array: the next mask is not this one
+    assert g.tables().state_mask(a).tolist() != mask.tolist()
+
+
+@pytest.mark.parametrize("text", ["a", "!a", "true", "false", "a | !a"])
+def test_state_mask_of_one_variable_is_writeable(text):
+    g = WeightedGameStructure(VariableSet(("a",), frozenset()), asr.TRUE, asr.TRUE,
+                              (WeightRule(asr.TRUE, 0),))
+    mask = g.tables().state_mask(parse_assertion(text))
+    assert mask.shape == (2,) and mask.flags.writeable
+
+
+def test_state_mask_refuses_primed_then_unknown_variables():
+    g = WeightedGameStructure(VariableSet(("a",), frozenset()), asr.TRUE, asr.TRUE,
+                              (WeightRule(asr.TRUE, 0),))
+    with pytest.raises(MalformedAssertionError, match="primed variable w'"):
+        g.tables().state_mask(parse_assertion("a & w'"))
+    with pytest.raises(MalformedAssertionError, match="unknown variable 'w'"):
+        g.tables().state_mask(parse_assertion("a & w"))
