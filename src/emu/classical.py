@@ -75,7 +75,6 @@ class Lattice:
     bottom: Any
     top: Any
     leq: Callable[[Any, Any], bool]
-    eq: Callable[[Any, Any], bool]
     height: int
     cut: Callable[[Any, bool], Callable | None] | None = None
 
@@ -233,6 +232,8 @@ def _ev(node, env, lat, run):
     if isinstance(node, (fm.Mu, fm.Nu)):
         _, root, hoists, _, cuts, stats = run
         ascending = isinstance(node, fm.Mu)
+        # along(a, b): b is a, or past it in the direction the chain moves
+        along = lat.leq if ascending else (lambda a, b: lat.leq(b, a))
         key = id(node)
         hoisted = hoists.get(key, ())
         if hoisted:
@@ -256,16 +257,15 @@ def _ev(node, env, lat, run):
             new = _ev(node.sub, {**env, node.name: current}, lat, run)
             if cut is not None:
                 cut_new = cut(new)
-                if stats is not None and not was_cut:
-                    was_cut = not lat.eq(cut_new, new)
+                if stats is not None and not was_cut:  # a cut moves nothing back
+                    was_cut = not along(cut_new, new)
                 new = cut_new
-            if not (lat.leq(current, new) if ascending
-                    else lat.leq(new, current)):
+            if not along(current, new):
                 direction = "ascending" if ascending else "descending"
                 raise IterationCapError(
                     f"fixpoint iterates for {node.name} are not {direction}"
                 )
-            if lat.eq(new, current):
+            if along(new, current):  # so the two are equal
                 break
             current = new
         if stats is not None:
@@ -309,7 +309,6 @@ def eval_classical(game, f: fm.Formula, valuation=None, stats=None) -> StateSet:
         bottom=np.zeros(n, dtype=bool),
         top=np.ones(n, dtype=bool),
         leq=lambda a, b: bool((a <= b).all()),
-        eq=np.array_equal,
         height=n,
     )
     return evaluate(lat, t, f, valuation, stats)

@@ -6,15 +6,19 @@ differential testing against the independent oracles).
 
 Exit codes: 0 the system wins (or a check passed), 1 the system loses,
 2 usage or input error, 3 internal consistency failure or oracle mismatch.
+A reader that closes stdout early (``| head``) leaves the exit code of
+``solve``, ``region`` and ``bound`` unchanged and stderr empty.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
 import math
+import os
 import random
 import sys
 from pathlib import Path
@@ -37,6 +41,16 @@ EXIT_INTERNAL = 3
 
 SCHEMA_VERSION = 1
 CHUNK = 1 << 14  # states named and written per run of a report
+
+
+@contextlib.contextmanager
+def _report():
+    """Stdout, flushed at the end; once its reader leaves, to ``os.devnull``."""
+    try:
+        yield sys.stdout
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _formula_from_args(args, game):
@@ -186,46 +200,46 @@ def cmd_solve(args) -> int:
         if not query_mask.any():
             raise EmuError(f"no state satisfies {args.state!r}")
     report = solve(SolveRequest(game=game, formula=formula, bound=args.bound))
-    if args.format == "json":
-        query = None if query_mask is None else (args.state, query_mask)
-        write_solve_json(sys.stdout, report, game, formula, query)
-    else:
-        print(f"effective bound: {report.effective_bound}"
-              + (" (computed: requested inf)" if report.unbounded else ""))
-        bb = report.bound_breakdown
-        print(f"N={bb.n_states} K={bb.max_abs_weight} m={bb.formula_length}"
-              f" d={bb.alternation_depth} variant={bb.variant}")
-        if query_mask is None:
-            print("min credits:")
-            for s in _runs(np.arange(game.n_states)):
-                sys.stdout.write("".join(f"  {n}: {c}\n"
-                                         for n, c in _named_credits(report, game, s)))
-        else:
-            for s in _runs(np.flatnonzero(query_mask)):
-                sys.stdout.write("".join(
-                    f"state {n}: min credit {c}"
-                    f" -> system {'loses' if c == 'inf' else 'wins'}\n"
-                    for n, c in _named_credits(report, game, s)))
-        print(f"W_sys: {report.sys_region.sum()} states,"
-              f" W_env: {report.env_region.sum()} states")
     wins = (report.sys_region.any() if query_mask is None
             else report.sys_region[query_mask].all())
+    with _report() as out:
+        if args.format == "json":
+            query = None if query_mask is None else (args.state, query_mask)
+            write_solve_json(out, report, game, formula, query)
+        else:
+            bb = report.bound_breakdown
+            print(f"effective bound: {report.effective_bound}"
+                  + (" (computed: requested inf)" if report.unbounded else ""))
+            print(f"N={bb.n_states} K={bb.max_abs_weight} m={bb.formula_length}"
+                  f" d={bb.alternation_depth} variant={bb.variant}")
+            if query_mask is None:
+                print("min credits:")
+                for s in _runs(np.arange(game.n_states)):
+                    out.write("".join(f"  {n}: {c}\n"
+                                      for n, c in _named_credits(report, game, s)))
+            else:
+                for s in _runs(np.flatnonzero(query_mask)):
+                    out.write("".join(
+                        f"state {n}: min credit {c}"
+                        f" -> system {'loses' if c == 'inf' else 'wins'}\n"
+                        for n, c in _named_credits(report, game, s)))
+            print(f"W_sys: {report.sys_region.sum()} states,"
+                  f" W_env: {report.env_region.sum()} states")
     return EXIT_WIN if wins else EXIT_LOSE
 
 
 def cmd_bound(args) -> int:
     game, formula = _problem_from_args(args)
     bb = compute_bound(game, formula)
-    if args.format == "json":
-        print(json.dumps({
-            "schema": SCHEMA_VERSION, "command": "bound", "N": bb.n_states,
-            "K": bb.max_abs_weight, "m": bb.formula_length, "d": bb.alternation_depth,
-            "variant": bb.variant, "bound": bb.bound}))
-    else:
-        print(f"N={bb.n_states} K={bb.max_abs_weight} m={bb.formula_length}"
-              f" d={bb.alternation_depth}")
-        print(f"variant: {bb.variant}")
-        print(f"bound: {bb.bound}")
+    with _report():
+        if args.format == "json":
+            print(json.dumps({
+                "schema": SCHEMA_VERSION, "command": "bound", "N": bb.n_states,
+                "K": bb.max_abs_weight, "m": bb.formula_length, "d": bb.alternation_depth,
+                "variant": bb.variant, "bound": bb.bound}))
+        else:
+            print(f"N={bb.n_states} K={bb.max_abs_weight} m={bb.formula_length}"
+                  f" d={bb.alternation_depth}\nvariant: {bb.variant}\nbound: {bb.bound}")
     return EXIT_WIN
 
 
@@ -234,19 +248,19 @@ def cmd_region(args) -> int:
     if args.bound == math.inf:
         raise EmuError("region needs a finite --bound")
     report = solve(SolveRequest(game=game, formula=formula, bound=args.bound))
-    out = sys.stdout
-    if args.format == "json":
-        out.write(json.dumps({"schema": SCHEMA_VERSION, "command": "region",
-                              "bound": report.effective_bound})[:-1])
-        _write_regions(out, report, game)
-        out.write("}\n")
-    else:
-        for key, region in (("W_sys", report.sys_region), ("W_env", report.env_region)):
-            out.write(f"{key} ({region.sum()} states):\n")
-            for s in _runs(np.flatnonzero(region)):
-                out.write("".join(f"  {name}\n" for name in state_names(game, s)))
-        print(f"partition: {report.sys_region.sum()} + {report.env_region.sum()}"
-              f" = {game.n_states}")
+    with _report() as out:
+        if args.format == "json":
+            out.write(json.dumps({"schema": SCHEMA_VERSION, "command": "region",
+                                  "bound": report.effective_bound})[:-1])
+            _write_regions(out, report, game)
+            out.write("}\n")
+        else:
+            for key, region in (("W_sys", report.sys_region), ("W_env", report.env_region)):
+                out.write(f"{key} ({region.sum()} states):\n")
+                for s in _runs(np.flatnonzero(region)):
+                    out.write("".join(f"  {name}\n" for name in state_names(game, s)))
+            print(f"partition: {report.sys_region.sum()} + {report.env_region.sum()}"
+                  f" = {game.n_states}")
     return EXIT_WIN
 
 
@@ -275,9 +289,7 @@ def _check_reduction(game, c, formula, mutate):
     want_env = oracle_max_credit_env(game, c, dual)
     if mine_env != want_env:
         return "environment-side values disagree"
-    w_sys = mine.is_finite()
-    w_env = mine_env.values == 0
-    if (w_sys & w_env).any() or not (w_sys | w_env).all():
+    if not (mine.is_finite() ^ (mine_env.values == 0)).all():  # W_sys, W_env
         return "regions do not partition the states"
     return None
 

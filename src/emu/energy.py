@@ -23,7 +23,6 @@ for the arithmetic only.  Every value array is read-only either way.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -379,7 +378,6 @@ def eval_energy(game, c: int, f: fm.Formula, valuation=None,
         bottom=EnergyFunction.bottom(c, n),
         top=EnergyFunction.top(c, n),
         leq=leq,
-        eq=operator.eq,
         height=n * (c + 1),
         cut=(_credit_cap_cut(c, cap, _root_proven(game, f, c))
              if cap < c else None),

@@ -71,9 +71,7 @@ class WeightRule:
 
     def __post_init__(self):
         if abs(self.weight) > LIMIT:
-            raise WeightDomainError(
-                f"weight {self.weight} exceeds 2^60 in absolute value"
-            )
+            raise WeightDomainError(f"weight {self.weight} exceeds 2^60 in absolute value")
 
 
 @dataclass(frozen=True)
@@ -112,22 +110,17 @@ class WeightedGameStructure:
             if not self.priorities:
                 raise PriorityPartitionError("an empty priority list covers no state")
         names = set(self.vars.names)
-        primed_ok_e = {(n, True) for n in self.vars.x_names}
         for name, primed in asr.assertion_vars(self.rho_e):
-            if (not primed and name in names) or (primed and (name, True) in primed_ok_e):
-                continue
-            raise MalformedAssertionError(
-                f"rho_e may only mention state variables and primed inputs,"
-                f" got {name}{chr(39) if primed else ''}"
-            )
-        for a, what in [(self.rho_s, "rho_s")] + [
-            (r.guard, "weight guard") for r in self.weights
-        ]:
+            if name not in (self.vars.inputs if primed else names):
+                raise MalformedAssertionError(
+                    f"rho_e may only mention state variables and primed inputs,"
+                    f" got {name}{chr(39) if primed else ''}"
+                )
+        guards = [(self.rho_s, "rho_s"), *((r.guard, "weight guard") for r in self.weights)]
+        for a, what in guards:
             for name, primed in asr.assertion_vars(a):
                 if name not in names:
-                    raise MalformedAssertionError(
-                        f"{what} mentions unknown variable {name!r}"
-                    )
+                    raise MalformedAssertionError(f"{what} mentions unknown variable {name!r}")
         for rule in self.priorities or ():
             for name, primed in asr.assertion_vars(rule.guard):
                 if primed or name not in names:

@@ -125,6 +125,8 @@ def test_usage_errors(g1_path, tmp_path, capsys):
     assert run(["solve", g1_path, "--bound", "1", "--formula", "nu X . <>X",
                 "--builtin", "safety"]) == 2
     assert run(["solve", g1_path, "--bound", "1", "--state", "x & !x"]) == 2
+    assert run(["region", g1_path, "--bound", "inf", "--builtin", "safety"]) == 2
+    assert "region needs a finite --bound" in capsys.readouterr().err
     # a weight or priority that is not an integer is refused, not rounded
     doc = json.loads(open(g1_path).read())
     doc["weights"][0]["weight"] = -1.7
@@ -255,6 +257,31 @@ def test_check_dumps_an_inconsistent_case(oracle, tmp_path, capsys, monkeypatch)
     assert "checked 1 cases, 1 mismatches" in out
     meta = json.loads((tmp_path / "counterexample-seed0-case0.json").read_text())
     assert meta["reason"] == why and meta["oracle"] == oracle
+    assert (tmp_path / "counterexample-seed0-case0.game").exists()
+
+
+@pytest.mark.parametrize("side", ["environment", "partition"])
+def test_check_dumps_an_environment_side_case(side, tmp_path, capsys, monkeypatch):
+    # the system side agrees; then the environment side disagrees with its
+    # oracle, or agrees and claims the states the system wins as well
+    def zeros(game, c, f):
+        return EnergyFunction(c, np.zeros(game.n_states, dtype=np.int64))
+
+    if side == "environment":
+        honest = cli.oracle_max_credit_env
+        monkeypatch.setattr(cli, "oracle_max_credit_env",
+                            lambda *args: cli._mutate_credits(honest(*args)))
+        why = "environment-side values disagree"
+    else:
+        for name in ("eval_energy", "oracle_min_credit_sys", "oracle_max_credit_env"):
+            monkeypatch.setattr(cli, name, zeros)
+        why = "regions do not partition the states"
+    code = run(["check", "--seed", "0", "--cases", "2", "--max-vars", "3",
+                "--dump-dir", str(tmp_path)])
+    assert code == 3
+    assert f"case 0000 MISMATCH: {why}" in capsys.readouterr().out
+    meta = json.loads((tmp_path / "counterexample-seed0-case0.json").read_text())
+    assert meta["reason"] == why and meta["oracle"] == "reduction"
     assert (tmp_path / "counterexample-seed0-case0.game").exists()
 
 
@@ -681,3 +708,23 @@ def test_python_dash_m_runs_the_cli(module, g1_path):
         "effective bound: 0\nN=4 K=1 m=9 d=2 variant=buchi\n"
         "state x & y: min credit inf -> system loses\n"
         "W_sys: 0 states, W_env: 4 states\n")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["solve", "--builtin", "safety", "--bound", "2"], 0),
+    (["solve", "--builtin", "reach", "--param", "p=v0", "--bound", "0", "--state", "v1"], 1),
+    (["region", "--builtin", "safety", "--bound", "2"], 0),
+])
+def test_a_reader_that_leaves_early_changes_no_exit_code(argv, code, fixtures_dir):
+    # the report of a 16-variable game, megabytes long, fills the pipe, so a
+    # write meets the pipe after the reader closed it
+    src = str(Path(__file__).parent.parent / "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "emu", argv[0], str(fixtures_dir / "local16.game"),
+         *argv[1:]],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src})
+    proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (code, b"")

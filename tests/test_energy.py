@@ -77,9 +77,11 @@ def test_join_meet_leq_examples():
     assert leq(_f(c, [3, 3, 3]), _f(c, [2, 2, 2]))
 
 
-def test_bound_mismatch():
+def test_bound_mismatch(g1):
     with pytest.raises(BoundMismatchError):
         join(_f(2, [0]), _f(3, [0]))
+    with pytest.raises(BoundMismatchError, match="function bound 3 differs from c=2"):
+        ecpre(g1, 2, EnergyFunction.top(3, g1.n_states))
     # functions over different state counts must not broadcast
     for op in (join, meet, leq):
         with pytest.raises(BoundMismatchError, match="over 1 and 4 states"):

@@ -44,6 +44,8 @@ def test_variable_set_validation():
         VariableSet(("x", "x"), frozenset())
     with pytest.raises(StateCapError):
         VariableSet(tuple(f"v{i}" for i in range(25)), frozenset())
+    with pytest.raises(EmuError, match=r"input variables not declared: \['z'\]"):
+        VariableSet(("x",), frozenset({"z"}))
     vs = VariableSet(("x", "y"), frozenset({"x"}))
     assert vs.x_names == ("x",) and vs.y_names == ("y",)
 
@@ -176,6 +178,15 @@ def test_priorities_must_fit_in_int64():
     top = PriorityRule(y, (1 << 63) - 1)
     game = dataclasses.replace(_game(), priorities=(top, PriorityRule(not_y, 1)))
     assert game.tables().prio.tolist() == [1, 1, (1 << 63) - 1, (1 << 63) - 1]
+
+
+@pytest.mark.parametrize("guard", ["y'", "z"])
+def test_priority_guards_read_only_game_variables_unprimed(guard):
+    with pytest.raises(EmuError, match="priorities must be natural numbers"):
+        PriorityRule(parse_assertion("y"), -1)
+    rule = PriorityRule(parse_assertion(guard), 0)
+    with pytest.raises(MalformedAssertionError, match=f"pure-state .* got {guard}$"):
+        dataclasses.replace(_game(), priorities=(rule,))
 
 
 def test_rho_e_must_not_mention_primed_outputs():

@@ -1,4 +1,6 @@
 import random
+import sys
+import tracemalloc
 
 import pytest
 
@@ -8,6 +10,7 @@ from emu import (
     ParityGame,
     attractor,
     bound_ep,
+    eval_energy,
     from_parity_wgs,
     load_priorities,
     solve_energy_parity,
@@ -20,6 +23,7 @@ from emu.errors import (
     StateCapError,
     WeightDomainError,
 )
+from emu import parity
 from emu.randgen import random_wgs
 from oracles import (
     attractor_loops,
@@ -87,8 +91,12 @@ def test_from_parity_wgs_needs_partition(g1):
         from_parity_wgs(g1)  # no annotation
     bad = dataclasses.replace(
         g1, priorities=(PriorityRule(parse_assertion("y"), 0),))
-    with pytest.raises(PriorityPartitionError):
+    with pytest.raises(PriorityPartitionError, match="covers state 0"):
         from_parity_wgs(bad)
+    overlap = dataclasses.replace(g1, priorities=(
+        PriorityRule(parse_assertion("y"), 0), PriorityRule(parse_assertion("x | !y"), 1)))
+    with pytest.raises(PriorityPartitionError, match="'x | !y' overlaps an earlier guard"):
+        from_parity_wgs(overlap)
 
 
 def test_unfold_tiny_examples():
@@ -274,3 +282,53 @@ def test_unfoldings_too_large_for_memory_are_refused(monkeypatch):
         solve_energy_parity(seesaw, 99)
     with pytest.raises(StateCapError):
         unfold_with_bound(seesaw, 1 << 60)
+
+
+def _case_332():
+    """The game of case 332 of the parity sweep ``emu check --oracle parity
+    --seed 5 --max-vars 2 --max-weight 2``: 12 explicit states, 24 edges."""
+    return random_wgs(random.Random(5 * 1_000_003 + 332), 2, 2, 2, priorities=True)
+
+
+def test_parity_recursion_goes_one_level_per_priority(monkeypatch):
+    # On a credit unfolding, each opponent attractor peels off one credit
+    # layer, so recursing on what it leaves went about c levels deep.  The
+    # solver recurses only to drop the least priority, and a solve leaves
+    # the interpreter's recursion limit alone.
+    ep = from_parity_wgs(_case_332())
+    solve, depth = parity._solve_subgame, [0, 0]
+
+    def counted(active, arrays):
+        depth[0] += 1
+        depth[1] = max(depth)
+        try:
+            return solve(active, arrays)
+        finally:
+            depth[0] -= 1
+
+    def refused(limit):
+        raise AssertionError("a parity solve set the recursion limit")
+
+    monkeypatch.setattr(parity, "_solve_subgame", counted)
+    monkeypatch.setattr(sys, "setrecursionlimit", refused)
+    w0, w1 = solve_parity(unfold_with_bound(ep, 1000))
+    assert (w0 ^ w1).all()
+    levels = len(set(ep.prios.tolist()) | {0, 1}) + 1  # the sinks' 0 and 1
+    assert levels == 3 and 1 <= depth[1] <= levels
+
+
+def test_parity_oracle_stays_within_its_memory_charge():
+    # unfold_with_bound refuses up front what would not fit, by a charge per
+    # edge and per state; recursing c levels deep, the solve held 13 times it
+    game, c = _case_332(), 500
+    ep = from_parity_wgs(game)
+    charge = 72 * len(ep.src) * (c + 1) + 64 * ep.n_states * (c + 2)  # 1.19 MiB
+    tracemalloc.start()
+    try:
+        credits = solve_energy_parity(ep, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    symbolic = eval_energy(game, c, game.parity_formula()).values
+    assert credits[:game.n_states].tolist() == symbolic.tolist()
+    assert peak <= charge

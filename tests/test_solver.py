@@ -205,6 +205,8 @@ def test_dual_formula_is_the_negated_value(seed, prio, c, use_nested, nested):
 
 
 def test_crosscheck_parity_g1(g1, fixtures_dir):
+    with pytest.raises(EmuError, match="carries no priority annotation"):
+        crosscheck_parity(g1, 2)
     g = dataclasses.replace(
         g1, priorities=load_priorities(fixtures_dir / "g1_buchi.prio"))
     rep2 = crosscheck_parity(g, 2)
