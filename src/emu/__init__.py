@@ -49,7 +49,6 @@ from .gamefile import load_game, load_priorities, save_game
 from .parity import (
     EnergyParityGame,
     ParityGame,
-    attractor,
     bound_ep,
     from_parity_wgs,
     solve_energy_parity,
@@ -61,7 +60,6 @@ from .solver import (
     BoundBreakdown,
     CrosscheckReport,
     SolveReport,
-    SolveRequest,
     compute_bound,
     crosscheck_parity,
     solve,

@@ -55,15 +55,13 @@ class Lattice:
     least and ``top`` greatest.  ``height`` bounds the strict changes of any
     fixpoint chain.
 
-    ``cut``, if given, maps a fixpoint node, as ``evaluate`` rewrites it,
-    and whether that node is the formula's root (outermost), to None or to
-    a function of the environment the node is evaluated in.
-    That function gives None or a map applied to each iterate of that
-    evaluation.  The map must be monotone, move no element above its
-    argument in a greatest fixpoint (below it in a least one) and fix the
-    fixpoint's value under that environment; the cut chain then ends
-    exactly at that value.  ``cut`` is called once per node and evaluation,
-    its function once per evaluation of the node.
+    ``cut``, if given, is called once per evaluation of a fixpoint node, as
+    ``evaluate`` rewrites it, with the environment of that evaluation and
+    whether the node is the formula's root (outermost).  It gives None or a
+    map applied to each iterate.  The map must be monotone, move no element
+    above its argument in a greatest fixpoint (below it in a least one) and
+    fix the fixpoint's value under that environment; the cut chain then
+    ends exactly at that value.
     """
 
     atom: Callable[[np.ndarray], Any]
@@ -76,7 +74,7 @@ class Lattice:
     top: Any
     leq: Callable[[Any, Any], bool]
     height: int
-    cut: Callable[[Any, bool], Callable | None] | None = None
+    cut: Callable[[Any, dict, bool], Callable | None] | None = None
 
 
 _ATOMS = {fm.Atom, fm.NegAtom}
@@ -196,11 +194,11 @@ def evaluate(lat: Lattice, tables, f: fm.Formula, valuation=None,
     check.
 
     The walk is ``_ev``; its state lives in its arguments: the lattice and
-    a tuple of the tables, the rewritten root, its hoists, the atoms and the
-    lattice's cuts (or None) by node ``id``, and ``stats``.
+    a tuple of the tables, the rewritten root, its hoists, the atoms by node
+    ``id``, and ``stats``.
     """
     f, hoists = _hoist(f)
-    run = tables, f, hoists, {}, {}, stats
+    run = tables, f, hoists, {}, stats
     return _ev(f, dict(valuation or {}), lat, run)
 
 
@@ -230,21 +228,18 @@ def _ev(node, env, lat, run):
     if isinstance(node, fm.Not):
         return lat.neg(_ev(node.sub, env, lat, run))
     if isinstance(node, (fm.Mu, fm.Nu)):
-        _, root, hoists, _, cuts, stats = run
+        _, root, hoists, _, stats = run
         ascending = isinstance(node, fm.Mu)
         # along(a, b): b is a, or past it in the direction the chain moves
         along = lat.leq if ascending else (lambda a, b: lat.leq(b, a))
-        key = id(node)
-        hoisted = hoists.get(key, ())
+        hoisted = hoists.get(id(node), ())
         if hoisted:
             env = dict(env)
             for name, term in hoisted:
                 env[name] = _ev(term, env, lat, run)
             if stats is not None:
                 stats.hoisted += len(hoisted)
-        if key not in cuts:
-            cuts[key] = lat.cut(node, node is root) if lat.cut else None
-        cut = cuts[key](env) if cuts[key] else None
+        cut = lat.cut(node, env, node is root) if lat.cut else None
         current = lat.bottom if ascending else lat.top
         iterations, was_cut = 0, False
         while True:

@@ -318,16 +318,14 @@ def _credit_cap_cut(c: int, cap: int, root_proven: bool):
     def up(f):
         return EnergyFunction._of(c, np.where(f.values <= c - cap, 0, f.values))
 
-    def cut(node, root):
-        clip = down if isinstance(node, fm.Nu) else up
-        if root and root_proven:
-            return lambda env: clip
-        free = fm.safety_reads(node)
-        if free is None:
-            return None
-        # an unbound variable gets no cut; evaluating the body then raises
-        return lambda env: clip if all(
-            name in env and _two_valued(env[name]) for name in free) else None
+    def cut(node, env, root):
+        if not (root and root_proven):
+            free = fm.safety_reads(node)
+            # an unbound variable gets no cut; evaluating the body then raises
+            if free is None or not all(
+                    name in env and _two_valued(env[name]) for name in free):
+                return None
+        return down if isinstance(node, fm.Nu) else up
     return cut
 
 

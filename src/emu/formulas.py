@@ -295,21 +295,6 @@ def classify_fragment(f: Formula) -> str:
     return _fragment({type(n) for n in _subformulas(f)})
 
 
-def alternation_depth(f: Formula) -> int:
-    """Number of blocks in the longest chain of interdependent alternating
-    fixpoints (0 without fixpoints, 1 without genuine alternation).
-
-    Worked examples::
-
-        nu X . <>X                                -> 1
-        nu Z . mu Y . ((J & <>Z) | <>Y)           -> 2  (Y's body uses Z)
-        nu X . (<>X & mu Y . (p | <>Y))           -> 1  (Y's body ignores X)
-        mu A . nu B . mu C . ...                  -> 3 when each depends on
-                                                     the variable above it
-    """
-    return metrics(f).alternation_depth
-
-
 @dataclass(frozen=True)
 class FormulaMetrics:
     length: int  # AST node count
@@ -320,7 +305,18 @@ class FormulaMetrics:
 
 def metrics(f: Formula) -> FormulaMetrics:
     """Node count, alternation depth, closedness and fragment of f, from
-    one bottom-up walk."""
+    one bottom-up walk.
+
+    The alternation depth is the number of blocks in the longest chain of
+    interdependent alternating fixpoints (0 without fixpoints, 1 without
+    genuine alternation)::
+
+        nu X . <>X                                -> 1
+        nu Z . mu Y . ((J & <>Z) | <>Y)           -> 2  (Y's body uses Z)
+        nu X . (<>X & mu Y . (p | <>Y))           -> 1  (Y's body ignores X)
+        mu A . nu B . mu C . ...                  -> 3 when each depends on
+                                                     the variable above it
+    """
     # Per node: the largest depth of a binder in it, and per (binder class,
     # variable) that of a binder of that class in it with the variable free,
     # which a dual binder of that variable above extends and any binder of

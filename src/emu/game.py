@@ -101,7 +101,7 @@ class WeightedGameStructure:
     rho_s: asr.Assertion
     weights: tuple[WeightRule, ...]
     priorities: Optional[tuple[PriorityRule, ...]] = None
-    formula: object = None  # closed Formula; kept opaque to avoid an import cycle
+    formula: Optional[fm.Formula] = None  # closed
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(self.weights))

@@ -5,8 +5,9 @@ often is even, and a finite play when it ends in a deadlock of player 1;
 in an energy parity game the running energy level must additionally stay
 non-negative.  This module provides the explicit expansion of a symbolic
 parity game, the credit-layer unfolding that turns a bounded energy parity
-game into a plain parity game, attractors, and Zielonka's parity solver.
-It is the second, independent oracle next to the credit-tracking reduction.
+game into a plain parity game, and Zielonka's parity solver, whose
+attractors are internal to it.  It is the second, independent oracle next
+to the credit-tracking reduction.
 
 A game of n states and E edges is held in arrays: ``owners`` int8 (n,),
 ``prios`` int64 (n,), and the edge list ``src``/``dst`` int64 (E,), plus
@@ -68,12 +69,6 @@ class ParityGame:
         cols = np.array([e for out in edges for e in out], dtype=object)
         # the edge columns after src: dst, and weight in an energy game
         return cls(owners, prios, src, *cols.reshape(len(src), len(fields(cls)) - 3).T)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
-                   for f in fields(self))
 
     @property
     def n_states(self) -> int:
@@ -186,8 +181,8 @@ def _attract(owners, src, dst, preds, player, base, active):
     Each round takes the predecessors of the states the last round added.
     Own states need one successor inside, opponent states all of their
     active successors: an opponent state's count of pending successors
-    drops by one per edge into the attractor.  Deadlocks are not added
-    here: a caller whose game has them puts them into ``base``.
+    drops by one per edge into the attractor.  ``solve_parity`` keeps the
+    game total, so no deadlock needs a convention here.
     """
     ptr, pred = preds
     in_attr = base.copy()
@@ -203,23 +198,6 @@ def _attract(owners, src, dst, preds, player, base, active):
         frontier = np.concatenate([np.unique(p[own]), opp[pending[opp] == 0]])
         in_attr[frontier] = True
     return in_attr
-
-
-def attractor(game: ParityGame, player: int, target) -> set[int]:
-    """States from which ``player`` forces a visit to ``target`` or a
-    deadlock of the opponent, in finitely many steps.
-
-    Own states need one successor inside, opponent states all of them
-    (vacuously satisfied by opponent deadlocks).
-    """
-    n = game.n_states
-    base = np.zeros(n, dtype=bool)
-    base[list(target)] = True
-    base |= (game.owners != player) & (np.bincount(game.src, minlength=n) == 0)
-    in_attr = _attract(game.owners, game.src, game.dst,
-                       _predecessors(game.src, game.dst, n), player, base,
-                       np.ones(n, dtype=bool))
-    return set(np.flatnonzero(in_attr).tolist())
 
 
 def solve_parity(game: ParityGame) -> tuple[np.ndarray, np.ndarray]:

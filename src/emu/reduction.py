@@ -44,9 +44,6 @@ class ReducedGame:
     def tables(self) -> GameTables:
         return self._tables
 
-    def state_index(self, s: int, credit: int) -> int:
-        return s | (credit << len(self.original.vars.names))
-
 
 def reduce_game(game: WeightedGameStructure, c: int) -> ReducedGame:
     """Encode the bound-c energy objective into the transition relation."""

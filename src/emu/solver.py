@@ -63,13 +63,6 @@ def compute_bound(game: WeightedGameStructure, formula: fm.Formula) -> BoundBrea
 
 
 @dataclass(frozen=True)
-class SolveRequest:
-    game: WeightedGameStructure
-    formula: fm.Formula
-    bound: object  # a natural number, or math.inf for unbounded accumulation
-
-
-@dataclass(frozen=True)
 class SolveReport:
     effective_bound: int
     unbounded: bool               # True when the bound was computed, not given
@@ -96,14 +89,15 @@ def winning_regions(game: WeightedGameStructure, c: int, formula: fm.Formula):
     return w_sys, w_env
 
 
-def solve(req: SolveRequest) -> SolveReport:
-    """Minimum credits and winning regions at the requested or computed bound."""
-    breakdown = compute_bound(req.game, req.formula)
-    unbounded = req.bound == math.inf
-    c = breakdown.bound if unbounded else req.bound
+def solve(game: WeightedGameStructure, formula: fm.Formula, bound) -> SolveReport:
+    """Minimum credits and winning regions at ``bound``, a natural number, or
+    at the computed bound when ``bound`` is ``math.inf``."""
+    breakdown = compute_bound(game, formula)
+    unbounded = bound == math.inf
+    c = breakdown.bound if unbounded else bound
     _check_bound(c)  # before c is compared with any bound
-    credits = eval_energy(req.game, c, req.formula)
-    w_sys, w_env = winning_regions(req.game, c, req.formula)
+    credits = eval_energy(game, c, formula)
+    w_sys, w_env = winning_regions(game, c, formula)
     if not np.array_equal(w_sys, credits.is_finite()):
         raise ConsistencyError("regions disagree with the credit function")
     return SolveReport(

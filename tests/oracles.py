@@ -214,6 +214,14 @@ def neg_cases(f: EnergyFunction) -> EnergyFunction:
         dtype=np.int64))
 
 
+def mutate_credits(credits: EnergyFunction) -> EnergyFunction:
+    """``credits`` with the value of state 0 corrupted, INF to 0 and any
+    other value to INF: the output of a broken evaluator."""
+    values = credits.values.copy()
+    values[0] = 0 if values[0] == INF else INF
+    return EnergyFunction(credits.bound, values)
+
+
 def ecpre_env_cases(game, c, f: EnergyFunction) -> EnergyFunction:
     """The environment's step, from its own case analysis rather than duality.
 
@@ -618,22 +626,6 @@ def _attract(owners, edges, preds, player, base, active):
                     in_attr[p] = True
                     stack.append(p)
     return in_attr
-
-
-def attractor_loops(game, player: int, target) -> set[int]:
-    """States from which ``player`` forces a visit to ``target`` or a
-    deadlock of the opponent."""
-    game = listed(game)
-    n = game.n_states
-    edges = [[e[0] if isinstance(e, tuple) else e for e in out] for out in game.edges]
-    base = np.zeros(n, dtype=bool)
-    base[list(target)] = True
-    for s in range(n):
-        if game.owners[s] != player and not edges[s]:
-            base[s] = True
-    in_attr = _attract(game.owners, edges, _predecessors(edges), player, base,
-                       np.ones(n, dtype=bool))
-    return set(np.nonzero(in_attr)[0].tolist())
 
 
 def solve_parity_loops(game) -> tuple[set[int], set[int]]:

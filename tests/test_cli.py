@@ -28,7 +28,7 @@ from emu.errors import IterationCapError
 from emu import cli
 from emu.cli import run, solve_report_from_json, state_names, write_solve_json
 from emu.solver import BoundBreakdown
-from oracles import solve_report_dict
+from oracles import mutate_credits, solve_report_dict
 
 
 @pytest.fixture
@@ -105,6 +105,26 @@ def test_bound_refuses_what_solve_refuses(formula, why, g1_path, capsys):
         assert run(argv + [g1_path, "--formula", formula]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and why in captured.err
+
+
+@pytest.mark.parametrize("case", ["uncovered-move", "overlapping-priorities"])
+def test_bound_refuses_the_games_solve_refuses(case, g1_path, tmp_path, capsys):
+    # bound evaluates nothing, but it checks the game as every solve does
+    if case == "uncovered-move":
+        doc = json.loads(Path(g1_path).read_text())
+        doc["weights"] = doc["weights"][:1]  # no rule covers a move into !y
+        Path(g1_path).write_text(json.dumps(doc))
+        extra = ["--formula", "nu X . <>X"]
+        why = "no weight rule matches the system transition (state 0, input 0, output 0)"
+    else:
+        prio = tmp_path / "overlap.prio"
+        prio.write_text(json.dumps([{"guard": "x", "priority": 0},
+                                    {"guard": "true", "priority": 1}]))
+        extra = ["--priorities", str(prio)]
+        why = "priority guard 'true' overlaps an earlier guard"
+    for command in ("solve", "bound"):
+        assert run([command, g1_path, *extra]) == 2
+        assert capsys.readouterr() == ("", f"error: {why}\n")
 
 
 def test_region_command(g1_path, capsys):
@@ -211,12 +231,15 @@ def test_check_transcript_deterministic(tmp_path, capsys):
     assert first == second
 
 
-def test_check_mutation_detected(tmp_path, capsys):
+def test_check_mutation_detected(tmp_path, capsys, monkeypatch):
+    # a corrupted engine credit is a mismatch against the reduction oracle
+    honest = cli.eval_energy
+    monkeypatch.setattr(cli, "eval_energy", lambda *args: mutate_credits(honest(*args)))
     code = run(["check", "--seed", "7", "--cases", "5", "--max-vars", "3",
-                "--dump-dir", str(tmp_path), "--mutate"])
+                "--dump-dir", str(tmp_path)])
     out = capsys.readouterr().out
     assert code == 3
-    assert "MISMATCH" in out
+    assert "case 0000 MISMATCH: system-side minimum credits disagree" in out
     games = list(tmp_path.glob("counterexample-*.game"))
     reports = list(tmp_path.glob("counterexample-*.json"))
     assert len(games) == 1 and len(reports) == 1
@@ -270,7 +293,7 @@ def test_check_dumps_an_environment_side_case(side, tmp_path, capsys, monkeypatc
     if side == "environment":
         honest = cli.oracle_max_credit_env
         monkeypatch.setattr(cli, "oracle_max_credit_env",
-                            lambda *args: cli._mutate_credits(honest(*args)))
+                            lambda *args: mutate_credits(honest(*args)))
         why = "environment-side values disagree"
     else:
         for name in ("eval_energy", "oracle_min_credit_sys", "oracle_max_credit_env"):
@@ -324,11 +347,17 @@ def test_check_parity_unfolding_out_of_memory_exits_2(tmp_path, capsys, monkeypa
     assert "the unfolding at bound" in capsys.readouterr().err
 
 
-def test_check_parity_mutation(tmp_path, capsys):
+def test_check_parity_mutation(tmp_path, capsys, monkeypatch):
+    # a corrupted symbolic credit, compared with the explicit one
+    from emu import solver
+
+    honest = solver.eval_energy
+    monkeypatch.setattr(solver, "eval_energy", lambda *args: mutate_credits(honest(*args)))
     code = run(["check", "--oracle", "parity", "--seed", "3", "--cases", "4",
-                "--max-vars", "3", "--dump-dir", str(tmp_path), "--mutate"])
+                "--max-vars", "3", "--dump-dir", str(tmp_path)])
     assert code == 3
-    capsys.readouterr()
+    assert ("case 0000 MISMATCH: symbolic and explicit credits disagree"
+            in capsys.readouterr().out)
     # the dumped game keeps its priority annotation and reloads
     from emu import load_game
 
@@ -360,7 +389,7 @@ def test_bound_of_deeply_nested_binders_is_fast(g1_path, capsys):
 @pytest.mark.parametrize("extra", [["--bound", "2"], ["--bound", "inf"],
                                    ["--bound", "0", "--state", "y"]])
 def test_solve_json_is_one_line(extra, g1_path, capsys):
-    from emu import SolveRequest, load_game, solve
+    from emu import load_game, solve
     from emu import formulas as fm
 
     code = run(["solve", g1_path, "--builtin", "buchi", "--param", "J=y",
@@ -368,8 +397,8 @@ def test_solve_json_is_one_line(extra, g1_path, capsys):
     out = capsys.readouterr().out
     assert out.count("\n") == 1 and out.endswith("\n")
     bound, credits, w_sys, w_env = solve_report_from_json(json.loads(out))
-    report = solve(SolveRequest(load_game(g1_path), fm.builtin("buchi", J="y"),
-                                math.inf if extra[1] == "inf" else int(extra[1])))
+    report = solve(load_game(g1_path), fm.builtin("buchi", J="y"),
+                   math.inf if extra[1] == "inf" else int(extra[1]))
     assert bound == report.effective_bound and credits == report.min_credits
     assert (w_sys == report.sys_region).all() and (w_env == report.env_region).all()
     assert code in (0, 1)
@@ -711,20 +740,24 @@ def test_python_dash_m_runs_the_cli(module, g1_path):
 
 
 @pytest.mark.parametrize("argv, code", [
-    (["solve", "--builtin", "safety", "--bound", "2"], 0),
-    (["solve", "--builtin", "reach", "--param", "p=v0", "--bound", "0", "--state", "v1"], 1),
-    (["region", "--builtin", "safety", "--bound", "2"], 0),
+    (["solve", "local16.game", "--builtin", "safety", "--bound", "2"], 0),
+    (["solve", "local16.game", "--builtin", "reach", "--param", "p=v0", "--bound", "0",
+      "--state", "v1"], 1),
+    (["region", "local16.game", "--builtin", "safety", "--bound", "2"], 0),
+    (["check", "--seed", "1", "--cases", "3000", "--max-vars", "2", "--max-bound", "2"], 0),
 ])
-def test_a_reader_that_leaves_early_changes_no_exit_code(argv, code, fixtures_dir):
+def test_a_reader_that_leaves_early_changes_no_exit_code(argv, code, fixtures_dir, tmp_path):
     # the report of a 16-variable game, megabytes long, fills the pipe, so a
-    # write meets the pipe after the reader closed it
+    # write meets the pipe after the reader closed it; check writes 39 KB,
+    # several 8 KiB buffers, and gives its verdict only after its last case
     src = str(Path(__file__).parent.parent / "src")
     proc = subprocess.Popen(
-        [sys.executable, "-m", "emu", argv[0], str(fixtures_dir / "local16.game"),
-         *argv[1:]],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        [sys.executable, "-m", "emu",
+         *(str(fixtures_dir / a) if a.endswith(".game") else a for a in argv)],
+        cwd=tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         env={**os.environ, "PYTHONPATH": src})
     proc.stdout.readline()
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (code, b"")
+

@@ -365,12 +365,12 @@ def test_credit_beyond_the_expansion_cap():
     # (N'-1)K, N' = N(1+2^|X|) the size of the explicit expansion, is no cap
     # for box-free formulas: here it allows 3, and the credit is 5, because
     # the nested <> off the fixpoint path adds weighted moves to each round.
-    from emu import SolveRequest, oracle_min_credit_sys, solve
+    from emu import oracle_min_credit_sys, solve
 
     g = _game(("y",), [("y'", -1), ("true", 0)])
     f = fm.parse_formula("nu Z . ((<>(y & <>(y & <>(y & <>(y & <>y))))) & <>Z)")
     assert fm.safety_reads(f) is None
-    report = solve(SolveRequest(g, f, math.inf))
+    report = solve(g, f, math.inf)
     assert report.effective_bound == 214
     assert report.min_credits.values.tolist() == [5, 5]
     assert eval_energy(g, 100, f).values.tolist() == [5, 5]
@@ -614,7 +614,7 @@ def test_lossy_buchi_solves_at_the_largest_bound(name, want, monkeypatch):
     # c = 37, below the sufficient bound 38; with the root cut at cap
     # (N-1)K = 3 each of the three evaluations of a solve takes 18, at any
     # bound at or above it
-    from emu import SolveRequest, solve, solver
+    from emu import solve, solver
 
     f = fm.builtin(name, J="b")
     evaluate, stats = solver.eval_energy, None
@@ -622,7 +622,7 @@ def test_lossy_buchi_solves_at_the_largest_bound(name, want, monkeypatch):
                         lambda *a, **kw: evaluate(*a, stats=stats, **kw))
     for c, apps, cuts in ((10**5, 18, 3), (1 << 60, 18, 3), (37, 4 * 37 + 3, 0)):
         stats = FixpointStats()
-        report = solve(SolveRequest(_LOSSY, f, c))
+        report = solve(_LOSSY, f, c)
         assert report.min_credits == EnergyFunction.constant(c, 4, want)
         assert sum(a for a, _ in stats.caps) == 3 * apps
         assert stats.root_cuts == cuts
@@ -661,7 +661,7 @@ def test_weights_beyond_the_limit_are_rejected():
 
 
 def test_bounds_beyond_the_limit_are_rejected():
-    from emu import LIMIT, SolveRequest, compute_bound, solve
+    from emu import LIMIT, compute_bound, solve
 
     with pytest.raises(InvalidCreditError):
         eval_energy(_buchi_game(-1), LIMIT + 1, fm.builtin("safety"))
@@ -670,8 +670,8 @@ def test_bounds_beyond_the_limit_are_rejected():
     # solving at it fails, a finite bound below the limit still solves
     assert compute_bound(_buchi_game(LIMIT), buchi).bound > LIMIT
     with pytest.raises(InvalidCreditError):
-        solve(SolveRequest(_buchi_game(LIMIT), buchi, math.inf))
-    report = solve(SolveRequest(_buchi_game(-LIMIT), buchi, 3))
+        solve(_buchi_game(LIMIT), buchi, math.inf)
+    report = solve(_buchi_game(-LIMIT), buchi, 3)
     assert not report.sys_region.any() and report.env_region.all()
     assert compute_bound(_buchi_game(-2), buchi).bound == 76
 
@@ -689,8 +689,7 @@ def test_solve_at_the_limits(seed, prio, bound, data):
     cycle whose weights sum to a small negative number takes about c/|sum|
     fixpoint iterations to exceed the bound c, which does not finish there.
     """
-    from emu import (SolveRequest, from_parity_wgs, oracle_min_credit_sys, solve,
-                     solve_energy_parity)
+    from emu import from_parity_wgs, oracle_min_credit_sys, solve, solve_energy_parity
     from emu.errors import EmuError, StateCapError
     from emu.randgen import random_formula
 
@@ -704,7 +703,7 @@ def test_solve_at_the_limits(seed, prio, bound, data):
         WeightRule(r.guard, data.draw(weights)) for r in g.weights))
     formula = fm.parity_formula(g.priorities) if prio else random_formula(rng, g.vars)[1]
     try:
-        report = solve(SolveRequest(g, formula, bound))
+        report = solve(g, formula, bound)
     except EmuError:
         return
     credits, c = report.min_credits, report.effective_bound

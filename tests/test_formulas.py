@@ -86,12 +86,12 @@ def test_metrics_examples():
 def test_alternation_depth_independent_nesting():
     # inner fixpoint ignores the outer variable: no genuine alternation
     f = fm.parse_formula("nu X . (<>X & mu Y . (p | <>Y))")
-    assert fm.alternation_depth(f) == 1
+    assert fm.metrics(f).alternation_depth == 1
     # three interdependent blocks
     g = fm.Mu("A", fm.Nu("B", fm.Mu("C", fm.Or(
         fm.RelVar("C"), fm.Or(fm.RelVar("B"), fm.RelVar("A"))))))
-    assert fm.alternation_depth(g) == 3
-    assert fm.alternation_depth(fm.Atom(asr.Var("p"))) == 0
+    assert fm.metrics(g).alternation_depth == 3
+    assert fm.metrics(fm.Atom(asr.Var("p"))).alternation_depth == 0
     # co-buchi alternates too
     assert fm.metrics(fm.builtin("cobuchi", J="y")).alternation_depth == 2
 
@@ -104,7 +104,7 @@ def test_alternation_depth_independent_nesting():
     ("mu A . nu B . mu C . (<>A | <>B | <>C)", 3),
 ])
 def test_alternation_depth_worked_examples(text, depth):
-    assert fm.alternation_depth(fm.parse_formula(text)) == depth
+    assert fm.metrics(fm.parse_formula(text)).alternation_depth == depth
 
 
 def test_classify_fragment():
@@ -239,7 +239,7 @@ def test_parity_formula_degenerate_cases():
         PriorityRule(asr.Not(asr.Var("y")), 1),
     ))
     assert isinstance(two, fm.Nu) and isinstance(two.sub, fm.Mu)
-    assert fm.alternation_depth(two) == 2
+    assert fm.metrics(two).alternation_depth == 2
 
 
 _texts = st.sampled_from([

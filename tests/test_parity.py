@@ -8,7 +8,6 @@ from emu import (
     INF,
     EnergyParityGame,
     ParityGame,
-    attractor,
     bound_ep,
     eval_energy,
     from_parity_wgs,
@@ -26,7 +25,6 @@ from emu.errors import (
 from emu import parity
 from emu.randgen import random_wgs
 from oracles import (
-    attractor_loops,
     from_parity_wgs_loops,
     listed,
     parity_winners_brute,
@@ -122,36 +120,6 @@ def test_unfold_counts(g1, fixtures_dir):
     assert u.n_states == 12 * 4
 
 
-def test_attractor_examples():
-    chain = ParityGame.of((0, 0, 0), (0, 0, 0), ((1,), (2,), ()))
-    assert attractor(chain, 0, {2}) == {0, 1, 2}
-    assert attractor(chain, 0, set(range(3))) == {0, 1, 2}
-    # player-1 state with an escape outside the target is not attracted;
-    # the deadlocked state 2 is player-0-owned, so it is not attracted either
-    g = ParityGame.of((1, 0, 0), (0, 0, 0), ((1, 2), (), ()))
-    assert attractor(g, 0, {1}) == {1}
-    # once both successors are in, the universal clause fires
-    assert attractor(g, 0, {1, 2}) == {0, 1, 2}
-
-
-def test_attractor_deadlock_conventions():
-    # opponent deadlocks are attracted vacuously
-    g = ParityGame.of((0, 1), (0, 0), ((), ()))
-    assert attractor(g, 0, set()) == {1}
-    assert attractor(g, 1, set()) == {0}
-
-
-def test_attractor_monotone_idempotent():
-    rng = random.Random(53)
-    for _ in range(30):
-        ep = random_energy_parity_game(rng, max_states=6)
-        target = set(rng.sample(range(ep.n_states),
-                                rng.randint(0, ep.n_states)))
-        a = attractor(ep, 0, target)
-        assert target <= a
-        assert attractor(ep, 0, a) == a
-
-
 def test_solve_parity_single_states():
     assert _regions(ParityGame.of((0,), (0,), ((0,),))) == ({0}, set())
     assert _regions(ParityGame.of((0,), (1,), ((0,),))) == (set(), {0})
@@ -226,7 +194,7 @@ def test_bound_sufficiency_random():
 
 
 def test_array_pipeline_matches_loops():
-    """Expansion, unfolding, attractors and the solver against the loop
+    """Expansion, unfolding and the solver against the loop
     versions of ``tests/oracles.py``, on games with deadlocks."""
     rng = random.Random(79)
     for _ in range(300):
@@ -235,9 +203,6 @@ def test_array_pipeline_matches_loops():
         u = unfold_with_bound(ep, c)
         assert listed(u) == unfold_with_bound_loops(ep, c)
         assert _regions(u) == solve_parity_loops(u)
-        target = set(rng.sample(range(ep.n_states), rng.randint(0, ep.n_states)))
-        player = rng.randint(0, 1)
-        assert attractor(ep, player, target) == attractor_loops(ep, player, target)
     for _ in range(30):
         game = random_wgs(rng, 2, 5, 3, priorities=True)
         ep = from_parity_wgs(game)

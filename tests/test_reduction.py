@@ -40,6 +40,12 @@ from oracles import (
 )
 
 
+def _index(rg, s, credit):
+    """The reduced state of game state s at ``credit``: the credit bits above
+    the game's."""
+    return s | (credit << len(rg.original.vars.names))
+
+
 def _move_weight(t, s, s_next):
     """The table weight of the move between two state indices."""
     x = sum(((s_next >> p) & 1) << j for j, p in enumerate(t.x_positions))
@@ -51,7 +57,7 @@ def _rho_s_holds(rg, s1, c1, s2, c2):
     """Membership of ((s1,c1),(s2,c2)) in the reduced system relation, as
     the tables record it: a move the system can make does not weigh DEAD."""
     t = rg.tables()
-    return _move_weight(t, rg.state_index(s1, c1), rg.state_index(s2, c2)) != DEAD
+    return _move_weight(t, _index(rg, s1, c1), _index(rg, s2, c2)) != DEAD
 
 
 def _base_moves(g):
@@ -150,7 +156,7 @@ def test_dead_moves_weigh_dead(g1):
             layers = range(1 << rg.n_credit_bits)
             for s, s2 in itertools.product(range(g.n_states), repeat=2):
                 for c1, c2 in itertools.product(layers, repeat=2):
-                    w = _move_weight(rt, rg.state_index(s, c1), rg.state_index(s2, c2))
+                    w = _move_weight(rt, _index(rg, s, c1), _index(rg, s2, c2))
                     assert (w != DEAD) == _reduced_move(moves, c, s, c1, s2, c2)
                     assert w in (0, DEAD)
 
@@ -163,9 +169,9 @@ def _cpre_sys_reduced_enum(g, rg, target):
     out = np.zeros(len(target), dtype=bool)
     for s in all_states(g.vars):
         for c1 in layers:
-            out[rg.state_index(s.index, c1)] = all(
+            out[_index(rg, s.index, c1)] = all(
                 any(_reduced_move(moves, rg.bound, s.index, c1, t, c2)
-                    and target[rg.state_index(t, c2)]
+                    and target[_index(rg, t, c2)]
                     for s_y in sys_choices(g, s, s_x)
                     for t in [state_of(g.vars, s_x | s_y).index]
                     for c2 in layers)

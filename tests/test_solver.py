@@ -9,7 +9,6 @@ from emu import (
     INF,
     EnergyFunction,
     FixpointStats,
-    SolveRequest,
     compute_bound,
     crosscheck_parity,
     eval_energy,
@@ -26,7 +25,7 @@ from emu import assertions as asr
 from emu import formulas as fm
 from emu.errors import EmuError, FragmentError, InvalidCreditError
 from emu.randgen import random_formula, random_wgs
-from oracles import nested_formulas, random_nested_formula
+from oracles import mutate_credits, nested_formulas, random_nested_formula
 
 
 def test_sufficient_bound_variants(g1, fixtures_dir):
@@ -55,8 +54,8 @@ def test_priorities_change_no_other_formula_at_inf():
         p = fm.parity_formula(g.priorities)
         if f == p or fm.negate(f) == p:
             continue
-        want = solve(SolveRequest(dataclasses.replace(g, priorities=None), f, math.inf))
-        got = solve(SolveRequest(g, f, math.inf))
+        want = solve(dataclasses.replace(g, priorities=None), f, math.inf)
+        got = solve(g, f, math.inf)
         assert got.bound_breakdown == want.bound_breakdown
         assert got.min_credits == want.min_credits
         compared += 1
@@ -101,12 +100,12 @@ def test_bound_clamped_to_max_weight():
 
 def test_solve_finite_bounds(g1):
     buchi = fm.builtin("buchi", J="y")
-    rep = solve(SolveRequest(game=g1, formula=buchi, bound=2))
+    rep = solve(g1, buchi, 2)
     assert rep.effective_bound == 2 and not rep.unbounded
     assert rep.min_credits == EnergyFunction.top(2, g1.n_states)
     assert rep.sys_region.all() and not rep.env_region.any()
 
-    rep0 = solve(SolveRequest(game=g1, formula=buchi, bound=0))
+    rep0 = solve(g1, buchi, 0)
     assert rep0.min_credits == EnergyFunction.bottom(0, g1.n_states)
     assert not rep0.sys_region.any() and rep0.env_region.all()
 
@@ -115,25 +114,25 @@ def test_solve_unbounded(g1):
     from emu import oracle_min_credit_sys
 
     buchi = fm.builtin("buchi", J="y")
-    rep = solve(SolveRequest(game=g1, formula=buchi, bound=math.inf))
+    rep = solve(g1, buchi, math.inf)
     assert rep.unbounded and rep.effective_bound == 38
     assert rep.min_credits == EnergyFunction.top(38, g1.n_states)
     # regions stabilize at and beyond the sufficient bound, per the oracle
     assert oracle_min_credit_sys(g1, 38, buchi) == rep.min_credits
-    again = solve(SolveRequest(game=g1, formula=buchi, bound=76))
+    again = solve(g1, buchi, 76)
     assert (rep.sys_region == again.sys_region).all()
     assert oracle_min_credit_sys(g1, 76, buchi) == again.min_credits
 
 
 def test_solve_rejects_open_formula(g1):
     with pytest.raises((FragmentError, EmuError)):
-        solve(SolveRequest(game=g1, formula=fm.parse_formula("<>X"), bound=1))
+        solve(g1, fm.parse_formula("<>X"), 1)
 
 
 @pytest.mark.parametrize("bound", [2.7, "3", -1, True])
 def test_solve_rejects_a_bound_that_is_not_a_natural_number(g1, bound):
     with pytest.raises(InvalidCreditError):
-        solve(SolveRequest(game=g1, formula=fm.builtin("safety"), bound=bound))
+        solve(g1, fm.builtin("safety"), bound)
 
 
 @pytest.mark.parametrize("bound", [-1, True, 2.5])
@@ -224,13 +223,12 @@ def test_crosscheck_parity_g1(g1, fixtures_dir):
 def test_crosscheck_parity_reports_a_corrupted_credit(g1, fixtures_dir,
                                                        monkeypatch):
     from emu import solver
-    from emu.cli import _mutate_credits
 
     g = dataclasses.replace(
         g1, priorities=load_priorities(fixtures_dir / "g1_buchi.prio"))
     honest = solver.eval_energy
     monkeypatch.setattr(solver, "eval_energy",
-                        lambda *args: _mutate_credits(honest(*args)))
+                        lambda *args: mutate_credits(honest(*args)))
     rep = crosscheck_parity(g, 2)
     assert not rep.ok
     assert rep.mismatches == ((0, int(INF), 0),)
