@@ -19,6 +19,7 @@ credit in [0, c] and puts the overflow state of s at s*(c+2) + c + 1.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -138,12 +139,14 @@ def unfold_with_bound(g: EnergyParityGame, c: int) -> ParityGame:
 
     An unfolding that would not fit in the free memory is refused before
     anything is allocated.  Each unfolded edge costs 72 bytes: its ``src``
-    and ``dst``, and the solver's copy of them with the deadlock edges, sort
-    order, predecessor list and one edge-sized temporary.  Each unfolded
-    state costs 64: owner, priority, predecessor offset, pending count and
-    the solver's bool masks.  The peak that ``tracemalloc`` saw was at most
-    0.82 of this estimate on random games of 4e4-1e6 unfolded edges, and
-    0.77 at c = 300-1,000 on a random 12-state game of 24 edges.
+    and ``dst``, the solver's copy of them with the deadlock edges and one
+    edge-sized temporary of an attractor round, and, once an attractor goes
+    deep, the sort order and predecessor list of the solver's index.  Each
+    unfolded state costs 64: owner, priority, predecessor offset, pending
+    count and the solver's bool masks.  After a first solve has loaded what
+    numpy loads on first use, the peak that ``tracemalloc`` saw was at most
+    0.71 of this estimate on 14 random games of 4e4-1e6 unfolded edges, and
+    0.58-0.59 at c = 300-1,000 on a random 12-state game of 24 edges.
     """
     _check_bound(c)
     c, n, E = int(c), g.n_states, len(g.src)
@@ -175,28 +178,48 @@ def _predecessors(src, dst, n):
     return ptr, src[np.argsort(dst, kind="stable")]
 
 
-def _attract(owners, src, dst, preds, player, base, active):
+# An attractor round is a pass over all E edges, which on the shallow
+# attractors of most unfoldings costs less than sorting the edges once.  An
+# attractor that has made PASSES rounds and whose next round reaches fewer
+# than E/PASSES edges goes on over the predecessor index instead, which
+# ``solve_parity`` builds at most once.  Each edge is reached at most once by
+# one attractor, so at most PASSES of its rounds reach E/PASSES edges or
+# more, and it makes at most 2*PASSES passes: a pass per round would make a
+# deep attractor quadratic in its depth.
+PASSES = 32
+
+
+def _attract(own0, src, dst, index, player, base, active):
     """Attractor of ``base`` for ``player`` within the subgame ``active``.
 
-    Each round takes the predecessors of the states the last round added.
-    Own states need one successor inside, opponent states all of their
-    active successors: an opponent state's count of pending successors
-    drops by one per edge into the attractor.  ``solve_parity`` keeps the
+    Each round takes the sources of the edges into the states the last
+    round added.  Own states need one successor inside, opponent states all
+    of their active successors: an opponent state's count of pending
+    successors drops by one per edge into the attractor.  ``index()`` gives
+    the predecessor index, built on first use.  ``solve_parity`` keeps the
     game total, so no deadlock needs a convention here.
     """
-    ptr, pred = preds
+    n = len(own0)
+    mine = own0 if player == 0 else ~own0
     in_attr = base.copy()
-    pending = np.bincount(src[active[dst]], minlength=len(owners))
-    frontier = np.flatnonzero(base)
-    while frontier.size:
-        lo, size = ptr[frontier], ptr[frontier + 1] - ptr[frontier]
-        p = pred[np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())]
+    pending = np.bincount(src[active[dst]], minlength=n)
+    p, rounds = src[base[dst]], 0
+    while p.size and (rounds < PASSES or p.size * PASSES >= len(src)):
+        hits = np.bincount(p, minlength=n)
+        pending -= hits
+        new = (hits > 0) & active & ~in_attr & (mine | (pending == 0))
+        in_attr |= new
+        p, rounds = src[new[dst]], rounds + 1
+    while p.size:
         p = p[active[p] & ~in_attr[p]]
-        own = owners[p] == player
+        own = mine[p]
         opp, hits = np.unique(p[~own], return_counts=True)
         pending[opp] -= hits
         frontier = np.concatenate([np.unique(p[own]), opp[pending[opp] == 0]])
         in_attr[frontier] = True
+        ptr, pred = index()
+        lo, size = ptr[frontier], ptr[frontier + 1] - ptr[frontier]
+        p = pred[np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())]
     return in_attr
 
 
@@ -213,10 +236,10 @@ def solve_parity(game: ParityGame) -> tuple[np.ndarray, np.ndarray]:
     dead = np.flatnonzero(np.bincount(game.src, minlength=n) == 0)
     src = np.concatenate([game.src, dead, sinks])
     dst = np.concatenate([game.dst, np.where(game.owners[dead] == 1, n, n + 1), sinks])
-    owners = np.concatenate([game.owners, np.zeros(2, dtype=np.int8)])
+    own0 = np.concatenate([game.owners == 0, [True, True]])
     prios = np.concatenate([game.prios, [0, 1]])
-    arrays = owners, prios, src, dst, _predecessors(src, dst, n + 2)
-    w0, w1 = _solve_subgame(np.ones(n + 2, dtype=bool), arrays)
+    index = functools.cache(functools.partial(_predecessors, src, dst, n + 2))
+    w0, w1 = _solve_subgame(np.ones(n + 2, dtype=bool), (own0, prios, src, dst, index))
     w0, w1 = w0[:n], w1[:n]
     if not (w0 ^ w1).all():
         raise ConsistencyError("parity solve did not partition the states")
@@ -227,17 +250,17 @@ def _solve_subgame(active, arrays):
     """[W0, W1] of the subgame ``active``, which is not written.  Zielonka's
     second recursive call, on ``active & ~b``, only adds the opponent's
     attractor ``b`` to its region, so it is a round of the loop here."""
-    owners, prios, src, dst, preds = arrays
+    own0, prios, src, dst, index = arrays
     w = [np.zeros_like(active), np.zeros_like(active)]
     while active.any():
         p = int(prios[active].min())
         i = p % 2
-        a = _attract(owners, src, dst, preds, i, active & (prios == p), active)
+        a = _attract(own0, src, dst, index, i, active & (prios == p), active)
         sub = _solve_subgame(active & ~a, arrays)
         if not sub[1 - i].any():
             w[i] |= active
             break
-        b = _attract(owners, src, dst, preds, 1 - i, sub[1 - i], active)
+        b = _attract(own0, src, dst, index, 1 - i, sub[1 - i], active)
         w[1 - i] |= b
         active = active & ~b
     return w

@@ -1,3 +1,4 @@
+import functools
 import random
 import sys
 import tracemalloc
@@ -284,10 +285,13 @@ def test_parity_recursion_goes_one_level_per_priority(monkeypatch):
 
 def test_parity_oracle_stays_within_its_memory_charge():
     # unfold_with_bound refuses up front what would not fit, by a charge per
-    # edge and per state; recursing c levels deep, the solve held 13 times it
+    # edge and per state; recursing c levels deep, the solve held 13 times it.
+    # The second of two identical solves is measured, since the first can
+    # import a numpy submodule (numpy.ma, about 1 MiB) inside the window.
     game, c = _case_332(), 500
     ep = from_parity_wgs(game)
     charge = 72 * len(ep.src) * (c + 1) + 64 * ep.n_states * (c + 2)  # 1.19 MiB
+    solve_energy_parity(ep, c)
     tracemalloc.start()
     try:
         credits = solve_energy_parity(ep, c)
@@ -297,3 +301,80 @@ def test_parity_oracle_stays_within_its_memory_charge():
     symbolic = eval_energy(game, c, game.parity_formula()).values
     assert credits[:game.n_states].tolist() == symbolic.tolist()
     assert peak <= charge
+
+
+# A down-chain loses one credit per move and a ladder one per two moves, so
+# on their unfoldings player 1's attractor of the overflow states climbs the
+# credit layers one round at a time: about c and 2c rounds deep.
+_DOWN_CHAIN = EnergyParityGame.of((0,), (0,), (((0, -1),),))
+_LADDER = EnergyParityGame.of((0, 1), (0, 1), (((1, -1),), ((0, 0),)))
+
+
+@pytest.mark.parametrize("c", [40, 100, 300])
+@pytest.mark.parametrize("game", [_DOWN_CHAIN, _LADDER], ids=["down-chain", "ladder"])
+def test_deep_attractors_match_loops(game, c):
+    u = unfold_with_bound(game, c)
+    assert _regions(u) == solve_parity_loops(u)
+    assert solve_energy_parity(game, c).tolist() == solve_energy_parity_loops(game, c)
+
+
+def test_random_unfoldings_up_to_bound_40_match_loops():
+    rng = random.Random(83)
+    for _ in range(40):
+        ep = random_energy_parity_game(rng, max_states=6, max_weight=1)
+        c = rng.randint(0, 40)
+        u = unfold_with_bound(ep, c)
+        assert _regions(u) == solve_parity_loops(u)
+        assert solve_energy_parity(ep, c).tolist() == solve_energy_parity_loops(ep, c)
+
+
+@pytest.mark.parametrize("passes", [0, 1])
+@pytest.mark.parametrize("test", [
+    test_solve_parity_matches_brute_force,
+    test_array_pipeline_matches_loops,
+    test_random_unfoldings_up_to_bound_40_match_loops,
+], ids=lambda t: t.__name__)
+def test_attractors_over_the_predecessor_index(monkeypatch, test, passes):
+    # with PASSES = 0 every attractor round goes over the index, and with 1
+    # every round after the first that reaches fewer than all edges
+    monkeypatch.setattr(parity, "PASSES", passes)
+    test()
+
+
+def test_the_predecessor_index_is_built_only_for_deep_attractors(monkeypatch):
+    build, builds = parity._predecessors, []
+
+    def counted(src, dst, n):
+        builds.append(n)
+        return build(src, dst, n)
+
+    monkeypatch.setattr(parity, "_predecessors", counted)
+    solve_energy_parity(from_parity_wgs(_case_332()), 2)
+    assert builds == []
+    for _ in range(2):
+        solve_energy_parity(_LADDER, 300)
+    assert builds == [2 * 302 + 2] * 2
+
+
+def _attractor(g, base):
+    """Player 0's attractor of the states ``base`` in the total game ``g``."""
+    n = g.n_states
+    index = functools.partial(parity._predecessors, g.src, g.dst, n)
+    mask = np.zeros(n, dtype=bool)
+    mask[base] = True
+    in_attr = parity._attract(g.owners == 0, g.src, g.dst, index, 0, mask,
+                              np.ones(n, dtype=bool))
+    return set(np.flatnonzero(in_attr).tolist())
+
+
+@pytest.mark.parametrize("passes", [32, 0])
+def test_parallel_edges_count_once_each(monkeypatch, passes):
+    # Player 1's state 0 has two parallel edges into the target 1 and a third
+    # into 2.  Player 0 attracts it only once all three edges lead inside:
+    # in the third round, after 3 and then 2 joined, and never when 2 is a
+    # self-loop of player 1.
+    monkeypatch.setattr(parity, "PASSES", passes)
+    chain = ParityGame.of((1, 0, 1, 0), (0, 0, 0, 0), ((1, 1, 2), (1,), (3,), (1,)))
+    assert _attractor(chain, [1]) == {0, 1, 2, 3}
+    escape = ParityGame.of((1, 0, 1), (0, 0, 0), ((1, 1, 2), (1,), (2,)))
+    assert _attractor(escape, [1]) == {1}
