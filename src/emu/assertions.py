@@ -102,11 +102,11 @@ def _tokens(text, start, error):
 class _Cursor:
     """A recursive-descent parser's place in the tokens of ``text[start:]``.
 
-    A subclass defines one language: its syntax error class ``error`` and
-    its grammar levels, ``expression`` the outermost.  ``depth`` is the
-    frames charged for what is open around the current token, ``peak`` the
-    most in the current operand.  The tree walks of both languages take one
-    frame per node.
+    A subclass defines one language: its syntax error class ``error``, its
+    ``binary`` and ``prefix`` operator tables (see ``_syntax``) and its
+    ``atom``.  ``depth`` is the frames charged for what is open around the
+    current token, ``peak`` the most in the current operand.  The tree walks
+    of both languages take one frame per node.
     """
 
     error = AssertionSyntaxError
@@ -142,6 +142,9 @@ class _Cursor:
         self._charge(self.depth, self.pos)
         self.advance()
 
+    def expression(self):
+        return self.chain(self.unary, self.binary)
+
     def chain(self, operand, ops):
         """``operand (op operand)*``; ``ops`` maps each operator to its
         precedence (higher binds tighter), its node class and whether it is
@@ -164,21 +167,42 @@ class _Cursor:
             pending.append((precedence, node, self.pos))
             self.advance()
 
+    def unary(self):
+        node = self.prefix.get(self.kind)
+        if node is None:
+            return self.atom()
+        self.open(1)
+        return self.prefixed(node, self.unary())
 
-# Each binary operator: its precedence, node class and right-associativity.
-_BINARY = {"<->": (1, Iff, True), "->": (2, Implies, True),
-           "|": (3, Or, False), "&": (4, And, False)}
+    def prefixed(self, node, sub):
+        return node(sub)
+
+
+def _syntax(levels):
+    """A language's operator tables from its levels, weakest first, each a
+    kind ("left", "right" or "prefix") and its (token, node class) pairs:
+    ``binary`` (token -> precedence, node class, right-associative),
+    ``prefix`` (token -> node class) and the printer's (node class ->
+    precedence, token, kind)."""
+    binary, prefix, printer = {}, {}, {}
+    for precedence, (kind, *ops) in enumerate(levels, 1):
+        for token, node in ops:
+            if kind == "prefix":
+                prefix[token] = node
+            else:
+                binary[token] = (precedence, node, kind == "right")
+            printer[node] = (precedence, token, kind)
+    return binary, prefix, printer
+
+
+_BINARY, _PREFIX, _PRINTER = _syntax((
+    ("right", ("<->", Iff)), ("right", ("->", Implies)),
+    ("left", ("|", Or)), ("left", ("&", And)), ("prefix", ("!", Not))))
+_TIGHTEST = float("inf")  # the precedence of a leaf
 
 
 class _AssertionParser(_Cursor):
-    def expression(self):
-        return self.chain(self.unary, _BINARY)
-
-    def unary(self):
-        if self.kind == "!":
-            self.open(1)
-            return Not(self.unary())
-        return self.atom()
+    binary, prefix = _BINARY, _PREFIX
 
     def atom(self):
         kind, name = self.kind, self.value
@@ -200,34 +224,36 @@ def parse_assertion(text: str) -> Assertion:
     return _AssertionParser(text).parse()
 
 
-_PREC = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5, Var: 6, Const: 6}
-
-
 def assertion_to_str(a: Assertion) -> str:
     """Render an assertion; reparsing yields an equal tree."""
-    return _render(a, 0)
+    return _render(a, 0, _PRINTER, _leaf)
 
 
-def _render(node, parent_prec):
-    prec = _PREC[type(node)]
+def _leaf(node):
     if isinstance(node, Var):
-        s = node.name + ("'" if node.primed else "")
-    elif isinstance(node, Const):
-        s = "true" if node.value else "false"
-    elif isinstance(node, Not):
-        s = "!" + _render(node.sub, prec)
-    elif isinstance(node, And):
-        s = _render(node.left, prec) + " & " + _render(node.right, prec + 1)
-    elif isinstance(node, Or):
-        s = _render(node.left, prec) + " | " + _render(node.right, prec + 1)
-    elif isinstance(node, Implies):
-        # right-associative: left operand needs the tighter context
-        s = _render(node.left, prec + 1) + " -> " + _render(node.right, prec)
+        return _TIGHTEST, node.name + ("'" if node.primed else ""), None
+    return _TIGHTEST, "true" if node.value else "false", None
+
+
+def _render(node, parent_prec, printer, other):
+    """``node`` in parentheses where it binds looser than ``parent_prec``,
+    its operators printed by ``printer`` (see ``_syntax``) and the rest by
+    ``other``: a leaf's or a binder's precedence, text and body (or None),
+    which follows the text.  One frame per node."""
+    kind = type(node)
+    if kind not in printer:
+        prec, s, sub = other(node)
+        if sub is not None:
+            s += _render(sub, prec, printer, other)
     else:
-        s = _render(node.left, prec + 1) + " <-> " + _render(node.right, prec)
-    if prec < parent_prec:
-        return "(" + s + ")"
-    return s
+        prec, s, fix = printer[kind]
+        if fix == "prefix":
+            s += _render(node.sub, prec, printer, other)
+        else:  # the operand on the associating side may repeat the operator
+            right = fix == "right"
+            s = (_render(node.left, prec + right, printer, other) + f" {s} "
+                 + _render(node.right, prec + (not right), printer, other))
+    return "(" + s + ")" if prec < parent_prec else s
 
 
 def assertion_vars(a: Assertion) -> set[tuple[str, bool]]:

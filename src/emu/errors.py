@@ -53,6 +53,10 @@ class IncompleteWeightCoverError(EmuError):
     """Some system transition is matched by no weight rule."""
 
 
+class NotAnIntegerError(EmuError, TypeError):
+    """A weight or priority is not an integer (a bool or a float included)."""
+
+
 class WeightDomainError(EmuError):
     """A weight is out of range, or was queried outside the system transitions."""
 

@@ -99,8 +99,9 @@ class Not:
 
 Formula = Union[Atom, NegAtom, RelVar, And, Or, Diamond, Box, Mu, Nu, Not]
 
-_PREFIX = {"!": Not, "<>": Diamond, "[]": Box}
-_BINARY = {"|": (1, Or, False), "&": (2, And, False)}  # as assertions._BINARY
+_BINARY, _PREFIX, _PRINTER = asr._syntax((
+    ("left", ("|", Or)), ("left", ("&", And)),
+    ("prefix", ("!", Not), ("<>", Diamond), ("[]", Box))))
 
 
 # ---------------------------------------------------------------------------
@@ -108,19 +109,12 @@ _BINARY = {"|": (1, Or, False), "&": (2, And, False)}  # as assertions._BINARY
 
 class _FormulaParser(asr._Cursor):
     error = FormulaSyntaxError
+    binary, prefix = _BINARY, _PREFIX
 
-    def expression(self):
-        return self.chain(self.unary, _BINARY)
-
-    def unary(self):
-        kind = self.kind
-        if kind in _PREFIX:
-            self.open(1)
-            sub = self.unary()
-            if kind == "!" and isinstance(sub, (Atom, NegAtom)):
-                return _DUAL[type(sub)](sub.assertion)
-            return _PREFIX[kind](sub)
-        return self.atom()
+    def prefixed(self, node, sub):
+        if node is Not and isinstance(sub, (Atom, NegAtom)):
+            return _DUAL[type(sub)](sub.assertion)
+        return node(sub)
 
     def atom(self):
         kind, value, pos = self.kind, self.value, self.pos
@@ -201,15 +195,11 @@ def parse_formula(text: str) -> Formula:
 # ---------------------------------------------------------------------------
 # Printing
 
-_FPREC = {Or: 1, And: 2, Not: 3, Diamond: 3, Box: 3, Mu: 0, Nu: 0,
-          Atom: 4, NegAtom: 4, RelVar: 4}
-
-
 def formula_to_str(f: Formula) -> str:
     """Render a formula.  Reparsing yields an equal tree for any tree the
     parser can produce, not for every tree: ``Not(Atom(a))`` prints as
     ``!a``, which reparses to ``NegAtom(a)``."""
-    return _render(f, 0)
+    return asr._render(f, 0, _PRINTER, _leaf)
 
 
 def _plain_atom(a):
@@ -221,32 +211,16 @@ def _plain_atom(a):
     return f'@"{asr.assertion_to_str(a)}"'
 
 
-def _render(node, parent_prec):
-    prec = _FPREC[type(node)]
-    if isinstance(node, Atom):
-        s = _plain_atom(node.assertion)
-    elif isinstance(node, NegAtom):
-        s = "!" + _plain_atom(node.assertion)
-        prec = _FPREC[Not]
-    elif isinstance(node, RelVar):
-        s = node.name
-    elif isinstance(node, Not):
-        s = "!" + _render(node.sub, prec)
-    elif isinstance(node, Diamond):
-        s = "<>" + _render(node.sub, prec)
-    elif isinstance(node, Box):
-        s = "[]" + _render(node.sub, prec)
-    elif isinstance(node, And):
-        s = _render(node.left, prec) + " & " + _render(node.right, prec + 1)
-    elif isinstance(node, Or):
-        s = _render(node.left, prec) + " | " + _render(node.right, prec + 1)
-    elif isinstance(node, Mu):
-        s = f"mu {node.name} . " + _render(node.sub, 0)
-    else:
-        s = f"nu {node.name} . " + _render(node.sub, 0)
-    if prec < parent_prec:
-        return "(" + s + ")"
-    return s
+def _leaf(node):
+    """The precedence, text and body of an atom, a variable or a binder."""
+    kind = type(node)
+    if kind is Atom:
+        return asr._TIGHTEST, _plain_atom(node.assertion), None
+    if kind is NegAtom:
+        return _PRINTER[Not][0], "!" + _plain_atom(node.assertion), None
+    if kind is RelVar:
+        return asr._TIGHTEST, node.name, None
+    return 0, f"{'mu' if kind is Mu else 'nu'} {node.name} . ", node.sub
 
 
 # ---------------------------------------------------------------------------
@@ -284,15 +258,12 @@ def is_closed(f: Formula) -> bool:
     return not free_variables(f)
 
 
-def _fragment(kinds) -> str:
+def classify_fragment(f: Formula) -> str:
+    """One of 'sys', 'env', 'both', 'mixed' by which modal operators occur."""
+    kinds = {type(n) for n in _subformulas(f)}
     if Diamond in kinds:
         return "mixed" if Box in kinds else "sys"
     return "env" if Box in kinds else "both"
-
-
-def classify_fragment(f: Formula) -> str:
-    """One of 'sys', 'env', 'both', 'mixed' by which modal operators occur."""
-    return _fragment({type(n) for n in _subformulas(f)})
 
 
 @dataclass(frozen=True)
@@ -300,12 +271,11 @@ class FormulaMetrics:
     length: int  # AST node count
     alternation_depth: int
     closed: bool
-    fragment: str
 
 
 def metrics(f: Formula) -> FormulaMetrics:
-    """Node count, alternation depth, closedness and fragment of f, from
-    one bottom-up walk.
+    """Node count, alternation depth and closedness of f, from one
+    bottom-up walk.
 
     The alternation depth is the number of blocks in the longest chain of
     interdependent alternating fixpoints (0 without fixpoints, 1 without
@@ -323,11 +293,10 @@ def metrics(f: Formula) -> FormulaMetrics:
     # that variable ends; (RelVar, variable) marks it free.  So the
     # variables named in the root's keys are the free ones.  A node shares
     # its child's dict where it adds nothing, and never writes one it shares.
-    info, kinds = {}, set()  # id(node) -> (depth, uses)
+    info = {}  # id(node) -> (depth, uses)
     nodes = list(_subformulas(f))
     for node in reversed(nodes):
         kind = type(node)
-        kinds.add(kind)
         if kind is RelVar:
             info[id(node)] = 0, {(RelVar, node.name): 0}
             continue
@@ -353,8 +322,7 @@ def metrics(f: Formula) -> FormulaMetrics:
                 best[kind, name] = max(best.get((kind, name), 0), top)
         info[id(node)] = top, best
     top, best = info[id(f)]
-    return FormulaMetrics(length=len(nodes), alternation_depth=top,
-                          closed=not best, fragment=_fragment(kinds))
+    return FormulaMetrics(length=len(nodes), alternation_depth=top, closed=not best)
 
 
 @dataclass(frozen=True)

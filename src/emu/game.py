@@ -10,6 +10,7 @@ at a bound ``c``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -18,6 +19,7 @@ from . import formulas as fm
 from .errors import (
     EmuError,
     MalformedAssertionError,
+    NotAnIntegerError,
     PriorityPartitionError,
     StateCapError,
     WeightDomainError,
@@ -64,12 +66,21 @@ class VariableSet:
         return 1 << len(self.names)
 
 
+def _integer(value, what) -> int:
+    """``value`` as an int; bool, float and every other non-integer are
+    refused, not cast."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise NotAnIntegerError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class WeightRule:
     guard: asr.Assertion
     weight: int
 
     def __post_init__(self):
+        object.__setattr__(self, "weight", _integer(self.weight, "a weight"))
         if abs(self.weight) > LIMIT:
             raise WeightDomainError(f"weight {self.weight} exceeds 2^60 in absolute value")
 
@@ -80,6 +91,7 @@ class PriorityRule:
     priority: int
 
     def __post_init__(self):
+        object.__setattr__(self, "priority", _integer(self.priority, "a priority"))
         if self.priority < 0:
             raise EmuError("priorities must be natural numbers")
         if self.priority >= 1 << 63:  # the tables hold them as int64
@@ -101,10 +113,14 @@ class WeightedGameStructure:
     rho_s: asr.Assertion
     weights: tuple[WeightRule, ...]
     priorities: Optional[tuple[PriorityRule, ...]] = None
-    formula: Optional[fm.Formula] = None  # closed
+    formula: Optional[fm.Formula] = None  # closed and monotone
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(self.weights))
+        if self.formula is not None:
+            if not fm.is_closed(self.formula):
+                raise EmuError("the winning formula must be closed")
+            fm.require_monotone(self.formula)
         if self.priorities is not None:
             object.__setattr__(self, "priorities", tuple(self.priorities))
             if not self.priorities:

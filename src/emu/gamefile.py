@@ -2,9 +2,12 @@
 
 A game document has the fields ``vars`` (ordered name list), ``inputs``
 (subset of vars), ``rho_e`` and ``rho_s`` (assertion strings), ``weights``
-(ordered list of ``{"guard": ..., "weight": ...}``), optional ``priorities``
-(list of ``{"guard": ..., "priority": ...}``), and ``formula`` (a formula
-string, the winning condition).
+(ordered list of ``{"guard": ..., "weight": ...}``), and optionally
+``priorities`` (list of ``{"guard": ..., "priority": ...}``) and ``formula``
+(a formula string, the winning condition).  This module only parses: the
+game model refuses a weight or priority that is not an integer and a
+formula that is open or not monotone, and the readers report its refusals,
+and those of the assertion and formula parsers, as ``GameFormatError``.
 """
 
 from __future__ import annotations
@@ -18,13 +21,6 @@ from .errors import EmuError, GameFormatError
 from .game import PriorityRule, VariableSet, WeightedGameStructure, WeightRule
 
 
-def _integer(value, what):
-    """A JSON integer; floats, strings and booleans are refused, not cast."""
-    if type(value) is not int:
-        raise TypeError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def _names(value, what):
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise TypeError(f"{what} must be a list of variable names, got {value!r}")
@@ -33,36 +29,25 @@ def _names(value, what):
 
 def game_from_dict(doc: dict) -> WeightedGameStructure:
     try:
-        names = tuple(_names(doc["vars"], "vars"))
-        inputs = frozenset(_names(doc["inputs"], "inputs"))
-        rho_e = asr.parse_assertion(doc["rho_e"])
-        rho_s = asr.parse_assertion(doc["rho_s"])
-        weights = tuple(
-            WeightRule(asr.parse_assertion(w["guard"]), _integer(w["weight"], "a weight"))
-            for w in doc["weights"]
+        return WeightedGameStructure(
+            vars=VariableSet(_names(doc["vars"], "vars"), _names(doc["inputs"], "inputs")),
+            rho_e=asr.parse_assertion(doc["rho_e"]),
+            rho_s=asr.parse_assertion(doc["rho_s"]),
+            weights=[WeightRule(asr.parse_assertion(w["guard"]), w["weight"])
+                     for w in doc["weights"]],
+            priorities=_optional(doc, "priorities", parse_priorities),
+            formula=_optional(doc, "formula", fm.parse_formula),
         )
-        priorities = None
-        if doc.get("priorities") is not None:
-            priorities = parse_priorities(doc["priorities"])
-        formula = fm.parse_formula(doc["formula"])
     except KeyError as e:
         raise GameFormatError(f"missing field {e.args[0]!r}") from e
     except (TypeError, ValueError) as e:
         raise GameFormatError(f"malformed game document: {e}") from e
-    if not fm.is_closed(formula):
-        raise GameFormatError("the winning formula must be closed")
-    fm.require_monotone(formula)
-    try:
-        return WeightedGameStructure(
-            vars=VariableSet(names, inputs),
-            rho_e=rho_e,
-            rho_s=rho_s,
-            weights=weights,
-            priorities=priorities,
-            formula=formula,
-        )
     except EmuError as e:
         raise GameFormatError(str(e)) from e
+
+
+def _optional(doc, field, parse):
+    return None if doc.get(field) is None else parse(doc[field])
 
 
 def game_to_dict(game: WeightedGameStructure) -> dict:
@@ -86,14 +71,19 @@ def game_to_dict(game: WeightedGameStructure) -> dict:
     return doc
 
 
-def load_game(path) -> WeightedGameStructure:
+def _read_json(path, kind, what):
+    """The JSON document in the file ``path``, which must be a ``kind``."""
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as e:
         raise GameFormatError(f"{path}: not valid JSON: {e}") from e
-    if not isinstance(doc, dict):
-        raise GameFormatError(f"{path}: expected a JSON object")
-    return game_from_dict(doc)
+    if not isinstance(doc, kind):
+        raise GameFormatError(f"{path}: expected {what}")
+    return doc
+
+
+def load_game(path) -> WeightedGameStructure:
+    return game_from_dict(_read_json(path, dict, "a JSON object"))
 
 
 def save_game(game: WeightedGameStructure, path) -> None:
@@ -101,21 +91,15 @@ def save_game(game: WeightedGameStructure, path) -> None:
 
 
 def parse_priorities(rows) -> tuple[PriorityRule, ...]:
-    return tuple(
-        PriorityRule(asr.parse_assertion(r["guard"]),
-                     _integer(r["priority"], "a priority"))
-        for r in rows
-    )
+    return tuple(PriorityRule(asr.parse_assertion(r["guard"]), r["priority"])
+                 for r in rows)
 
 
 def load_priorities(path) -> tuple[PriorityRule, ...]:
-    try:
-        rows = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
-        raise GameFormatError(f"{path}: not valid JSON: {e}") from e
-    if not isinstance(rows, list):
-        raise GameFormatError(f"{path}: expected a JSON list of priority rules")
+    rows = _read_json(path, list, "a JSON list of priority rules")
     try:
         return parse_priorities(rows)
     except (KeyError, TypeError, ValueError) as e:
         raise GameFormatError(f"{path}: malformed priority rules: {e}") from e
+    except EmuError as e:
+        raise GameFormatError(str(e)) from e

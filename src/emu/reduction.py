@@ -20,7 +20,7 @@ from .classical import eval_classical
 from .energy import INF, EnergyFunction, _check_bound
 from .errors import ConsistencyError, FragmentError, StateCapError
 from .game import MAX_VARS, WeightedGameStructure
-from .tables import DEAD, GameTables, check_memory, read_positions
+from .tables import DEAD, GameTables, check_memory
 
 
 @dataclass(frozen=True)
@@ -54,10 +54,9 @@ def reduce_game(game: WeightedGameStructure, c: int) -> ReducedGame:
     if n + k > MAX_VARS:
         raise StateCapError(f"{n + k} variables exceed the cap of {MAX_VARS}"
                             f" ({1 << MAX_VARS} enumerated states)")
-    s_positions, yr_positions = read_positions(game)
-    nx = len(game.vars.x_names)
-    check_memory(n + k, len(s_positions) + nx + len(yr_positions) + 2 * k)
     base = game.tables()
+    # the base tables' cells, each repeated for the current and the claimed credit
+    check_memory(n + k, base.weight.size.bit_length() - 1 + 2 * k)
 
     layers = 1 << k
     N, NX = base.n_states, base.n_inputs

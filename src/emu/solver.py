@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import formulas as fm
-from .energy import EnergyFunction, _check_bound, eval_energy
-from .errors import ConsistencyError, EmuError, FragmentError
+from .energy import LIMIT, EnergyFunction, _check_bound, eval_energy
+from .errors import ConsistencyError, FragmentError, InvalidCreditError
 from .game import WeightedGameStructure
 from .parity import from_parity_wgs, solve_energy_parity
 
@@ -95,6 +95,8 @@ def solve(game: WeightedGameStructure, formula: fm.Formula, bound) -> SolveRepor
     breakdown = compute_bound(game, formula)
     unbounded = bound == math.inf
     c = breakdown.bound if unbounded else bound
+    if unbounded and c > LIMIT:
+        raise InvalidCreditError(f"the computed sufficient bound {c} exceeds 2^60")
     _check_bound(c)  # before c is compared with any bound
     credits = eval_energy(game, c, formula)
     w_sys, w_env = winning_regions(game, c, formula)
@@ -126,11 +128,9 @@ def crosscheck_parity(game: WeightedGameStructure, c: int) -> CrosscheckReport:
     and solves the resulting parity game.  Minimum credits must agree on
     every game state.
     """
-    if game.priorities is None:
-        raise EmuError("the game carries no priority annotation")
+    explicit = solve_energy_parity(from_parity_wgs(game), c)[:game.n_states]
     formula = game.parity_formula()
     symbolic = eval_energy(game, c, formula)
-    explicit = solve_energy_parity(from_parity_wgs(game), c)[:game.n_states]
     bad = np.flatnonzero(symbolic.values != explicit)
     mismatches = tuple(zip(bad.tolist(), symbolic.values[bad].tolist(),
                            explicit[bad].tolist()))

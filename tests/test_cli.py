@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -165,6 +166,29 @@ def test_solve_rejects_weight_beyond_int64(g1_path, tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert run(["solve", str(path), "--bound", "3"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_unbounded_solve_names_the_computed_bound(g1_path, tmp_path, capsys):
+    # the user asked for inf, so the refusal names the bound the solver computed
+    doc = json.loads(open(g1_path).read())
+    doc["weights"][0]["weight"] = 1 << 60
+    path = tmp_path / "heavy.game"
+    path.write_text(json.dumps(doc))
+    assert run(["solve", str(path), "--bound", "inf"]) == 2
+    err = capsys.readouterr().err
+    assert "error: the computed sufficient bound" in err and "exceeds 2^60" in err
+    assert "must be a natural number" not in err
+
+
+def test_game_file_without_formula(g1_path, tmp_path, capsys):
+    from emu import load_game, save_game
+
+    path = tmp_path / "bare.game"
+    save_game(dataclasses.replace(load_game(g1_path), formula=None), path)
+    assert run(["solve", str(path), "--builtin", "safety", "--bound", "2"]) == 0
+    capsys.readouterr()
+    assert run(["solve", str(path), "--bound", "2"]) == 2
+    assert "error: the game file has no formula; give one" in capsys.readouterr().err
 
 
 def test_solve_rejects_priority_beyond_int64(g1_path, tmp_path, capsys):

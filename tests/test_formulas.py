@@ -1,9 +1,14 @@
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from emu import PriorityRule
 from emu import assertions as asr
 from emu import formulas as fm
 from emu.errors import EmuError, FormulaSyntaxError, MalformedAssertionError
+from oracles import random_nested_formula
 
 
 def test_parse_buchi_matches_builtin():
@@ -74,7 +79,7 @@ def test_metrics_examples():
     m = fm.metrics(buchi)
     assert m.alternation_depth == 2
     assert m.length == 9
-    assert m.closed and m.fragment == "sys"
+    assert m.closed and fm.classify_fragment(buchi) == "sys"
 
     safety = fm.metrics(fm.builtin("safety"))
     assert (safety.length, safety.alternation_depth) == (3, 1)
@@ -262,5 +267,48 @@ def test_metrics_invariant_under_renaming():
     a = fm.parse_formula("nu Z . mu Y . ((y & <>Z) | <>Y)")
     b = fm.parse_formula("nu Q . mu R . ((y & <>Q) | <>R)")
     ma, mb = fm.metrics(a), fm.metrics(b)
-    assert (ma.length, ma.alternation_depth, ma.fragment) == (
-        mb.length, mb.alternation_depth, mb.fragment)
+    assert ma == mb
+    assert fm.classify_fragment(a) == fm.classify_fragment(b)
+
+
+def _printed_corpus():
+    """The printed forms of a seeded corpus: assertions over every operator,
+    nested formulas with their negations and their ``Not`` wrappings, the
+    builtins and parity formulas, whose guards print as ``@"..."`` atoms."""
+    rng = random.Random(25)
+
+    def assertion(depth, primed=True):
+        if depth == 0 or rng.random() < 0.2:
+            if rng.random() < 0.15:
+                return rng.choice((asr.TRUE, asr.FALSE))
+            name = rng.choice(("a", "b", "c", "X", "mu"))
+            return asr.Var(name, primed=primed and rng.random() < 0.3)
+        kind = rng.choice((asr.Not, asr.And, asr.Or, asr.Implies, asr.Iff))
+        if kind is asr.Not:
+            return asr.Not(assertion(depth - 1, primed))
+        return kind(assertion(depth - 1, primed), assertion(depth - 1, primed))
+
+    lines = [asr.assertion_to_str(assertion(6)) for _ in range(3000)]
+    for _ in range(1000):
+        f = random_nested_formula(rng, size=rng.randint(2, 30))
+        lines += map(fm.formula_to_str, (f, fm.negate(f), fm.Not(f)))
+    for name, params in (("safety", {}), ("reach", {"p": "a -> b"}),
+                         ("buchi", {"J": "a <-> !b"}), ("cobuchi", {"J": "c"}),
+                         ("dual-buchi", {"J": "(a -> b) -> c"})):
+        f = fm.builtin(name, **params)
+        lines += map(fm.formula_to_str, (f, fm.negate(f)))
+    for _ in range(300):
+        rules = [PriorityRule(assertion(3, primed=False), rng.randint(0, 5))
+                 for _ in range(rng.randint(1, 4))]
+        f = fm.parity_formula(rules)
+        lines += map(fm.formula_to_str, (f, fm.negate(f)))
+    return lines
+
+
+def test_printed_bytes_are_pinned():
+    # every byte both printers write for the corpus: any change of spacing,
+    # parenthesization or escaping shows here
+    lines = _printed_corpus()
+    assert len(lines) == 6610
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "4fff2627a02d6b3c005ee8d284a083f2cfd6ac71b2ba68d639116168e34e39fd"

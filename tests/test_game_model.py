@@ -1,6 +1,7 @@
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 
 from emu import (
@@ -10,10 +11,12 @@ from emu import (
     WeightedGameStructure,
     parse_assertion,
 )
+from emu.assertions import TRUE
 from emu.errors import (
     EmuError,
     IncompleteWeightCoverError,
     MalformedAssertionError,
+    NotAnIntegerError,
     StateCapError,
     WeightDomainError,
 )
@@ -212,3 +215,51 @@ def test_weight_total_on_sampled_transitions():
             for t in all_states(g.vars):
                 if eval_assertion(g.rho_s, s, t):
                     weight(g, s, t)  # must not raise
+
+
+@pytest.mark.parametrize("value", [2.5, 1.0, True, False, np.bool_(True), "3", None])
+def test_weights_and_priorities_must_be_integers(value):
+    # a float, a bool or a string would be read as some other number, or
+    # fail later inside the tables; the rules refuse it up front
+    y = parse_assertion("y")
+    with pytest.raises(NotAnIntegerError, match=f"a weight must be an integer, got {value!r}$"):
+        WeightRule(y, value)
+    with pytest.raises(EmuError, match=f"a priority must be an integer, got {value!r}$"):
+        PriorityRule(y, value)
+
+
+def test_numpy_integers_are_stored_as_python_ints():
+    import math
+    import warnings
+
+    from emu import builtin, compute_bound, solve
+    from emu.errors import InvalidCreditError
+
+    y = parse_assertion("y")
+    assert type(PriorityRule(y, np.int64(3)).priority) is int
+    # 8 variables and a weight of 2^58: the bound overflows 64 bits, so it
+    # must be computed with Python ints, and then be refused
+    names = tuple(f"v{i}" for i in range(8))
+    game = dataclasses.replace(_game(vars_=names, inputs=("v0",)),
+                               weights=(WeightRule(TRUE, np.int64(1 << 58)),))
+    assert type(game.weights[0].weight) is int
+    buchi = builtin("buchi", J="v1")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert compute_bound(game, buchi).bound == 37925929354794534699008
+        with pytest.raises(InvalidCreditError, match="computed sufficient bound"):
+            solve(game, buchi, math.inf)
+
+
+@pytest.mark.parametrize("text, error", [
+    ("<>X", "the winning formula must be closed"),
+    ("nu X . y & <>Z", "the winning formula must be closed"),
+    ("mu X . !X", "odd number of negations"),
+    ("nu X . <>!(mu Y . !Y | X)", "odd number of negations"),
+])
+def test_game_formula_must_be_closed_and_monotone(text, error):
+    from emu import parse_formula
+
+    with pytest.raises(EmuError, match=error):
+        dataclasses.replace(_game(), formula=parse_formula(text))
+    dataclasses.replace(_game(), formula=parse_formula("nu X . <>X"))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -103,4 +104,20 @@ def test_constant_names_are_not_variables(name):
     doc = {"vars": ["x", name], "inputs": ["x"], "rho_e": "true", "rho_s": "true",
            "weights": [{"guard": "true", "weight": 1}], "formula": "nu X . <>X"}
     with pytest.raises(GameFormatError, match="constants"):
+        game_from_dict(doc)
+
+
+def test_game_without_formula_round_trips(g1, tmp_path):
+    # the formula is optional both ways: a file written without one reads back
+    game = dataclasses.replace(g1, formula=None)
+    path = tmp_path / "bare.game"
+    save_game(game, path)
+    assert "formula" not in json.loads(path.read_text())
+    assert load_game(path) == game
+
+
+def test_non_monotone_formula_rejected(g1):
+    doc = game_to_dict(g1)
+    doc["formula"] = "mu X . !X"
+    with pytest.raises(GameFormatError, match="odd number of negations"):
         game_from_dict(doc)
