@@ -72,12 +72,15 @@ FALSE = Const(False)
 # leaves the rest of Python's default limit (1000) to the caller's stack.
 MAX_NESTING = 900
 
+# An identifier token of both languages.
+IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
 # The tokens of both languages; each parser rejects those its grammar lacks.
 _TOKEN_RE = re.compile(
-    r"""\s*(?:
+    rf"""\s*(?:
         (?P<op><->|->|<>|\[\]|[|&!().])
       | (?P<escape>@\s*"(?P<body>[^"]*)")
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)(?P<prime>')?
+      | (?P<ident>{IDENT.pattern})(?P<prime>')?
       | (?P<bad>\S)
     )""",
     re.VERBOSE,

@@ -99,10 +99,12 @@ def _hoist(f: fm.Formula):
     Returns the rewritten formula and, per rewritten fixpoint node (by
     ``id``), its (placeholder, subterm) pairs in evaluation order; a pair
     may read the placeholders before it and those of the binders above.
-    The placeholders are ``#0``, ``#1``, ..., names no parsed formula binds,
-    one per hoisted position, so binders that share a name cannot make two
-    collide.  It is one walk, one frame per node, and it checks
-    monotonicity on the way, so an evaluation walks its formula once.
+    The placeholders are ``#0``, ``#1``, ..., names no formula may use
+    (``formulas.require_variable_name``, which the walk applies to each
+    binder and free variable), one per hoisted position, so binders that
+    share a name cannot make two collide.  It is one walk, one frame per
+    node, and it checks monotonicity on the way, so an evaluation walks its
+    formula once.
 
     The walk is ``_hoist_walk``; its state lives in the tuple it passes
     down: the root, for ``require_monotone``; per variable, the (depth,
@@ -133,6 +135,7 @@ def _hoist_walk(node, negs, state):
     root, bound, pending, hoists, numbers = state
     if kind is fm.RelVar:
         if node.name not in bound:
+            fm.require_variable_name(node.name)
             return node, 0
         d, above = bound[node.name]
         if (negs - above) % 2:
@@ -152,6 +155,7 @@ def _hoist_walk(node, negs, state):
             return node, uses
         return kind(left, right), uses
     if kind in _BINDERS:
+        fm.require_variable_name(node.name)
         d = len(pending) + 1
         outer = bound.get(node.name)
         bound[node.name] = d, negs

@@ -31,7 +31,7 @@ from .errors import ConsistencyError, EmuError, IterationCapError
 from .gamefile import game_to_dict, load_game, load_priorities, save_game
 from .randgen import random_formula, random_wgs
 from .reduction import oracle_max_credit_env, oracle_min_credit_sys
-from .solver import compute_bound, crosscheck_parity, solve
+from .solver import compute_bound, crosscheck_parity, quotient, solve
 from . import assertions as asr
 
 EXIT_WIN = 0
@@ -196,7 +196,7 @@ def cmd_solve(args) -> int:
     game, formula = _problem_from_args(args)
     query_mask = None
     if args.state:
-        query_mask = game.tables().state_mask(asr.parse_assertion(args.state))
+        query_mask = game.vars.state_mask(asr.parse_assertion(args.state))
         if not query_mask.any():
             raise EmuError(f"no state satisfies {args.state!r}")
     report = solve(game, formula, args.bound)
@@ -231,7 +231,7 @@ def cmd_solve(args) -> int:
 def cmd_bound(args) -> int:
     game, formula = _problem_from_args(args)
     bb = compute_bound(game, formula)
-    game.tables()  # checks the weight cover and priorities, as every solve does
+    quotient(game, formula)  # refuses what every solve refuses
     with _report():
         if args.format == "json":
             print(json.dumps({

@@ -157,6 +157,16 @@ def _is_relvar(name):
     return name[0].isupper()
 
 
+def require_variable_name(name):
+    """Raise unless the parser reads ``name`` back as the same fixpoint
+    variable: one identifier token, uppercase-initial.  So a formula built
+    in code prints as one that parses to it, and its names cannot collide
+    with the engine's placeholders ``#0``, ``#1``, ... (``classical._hoist``)."""
+    if not (isinstance(name, str) and asr.IDENT.fullmatch(name) and _is_relvar(name)):
+        raise EmuError(f"fixpoint variable {name!r} is not an uppercase-initial"
+                       " identifier, which a formula would not read back")
+
+
 def _rename_apart(f: Formula) -> Formula:
     """Give every binder a fresh variable so each is bound exactly once."""
     used = {n.name for n in _subformulas(f) if isinstance(n, (Mu, Nu, RelVar))}
@@ -256,6 +266,19 @@ def free_variables(f: Formula) -> set[str]:
 
 def is_closed(f: Formula) -> bool:
     return not free_variables(f)
+
+
+def require_binder_names(f: Formula):
+    """``require_variable_name`` of every binder of f."""
+    for node in _subformulas(f):
+        if isinstance(node, (Mu, Nu)):
+            require_variable_name(node.name)
+
+
+def atom_variables(f: Formula) -> set[str]:
+    """The names of the variables the atoms of f mention."""
+    return {name for node in _subformulas(f) if isinstance(node, (Atom, NegAtom))
+            for name, _primed in asr.assertion_vars(node.assertion)}
 
 
 def classify_fragment(f: Formula) -> str:

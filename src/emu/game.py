@@ -25,7 +25,7 @@ from .errors import (
     WeightDomainError,
 )
 from .energy import LIMIT
-from .tables import GameTables, build_tables
+from .tables import GameTables, _state_mask, build_tables, read_positions
 
 MAX_VARS = 24
 
@@ -64,6 +64,12 @@ class VariableSet:
     @property
     def n_states(self) -> int:
         return 1 << len(self.names)
+
+    def state_mask(self, a: asr.Assertion):
+        """Truth of a pure-state assertion for every state, as a bool (N,)
+        array; it needs no tables."""
+        positions = {name: k for k, name in enumerate(self.names)}
+        return _state_mask(positions, self.n_states, a)
 
 
 def _integer(value, what) -> int:
@@ -118,6 +124,7 @@ class WeightedGameStructure:
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(self.weights))
         if self.formula is not None:
+            fm.require_binder_names(self.formula)
             if not fm.is_closed(self.formula):
                 raise EmuError("the winning formula must be closed")
             fm.require_monotone(self.formula)
@@ -153,6 +160,12 @@ class WeightedGameStructure:
     def max_abs_weight(self) -> int:
         """Largest absolute weight over the rules (the constant K)."""
         return max((abs(r.weight) for r in self.weights), default=0)
+
+    def read_positions(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``tables.read_positions`` of the game, found once, like the tables."""
+        if "_reads" not in self.__dict__:
+            self.__dict__["_reads"] = read_positions(self)
+        return self.__dict__["_reads"]
 
     def tables(self) -> GameTables:
         t = self.__dict__.get("_tables")

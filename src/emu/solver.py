@@ -8,16 +8,25 @@ and states losing at that bound lose for every finite credit.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import assertions as asr
 from . import formulas as fm
 from .energy import LIMIT, EnergyFunction, _check_bound, eval_energy
-from .errors import ConsistencyError, FragmentError, InvalidCreditError
-from .game import WeightedGameStructure
+from .errors import (
+    ConsistencyError,
+    FragmentError,
+    IncompleteWeightCoverError,
+    InvalidCreditError,
+    PriorityPartitionError,
+)
+from .game import VariableSet, WeightedGameStructure
 from .parity import from_parity_wgs, solve_energy_parity
+from .tables import cell_bits, check_memory
 
 
 @dataclass(frozen=True)
@@ -89,25 +98,80 @@ def winning_regions(game: WeightedGameStructure, c: int, formula: fm.Formula):
     return w_sys, w_env
 
 
+def quotient(game: WeightedGameStructure, formula: fm.Formula) -> WeightedGameStructure:
+    """``game`` on the variables that it or ``formula`` reads, its tables
+    built: those that ``rho_e``, ``rho_s``, a weight guard or a priority
+    guard mentions, primed or not, and those of the formula's atoms.
+
+    States that agree on them have the same moves, weights and atoms, and
+    their successors again agree on them; the other inputs and outputs only
+    duplicate moves, which changes no min over outputs or max over inputs.
+    So the value of any formula over these atoms at a state of ``game`` is
+    its value at the state's projection, in the quotient: the cone of
+    influence of symbolic model checking.  It is ``game`` itself when every
+    variable is read.
+
+    Before the tables are built, they and the report over ``game``'s states
+    are charged against free memory (``tables.check_memory``).  The quotient
+    is valid exactly when ``game`` is; where its weight cover or priorities
+    are refused, ``game``'s tables are built to refuse them with the
+    message that names ``game``'s state, input and output indices.
+    """
+    read = fm.atom_variables(formula)
+    rules = (*game.weights, *(game.priorities or ()))
+    for a in (game.rho_e, game.rho_s, *(rule.guard for rule in rules)):
+        read.update(name for name, _primed in asr.assertion_vars(a))
+    names = game.vars.names
+    kept = tuple(name for name in names if name in read)
+    small = game
+    if len(kept) < len(names):
+        small = dataclasses.replace(
+            game, vars=VariableSet(kept, game.vars.inputs & read), formula=None)
+    check_memory(len(kept), cell_bits(small), report_vars=len(names))
+    try:
+        small.tables()
+    except (IncompleteWeightCoverError, PriorityPartitionError):
+        game.tables()  # refuses it again, naming game's indices
+        raise
+    return small
+
+
+def _expand(values: np.ndarray, game, small) -> np.ndarray:
+    """``values`` over the states of the quotient ``small``, as an (N,) array
+    over the states of ``game``: each state reads its projection's entry.
+    As in ``tables._state_mask``, bit k of a state index is axis n-1-k of a
+    (2,)*n grid, which the quotient's values broadcast over."""
+    if small is game:
+        return values
+    kept = set(small.vars.names)
+    names = game.vars.names
+    grid = values.reshape([2 if name in kept else 1 for name in reversed(names)])
+    return np.broadcast_to(grid, (2,) * len(names)).reshape(-1)
+
+
 def solve(game: WeightedGameStructure, formula: fm.Formula, bound) -> SolveReport:
     """Minimum credits and winning regions at ``bound``, a natural number, or
-    at the computed bound when ``bound`` is ``math.inf``."""
+    at the computed bound when ``bound`` is ``math.inf``.
+
+    The bound is the full game's (``compute_bound``); the formula is
+    evaluated on the ``quotient`` and its values expanded once."""
     breakdown = compute_bound(game, formula)
     unbounded = bound == math.inf
     c = breakdown.bound if unbounded else bound
     if unbounded and c > LIMIT:
         raise InvalidCreditError(f"the computed sufficient bound {c} exceeds 2^60")
     _check_bound(c)  # before c is compared with any bound
-    credits = eval_energy(game, c, formula)
-    w_sys, w_env = winning_regions(game, c, formula)
+    small = quotient(game, formula)
+    credits = eval_energy(small, c, formula)
+    w_sys, w_env = winning_regions(small, c, formula)
     if not np.array_equal(w_sys, credits.is_finite()):
         raise ConsistencyError("regions disagree with the credit function")
     return SolveReport(
         effective_bound=credits.bound,
         unbounded=unbounded,
-        min_credits=credits,
-        sys_region=w_sys,
-        env_region=w_env,
+        min_credits=EnergyFunction._of(credits.bound, _expand(credits.values, game, small)),
+        sys_region=_expand(w_sys, game, small),
+        env_region=_expand(w_env, game, small),
         bound_breakdown=breakdown,
     )
 

@@ -66,7 +66,7 @@ def _available_memory():
         return float("inf")
 
 
-def check_memory(n_vars, cell_bits):
+def check_memory(n_vars, cell_bits, report_vars=None):
     """Refuse a game of ``n_vars`` variables whose tables hold 2^``cell_bits``
     (read output, input, row) cells and would not fit in the free physical
     memory.
@@ -76,12 +76,27 @@ def check_memory(n_vars, cell_bits):
     the tables are built, the bool masks of the guards and of the cover
     check.  Each state costs 24 bytes more: its ``row`` and ``succ`` entries
     and the kernel's gathered targets.
+
+    A solve evaluates on a quotient of the game it reports on
+    (``solver.quotient``); given ``report_vars``, the variables of that
+    game, each of its states costs 10 bytes more: the report's int64
+    credit and its two bool region entries.
     """
     need = (16 << cell_bits) + (24 << n_vars)
+    what = "tables"
+    if report_vars is not None:
+        need += 10 << report_vars
+        n_vars, what = report_vars, "tables and report"
     free = _available_memory()
     if need > free:
         raise StateCapError(f"{n_vars} variables need about {need >> 20} MiB of"
-                            f" tables, more than the {free >> 20} MiB free")
+                            f" {what}, more than the {free >> 20} MiB free")
+
+
+def cell_bits(game) -> int:
+    """log2 of the (read output, input, row) cells of a game's tables."""
+    s_positions, yr_positions = game.read_positions()
+    return len(s_positions) + len(game.vars.inputs) + len(yr_positions)
 
 
 def read_positions(game) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -153,7 +168,7 @@ def _pair_lookup(var_positions, s_positions, x_positions, yr_positions):
 def build_tables(game) -> GameTables:
     """Materialize the transition relations, weights, and priorities of a game."""
     vs = game.vars
-    s_positions, yr_positions = read_positions(game)
+    s_positions, yr_positions = game.read_positions()
     var_positions = {name: k for k, name in enumerate(vs.names)}
     x_positions = tuple(k for k, name in enumerate(vs.names) if name in vs.inputs)
     y_positions = tuple(k for k, name in enumerate(vs.names) if name not in vs.inputs)
@@ -161,7 +176,7 @@ def build_tables(game) -> GameTables:
     n = len(vs.names)
     n_states = 1 << n
     nx, nyr = len(x_positions), len(yr_positions)
-    check_memory(n, len(s_positions) + nx + nyr)
+    check_memory(n, cell_bits(game))
     look = _pair_lookup(var_positions, s_positions, x_positions, yr_positions)
     shape = (1 << nyr, 1 << nx, 1 << len(s_positions))
 

@@ -488,6 +488,52 @@ def test_out_of_memory_exits_2(g1_path, tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "error: out of memory\n"
 
 
+def test_the_report_is_charged_before_evaluating(fixtures_dir, capsys, monkeypatch):
+    # local20 is solved on the 7 variables its moves read: 2^13 cells and
+    # 2^7 states, 131 KiB of tables, but its report over 2^20 states takes
+    # 10 MiB more, which is charged with them before any evaluation
+    from emu import load_game, solve, tables
+    from emu.errors import StateCapError
+    from emu.solver import quotient
+
+    path = str(fixtures_dir / "local20.game")
+    game = load_game(path)
+    small = quotient(game, fm.builtin("safety"))
+    assert (len(small.vars.names), tables.cell_bits(small)) == (7, 13)
+    monkeypatch.setattr(tables, "_available_memory", lambda: 8 << 20)
+    tables.check_memory(7, 13)  # the quotient's tables alone fit
+    with pytest.raises(StateCapError, match="20 variables need about 10 MiB"
+                       " of tables and report, more than the 8 MiB free"):
+        solve(game, fm.builtin("safety"), 10)
+    for command in ("solve", "bound"):
+        assert run([command, path, "--builtin", "safety"]) == 2
+        assert "of tables and report" in capsys.readouterr().err
+
+
+def test_no_command_builds_the_whole_games_tables(fixtures_dir, capsys, monkeypatch):
+    # the whole game's tables need 32 MiB, more than is free here, and
+    # neither the --state query nor the bound command builds them: both
+    # refuse and accept what the quotient's tables and the report decide
+    import emu.game
+    from emu import tables
+
+    built = []
+    build = emu.game.build_tables
+    monkeypatch.setattr(emu.game, "build_tables",
+                        lambda g: built.append(len(g.vars.names)) or build(g))
+    monkeypatch.setattr(tables, "_available_memory", lambda: 24 << 20)
+    path = str(fixtures_dir / "local20.game")
+    state = " & ".join(f"!v{i}" for i in range(20))
+    assert run(["bound", path, "--builtin", "safety"]) == 0
+    assert "bound: " in capsys.readouterr().out
+    assert run(["solve", path, "--builtin", "safety", "--bound", "10",
+                "--state", state]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d005976a2ecf6fa36be070dc7d00173fc5549ddb3b9da54e45f7b3190056a1fb")
+    assert built == [7, 7]
+
+
 def test_sixteen_variable_solve_is_byte_identical(fixtures_dir, capsys):
     # 16 variables whose moves read 2 of their 8 outputs: the digest of the
     # whole report pins every state's credit

@@ -612,20 +612,28 @@ def test_no_root_cut_beyond_the_two_shapes():
 def test_lossy_buchi_solves_at_the_largest_bound(name, want, monkeypatch):
     # uncut, buchi runs 4c+3 applications per evaluation on this game, as at
     # c = 37, below the sufficient bound 38; with the root cut at cap
-    # (N-1)K = 3 each of the three evaluations of a solve takes 18, at any
-    # bound at or above it
+    # (N-1)K = 3 an evaluation on the game takes 18, at any bound at or
+    # above it.  A solve evaluates three times on the quotient on b, where
+    # N = 2, so its cap is 1 and its root cut fires from c = 10 on: 10
+    # applications each, at all three bounds
     from emu import solve, solver
 
     f = fm.builtin(name, J="b")
+    for c, apps, cuts in ((10**5, 18, 1), (1 << 60, 18, 1), (37, 4 * 37 + 3, 0)):
+        stats = FixpointStats()
+        assert eval_energy(_LOSSY, c, f, stats=stats) \
+            == EnergyFunction.constant(c, 4, want)
+        assert sum(a for a, _ in stats.caps) == apps
+        assert stats.root_cuts == cuts
     evaluate, stats = solver.eval_energy, None
     monkeypatch.setattr(solver, "eval_energy",
                         lambda *a, **kw: evaluate(*a, stats=stats, **kw))
-    for c, apps, cuts in ((10**5, 18, 3), (1 << 60, 18, 3), (37, 4 * 37 + 3, 0)):
+    for c in (10**5, 1 << 60, 37):
         stats = FixpointStats()
         report = solve(_LOSSY, f, c)
         assert report.min_credits == EnergyFunction.constant(c, 4, want)
-        assert sum(a for a, _ in stats.caps) == 3 * apps
-        assert stats.root_cuts == cuts
+        assert sum(a for a, _ in stats.caps) == 3 * 10
+        assert stats.root_cuts == 3
 
 
 # ---------------------------------------------------------------------------

@@ -229,3 +229,27 @@ def test_hoisting_and_cuts_match_the_plain_semantics():
                     assert stats.cuts == closed.cuts == 0
                 added += stats.cuts - closed.cuts
     assert added >= 50
+
+
+@pytest.mark.parametrize("name", ["#0", "#1"])
+def test_a_placeholder_name_is_refused_as_a_variable(g1, name):
+    # the engine hoists mu Y . y | <>Y out of the nu as the placeholder #0,
+    # so a binder or free variable of that name would read the hoisted
+    # value; every entry into the engine refuses it
+    from emu import assertions as asr, solve
+    from emu.errors import EmuError
+
+    def body(x):
+        reach = fm.Mu("Y", fm.Or(fm.Atom(asr.Var("y")), fm.Diamond(fm.RelVar("Y"))))
+        return fm.And(fm.Diamond(fm.RelVar(x)), reach)
+
+    renamed = fm.Nu("Z", body("Z"))
+    assert emu.classical._hoist(renamed)[1]
+    for run in (lambda f, **kw: eval_energy(g1, 3, f, **kw),
+                lambda f, **kw: eval_classical(g1, f, **kw),
+                lambda f: solve(g1, f, 3)):
+        with pytest.raises(EmuError, match="fixpoint variable"):
+            run(fm.Nu(name, body(name)))
+        run(renamed)
+    with pytest.raises(EmuError, match="fixpoint variable"):
+        eval_energy(g1, 3, body(name), valuation={name: EnergyFunction.top(3, 4)})

@@ -5,7 +5,7 @@ import pytest
 
 from emu import load_game, load_priorities, save_game
 from emu import formulas as fm
-from emu.errors import GameFormatError
+from emu.errors import EmuError, GameFormatError
 from emu.gamefile import game_from_dict, game_to_dict
 
 
@@ -121,3 +121,67 @@ def test_non_monotone_formula_rejected(g1):
     doc["formula"] = "mu X . !X"
     with pytest.raises(GameFormatError, match="odd number of negations"):
         game_from_dict(doc)
+
+
+def _renamed(f, names):
+    """``f`` with each binder and variable name n written ``names[n]``."""
+    kind = type(f)
+    if kind in (fm.Mu, fm.Nu):
+        return kind(names[f.name], _renamed(f.sub, names))
+    if kind is fm.RelVar:
+        return fm.RelVar(names[f.name])
+    if kind in (fm.And, fm.Or):
+        return kind(_renamed(f.left, names), _renamed(f.right, names))
+    if kind in (fm.Diamond, fm.Box, fm.Not):
+        return kind(_renamed(f.sub, names))
+    return f
+
+
+def _reads_back(name):
+    """Whether the formula parser reads ``name`` as that fixpoint variable."""
+    try:
+        f = fm.parse_formula(f"nu {name} . <>{name}")
+    except EmuError:
+        return False
+    return f == fm.Nu(name, fm.Diamond(fm.RelVar(name)))
+
+
+def test_binder_names_round_trip_or_are_refused_when_built(tmp_path):
+    """A game built in code with any binder names either is refused when it
+    is built, and its formula by the engine, or saves to a file that loads
+    back to the same game and the same values; it is refused exactly when a
+    name does not read back, as ``x``, ``_X`` or the engine's ``#0``."""
+    import random
+
+    from emu import eval_energy
+    from emu.randgen import random_wgs
+    from oracles import random_nested_formula
+
+    outcomes = {True: 0, False: 0}
+    for seed in range(120):
+        rng = random.Random(seed)
+        game = random_wgs(rng, 2, 3)
+        f = random_nested_formula(rng, size=8)
+        pool = ["#0", "#1", "x", "_X", "nu", "É", "X", "Y1", "Zz", "W_2", "Mu"]
+        pool += ["".join(rng.choice("XYxZ_#0É '.") for _ in range(rng.randint(1, 3)))
+                 for _ in range(3)]
+        used = sorted({n.name for n in fm._subformulas(f)
+                       if isinstance(n, (fm.Mu, fm.Nu))})
+        names = dict(zip(used, rng.sample(sorted(set(pool)), len(used))))
+        renamed = _renamed(f, names)
+        fits = all(_reads_back(name) for name in names.values())
+        outcomes[fits] += 1
+        if not fits:
+            with pytest.raises(EmuError, match="fixpoint variable"):
+                dataclasses.replace(game, formula=renamed)
+            with pytest.raises(EmuError, match="fixpoint variable"):
+                eval_energy(game, 3, renamed)
+            continue
+        built = dataclasses.replace(game, formula=renamed)
+        path = tmp_path / f"named{seed}.game"
+        save_game(built, path)
+        again = load_game(path)
+        assert dataclasses.replace(again, formula=None) == \
+            dataclasses.replace(game, formula=None)
+        assert eval_energy(again, 3, again.formula) == eval_energy(game, 3, f)
+    assert outcomes[True] >= 20 and outcomes[False] >= 20

@@ -9,6 +9,8 @@ from emu import (
     INF,
     EnergyFunction,
     FixpointStats,
+    VariableSet,
+    WeightRule,
     compute_bound,
     crosscheck_parity,
     eval_energy,
@@ -25,6 +27,7 @@ from emu import assertions as asr
 from emu import formulas as fm
 from emu.errors import EmuError, FragmentError, InvalidCreditError
 from emu.randgen import random_formula, random_wgs
+from emu.solver import quotient
 from oracles import mutate_credits, nested_formulas, random_nested_formula
 
 
@@ -288,3 +291,108 @@ def test_credit_cap_at_sufficient_bound_random():
         assert (finite <= cap).all()
         checked += finite.size
     assert checked > 0
+
+
+# ---------------------------------------------------------------------------
+# the quotient on the variables the game and the formula read
+
+def _padded(g, rng):
+    """``g`` with three variables nothing reads, at the lowest, a middle and
+    the highest bit position, each an input or an output at random."""
+    names = list(g.vars.names)
+    pads = ["pad_lo", "pad_mid", "pad_hi"]
+    for at, pad in zip((0, len(names) // 2 + 1, len(names) + 2), pads):
+        names.insert(at, pad)
+    inputs = g.vars.inputs | {pad for pad in pads if rng.random() < 0.5}
+    return dataclasses.replace(g, vars=VariableSet(tuple(names), inputs))
+
+
+def _draw_problem(seed):
+    """A seeded 2-3 variable game, padded, and a formula over its atoms a
+    and b: a stock one, the parity formula of its priorities or a nested one."""
+    rng = random.Random(seed)
+    g = random_wgs(rng, 2, 3, max_weight=2, priorities=seed % 3 == 0)
+    if seed % 3 == 0:
+        f = fm.parity_formula(g.priorities)
+    elif seed % 3 == 1:
+        _, f = random_formula(rng, g.vars)
+    else:
+        f = random_nested_formula(rng, size=8, max_binders=2)
+    return g, _padded(g, rng), f
+
+
+def test_solve_on_the_quotient_is_the_full_games_value():
+    """``solve`` evaluates on the variables the game and the formula read
+    and expands the values once; on games padded with unread inputs and
+    outputs that equals evaluating on the whole game, credits and both
+    regions, at finite bounds and, but for the nested formulas whose
+    fixpoints climb for each iteration of the ones around them, at the
+    computed bound."""
+    projected = 0
+    for seed in range(60):
+        g, padded, f = _draw_problem(seed)
+        small = quotient(padded, f)
+        assert not {"pad_lo", "pad_mid", "pad_hi"} & set(small.vars.names)
+        projected += small.n_states < g.n_states  # the formula reads less too
+        for bound in (0, 3, 11) + ((math.inf,) if seed % 3 < 2 else ()):
+            report = solve(padded, f, bound)
+            c = report.effective_bound
+            want = eval_energy(padded, c, f)
+            assert report.min_credits == want, (seed, bound)
+            assert report.sys_region.tolist() == want.is_finite().tolist()
+            dual = eval_energy(padded, c, fm.negate(f))
+            assert report.env_region.tolist() == (dual.values == 0).tolist()
+            assert report.bound_breakdown == compute_bound(padded, f)
+    assert projected >= 10
+
+
+def _without_cover_or_partition(seed):
+    """A padded game missing its catch-all weight rule or one priority
+    class, or with one class twice, and a formula, as ``_draw_problem``."""
+    g, padded, f = _draw_problem(seed)
+    if seed % 2 or len(padded.priorities or ()) < 2:
+        broken = dataclasses.replace(padded, weights=padded.weights[:-1] or (
+            WeightRule(asr.Var(g.vars.names[0], primed=True), 1),))
+    elif seed % 4:
+        broken = dataclasses.replace(padded, priorities=padded.priorities[1:])
+    else:
+        broken = dataclasses.replace(
+            padded, priorities=padded.priorities + padded.priorities[:1])
+    return g, broken, f
+
+
+def test_refusals_name_the_full_games_indices(tmp_path):
+    """A weight cover or priority partition that the quotient refuses is
+    refused with the message ``build_tables`` gives on the whole game, by
+    ``solve`` and by ``emu bound``; on the quotient alone the indices would
+    be other ones."""
+    from emu import save_game
+    from emu.cli import run
+    from emu.errors import IncompleteWeightCoverError, PriorityPartitionError
+    from emu.tables import build_tables
+
+    refused = renamed = 0
+    for seed in range(80):
+        g, broken, f = _without_cover_or_partition(seed)
+        try:
+            build_tables(broken)
+        except (IncompleteWeightCoverError, PriorityPartitionError) as e:
+            want = e
+        else:
+            solve(broken, f, 2)
+            continue
+        refused += 1
+        with pytest.raises(type(want)) as got:
+            solve(broken, f, 2)
+        assert str(got.value) == str(want)
+        with pytest.raises(type(want)) as got:
+            quotient(broken, f)
+        assert str(got.value) == str(want)
+        small = dataclasses.replace(broken, vars=g.vars, formula=None)
+        with pytest.raises(type(want)) as on_small:
+            build_tables(small)
+        renamed += str(on_small.value) != str(want)
+        path = tmp_path / f"broken{seed}.game"
+        save_game(dataclasses.replace(broken, formula=f), path)
+        assert run(["bound", str(path)]) == 2
+    assert refused >= 50 and renamed >= 10
