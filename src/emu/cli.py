@@ -127,9 +127,12 @@ def state_names(game, states, in_json=False) -> list[str]:
     return (low[states & ((1 << h) - 1)] + high[states >> h]).tolist()
 
 
-def _runs(states):
-    """The int array ``states`` in runs of at most ``CHUNK``."""
-    return (states[i:i + CHUNK] for i in range(0, len(states), CHUNK))
+def _runs(n, mask=None):
+    """The states below ``n``, or those of the bool ``mask``, in runs of at
+    most ``CHUNK``: int arrays made from slices, none spanning every state."""
+    for i in range(0, n, CHUNK):
+        run = np.arange(i, min(i + CHUNK, n))
+        yield run if mask is None else run[mask[i:i + CHUNK]]
 
 
 def _named_credits(report, game, states, in_json=False, lead=""):
@@ -140,13 +143,13 @@ def _named_credits(report, game, states, in_json=False, lead=""):
     return zip(state_names(game, states, in_json), map(text.__getitem__, values))
 
 
-def _write_list(out, report, game, key, states, rows=False):
+def _write_list(out, report, game, key, mask=None, rows=False):
     """Write the member ``, "key": [...]`` of a JSON report, spaced as
-    ``json.dumps`` spaces it: the name of each state of ``states`` or, with
+    ``json.dumps`` spaces it: the name of each state (of ``mask``) or, with
     ``rows``, its ``min_credits`` entry."""
     left, right = ('{"state": "', '"}') if rows else ('"', '"')
     sep = f', "{key}": ['
-    for s in _runs(states):
+    for s in _runs(game.n_states, mask):
         items = ([n + c for n, c in _named_credits(report, game, s, True, '", "credit": "')]
                  if rows else state_names(game, s, True))
         if items:
@@ -157,7 +160,7 @@ def _write_list(out, report, game, key, states, rows=False):
 
 def _write_regions(out, report, game):
     for key, region in (("w_sys", report.sys_region), ("w_env", report.env_region)):
-        _write_list(out, report, game, key, np.flatnonzero(region))
+        _write_list(out, report, game, key, region)
 
 
 def write_solve_json(out, report, game, formula, query=None) -> None:
@@ -171,11 +174,11 @@ def write_solve_json(out, report, game, formula, query=None) -> None:
         "effective_bound": report.effective_bound, "bound_variant": bb.variant,
         "N": bb.n_states, "K": bb.max_abs_weight, "m": bb.formula_length,
         "d": bb.alternation_depth})[:-1])
-    _write_list(out, report, game, "min_credits", np.arange(game.n_states), rows=True)
+    _write_list(out, report, game, "min_credits", rows=True)
     _write_regions(out, report, game)
     if query is not None:
         out.write(', "query": {"state": ' + json.dumps(query[0]))
-        _write_list(out, report, game, "results", np.flatnonzero(query[1]), rows=True)
+        _write_list(out, report, game, "results", query[1], rows=True)
         out.write("}")
     out.write("}\n")
 
@@ -214,11 +217,11 @@ def cmd_solve(args) -> int:
                   f" d={bb.alternation_depth} variant={bb.variant}")
             if query_mask is None:
                 print("min credits:")
-                for s in _runs(np.arange(game.n_states)):
+                for s in _runs(game.n_states):
                     out.write("".join(f"  {n}: {c}\n"
                                       for n, c in _named_credits(report, game, s)))
             else:
-                for s in _runs(np.flatnonzero(query_mask)):
+                for s in _runs(game.n_states, query_mask):
                     out.write("".join(
                         f"state {n}: min credit {c}"
                         f" -> system {'loses' if c == 'inf' else 'wins'}\n"
@@ -258,7 +261,7 @@ def cmd_region(args) -> int:
         else:
             for key, region in (("W_sys", report.sys_region), ("W_env", report.env_region)):
                 out.write(f"{key} ({region.sum()} states):\n")
-                for s in _runs(np.flatnonzero(region)):
+                for s in _runs(game.n_states, region):
                     out.write("".join(f"  {name}\n" for name in state_names(game, s)))
             print(f"partition: {report.sys_region.sum()} + {report.env_region.sum()}"
                   f" = {game.n_states}")

@@ -14,7 +14,8 @@ Grammar (binding weakest to strongest)::
 ``mu``/``nu`` extend maximally to the right.  RELVAR is an uppercase-initial
 identifier; a lowercase-initial IDENT is a state-variable atom.  Primed atoms
 are not allowed.  ``@"..."`` embeds an arbitrary pure-state assertion as an
-atom.  Bound variables are renamed apart during parsing.
+atom.  Binders keep their names: an inner binder that reuses a name hides
+the outer one in its body, in a parsed tree as in one built in code.
 """
 
 from __future__ import annotations
@@ -167,39 +168,9 @@ def require_variable_name(name):
                        " identifier, which a formula would not read back")
 
 
-def _rename_apart(f: Formula) -> Formula:
-    """Give every binder a fresh variable so each is bound exactly once."""
-    used = {n.name for n in _subformulas(f) if isinstance(n, (Mu, Nu, RelVar))}
-    seen = free_variables(f)  # so no binder reuses a free variable's name
-    return _rename(f, {}, used, seen)
-
-
-def _rename(node, env, used, seen):
-    kind = type(node)
-    if kind is RelVar:
-        return RelVar(env.get(node.name, node.name))
-    if kind is And or kind is Or:
-        return kind(_rename(node.left, env, used, seen),
-                    _rename(node.right, env, used, seen))
-    if kind is Mu or kind is Nu:
-        name = node.name
-        if name in seen:  # bound before or free: take the first unused name{k}
-            k = 1
-            while f"{name}{k}" in used:
-                k += 1
-            name = f"{name}{k}"
-            used.add(name)
-            env = {**env, node.name: name}
-        seen.add(name)
-        return kind(name, _rename(node.sub, env, used, seen))
-    if kind is Atom or kind is NegAtom:
-        return node
-    return kind(_rename(node.sub, env, used, seen))  # Not, Diamond, Box
-
-
 def parse_formula(text: str) -> Formula:
-    """Parse a formula string; bound variables come out renamed apart."""
-    return _rename_apart(_FormulaParser(text).parse())
+    """Parse a formula string into the tree as written."""
+    return _FormulaParser(text).parse()
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ at a bound ``c``.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from . import assertions as asr
@@ -25,7 +25,7 @@ from .errors import (
     WeightDomainError,
 )
 from .energy import LIMIT
-from .tables import GameTables, _state_mask, build_tables, read_positions
+from .tables import GameTables, _state_mask, build_tables
 
 MAX_VARS = 24
 
@@ -120,6 +120,11 @@ class WeightedGameStructure:
     weights: tuple[WeightRule, ...]
     priorities: Optional[tuple[PriorityRule, ...]] = None
     formula: Optional[fm.Formula] = None  # closed and monotone
+    # What the game reads, recorded by the one walk that checks it: the
+    # (name, primed) pairs that rho_e, rho_s and the weight guards mention,
+    # and the names that the priority guards mention.
+    move_reads: frozenset[tuple[str, bool]] = field(init=False, repr=False, compare=False)
+    priority_reads: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(self.weights))
@@ -133,7 +138,8 @@ class WeightedGameStructure:
             if not self.priorities:
                 raise PriorityPartitionError("an empty priority list covers no state")
         names = set(self.vars.names)
-        for name, primed in asr.assertion_vars(self.rho_e):
+        moves = asr.assertion_vars(self.rho_e)
+        for name, primed in moves:
             if name not in (self.vars.inputs if primed else names):
                 raise MalformedAssertionError(
                     f"rho_e may only mention state variables and primed inputs,"
@@ -144,6 +150,9 @@ class WeightedGameStructure:
             for name, primed in asr.assertion_vars(a):
                 if name not in names:
                     raise MalformedAssertionError(f"{what} mentions unknown variable {name!r}")
+                moves.add((name, primed))
+        object.__setattr__(self, "move_reads", frozenset(moves))
+        prio = set()
         for rule in self.priorities or ():
             for name, primed in asr.assertion_vars(rule.guard):
                 if primed or name not in names:
@@ -151,6 +160,8 @@ class WeightedGameStructure:
                         "priority guards must be pure-state assertions over"
                         f" the game variables, got {name}{chr(39) if primed else ''}"
                     )
+                prio.add(name)
+        object.__setattr__(self, "priority_reads", frozenset(prio))
 
     @property
     def n_states(self) -> int:
@@ -161,18 +172,10 @@ class WeightedGameStructure:
         """Largest absolute weight over the rules (the constant K)."""
         return max((abs(r.weight) for r in self.weights), default=0)
 
-    def read_positions(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """``tables.read_positions`` of the game, found once, like the tables."""
-        if "_reads" not in self.__dict__:
-            self.__dict__["_reads"] = read_positions(self)
-        return self.__dict__["_reads"]
-
     def tables(self) -> GameTables:
-        t = self.__dict__.get("_tables")
-        if t is None:
-            t = build_tables(self)
-            self.__dict__["_tables"] = t
-        return t
+        if "_tables" not in self.__dict__:
+            self.__dict__["_tables"] = build_tables(self)
+        return self.__dict__["_tables"]
 
     def parity_formula(self):
         """``formulas.parity_formula`` of the priorities, None without them;

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import assertions as asr
 from . import formulas as fm
 from .energy import LIMIT, EnergyFunction, _check_bound, eval_energy
 from .errors import (
@@ -22,6 +21,7 @@ from .errors import (
     FragmentError,
     IncompleteWeightCoverError,
     InvalidCreditError,
+    MalformedAssertionError,
     PriorityPartitionError,
 )
 from .game import VariableSet, WeightedGameStructure
@@ -101,7 +101,8 @@ def winning_regions(game: WeightedGameStructure, c: int, formula: fm.Formula):
 def quotient(game: WeightedGameStructure, formula: fm.Formula) -> WeightedGameStructure:
     """``game`` on the variables that it or ``formula`` reads, its tables
     built: those that ``rho_e``, ``rho_s``, a weight guard or a priority
-    guard mentions, primed or not, and those of the formula's atoms.
+    guard mentions, primed or not (``move_reads``, ``priority_reads``), and
+    those of the formula's atoms, which must all be ``game``'s.
 
     States that agree on them have the same moves, weights and atoms, and
     their successors again agree on them; the other inputs and outputs only
@@ -117,11 +118,12 @@ def quotient(game: WeightedGameStructure, formula: fm.Formula) -> WeightedGameSt
     are refused, ``game``'s tables are built to refuse them with the
     message that names ``game``'s state, input and output indices.
     """
-    read = fm.atom_variables(formula)
-    rules = (*game.weights, *(game.priorities or ()))
-    for a in (game.rho_e, game.rho_s, *(rule.guard for rule in rules)):
-        read.update(name for name, _primed in asr.assertion_vars(a))
     names = game.vars.names
+    read = fm.atom_variables(formula)
+    unknown = read.difference(names)
+    if unknown:  # with the message that evaluating the atom gives
+        raise MalformedAssertionError(f"unknown variable {min(unknown)!r}")
+    read.update(game.priority_reads, (name for name, _primed in game.move_reads))
     kept = tuple(name for name in names if name in read)
     small = game
     if len(kept) < len(names):

@@ -95,22 +95,19 @@ def check_memory(n_vars, cell_bits, report_vars=None):
 
 def cell_bits(game) -> int:
     """log2 of the (read output, input, row) cells of a game's tables."""
-    s_positions, yr_positions = game.read_positions()
+    s_positions, yr_positions = read_positions(game)
     return len(s_positions) + len(game.vars.inputs) + len(yr_positions)
 
 
 def read_positions(game) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The row positions S and the read outputs Yr of a game: the sorted bit
-    positions of the variables its transition assertions and weight guards
-    mention unprimed, and of the outputs they mention primed."""
-    position = {name: k for k, name in enumerate(game.vars.names)}
-    read = {False: set(), True: set()}
-    for a in (game.rho_e, game.rho_s, *(rule.guard for rule in game.weights)):
-        for name, primed in asr.assertion_vars(a):
-            if name in position:
-                read[primed].add(position[name])
-    outputs = {position[name] for name in game.vars.y_names}
-    return tuple(sorted(read[False])), tuple(sorted(read[True] & outputs))
+    positions of the variables its moves read unprimed, and of the outputs
+    they read primed (``move_reads``)."""
+    names, reads = game.vars.names, game.move_reads
+    s_positions = tuple(k for k, name in enumerate(names) if (name, False) in reads)
+    yr_positions = tuple(k for k, name in enumerate(names)
+                         if (name, True) in reads and name not in game.vars.inputs)
+    return s_positions, yr_positions
 
 
 def _state_mask(var_positions, n_states, a):
@@ -153,8 +150,6 @@ def _pair_lookup(var_positions, s_positions, x_positions, yr_positions):
     y_idx = np.arange(1 << len(yr_positions), dtype=np.int64)[:, None, None]
 
     def look(name, primed):
-        if name not in var_positions:
-            raise MalformedAssertionError(f"unknown variable {name!r}")
         p = var_positions[name]
         if not primed:
             return ((r_idx >> pos_to_s[p]) & 1).astype(bool)
@@ -168,7 +163,7 @@ def _pair_lookup(var_positions, s_positions, x_positions, yr_positions):
 def build_tables(game) -> GameTables:
     """Materialize the transition relations, weights, and priorities of a game."""
     vs = game.vars
-    s_positions, yr_positions = game.read_positions()
+    s_positions, yr_positions = read_positions(game)
     var_positions = {name: k for k, name in enumerate(vs.names)}
     x_positions = tuple(k for k, name in enumerate(vs.names) if name in vs.inputs)
     y_positions = tuple(k for k, name in enumerate(vs.names) if name not in vs.inputs)
@@ -176,7 +171,7 @@ def build_tables(game) -> GameTables:
     n = len(vs.names)
     n_states = 1 << n
     nx, nyr = len(x_positions), len(yr_positions)
-    check_memory(n, cell_bits(game))
+    check_memory(n, len(s_positions) + nx + nyr)
     look = _pair_lookup(var_positions, s_positions, x_positions, yr_positions)
     shape = (1 << nyr, 1 << nx, 1 << len(s_positions))
 

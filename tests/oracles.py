@@ -370,6 +370,32 @@ def random_nested_formula(rng, atoms=("a", "b"), size=10, max_binders=3):
     return fixpoint(set(), size)[0]
 
 
+def rename_apart(f):
+    """f with every binder that reuses a name (free in f, or bound above or
+    before it) given the first unused name{k}, and its variables renamed
+    with it: the same formula with no name hidden."""
+    seen = fm.free_variables(f)
+
+    def walk(node, env):
+        kind = type(node)
+        if kind is fm.RelVar:
+            return fm.RelVar(env.get(node.name, node.name))
+        if kind in (fm.Mu, fm.Nu):
+            name, k = node.name, 0
+            while name in seen:
+                k += 1
+                name = f"{node.name}{k}"
+            seen.add(name)
+            return kind(name, walk(node.sub, {**env, node.name: name}))
+        if kind in (fm.And, fm.Or):
+            return kind(walk(node.left, env), walk(node.right, env))
+        if kind in (fm.Diamond, fm.Box, fm.Not):
+            return kind(walk(node.sub, env))
+        return node
+
+    return walk(f, {})
+
+
 def nested_formulas(atoms=("a", "b")):
     """Hypothesis strategy for ``random_nested_formula``."""
     return st.randoms(use_true_random=False).map(

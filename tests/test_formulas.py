@@ -8,7 +8,7 @@ from emu import PriorityRule
 from emu import assertions as asr
 from emu import formulas as fm
 from emu.errors import EmuError, FormulaSyntaxError, MalformedAssertionError
-from oracles import random_nested_formula
+from oracles import random_nested_formula, rename_apart
 
 
 def test_parse_buchi_matches_builtin():
@@ -57,21 +57,24 @@ def test_syntax_errors():
         fm.parse_formula("<> & X")
 
 
-def test_rename_apart():
+def test_binders_keep_their_names():
+    # the inner X hides the outer one in its body only
     f = fm.parse_formula("nu X . (mu X . <>X) & <>X")
-    assert isinstance(f, fm.Nu)
-    inner = f.sub.left
-    assert isinstance(inner, fm.Mu)
-    assert inner.name != "X"
-    assert inner.sub == fm.Diamond(fm.RelVar(inner.name))
-    assert f.sub.right == fm.Diamond(fm.RelVar("X"))
+    assert f == fm.Nu("X", fm.And(fm.Mu("X", fm.Diamond(fm.RelVar("X"))),
+                                  fm.Diamond(fm.RelVar("X"))))
+    assert fm.parse_formula("Y & mu Y . <>Y") == fm.And(
+        fm.RelVar("Y"), fm.Mu("Y", fm.Diamond(fm.RelVar("Y"))))
 
 
-def test_rename_apart_avoids_free_names():
-    f = fm.parse_formula("Y & mu Y . <>Y")
-    assert isinstance(f.right, fm.Mu)
-    assert f.right.name != "Y"
-    assert f.left == fm.RelVar("Y")
+def test_printing_then_parsing_gives_back_nested_trees():
+    # random_nested_formula names binders from X, Y and Z, so many of its
+    # trees hide a binder behind an inner one of the same name
+    hiding = 0
+    for seed in range(500):
+        f = random_nested_formula(random.Random(seed))
+        assert fm.parse_formula(fm.formula_to_str(f)) == f, seed
+        hiding += rename_apart(f) != f
+    assert hiding >= 200
 
 
 def test_metrics_examples():

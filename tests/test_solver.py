@@ -28,7 +28,7 @@ from emu import formulas as fm
 from emu.errors import EmuError, FragmentError, InvalidCreditError
 from emu.randgen import random_formula, random_wgs
 from emu.solver import quotient
-from oracles import mutate_credits, nested_formulas, random_nested_formula
+from oracles import mutate_credits, nested_formulas, random_nested_formula, rename_apart
 
 
 def test_sufficient_bound_variants(g1, fixtures_dir):
@@ -71,26 +71,27 @@ def _shadowed_buchi():
     return fm.Nu("Z", fm.Mu("Z", fm.Or(fm.And(fm.Atom(asr.Var("y")), step), step)))
 
 
-@pytest.mark.parametrize("f", [
-    _shadowed_buchi(),
-    fm.Mu("X", fm.Nu("X", fm.Nu("W", fm.Diamond(fm.RelVar("X"))))),
+@pytest.mark.parametrize("f, apart", [
+    (_shadowed_buchi(), "nu Z . mu Y . ((y & <>Y) | <>Y)"),
+    (fm.Mu("X", fm.Nu("X", fm.Nu("W", fm.Diamond(fm.RelVar("X"))))),
+     "mu X . nu X1 . nu W . <>X1"),
 ], ids=["shadowed-buchi", "shadowed-mu-nu"])
-def test_shadowed_binders_analyse_as_their_reparse(g1, f):
-    # Parsing renames binders apart; a tree built by hand may reuse a name,
-    # and must get the same metrics and bound as its renamed reparse.
-    again = fm.parse_formula(fm.formula_to_str(f))
-    assert again != f
-    assert fm.metrics(f) == fm.metrics(again)
-    assert compute_bound(g1, f) == compute_bound(g1, again)
+def test_shadowed_binders_analyse_as_their_reparse(g1, f, apart):
+    # A tree may reuse a binder name, which then reads back as written, and
+    # must get the same metrics and bound as its copy with names apart.
+    apart = fm.parse_formula(apart)
+    assert fm.parse_formula(fm.formula_to_str(f)) == f != apart
+    assert fm.metrics(f) == fm.metrics(apart)
+    assert compute_bound(g1, f) == compute_bound(g1, apart)
     assert compute_bound(g1, f).variant == "general"
 
 
 def test_metrics_of_a_shadowing_tree_are_those_of_its_reparse():
     # random_nested_formula reuses the names X, Y and Z, so inner binders
-    # shadow outer ones
+    # shadow outer ones; oracles.rename_apart writes each tree with names apart
     for seed in range(500):
         f = random_nested_formula(random.Random(seed))
-        assert fm.metrics(f) == fm.metrics(fm.parse_formula(fm.formula_to_str(f))), seed
+        assert fm.metrics(f) == fm.metrics(rename_apart(f)), seed
 
 
 def test_bound_clamped_to_max_weight():
