@@ -18,7 +18,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import formulas as fm
-from .errors import IterationCapError, UnboundVariableError
+from .errors import EmuError, IterationCapError, UnboundVariableError
 from .tables import DEAD
 
 StateSet = np.ndarray  # bool array of shape (n_states,)
@@ -50,10 +50,12 @@ class FixpointStats:
 class Lattice:
     """The operations a formula is evaluated with.
 
-    ``atom`` maps a bool state mask to an element, ``pre_sys``/``pre_env``
-    interpret ``<>``/``[]``, and ``leq`` is the lattice order with ``bottom``
-    least and ``top`` greatest.  ``height`` bounds the strict changes of any
-    fixpoint chain.
+    ``atom`` maps a bool state mask to an element, and ``pre_sys``, the one
+    step operator, interprets ``<>``; ``evaluate`` derives ``[]`` by De
+    Morgan duality as ``neg o pre_sys o neg``.  ``leq`` is the lattice order
+    with ``bottom`` least and ``top`` greatest.  ``height`` bounds the strict
+    changes of any fixpoint chain.  The energy semantics' elements are plain
+    int64 arrays; ``EnergyFunction`` wraps only what enters and leaves.
 
     ``cut``, if given, is called once per evaluation of a fixpoint node, as
     ``evaluate`` rewrites it, with the environment of that evaluation and
@@ -69,7 +71,6 @@ class Lattice:
     join: Callable
     meet: Callable
     pre_sys: Callable
-    pre_env: Callable
     bottom: Any
     top: Any
     leq: Callable[[Any, Any], bool]
@@ -189,71 +190,77 @@ def evaluate(lat: Lattice, tables, f: fm.Formula, valuation=None,
     iterate up from ``bottom``, greatest fixpoints down from ``top``; each
     must stabilize within ``height`` strict changes, and its iterates must
     form a monotone chain.  Violations raise, as they indicate a broken
-    operator rather than a bad input.
+    operator rather than a bad input.  ``[]`` is ``neg o pre_sys o neg``.
 
     Before a fixpoint's loop starts, the subterms of its body that no
     iteration can change are evaluated once (``_hoist``), and the loop reads
     their values as variables.  Where ``lat.cut`` gives the fixpoint, with
     those values, a cut, each new iterate is cut before the monotonicity
-    check.
-
-    The walk is ``_ev``; its state lives in its arguments: the lattice and
-    a tuple of the tables, the rewritten root, its hoists, the atoms by node
-    ``id``, and ``stats``.
+    check.  The rewritten formula is compiled once (``_compile``).
     """
     f, hoists = _hoist(f)
-    run = tables, f, hoists, {}, stats
-    return _ev(f, dict(valuation or {}), lat, run)
+    return _compile(f, lat, (tables, f, hoists, {}, stats))(valuation or {})
 
 
-def _ev(node, env, lat, run):
-    """What ``node`` denotes under ``env``; ``run`` is ``evaluate``'s."""
-    if isinstance(node, (fm.Atom, fm.NegAtom)):
+def _compile(node, lat, run):
+    """``node`` as a closure from environments to values; a fixpoint's copies
+    its environment once and rebinds its variable per iteration.  ``run``
+    holds the tables, the rewritten root, its hoists, atoms by ``id``, stats."""
+    kind = type(node)
+    if kind in _ATOMS:
         atoms, key = run[3], id(node)
-        if key not in atoms:
-            mask = run[0].state_mask(node.assertion)
-            if isinstance(node, fm.NegAtom):
-                mask = ~mask
-            mask.setflags(write=False)
-            atoms[key] = lat.atom(mask)
-        return atoms[key]
-    if isinstance(node, fm.RelVar):
-        if node.name not in env:
-            raise UnboundVariableError(f"no value for variable {node.name!r}")
-        return env[node.name]
-    if isinstance(node, fm.And):
-        return lat.meet(_ev(node.left, env, lat, run), _ev(node.right, env, lat, run))
-    if isinstance(node, fm.Or):
-        return lat.join(_ev(node.left, env, lat, run), _ev(node.right, env, lat, run))
-    if isinstance(node, fm.Diamond):
-        return lat.pre_sys(_ev(node.sub, env, lat, run))
-    if isinstance(node, fm.Box):
-        return lat.pre_env(_ev(node.sub, env, lat, run))
-    if isinstance(node, fm.Not):
-        return lat.neg(_ev(node.sub, env, lat, run))
-    if isinstance(node, (fm.Mu, fm.Nu)):
-        _, root, hoists, _, stats = run
-        ascending = isinstance(node, fm.Mu)
-        # along(a, b): b is a, or past it in the direction the chain moves
-        along = lat.leq if ascending else (lambda a, b: lat.leq(b, a))
-        hoisted = hoists.get(id(node), ())
-        if hoisted:
-            env = dict(env)
-            for name, term in hoisted:
-                env[name] = _ev(term, env, lat, run)
-            if stats is not None:
-                stats.hoisted += len(hoisted)
-        cut = lat.cut(node, env, node is root) if lat.cut else None
-        current = lat.bottom if ascending else lat.top
-        iterations, was_cut = 0, False
+
+        def atom(env):
+            if key not in atoms:
+                mask = run[0].state_mask(node.assertion)
+                if kind is fm.NegAtom:
+                    mask = ~mask
+                mask.setflags(write=False)
+                atoms[key] = lat.atom(mask)
+            return atoms[key]
+        return atom
+    if kind is fm.RelVar:
+        name = node.name
+
+        def var(env):
+            if name not in env:
+                raise UnboundVariableError(f"no value for variable {name!r}")
+            return env[name]
+        return var
+    if kind in _BINARY:
+        left, right = _compile(node.left, lat, run), _compile(node.right, lat, run)
+        op = lat.meet if kind is fm.And else lat.join
+        return lambda env: op(left(env), right(env))
+    sub, neg, pre = _compile(node.sub, lat, run), lat.neg, lat.pre_sys
+    if kind is fm.Diamond:
+        return lambda env: pre(sub(env))
+    if kind is fm.Box:
+        return lambda env: neg(pre(neg(sub(env))))
+    if kind is fm.Not:  # else a binder: _hoist refuses any other node
+        return lambda env: neg(sub(env))
+    _, root, hoists, _, stats = run
+    name, ascending, is_root = node.name, kind is fm.Mu, node is root
+    hoisted = [(h, _compile(term, lat, run)) for h, term in hoists.get(id(node), ())]
+    leq, height = lat.leq, lat.height
+    # along(a, b): b is a, or past it in the direction the chain moves
+    along = leq if ascending else (lambda a, b: leq(b, a))
+    start = lat.bottom if ascending else lat.top
+
+    def fixpoint(env):
+        env = dict(env)
+        for h, term in hoisted:
+            env[h] = term(env)
+        if stats is not None:
+            stats.hoisted += len(hoisted)
+        cut = lat.cut(node, env, is_root) if lat.cut else None
+        current, iterations, was_cut = start, 0, False
         while True:
             iterations += 1
-            if iterations > lat.height + 1:
+            if iterations > height + 1:
                 raise IterationCapError(
-                    f"fixpoint of {node.name} still moving after"
-                    f" {lat.height} changes"
-                )
-            new = _ev(node.sub, {**env, node.name: current}, lat, run)
+                    f"fixpoint of {name} still moving after {height} changes")
+            env[name] = current
+            new = sub(env)
             if cut is not None:
                 cut_new = cut(new)
                 if stats is not None and not was_cut:  # a cut moves nothing back
@@ -262,15 +269,14 @@ def _ev(node, env, lat, run):
             if not along(current, new):
                 direction = "ascending" if ascending else "descending"
                 raise IterationCapError(
-                    f"fixpoint iterates for {node.name} are not {direction}"
-                )
+                    f"fixpoint iterates for {name} are not {direction}")
             if along(new, current):  # so the two are equal
                 break
             current = new
         if stats is not None:
-            stats.record(iterations, lat.height, was_cut, node is root)
+            stats.record(iterations, height, was_cut, is_root)
         return current
-    raise TypeError(f"not a formula node: {node!r}")
+    return fixpoint
 
 
 def cpre_sys(game, target: StateSet) -> StateSet:
@@ -293,21 +299,22 @@ def cpre_env(game, target: StateSet) -> StateSet:
 def eval_classical(game, f: fm.Formula, valuation=None, stats=None) -> StateSet:
     """The state set denoted by ``f``; negation is set complement.
 
-    ``valuation`` maps free fixpoint variables to state sets.  The lattice
-    height, and so each fixpoint's cap, is ``n_states``.
+    ``valuation`` maps free fixpoint variables to state sets, bool arrays
+    over the game's states.  The lattice height, and so each fixpoint's
+    cap, is ``n_states``.
     """
     t = game.tables()
     n = t.n_states
+    env = {name: np.asarray(s) for name, s in (valuation or {}).items()}
+    for name, s in env.items():
+        if s.dtype != bool or s.shape != (n,):
+            raise EmuError(f"valuation for {name!r} must be a bool array over"
+                           f" {n} states, got {s.dtype} of shape {s.shape}")
     lat = Lattice(
-        atom=lambda mask: mask,
-        neg=operator.invert,
-        join=operator.or_,
-        meet=operator.and_,
+        atom=lambda mask: mask, neg=operator.invert,
+        join=operator.or_, meet=operator.and_,
         pre_sys=lambda s: cpre_sys(game, s),
-        pre_env=lambda s: cpre_env(game, s),
-        bottom=np.zeros(n, dtype=bool),
-        top=np.ones(n, dtype=bool),
-        leq=lambda a, b: bool((a <= b).all()),
-        height=n,
+        bottom=np.zeros(n, dtype=bool), top=np.ones(n, dtype=bool),
+        leq=lambda a, b: bool((a <= b).all()), height=n,
     )
-    return evaluate(lat, t, f, valuation, stats)
+    return evaluate(lat, t, f, env, stats)

@@ -218,14 +218,14 @@ def cmd_solve(args) -> int:
             if query_mask is None:
                 print("min credits:")
                 for s in _runs(game.n_states):
-                    out.write("".join(f"  {n}: {c}\n"
-                                      for n, c in _named_credits(report, game, s)))
+                    out.writelines(f"  {n}: {c}\n"
+                                   for n, c in _named_credits(report, game, s))
             else:
                 for s in _runs(game.n_states, query_mask):
-                    out.write("".join(
+                    out.writelines(
                         f"state {n}: min credit {c}"
                         f" -> system {'loses' if c == 'inf' else 'wins'}\n"
-                        for n, c in _named_credits(report, game, s)))
+                        for n, c in _named_credits(report, game, s))
             print(f"W_sys: {report.sys_region.sum()} states,"
                   f" W_env: {report.env_region.sum()} states")
     return EXIT_WIN if wins else EXIT_LOSE
@@ -262,7 +262,7 @@ def cmd_region(args) -> int:
             for key, region in (("W_sys", report.sys_region), ("W_env", report.env_region)):
                 out.write(f"{key} ({region.sum()} states):\n")
                 for s in _runs(game.n_states, region):
-                    out.write("".join(f"  {name}\n" for name in state_names(game, s)))
+                    out.writelines(f"  {name}\n" for name in state_names(game, s))
             print(f"partition: {report.sys_region.sum()} + {report.env_region.sum()}"
                   f" = {game.n_states}")
     return EXIT_WIN

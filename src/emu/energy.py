@@ -14,11 +14,15 @@ and the environment's step operator the dual of the system's.
 
 Values that enter from outside the engine are checked: ``EnergyFunction(...)``
 checks its bound and its values, ``eval_energy`` its bound and valuation, and
-``ecpre`` that its function has the bound it is given.  Results the engine
-builds itself (atoms, ``join``, ``meet``, ``neg``, ``ecpre``, ``ecpre_env``)
-are in range by construction, from checked operands, so they are made with
-the unchecked ``EnergyFunction._of``; a fixpoint iteration therefore pays
-for the arithmetic only.  Every value array is read-only either way.
+``ecpre`` that its function has the bound it is given.  Inside, the engine
+iterates plain int64 value arrays: the lattice of ``eval_energy`` has one
+step operator, the array kernel ``_ecpre``, from which ``classical.evaluate``
+derives ``[]``, and ``EnergyFunction`` appears only at its boundary, so a
+fixpoint iteration pays for the arithmetic only.  Results are in range by
+construction, from checked operands, so they are wrapped with the unchecked
+``EnergyFunction._of``, as are those of the public ``join``, ``meet``,
+``neg``, ``ecpre`` and ``ecpre_env``, thin wrappers over the same array
+functions.  Every value array handed out is read-only.
 """
 
 from __future__ import annotations
@@ -129,20 +133,30 @@ def meet(f: EnergyFunction, g: EnergyFunction) -> EnergyFunction:
 def leq(f: EnergyFunction, g: EnergyFunction) -> bool:
     """Whether f is below g in the reversed order, i.e. f = meet(f, g)."""
     _same_bound(f, g)
-    return bool((f.values >= g.values).all())
+    return _leq(f.values, g.values)
+
+
+def _leq(a, b) -> bool:
+    return bool((a >= b).all())
 
 
 def neg(f: EnergyFunction) -> EnergyFunction:
-    """Pointwise De Morgan negation: 0 <-> INF, x -> bound+1-x.
+    """Pointwise De Morgan negation: 0 <-> INF, x -> bound+1-x (``_neg``)."""
+    return EnergyFunction._of(f.bound, _neg(f.bound, f.values))
+
+
+def _neg(c, x):
+    """``neg`` of the values ``x`` at bound c, as a fresh array.
 
     It is the clip of a need (``ecpre``: INF above c, else max(v, 0))
     applied to v = c+1-x, case by case: 0 maps to c+1, which is above c, so
     to INF; x in [1, c] maps to c+1-x, which stays in [1, c]; INF maps to
     c+1-2^62, which is negative, so to 0.  With c <= 2^60 nothing wraps.
     """
-    c = f.bound
-    v = (c + 1) - f.values
-    return EnergyFunction._of(c, np.where(v > c, INF, np.maximum(v, 0)))
+    v = (c + 1) - x
+    np.maximum(v, 0, out=v)
+    v[v > c] = INF
+    return v
 
 
 def ecpre(game, c: int, f: EnergyFunction) -> EnergyFunction:
@@ -167,9 +181,19 @@ def ecpre(game, c: int, f: EnergyFunction) -> EnergyFunction:
     if f.bound != c:
         raise BoundMismatchError(f"function bound {f.bound} differs from c={c}")
     t = game.tables()
-    v = f.values[t.succ].min(axis=2)[:, :, None] - t.weight
-    v = v.min(axis=0).max(axis=0, initial=0, where=t.rho_e.T)
-    return EnergyFunction._of(c, np.where(v > c, INF, v)[t.row])
+    return EnergyFunction._of(c, _ecpre(t, t.rho_e.T, c, f.values))
+
+
+def _ecpre(t, rho_et, c, x):
+    """``ecpre`` of the values ``x`` at bound c over the tables ``t``, as a
+    fresh array; ``rho_et`` is ``t.rho_e.T``.  Without free outputs the
+    gathered targets need no min."""
+    v = x[t.succ]
+    if v.shape[2] > 1:
+        v = v.min(axis=2, keepdims=True)
+    v = (v - t.weight).min(axis=0).max(axis=0, initial=0, where=rho_et)
+    v[v > c] = INF
+    return v[t.row]
 
 
 def ecpre_env(game, c: int, f: EnergyFunction) -> EnergyFunction:
@@ -178,9 +202,8 @@ def ecpre_env(game, c: int, f: EnergyFunction) -> EnergyFunction:
     return neg(ecpre(game, c, neg(f)))
 
 
-def _two_valued(f: EnergyFunction) -> bool:
-    """Whether every value of f is 0 or INF."""
-    v = f.values
+def _two_valued(v) -> bool:
+    """Whether every value of the array v is 0 or INF."""
     return bool(((v == 0) | (v == INF)).all())
 
 
@@ -312,11 +335,11 @@ def _credit_cap_cut(c: int, cap: int, root_proven: bool):
          it swaps 0 and INF, so the mirror's free variables pass step 0
          of (S) exactly when the nu ones do.
     """
-    def down(f):
-        return EnergyFunction._of(c, np.where(f.values > cap, INF, f.values))
+    def down(v):
+        return np.where(v > cap, INF, v)
 
-    def up(f):
-        return EnergyFunction._of(c, np.where(f.values <= c - cap, 0, f.values))
+    def up(v):
+        return np.where(v <= c - cap, 0, v)
 
     def cut(node, env, root):
         if not (root and root_proven):
@@ -361,23 +384,22 @@ def eval_energy(game, c: int, f: fm.Formula, valuation=None,
     t = game.tables()
     n = t.n_states
     cap = (n - 1) * game.max_abs_weight
+    env = {}
     for name, g in (valuation or {}).items():
-        if g.bound != c:
+        if g.bound != c or g.values.shape != (n,):
             raise BoundMismatchError(
-                f"valuation for {name!r} has bound {g.bound}, expected {c}")
+                f"valuation for {name!r} has bound {g.bound} over {g.values.size}"
+                f" states, expected {c} over {n}")
+        env[name] = g.values
 
+    rho_et = np.ascontiguousarray(t.rho_e.T)
     lat = Lattice(
-        atom=lambda mask: EnergyFunction._of(c, np.where(mask, 0, INF)),
-        neg=neg,
-        join=join,
-        meet=meet,
-        pre_sys=lambda g: ecpre(game, c, g),
-        pre_env=lambda g: ecpre_env(game, c, g),
-        bottom=EnergyFunction.bottom(c, n),
-        top=EnergyFunction.top(c, n),
-        leq=leq,
-        height=n * (c + 1),
+        atom=lambda mask: np.where(mask, 0, INF), neg=lambda v: _neg(c, v),
+        join=np.minimum, meet=np.maximum,
+        pre_sys=lambda v: _ecpre(t, rho_et, c, v),
+        bottom=np.full(n, INF), top=np.zeros(n, dtype=np.int64),
+        leq=_leq, height=n * (c + 1),
         cut=(_credit_cap_cut(c, cap, _root_proven(game, f, c))
              if cap < c else None),
     )
-    return evaluate(lat, t, f, valuation, stats)
+    return EnergyFunction._of(c, evaluate(lat, t, f, env, stats))

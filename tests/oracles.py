@@ -21,6 +21,7 @@ from emu import (
     EnergyFunction,
     EnergyParityGame,
     VariableSet,
+    cpre_env,
     cpre_sys,
     ecpre,
     ecpre_env,
@@ -400,6 +401,40 @@ def nested_formulas(atoms=("a", "b")):
     """Hypothesis strategy for ``random_nested_formula``."""
     return st.randoms(use_true_random=False).map(
         lambda rng: random_nested_formula(rng, atoms))
+
+
+def eval_classical_plain(game, f) -> np.ndarray:
+    """The state set of f by the plain fixpoint semantics: direct recursion
+    over ``cpre_sys``/``cpre_env``, each fixpoint iterating its whole body
+    from the empty or the full set until two iterates agree.  Nothing is
+    hoisted, and no cap is checked.  Atoms come from the scalar
+    ``eval_assertion``, negation is set complement."""
+    states = list(all_states(game.vars))
+
+    def ev(node, env):
+        if isinstance(node, (fm.Atom, fm.NegAtom)):
+            holds = isinstance(node, fm.Atom)
+            return np.array([eval_assertion(node.assertion, s) == holds for s in states])
+        if isinstance(node, fm.RelVar):
+            return env[node.name]
+        if isinstance(node, fm.And):
+            return ev(node.left, env) & ev(node.right, env)
+        if isinstance(node, fm.Or):
+            return ev(node.left, env) | ev(node.right, env)
+        if isinstance(node, fm.Diamond):
+            return cpre_sys(game, ev(node.sub, env))
+        if isinstance(node, fm.Box):
+            return cpre_env(game, ev(node.sub, env))
+        if isinstance(node, fm.Not):
+            return ~ev(node.sub, env)
+        current = np.full(len(states), isinstance(node, fm.Nu))
+        while True:
+            new = ev(node.sub, {**env, node.name: current})
+            if (new == current).all():
+                return current
+            current = new
+
+    return ev(f, {})
 
 
 def eval_energy_plain(game, c, f) -> EnergyFunction:

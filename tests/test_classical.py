@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emu import (
     FixpointStats,
@@ -14,9 +16,10 @@ from emu import (
     parse_assertion,
 )
 from emu import formulas as fm
-from emu.errors import NonMonotoneFormulaError, UnboundVariableError
+from emu.errors import EmuError, NonMonotoneFormulaError, UnboundVariableError
 from emu.randgen import random_wgs
-from oracles import buchi_loop_classical, cpre_env_enum, cpre_sys_enum
+from oracles import (buchi_loop_classical, cpre_env_enum, cpre_sys_enum,
+                     eval_classical_plain, nested_formulas)
 
 
 def _mask(game, *indices):
@@ -98,6 +101,29 @@ def test_valuation_lookup(g1):
     f = fm.parse_formula("<>X")
     v = {"X": _mask(g1, 0, 1, 2, 3)}
     assert eval_classical(g1, f, v).all()
+    # a valuation holds one bool entry per state of the game, or is refused
+    # before any step reads it
+    for bad, what in ((np.ones(8, dtype=bool), r"over 4 states, got bool of shape \(8,\)"),
+                      (np.ones(1, dtype=bool), r"over 4 states, got bool of shape \(1,\)"),
+                      (np.ones(4, dtype=np.int64), r"over 4 states, got int64 of shape \(4,\)")):
+        for g in (f, fm.parse_formula("X")):
+            with pytest.raises(EmuError, match="valuation for 'X' must be a bool array "
+                               + what):
+                eval_classical(g1, g, {"X": bad})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32), nested_formulas())
+def test_engine_matches_the_plain_set_semantics(seed, f):
+    """The engine hoists invariant subterms and derives [] from <> by
+    duality; the plain semantics does neither.  They agree on nested
+    formulas, their negations and their complements."""
+    g = random_wgs(random.Random(seed), 2, 3)
+    got, want = eval_classical(g, f), eval_classical_plain(g, f)
+    assert (got == want).all()
+    for dual in (fm.negate(f), fm.Not(f)):
+        assert (eval_classical(g, dual) == ~got).all()
+        assert (eval_classical_plain(g, dual) == ~want).all()
 
 
 def test_negation_is_complement_random():

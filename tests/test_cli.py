@@ -490,7 +490,7 @@ def test_out_of_memory_exits_2(g1_path, tmp_path, capsys, monkeypatch):
     def no_memory(*args):
         raise MemoryError()
 
-    monkeypatch.setattr(energy, "ecpre", no_memory)
+    monkeypatch.setattr(energy, "_ecpre", no_memory)
     assert run(["solve", g1_path, "--builtin", "safety", "--bound", "2"]) == 2
     assert capsys.readouterr().err == "error: out of memory\n"
 

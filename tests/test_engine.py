@@ -10,7 +10,6 @@ import pytest
 
 import emu.classical
 import emu.energy
-import oracles
 from emu import (
     EnergyFunction,
     FixpointStats,
@@ -18,7 +17,6 @@ from emu import (
     eval_classical,
     eval_energy,
     load_priorities,
-    neg,
 )
 from emu import formulas as fm
 from emu.classical import Lattice, evaluate
@@ -78,7 +76,7 @@ def test_classical_rejects_broken_chain(g1, monkeypatch, formula):
 
 @pytest.mark.parametrize("formula", ["mu X . <>X", "nu X . <>X"])
 def test_energy_rejects_broken_chain(g1, monkeypatch, formula):
-    monkeypatch.setattr(emu.energy, "ecpre", lambda game, c, f: neg(f))
+    monkeypatch.setattr(emu.energy, "_ecpre", lambda t, rho_et, c, x: emu.energy._neg(c, x))
     with pytest.raises(IterationCapError, match="not (ascending|descending)"):
         eval_energy(g1, 2, fm.parse_formula(formula))
 
@@ -89,7 +87,7 @@ def test_cap_stops_a_chain_longer_than_the_height(g1):
     lat = Lattice(
         atom=lambda mask: mask, neg=operator.invert,
         join=operator.or_, meet=operator.and_,
-        pre_sys=lambda s: cpre_sys(g1, s), pre_env=None,
+        pre_sys=lambda s: cpre_sys(g1, s),
         bottom=np.zeros(n, dtype=bool), top=np.ones(n, dtype=bool),
         leq=lambda a, b: bool((a <= b).all()), height=1,
     )
@@ -109,6 +107,13 @@ def test_valuation_must_share_the_bound(g1):
         eval_energy(g1, 2, f, {"X": EnergyFunction.top(3, g1.n_states)})
     top = EnergyFunction.top(2, g1.n_states)
     assert eval_energy(g1, 2, f, {"X": top}) == top
+    # and one entry per state of the game: 8 or 1 credits on the 4 states of
+    # the fixture are refused before any step reads them
+    for n in (8, 1):
+        for g in (f, fm.parse_formula("X")):
+            with pytest.raises(BoundMismatchError,
+                               match=f"'X' has bound 2 over {n} states, expected 2 over 4"):
+                eval_energy(g1, 2, g, {"X": EnergyFunction(2, np.zeros(n, np.int64))})
 
 
 def test_each_atom_is_built_once_per_evaluation(g1, monkeypatch):
@@ -129,16 +134,16 @@ def test_each_atom_is_built_once_per_evaluation(g1, monkeypatch):
 
 @pytest.fixture
 def count_ecpre(monkeypatch):
-    """A list that grows by one per ``ecpre`` call, of the engine's (which
-    ``ecpre_env`` makes too) and of the plain reference's."""
-    calls, real = [], emu.energy.ecpre
+    """A list that grows by one per call of the step kernel ``_ecpre``: per
+    ``<>`` and ``[]`` step of the engine, and per ``ecpre`` and
+    ``ecpre_env`` call of the plain reference."""
+    calls, real = [], emu.energy._ecpre
 
     def counted(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(emu.energy, "ecpre", counted)
-    monkeypatch.setattr(oracles, "ecpre", counted)
+    monkeypatch.setattr(emu.energy, "_ecpre", counted)
     return calls
 
 
