@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Any, Callable
 
 import numpy as np
@@ -57,13 +58,14 @@ class Lattice:
     changes of any fixpoint chain.  The energy semantics' elements are plain
     int64 arrays; ``EnergyFunction`` wraps only what enters and leaves.
 
-    ``cut``, if given, is called once per evaluation of a fixpoint node, as
-    ``evaluate`` rewrites it, with the environment of that evaluation and
-    whether the node is the formula's root (outermost).  It gives None or a
-    map applied to each iterate.  The map must be monotone, move no element
-    above its argument in a greatest fixpoint (below it in a least one) and
-    fix the fixpoint's value under that environment; the cut chain then
-    ends exactly at that value.
+    ``cut``, if given, is called once per fixpoint node when ``evaluate``
+    compiles the formula, with the node as rewritten there and whether it is
+    the formula's root (outermost).  It gives None or a function that each
+    evaluation of the node calls with its environment, which gives None or
+    a map applied to each iterate.  The map must be monotone, move no
+    element above its argument in a greatest fixpoint (below it in a least
+    one) and fix the fixpoint's value under that environment; the cut chain
+    then ends exactly at that value.
     """
 
     atom: Callable[[np.ndarray], Any]
@@ -75,111 +77,13 @@ class Lattice:
     top: Any
     leq: Callable[[Any, Any], bool]
     height: int
-    cut: Callable[[Any, dict, bool], Callable | None] | None = None
+    cut: Callable[[Any, bool], Callable[[dict], Callable | None] | None] | None = None
 
 
 _ATOMS = {fm.Atom, fm.NegAtom}
 _BINARY = {fm.And, fm.Or}
 _BINDERS = {fm.Mu, fm.Nu}
 _UNARY = {fm.Diamond, fm.Box, fm.Not}
-
-
-def _hoist(f: fm.Formula):
-    """``f`` with its loop-invariant subterms moved out of their loops; it
-    raises ``NonMonotoneFormulaError`` as ``formulas.require_monotone`` does.
-
-    A binder's depth is the number of binders on the path from the root to
-    it, itself included, and a subterm's level is the depth of the deepest
-    binder whose variable it uses (0 if it uses none).  While the fixpoints
-    of depth above that level iterate, the subterm keeps its value.  So a
-    subterm whose level is below its parent's (a fixpoint's body: below the
-    fixpoint's depth), and which is not a bare atom or variable, is replaced
-    by a placeholder variable and evaluated once per evaluation of the
-    binder at depth level+1 above it, before that binder's loop starts.
-
-    Returns the rewritten formula and, per rewritten fixpoint node (by
-    ``id``), its (placeholder, subterm) pairs in evaluation order; a pair
-    may read the placeholders before it and those of the binders above.
-    The placeholders are ``#0``, ``#1``, ..., names no formula may use
-    (``formulas.require_variable_name``, which the walk applies to each
-    binder and free variable), one per hoisted position, so binders that
-    share a name cannot make two collide.  It is one walk, one frame per
-    node, and it checks monotonicity on the way, so an evaluation walks its
-    formula once.
-
-    The walk is ``_hoist_walk``; its state lives in the tuple it passes
-    down: the root, for ``require_monotone``; per variable, the (depth,
-    negations above) of its binder on the path; per binder on the path
-    (depth k+1 at k), its pairs so far; ``hoists``; a placeholder count.
-    """
-    hoists = {}
-    return _hoist_walk(f, 0, (f, {}, [], hoists, itertools.count()))[0], hoists
-
-
-def _lift(node, own, pending, numbers):
-    """A placeholder for ``node``, of level ``own``, evaluated before the
-    loop of the binder at depth own+1; bare atoms and variables stay."""
-    if isinstance(node, (fm.Atom, fm.NegAtom, fm.RelVar)):
-        return node
-    name = f"#{next(numbers)}"
-    pending[own].append((name, node))
-    return fm.RelVar(name)
-
-
-def _hoist_walk(node, negs, state):
-    """(rewritten node, uses), where bit k-1 of uses is set iff the node
-    reads the variable of the binder at depth k; negs counts the Not
-    nodes above it.  ``state`` is ``_hoist``'s."""
-    kind = type(node)
-    if kind in _ATOMS:
-        return node, 0
-    root, bound, pending, hoists, numbers = state
-    if kind is fm.RelVar:
-        if node.name not in bound:
-            fm.require_variable_name(node.name)
-            return node, 0
-        d, above = bound[node.name]
-        if (negs - above) % 2:
-            fm.require_monotone(root)  # raises, naming the path
-        return node, 1 << (d - 1)
-    if kind in _BINARY:
-        left, lu = _hoist_walk(node.left, negs, state)
-        right, ru = _hoist_walk(node.right, negs, state)
-        uses = lu | ru
-        if lu != ru:  # a child whose level is below the node's moves out
-            level = uses.bit_length()
-            if lu.bit_length() < level:
-                left = _lift(left, lu.bit_length(), pending, numbers)
-            elif ru.bit_length() < level:
-                right = _lift(right, ru.bit_length(), pending, numbers)
-        if left is node.left and right is node.right:
-            return node, uses
-        return kind(left, right), uses
-    if kind in _BINDERS:
-        fm.require_variable_name(node.name)
-        d = len(pending) + 1
-        outer = bound.get(node.name)
-        bound[node.name] = d, negs
-        pending.append([])
-        sub, uses = _hoist_walk(node.sub, negs, state)
-        if uses.bit_length() < d:  # the body does not read the loop
-            sub = _lift(sub, uses.bit_length(), pending, numbers)
-        own = pending.pop()
-        if outer is None:
-            del bound[node.name]
-        else:
-            bound[node.name] = outer
-        uses &= ~(1 << (d - 1))
-        if sub is node.sub:
-            return node, uses
-        node = kind(node.name, sub)
-        if own:
-            hoists[id(node)] = own
-        return node, uses
-    if kind in _UNARY:
-        sub, uses = _hoist_walk(node.sub, negs + (kind is fm.Not), state)
-        return (node if sub is node.sub else kind(sub)), uses
-    raise TypeError(f"not a formula node: {node!r}")
 
 
 def evaluate(lat: Lattice, tables, f: fm.Formula, valuation=None,
@@ -192,55 +96,105 @@ def evaluate(lat: Lattice, tables, f: fm.Formula, valuation=None,
     form a monotone chain.  Violations raise, as they indicate a broken
     operator rather than a bad input.  ``[]`` is ``neg o pre_sys o neg``.
 
-    Before a fixpoint's loop starts, the subterms of its body that no
-    iteration can change are evaluated once (``_hoist``), and the loop reads
-    their values as variables.  Where ``lat.cut`` gives the fixpoint, with
-    those values, a cut, each new iterate is cut before the monotonicity
-    check.  The rewritten formula is compiled once (``_compile``).
+    One walk (``_compile``) turns ``f`` into closures, checks its names and
+    monotonicity, and moves the subterms of each fixpoint's body that no
+    iteration can change out of its loop: they are evaluated once before
+    the loop starts, and the loop reads their values as variables.  Where
+    the ``lat.cut`` of a fixpoint gives, for those values, a cut, each new
+    iterate is cut before the monotonicity check.
     """
-    f, hoists = _hoist(f)
-    return _compile(f, lat, (tables, f, hoists, {}, stats))(valuation or {})
+    walk = SimpleNamespace(lat=lat, tables=tables, stats=stats, root=f, bound={},
+                           pending=[], numbers=itertools.count(), atoms={})
+    return _compile(f, 0, walk)[0](valuation or {})
 
 
-def _compile(node, lat, run):
-    """``node`` as a closure from environments to values; a fixpoint's copies
-    its environment once and rebinds its variable per iteration.  ``run``
-    holds the tables, the rewritten root, its hoists, atoms by ``id``, stats."""
-    kind = type(node)
+def _compile(node, negs, walk):
+    """(closure from environments to values, uses, node as rewritten), where
+    bit k-1 of uses is set iff ``node`` reads the variable of the binder at
+    depth k, and ``negs`` counts the Not nodes above it.  It raises
+    ``NonMonotoneFormulaError`` as ``formulas.require_monotone`` does, and
+    refuses the binder and free variable names that
+    ``formulas.require_variable_name`` refuses.
+
+    A binder's depth is the number of binders on the path from the root to
+    it, itself included, and a subterm's level is the depth of the deepest
+    binder whose variable it uses (0 if it uses none).  While the fixpoints
+    of depth above that level iterate, the subterm keeps its value.  So a
+    subterm whose level is below its parent's (a fixpoint's body: below the
+    fixpoint's depth), and which is not a bare atom or variable, is replaced
+    by a placeholder variable and evaluated once per evaluation of the
+    binder at depth level+1 above it, before that binder's loop starts.  It
+    may read the placeholders before it and those of the binders above.
+    The placeholders are ``#0``, ``#1``, ..., one per hoisted position,
+    names no formula may use, so binders that share a name cannot make two
+    collide.
+
+    ``walk`` is ``evaluate``'s: the lattice, tables and stats; the root; per
+    variable, the (depth, negations above) of its binder on the path; per
+    binder on the path (depth k+1 at k), its (placeholder, closure) pairs so
+    far; a placeholder count; the atoms' values by ``id``.
+    """
+    kind, lat = type(node), walk.lat
     if kind in _ATOMS:
-        atoms, key = run[3], id(node)
+        atoms, key = walk.atoms, id(node)
 
         def atom(env):
             if key not in atoms:
-                mask = run[0].state_mask(node.assertion)
+                mask = walk.tables.state_mask(node.assertion)
                 if kind is fm.NegAtom:
                     mask = ~mask
                 mask.setflags(write=False)
                 atoms[key] = lat.atom(mask)
             return atoms[key]
-        return atom
+        return atom, 0, node
     if kind is fm.RelVar:
-        name = node.name
-
-        def var(env):
-            if name not in env:
-                raise UnboundVariableError(f"no value for variable {name!r}")
-            return env[name]
-        return var
+        if node.name not in walk.bound:
+            fm.require_variable_name(node.name)
+            return _variable(node.name), 0, node
+        d, above = walk.bound[node.name]
+        if (negs - above) % 2:
+            fm.require_monotone(walk.root)  # raises, naming the path
+        return _variable(node.name), 1 << (d - 1), node
     if kind in _BINARY:
-        left, right = _compile(node.left, lat, run), _compile(node.right, lat, run)
+        left, lu, lnode = _compile(node.left, negs, walk)
+        right, ru, rnode = _compile(node.right, negs, walk)
+        uses = lu | ru
+        if lu != ru:  # a child whose level is below the node's moves out
+            level = uses.bit_length()
+            if lu.bit_length() < level:
+                left, lnode = _lift(left, lnode, lu.bit_length(), walk)
+            elif ru.bit_length() < level:
+                right, rnode = _lift(right, rnode, ru.bit_length(), walk)
+        if lnode is not node.left or rnode is not node.right:
+            node = kind(lnode, rnode)
         op = lat.meet if kind is fm.And else lat.join
-        return lambda env: op(left(env), right(env))
-    sub, neg, pre = _compile(node.sub, lat, run), lat.neg, lat.pre_sys
-    if kind is fm.Diamond:
-        return lambda env: pre(sub(env))
-    if kind is fm.Box:
-        return lambda env: neg(pre(neg(sub(env))))
-    if kind is fm.Not:  # else a binder: _hoist refuses any other node
-        return lambda env: neg(sub(env))
-    _, root, hoists, _, stats = run
-    name, ascending, is_root = node.name, kind is fm.Mu, node is root
-    hoisted = [(h, _compile(term, lat, run)) for h, term in hoists.get(id(node), ())]
+        return (lambda env: op(left(env), right(env))), uses, node
+    if kind in _UNARY:
+        sub, uses, body = _compile(node.sub, negs + (kind is fm.Not), walk)
+        node, neg, pre = (node if body is node.sub else kind(body)), lat.neg, lat.pre_sys
+        if kind is fm.Diamond:
+            return (lambda env: pre(sub(env))), uses, node
+        if kind is fm.Box:
+            return (lambda env: neg(pre(neg(sub(env))))), uses, node
+        return (lambda env: neg(sub(env))), uses, node
+    if kind not in _BINDERS:
+        raise TypeError(f"not a formula node: {node!r}")
+    fm.require_variable_name(node.name)
+    name, bound, pending = node.name, walk.bound, walk.pending
+    d, outer = len(pending) + 1, bound.get(name)
+    bound[name] = d, negs
+    pending.append([])
+    sub, uses, body = _compile(node.sub, negs, walk)
+    if uses.bit_length() < d:  # the body does not read the loop
+        sub, body = _lift(sub, body, uses.bit_length(), walk)
+    hoisted = pending.pop()
+    if outer is None:
+        del bound[name]
+    else:
+        bound[name] = outer
+    is_root, stats, ascending = node is walk.root, walk.stats, kind is fm.Mu
+    node = node if body is node.sub else kind(name, body)
+    decide = lat.cut(node, is_root) if lat.cut else None
     leq, height = lat.leq, lat.height
     # along(a, b): b is a, or past it in the direction the chain moves
     along = leq if ascending else (lambda a, b: leq(b, a))
@@ -252,7 +206,7 @@ def _compile(node, lat, run):
             env[h] = term(env)
         if stats is not None:
             stats.hoisted += len(hoisted)
-        cut = lat.cut(node, env, is_root) if lat.cut else None
+        cut = decide(env) if decide is not None else None
         current, iterations, was_cut = start, 0, False
         while True:
             iterations += 1
@@ -276,7 +230,26 @@ def _compile(node, lat, run):
         if stats is not None:
             stats.record(iterations, height, was_cut, is_root)
         return current
-    return fixpoint
+    return fixpoint, uses & ~(1 << (d - 1)), node
+
+
+def _variable(name):
+    def var(env):
+        if name not in env:
+            raise UnboundVariableError(f"no value for variable {name!r}")
+        return env[name]
+    return var
+
+
+def _lift(closure, node, own, walk):
+    """A placeholder for ``node``, of level ``own``, and its closure, which
+    the binder at depth own+1 evaluates before its loop; bare atoms and
+    variables stay."""
+    if isinstance(node, (fm.Atom, fm.NegAtom, fm.RelVar)):
+        return closure, node
+    name = f"#{next(walk.numbers)}"
+    walk.pending[own].append((name, closure))
+    return _variable(name), fm.RelVar(name)
 
 
 def cpre_sys(game, target: StateSet) -> StateSet:

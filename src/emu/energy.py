@@ -296,8 +296,9 @@ def _credit_cap_cut(c: int, cap: int, root_proven: bool):
          invariant subterms are hoisted into variables, so its free
          variables are those of the formula and the hoisted subterms.  None
          of them changes while the fixpoint iterates, and at each state each
-         has the value 0 or INF, as an atom does.  So below they are atoms,
-         and the cut is decided per evaluation, from their values.
+         has the value 0 or INF, as an atom does.  So below they are atoms.
+         The node's shape is read once, when ``evaluate`` compiles the
+         formula, and the cut is decided per evaluation, from their values.
       1. At each state, psi is a lattice polynomial in y = ecpre(X) with the
          constants 0 and INF, so it is 0, INF or y there.  So each round of
          the fixpoint crosses exactly one weighted move: it is the safety
@@ -341,14 +342,16 @@ def _credit_cap_cut(c: int, cap: int, root_proven: bool):
     def up(v):
         return np.where(v <= c - cap, 0, v)
 
-    def cut(node, env, root):
-        if not (root and root_proven):
-            free = fm.safety_reads(node)
-            # an unbound variable gets no cut; evaluating the body then raises
-            if free is None or not all(
-                    name in env and _two_valued(env[name]) for name in free):
-                return None
-        return down if isinstance(node, fm.Nu) else up
+    def cut(node, root):
+        at_cap = down if isinstance(node, fm.Nu) else up
+        if root and root_proven:
+            return lambda env: at_cap
+        free = fm.safety_reads(node)
+        if free is None:
+            return None
+        # an unbound variable gets no cut; evaluating the body then raises
+        return lambda env: at_cap if all(
+            name in env and _two_valued(env[name]) for name in free) else None
     return cut
 
 

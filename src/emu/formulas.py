@@ -162,7 +162,7 @@ def require_variable_name(name):
     """Raise unless the parser reads ``name`` back as the same fixpoint
     variable: one identifier token, uppercase-initial.  So a formula built
     in code prints as one that parses to it, and its names cannot collide
-    with the engine's placeholders ``#0``, ``#1``, ... (``classical._hoist``)."""
+    with the engine's placeholders ``#0``, ``#1``, ... (``classical._compile``)."""
     if not (isinstance(name, str) and asr.IDENT.fullmatch(name) and _is_relvar(name)):
         raise EmuError(f"fixpoint variable {name!r} is not an uppercase-initial"
                        " identifier, which a formula would not read back")
@@ -224,32 +224,8 @@ def _subformulas(f):
         stack.extend(reversed(_children(node)))
 
 
-def free_variables(f: Formula) -> set[str]:
-    if isinstance(f, RelVar):
-        return {f.name}
-    if isinstance(f, (Mu, Nu)):
-        return free_variables(f.sub) - {f.name}
-    out: set[str] = set()
-    for c in _children(f):
-        out |= free_variables(c)
-    return out
-
-
 def is_closed(f: Formula) -> bool:
-    return not free_variables(f)
-
-
-def require_binder_names(f: Formula):
-    """``require_variable_name`` of every binder of f."""
-    for node in _subformulas(f):
-        if isinstance(node, (Mu, Nu)):
-            require_variable_name(node.name)
-
-
-def atom_variables(f: Formula) -> set[str]:
-    """The names of the variables the atoms of f mention."""
-    return {name for node in _subformulas(f) if isinstance(node, (Atom, NegAtom))
-            for name, _primed in asr.assertion_vars(node.assertion)}
+    return metrics(f).closed
 
 
 def classify_fragment(f: Formula) -> str:
@@ -265,29 +241,37 @@ class FormulaMetrics:
     length: int  # AST node count
     alternation_depth: int
     closed: bool
+    free: frozenset[str]  # the free fixpoint variables
+    atoms: frozenset[str]  # the state variables the atoms mention
 
 
 def metrics(f: Formula) -> FormulaMetrics:
-    """Node count, alternation depth and closedness of f, from one
-    bottom-up walk.
+    """Node count, alternation depth, free variables and atom variables of
+    f, from one bottom-up walk, which refuses any binder name that
+    ``require_variable_name`` refuses (the first in preorder).
 
     The alternation depth is the number of blocks in the longest chain of
     interdependent alternating fixpoints (0 without fixpoints, 1 without
-    genuine alternation)::
+    genuine alternation), taken on the negation-free form of f
+    (``push_negations``), where a ``!`` above a binder turns mu into nu
+    and back::
 
         nu X . <>X                                -> 1
         nu Z . mu Y . ((J & <>Z) | <>Y)           -> 2  (Y's body uses Z)
         nu X . (<>X & mu Y . (p | <>Y))           -> 1  (Y's body ignores X)
         mu A . nu B . mu C . ...                  -> 3 when each depends on
                                                      the variable above it
+        nu Z . !(nu Y . !<>Z & (!y | <>Y))        -> 2  (nu Z . mu Y . ...)
     """
     # Per node: the largest depth of a binder in it, and per (binder class,
     # variable) that of a binder of that class in it with the variable free,
-    # which a dual binder of that variable above extends and any binder of
-    # that variable ends; (RelVar, variable) marks it free.  So the
-    # variables named in the root's keys are the free ones.  A node shares
-    # its child's dict where it adds nothing, and never writes one it shares.
+    # which a dual binder of that variable above extends, any binder of
+    # that variable ends and a Not above flips; (RelVar, variable) marks it
+    # free.  So the variables named in the root's keys are the free ones.  A
+    # node shares its child's dict where it adds nothing, and never writes
+    # one it shares.
     info = {}  # id(node) -> (depth, uses)
+    atoms, binders = set(), []
     nodes = list(_subformulas(f))
     for node in reversed(nodes):
         kind = type(node)
@@ -295,6 +279,7 @@ def metrics(f: Formula) -> FormulaMetrics:
             info[id(node)] = 0, {(RelVar, node.name): 0}
             continue
         if kind is Atom or kind is NegAtom:
+            atoms.update(name for name, _primed in asr.assertion_vars(node.assertion))
             info[id(node)] = 0, {}
             continue
         if kind is And or kind is Or:
@@ -308,15 +293,21 @@ def metrics(f: Formula) -> FormulaMetrics:
                     best[key] = max(best.get(key, 0), d)
         else:
             top, best = info[id(node.sub)]
-        if kind is Mu or kind is Nu:
-            dual = Nu if kind is Mu else Mu
-            top = max(1, top, best.get((dual, node.name), 0) + 1)
+        if kind is Not:
+            best = {(_DUAL.get(k, k), name): d for (k, name), d in best.items()}
+        elif kind is Mu or kind is Nu:
+            binders.append(node.name)
+            top = max(1, top, best.get((_DUAL[kind], node.name), 0) + 1)
             best = {key: d for key, d in best.items() if key[1] != node.name}
             for _, name in list(best):  # the variables free in node
                 best[kind, name] = max(best.get((kind, name), 0), top)
         info[id(node)] = top, best
+    for name in reversed(binders):  # in preorder
+        require_variable_name(name)
     top, best = info[id(f)]
-    return FormulaMetrics(length=len(nodes), alternation_depth=top, closed=not best)
+    free = frozenset(name for _, name in best)
+    return FormulaMetrics(length=len(nodes), alternation_depth=top,
+                          closed=not free, free=free, atoms=frozenset(atoms))
 
 
 @dataclass(frozen=True)

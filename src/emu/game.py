@@ -129,8 +129,7 @@ class WeightedGameStructure:
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(self.weights))
         if self.formula is not None:
-            fm.require_binder_names(self.formula)
-            if not fm.is_closed(self.formula):
+            if not fm.metrics(self.formula).closed:
                 raise EmuError("the winning formula must be closed")
             fm.require_monotone(self.formula)
         if self.priorities is not None:

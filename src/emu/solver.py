@@ -119,7 +119,7 @@ def quotient(game: WeightedGameStructure, formula: fm.Formula) -> WeightedGameSt
     message that names ``game``'s state, input and output indices.
     """
     names = game.vars.names
-    read = fm.atom_variables(formula)
+    read = set(fm.metrics(formula).atoms)
     unknown = read.difference(names)
     if unknown:  # with the message that evaluating the atom gives
         raise MalformedAssertionError(f"unknown variable {min(unknown)!r}")

@@ -375,7 +375,7 @@ def rename_apart(f):
     """f with every binder that reuses a name (free in f, or bound above or
     before it) given the first unused name{k}, and its variables renamed
     with it: the same formula with no name hidden."""
-    seen = fm.free_variables(f)
+    seen = set(fm.metrics(f).free)
 
     def walk(node, env):
         kind = type(node)

@@ -415,6 +415,36 @@ def test_cut_chain_can_outlast_cap_plus_two():
     assert got == _uncut(g, 13, fm.builtin("safety"))[0]
 
 
+def test_the_cut_is_shaped_once_per_fixpoint_node(monkeypatch):
+    # a nested fixpoint is evaluated once per iteration of the loops around
+    # it, and each evaluation decides its cut from the values around it; the
+    # shape that decision rests on (formulas.safety_reads) is read once per
+    # fixpoint node, when the engine compiles the formula
+    from emu.energy import _root_proven
+    from oracles import random_nested_formula
+
+    calls, real = [], fm.safety_reads
+    monkeypatch.setattr(fm, "safety_reads", lambda node: calls.append(node) or real(node))
+    cases = [(_LOSSY, fm.builtin("buchi", J="a"))]
+    for seed in range(40):
+        rng = random.Random(seed)
+        cases.append((random_wgs(rng, 2, 2, 2), random_nested_formula(rng)))
+    evaluations = nodes = 0
+    for g, f in cases:
+        binders = sum(isinstance(n, (fm.Mu, fm.Nu)) for n in fm._subformulas(f))
+        cap = (g.n_states - 1) * g.max_abs_weight
+        for c in (cap + 1, 3 * cap + 5):
+            for node in (f, fm.negate(f)):
+                assert not _root_proven(g, node, c)
+                calls.clear()
+                stats = FixpointStats()
+                eval_energy(g, c, node, stats=stats)
+                assert len(calls) == binders
+                evaluations += stats.fixpoints
+                nodes += binders
+    assert evaluations >= 2 * nodes
+
+
 def test_credit_can_reach_the_cap():
     g = random_wgs(random.Random(1905740), 1, 4, 3)
     assert (g.n_states, g.max_abs_weight) == (2, 3)

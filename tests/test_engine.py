@@ -81,16 +81,34 @@ def test_energy_rejects_broken_chain(g1, monkeypatch, formula):
         eval_energy(g1, 2, fm.parse_formula(formula))
 
 
-def test_cap_stops_a_chain_longer_than_the_height(g1):
-    # reach p=y climbs through two strict changes on the fixture
-    n = g1.n_states
-    lat = Lattice(
+def _set_lattice(game, height):
+    n = game.n_states
+    return Lattice(
         atom=lambda mask: mask, neg=operator.invert,
         join=operator.or_, meet=operator.and_,
-        pre_sys=lambda s: cpre_sys(g1, s),
+        pre_sys=lambda s: cpre_sys(game, s),
         bottom=np.zeros(n, dtype=bool), top=np.ones(n, dtype=bool),
-        leq=lambda a, b: bool((a <= b).all()), height=1,
+        leq=lambda a, b: bool((a <= b).all()), height=height,
     )
+
+
+def _rewritten(game, f):
+    """The fixpoint nodes of f as the engine rewrites them, in the order it
+    compiles them (innermost first), and per evaluation of one under the
+    set semantics, the node and the environment its loop starts from."""
+    nodes, runs = [], []
+
+    def cut(node, root):
+        nodes.append(node)
+        return lambda env: runs.append((node, dict(env)))  # and no cut
+    lat = dataclasses.replace(_set_lattice(game, game.n_states), cut=cut)
+    evaluate(lat, game.tables(), f)
+    return nodes, runs
+
+
+def test_cap_stops_a_chain_longer_than_the_height(g1):
+    # reach p=y climbs through two strict changes on the fixture
+    lat = _set_lattice(g1, 1)
     reach = fm.builtin("reach", p="y")
     with pytest.raises(IterationCapError, match="still moving after 1 changes"):
         evaluate(lat, g1.tables(), reach)
@@ -182,8 +200,25 @@ def test_hoisting_goes_by_position(g1):
     a = fm.Atom(fm.asr.Var("y"))
     inner = fm.Nu("X", fm.Or(fm.And(step, a), fm.And(step, box_y)))
     f = fm.Nu("X", fm.And(step, fm.Mu("Y", fm.Or(fm.And(a, step), inner))))
-    _, hoists = emu.classical._hoist(f)
-    assert list(hoists.values()) == [[("#0", box_y)], [("#1", fm.And(a, step))]]
+    nodes, runs = _rewritten(g1, f)
+    inner_rewritten = fm.Nu("X", fm.Or(fm.And(step, a), fm.And(step, fm.RelVar("#0"))))
+    mu_rewritten = fm.Mu("Y", fm.Or(fm.RelVar("#1"), inner_rewritten))
+    assert nodes == [inner_rewritten, mu_rewritten, fm.Nu("X", fm.And(step, mu_rewritten))]
+    # []Y is evaluated before each loop of the inner nu X, a & <>X before
+    # each loop of the mu Y, from the values of Y and of the outer X there
+    assert {node for node, _ in runs} == set(nodes)
+    for node, env in runs:
+        if node == inner_rewritten:
+            assert (env["#0"] == eval_classical(g1, box_y, {"Y": env["Y"]})).all()
+        elif node == mu_rewritten:
+            assert "#0" not in env
+            assert (env["#1"] == eval_classical(g1, fm.And(a, step), {"X": env["X"]})).all()
+        else:
+            assert not {"#0", "#1"} & set(env)
+    # a term moves out past every loop that cannot change it: <>X out of
+    # the mu W and the nu Y, to be evaluated before the nu Y's loop
+    f = fm.parse_formula("nu X . <>X & (nu Y . <>Y & (mu W . []W | <>X))")
+    assert {node.name for node, env in _rewritten(g1, f)[1] if "#0" in env} == {"Y", "W"}
     for c in (0, 1, 2, 5):
         assert eval_energy(g1, c, f) == eval_energy_plain(g1, c, f)
         assert eval_energy(g1, c, fm.negate(f)) == eval_energy_plain(g1, c, fm.negate(f))
@@ -199,8 +234,7 @@ def test_a_body_that_does_not_read_its_loop_is_hoisted_whole(text):
     # the innermost binder's body does not read its variable: it is replaced
     # whole by a placeholder, evaluated once before that loop (an atom stays)
     f = fm.parse_formula(text)
-    *_, inner = (n for n in fm._subformulas(emu.classical._hoist(f)[0])
-                 if isinstance(n, (fm.Mu, fm.Nu)))
+    inner = _rewritten(random_wgs(random.Random(0), 2, 2, 2), f)[0][0]
     assert (isinstance(inner.sub, fm.Atom) if text == "nu X . a"
             else inner.sub == fm.RelVar("#0"))
     for seed in range(200):
@@ -249,7 +283,8 @@ def test_a_placeholder_name_is_refused_as_a_variable(g1, name):
         return fm.And(fm.Diamond(fm.RelVar(x)), reach)
 
     renamed = fm.Nu("Z", body("Z"))
-    assert emu.classical._hoist(renamed)[1]
+    assert _rewritten(g1, renamed)[0][-1] == fm.Nu(
+        "Z", fm.And(fm.Diamond(fm.RelVar("Z")), fm.RelVar("#0")))
     for run in (lambda f, **kw: eval_energy(g1, 3, f, **kw),
                 lambda f, **kw: eval_classical(g1, f, **kw),
                 lambda f: solve(g1, f, 3)):

@@ -115,6 +115,60 @@ def test_alternation_depth_worked_examples(text, depth):
     assert fm.metrics(fm.parse_formula(text)).alternation_depth == depth
 
 
+def _negated_twice_at(f, position):
+    """f with the binder at preorder ``position`` written as the negation of
+    its negation, ``Not(negate(s))``: the same formula with the binder's
+    class flipped under a ``!``."""
+    count = -1
+
+    def walk(node):
+        nonlocal count
+        count += 1
+        if count == position:
+            return fm.Not(fm.negate(node))
+        if isinstance(node, (fm.And, fm.Or)):
+            return type(node)(walk(node.left), walk(node.right))
+        if isinstance(node, (fm.Mu, fm.Nu)):
+            return type(node)(node.name, walk(node.sub))
+        if isinstance(node, (fm.Diamond, fm.Box, fm.Not)):
+            return type(node)(walk(node.sub))
+        return node
+    return walk(f)
+
+
+def test_alternation_depth_reads_through_negations():
+    # nu Z . !(nu Y . ...) is nu Z . mu Y . <>Z | y & []Y without its !s
+    f = fm.parse_formula("nu Z . !(nu Y . !(<>Z) & (!y | <>Y))")
+    assert fm.formula_to_str(fm.push_negations(f)) == "nu Z . mu Y . <>Z | y & []Y"
+    assert fm.metrics(f).alternation_depth == 2
+    # the depth of a formula is that of its negation-free form, whatever
+    # binder is written as the negation of its negation
+    cases = 0
+    for seed in range(150):
+        f = random_nested_formula(random.Random(seed))
+        depth = fm.metrics(f).alternation_depth
+        for i, node in enumerate(fm._subformulas(f)):
+            if isinstance(node, (fm.Mu, fm.Nu)):
+                g = _negated_twice_at(f, i)
+                assert fm.push_negations(g) == fm.push_negations(f)
+                assert fm.metrics(g).alternation_depth == depth, (seed, i)
+                cases += 1
+    assert cases >= 300
+
+
+def test_metrics_record_what_a_formula_reads():
+    f = fm.parse_formula('nu X . (<>X & Y) | mu Y . (@"a -> b" | !c | []Y) | Z')
+    m = fm.metrics(f)
+    assert (m.free, m.atoms, m.closed) == ({"Y", "Z"}, {"a", "b", "c"}, False)
+    assert fm.metrics(fm.builtin("buchi", J="y")).free == frozenset()
+    # a binder name the parser would not read back is refused, the first
+    # in preorder; a free one is only reported
+    bad = fm.Nu("#0", fm.Mu("x", fm.Diamond(fm.RelVar("#0"))))
+    with pytest.raises(EmuError, match="'#0'"):
+        fm.metrics(bad)
+    assert fm.metrics(fm.Diamond(fm.RelVar("#0"))).free == {"#0"}
+
+
 def test_classify_fragment():
     assert fm.classify_fragment(fm.builtin("buchi", J="y")) == "sys"
     assert fm.classify_fragment(fm.parse_formula("nu X . []X")) == "env"
@@ -231,7 +285,7 @@ def test_safety_reads():
         f = fm.parse_formula(text)
         assert fm.safety_reads(f) == reads, text
         if reads is not None:
-            assert reads == fm.free_variables(f)
+            assert reads == fm.metrics(f).free
 
 
 def test_parity_formula_degenerate_cases():
