@@ -19,7 +19,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import AssertionSyntaxError
+from .errors import AssertionSyntaxError, EmuError
 
 
 @dataclass(frozen=True)
@@ -269,8 +269,10 @@ def assertion_vars(a: Assertion) -> set[tuple[str, bool]]:
             out.add((node.name, node.primed))
         elif isinstance(node, Not):
             stack.append(node.sub)
-        elif not isinstance(node, Const):
+        elif isinstance(node, (And, Or, Implies, Iff)):
             stack += (node.left, node.right)
+        elif not isinstance(node, Const):
+            raise not_a_tree(node)
     return out
 
 
@@ -290,4 +292,10 @@ def eval_terms(a: Assertion, lookup):
         return ~eval_terms(a.left, lookup) | eval_terms(a.right, lookup)
     if isinstance(a, Iff):
         return eval_terms(a.left, lookup) == eval_terms(a.right, lookup)
-    raise TypeError(f"not an assertion node: {a!r}")
+    raise not_a_tree(a)
+
+
+def not_a_tree(node, what="an assertion") -> EmuError:
+    """The refusal of ``node`` where ``what`` belongs, which each walk of
+    either language raises at a node of none of its classes."""
+    return EmuError(f"{node!r} is not {what}")

@@ -19,6 +19,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import formulas as fm
+from .assertions import not_a_tree
 from .errors import EmuError, IterationCapError, UnboundVariableError
 from .tables import DEAD
 
@@ -178,7 +179,7 @@ def _compile(node, negs, walk):
             return (lambda env: neg(pre(neg(sub(env))))), uses, node
         return (lambda env: neg(sub(env))), uses, node
     if kind not in _BINDERS:
-        raise TypeError(f"not a formula node: {node!r}")
+        raise not_a_tree(node, "a formula")
     fm.require_variable_name(node.name)
     name, bound, pending = node.name, walk.bound, walk.pending
     d, outer = len(pending) + 1, bound.get(name)

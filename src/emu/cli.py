@@ -54,7 +54,7 @@ def _report():
 
 
 def _formula_from_args(args, game):
-    sources = [s for s in ("formula", "formula_file", "builtin") if getattr(args, s, None)]
+    sources = [s for s in (args.formula, args.formula_file, args.builtin) if s]
     if len(sources) > 1:
         raise EmuError("give at most one of --formula/--formula-file/--builtin")
     if args.param and not args.builtin:
@@ -79,7 +79,7 @@ def _formula_from_args(args, game):
 def _problem_from_args(args):
     """The game, with its ``--priorities``, and the formula of the command."""
     game = load_game(args.game)
-    if getattr(args, "priorities", None):
+    if args.priorities:
         game = dataclasses.replace(game, priorities=load_priorities(args.priorities))
     return game, _formula_from_args(args, game)
 
@@ -102,13 +102,12 @@ def _parse_bound(text):
 
 
 @functools.lru_cache(maxsize=4)
-def _halves(names, in_json):
+def _halves(names):
     """The bits h of the low half of ``names``, and the minterms (``!x & y``)
     of the low and the high half in index order, each built by doubling (each
     name, as the next higher bit, extends every minterm both ways); the low
-    ones end in the separator.  ``in_json`` quotes each name for JSON."""
-    if in_json:
-        names = tuple(json.dumps(v)[1:-1] for v in names)
+    ones end in the separator.  The names are identifiers, so a minterm is
+    its own JSON string body."""
     h = len(names) // 2
     low, high = [""], (["!" + names[h], names[h]] if names else ["true"])
     for v in names[:h]:
@@ -120,10 +119,10 @@ def _halves(names, in_json):
     return h, np.array(low, dtype=object), np.array(high, dtype=object)
 
 
-def state_names(game, states, in_json=False) -> list[str]:
+def state_names(game, states) -> list[str]:
     """The minterm of each state of the int array ``states``, joined from the
     minterms of its low and its high half of the variables."""
-    h, low, high = _halves(game.vars.names, in_json)
+    h, low, high = _halves(game.vars.names)
     return (low[states & ((1 << h) - 1)] + high[states >> h]).tolist()
 
 
@@ -135,12 +134,12 @@ def _runs(n, mask=None):
         yield run if mask is None else run[mask[i:i + CHUNK]]
 
 
-def _named_credits(report, game, states, in_json=False, lead=""):
+def _named_credits(report, game, states, lead=""):
     """The name of each state of ``states``, and ``lead`` and the text of its
     credit (``inf``)."""
     values = report.min_credits.values[states].tolist()
     text = {v: lead + ("inf" if v == INF else str(v)) for v in set(values)}
-    return zip(state_names(game, states, in_json), map(text.__getitem__, values))
+    return zip(state_names(game, states), map(text.__getitem__, values))
 
 
 def _write_list(out, report, game, key, mask=None, rows=False):
@@ -150,8 +149,8 @@ def _write_list(out, report, game, key, mask=None, rows=False):
     left, right = ('{"state": "', '"}') if rows else ('"', '"')
     sep = f', "{key}": ['
     for s in _runs(game.n_states, mask):
-        items = ([n + c for n, c in _named_credits(report, game, s, True, '", "credit": "')]
-                 if rows else state_names(game, s, True))
+        items = ([n + c for n, c in _named_credits(report, game, s, '", "credit": "')]
+                 if rows else state_names(game, s))
         if items:
             out.write(sep + left + (right + ", " + left).join(items) + right)
             sep = ", "

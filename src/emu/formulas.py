@@ -291,8 +291,10 @@ def metrics(f: Formula) -> FormulaMetrics:
                 best = dict(best)
                 for key, d in ru.items():
                     best[key] = max(best.get(key, 0), d)
-        else:
+        elif kind is Not or kind in _DUAL:  # a unary node
             top, best = info[id(node.sub)]
+        else:
+            raise asr.not_a_tree(node, "a formula")
         if kind is Not:
             best = {(_DUAL.get(k, k), name): d for (k, name), d in best.items()}
         elif kind is Mu or kind is Nu:
@@ -372,6 +374,8 @@ def _push(node, negating, flipped):
         return _push(node.sub, not negating, flipped)
     if kind is RelVar:
         return Not(node) if negating != (node.name in flipped) else node
+    if kind not in _DUAL:
+        raise asr.not_a_tree(node, "a formula")
     out = _DUAL[kind] if negating else kind
     if kind is Atom or kind is NegAtom:
         return out(node.assertion)

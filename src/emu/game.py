@@ -32,7 +32,8 @@ MAX_VARS = 24
 
 @dataclass(frozen=True)
 class VariableSet:
-    """Ordered game variables with the subset controlled by the environment."""
+    """Ordered game variables with the subset controlled by the environment;
+    each name is an identifier, so every minterm over them reads back."""
 
     names: tuple[str, ...]
     inputs: frozenset[str]
@@ -40,6 +41,9 @@ class VariableSet:
     def __post_init__(self):
         object.__setattr__(self, "names", tuple(self.names))
         object.__setattr__(self, "inputs", frozenset(self.inputs))
+        for name in self.names:
+            if not (isinstance(name, str) and asr.IDENT.fullmatch(name)):
+                raise EmuError(f"variable name {name!r} is not an identifier")
         if len(set(self.names)) != len(self.names):
             raise EmuError("variable names must be unique")
         if {"true", "false"} & set(self.names):

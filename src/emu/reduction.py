@@ -78,12 +78,8 @@ def reduce_game(game: WeightedGameStructure, c: int) -> ReducedGame:
 
     for arr in (row, rho_e, weight, succ):
         arr.setflags(write=False)
-    credits = tuple(range(n, n + k))
     tables = GameTables(
         var_positions=base.var_positions,
-        x_positions=base.x_positions,
-        y_positions=base.y_positions + credits,
-        yr_positions=base.yr_positions + credits,
         n_states=N * layers,
         n_inputs=NX,
         row=row,

@@ -19,10 +19,8 @@ from .energy import LIMIT, EnergyFunction, _check_bound, eval_energy
 from .errors import (
     ConsistencyError,
     FragmentError,
-    IncompleteWeightCoverError,
     InvalidCreditError,
     MalformedAssertionError,
-    PriorityPartitionError,
 )
 from .game import VariableSet, WeightedGameStructure
 from .parity import from_parity_wgs, solve_energy_parity
@@ -114,9 +112,8 @@ def quotient(game: WeightedGameStructure, formula: fm.Formula) -> WeightedGameSt
 
     Before the tables are built, they and the report over ``game``'s states
     are charged against free memory (``tables.check_memory``).  The quotient
-    is valid exactly when ``game`` is; where its weight cover or priorities
-    are refused, ``game``'s tables are built to refuse them with the
-    message that names ``game``'s state, input and output indices.
+    is valid exactly when ``game`` is, and is refused in the same words: it
+    keeps, in their order, the variables that ``tables`` names refusals by.
     """
     names = game.vars.names
     read = set(fm.metrics(formula).atoms)
@@ -130,11 +127,7 @@ def quotient(game: WeightedGameStructure, formula: fm.Formula) -> WeightedGameSt
         small = dataclasses.replace(
             game, vars=VariableSet(kept, game.vars.inputs & read), formula=None)
     check_memory(len(kept), cell_bits(small), report_vars=len(names))
-    try:
-        small.tables()
-    except (IncompleteWeightCoverError, PriorityPartitionError):
-        game.tables()  # refuses it again, naming game's indices
-        raise
+    small.tables()
     return small
 
 

@@ -18,6 +18,11 @@ or a weight guard mentions primed.  No table entry but the successor
 depends on the other, free, outputs, so ``weight`` holds one cell per
 (read output, input, row), 2^(|Yr|+|X|+|S|) cells, outputs outermost, and
 ``succ`` spreads each (read output, input) over the free outputs.
+
+A refused weight cover names its first uncovered moves, in (row, input,
+output) order, by the minterm over what the moves read (``move_reads``),
+and a refused priority partition its first uncovered states by the one over
+what the priority guards read: no other variable decides either.
 """
 
 from __future__ import annotations
@@ -43,9 +48,6 @@ DEAD = -(1 << 61)
 @dataclass(frozen=True)
 class GameTables:
     var_positions: dict[str, int]  # variable name -> bit position in a state index
-    x_positions: tuple[int, ...]   # bit positions of environment variables
-    y_positions: tuple[int, ...]   # bit positions of system variables
-    yr_positions: tuple[int, ...]  # outputs rho_s or a guard reads primed (Yr)
     n_states: int
     n_inputs: int                  # number of input assignments (2^|X|)
     row: np.ndarray                # int64 (N,): the table row of each state
@@ -130,34 +132,21 @@ def _state_mask(var_positions, n_states, a):
     return np.array(np.broadcast_to(asr.eval_terms(a, look), (2,) * n)).reshape(-1)
 
 
-def _assignment_bits(count, order_positions):
-    """Per-assignment state-index contribution for variables at the given positions."""
-    codes = np.arange(1 << count, dtype=np.int64)
-    out = np.zeros(1 << count, dtype=np.int64)
-    for j, p in enumerate(order_positions):
-        out |= ((codes >> j) & 1) << p
-    return out
+def _minterm(names, reads, s, t=0):
+    """The minterm over the (name, primed) pairs ``reads`` of the move from
+    state index s to t: ``x & !y'``, or ``true`` over none."""
+    return " & ".join(("" if u >> k & 1 else "!") + name + "'" * primed
+                      for primed, u in ((False, s), (True, t))
+                      for k, name in enumerate(names) if (name, primed) in reads) or "true"
 
 
-def _pair_lookup(var_positions, s_positions, x_positions, yr_positions):
-    """Lookup producing broadcastable (NYr, NX, R) truth arrays for transition
-    assertions; an unprimed variable reads its bit of the row index."""
-    pos_to_s = {p: j for j, p in enumerate(s_positions)}
-    pos_to_x = {p: j for j, p in enumerate(x_positions)}
-    pos_to_y = {p: j for j, p in enumerate(yr_positions)}
-    r_idx = np.arange(1 << len(s_positions), dtype=np.int64)[None, None, :]
-    x_idx = np.arange(1 << len(x_positions), dtype=np.int64)[None, :, None]
-    y_idx = np.arange(1 << len(yr_positions), dtype=np.int64)[:, None, None]
-
-    def look(name, primed):
-        p = var_positions[name]
-        if not primed:
-            return ((r_idx >> pos_to_s[p]) & 1).astype(bool)
-        if p in pos_to_x:
-            return ((x_idx >> pos_to_x[p]) & 1).astype(bool)
-        return ((y_idx >> pos_to_y[p]) & 1).astype(bool)
-
-    return look
+def _axis_bits(positions, axis):
+    """Bit j of the indices 0..2^len(positions)-1 at [..., j], the indices
+    laid along ``axis`` of the (NYr, NX, R or NYf) tables."""
+    shape = [1, 1, 1, len(positions)]
+    shape[axis] = 1 << len(positions)
+    index = np.arange(1 << len(positions), dtype=np.int64)[:, None]
+    return (index >> np.arange(len(positions)) & 1).reshape(shape)
 
 
 def build_tables(game) -> GameTables:
@@ -166,13 +155,18 @@ def build_tables(game) -> GameTables:
     s_positions, yr_positions = read_positions(game)
     var_positions = {name: k for k, name in enumerate(vs.names)}
     x_positions = tuple(k for k, name in enumerate(vs.names) if name in vs.inputs)
-    y_positions = tuple(k for k, name in enumerate(vs.names) if name not in vs.inputs)
-    yf_positions = tuple(p for p in y_positions if p not in yr_positions)
+    yf_positions = tuple(k for k, name in enumerate(vs.names)
+                         if name not in vs.inputs and k not in yr_positions)
     n = len(vs.names)
     n_states = 1 << n
     nx, nyr = len(x_positions), len(yr_positions)
     check_memory(n, len(s_positions) + nx + nyr)
-    look = _pair_lookup(var_positions, s_positions, x_positions, yr_positions)
+    bits = {}  # an unprimed variable reads its bit of the row index
+    for axis, primed, positions in ((2, False, s_positions), (1, True, x_positions),
+                                    (0, True, yr_positions)):
+        b = _axis_bits(positions, axis).astype(bool)
+        bits.update(((vs.names[p], primed), b[..., j]) for j, p in enumerate(positions))
+    look = lambda name, primed: bits[name, primed]
     shape = (1 << nyr, 1 << nx, 1 << len(s_positions))
 
     states = np.arange(n_states, dtype=np.int64)
@@ -183,11 +177,9 @@ def build_tables(game) -> GameTables:
     rho_e = np.broadcast_to(asr.eval_terms(game.rho_e, look), shape)[0].T.copy()
     moves = asr.eval_terms(game.rho_s, look)  # broadcastable to shape
 
-    succ = (
-        _assignment_bits(nyr, yr_positions)[:, None, None]
-        | _assignment_bits(nx, x_positions)[None, :, None]
-        | _assignment_bits(len(yf_positions), yf_positions)[None, None, :]
-    )
+    # each axis's index bits, each moved to its variable's bit of a state index
+    succ = sum((_axis_bits(positions, axis) << np.array(positions, dtype=np.int64)).sum(-1)
+               for axis, positions in ((0, yr_positions), (1, x_positions), (2, yf_positions)))
 
     weight = np.full(shape, DEAD, dtype=np.int64)
     for rule in reversed(game.weights):  # in reverse, so the first match wins
@@ -196,16 +188,13 @@ def build_tables(game) -> GameTables:
     if missing.any():
         s = int(np.argmax(missing.any(axis=(0, 1))[row]))
         xi, yri = (int(v[0]) for v in np.nonzero(missing[:, :, row[s]].T))
-        yi = sum(((yri >> j) & 1) << y_positions.index(p)
-                 for j, p in enumerate(yr_positions))
         raise IncompleteWeightCoverError(
-            f"no weight rule matches the system transition"
-            f" (state {s}, input {xi}, output {yi})"
-        )
+            "no weight rule matches the system transitions where "
+            + _minterm(vs.names, game.move_reads, s, int(succ[yri, xi, 0])))
     np.copyto(weight, DEAD, where=~moves)
 
     prio = None
-    if getattr(game, "priorities", None) is not None:
+    if game.priorities is not None:
         prio = np.zeros(n_states, dtype=np.int64)
         seen = np.zeros(n_states, dtype=bool)
         for rule in game.priorities:
@@ -218,19 +207,16 @@ def build_tables(game) -> GameTables:
             prio[mask] = rule.priority
             seen |= mask
         if not seen.all():
-            missing_state = int(np.nonzero(~seen)[0][0])
             raise PriorityPartitionError(
-                f"no priority guard covers state {missing_state}"
-            )
+                "no priority guard covers the states where " + _minterm(
+                    vs.names, {(v, False) for v in game.priority_reads},
+                    int(np.argmin(seen))))
 
     for arr in (row, rho_e, weight, succ, prio):
         if arr is not None:
             arr.setflags(write=False)
     return GameTables(
         var_positions=var_positions,
-        x_positions=x_positions,
-        y_positions=y_positions,
-        yr_positions=yr_positions,
         n_states=n_states,
         n_inputs=1 << nx,
         row=row,

@@ -53,6 +53,20 @@ def test_variable_set_validation():
     assert vs.x_names == ("x",) and vs.y_names == ("y",)
 
 
+@pytest.mark.parametrize("name", ["a & !b", 'q"x', "1x", ""])
+def test_variable_names_must_be_identifiers(name):
+    """Every state's minterm parses back, so a name that is not one
+    identifier is refused, in code and in a game file."""
+    from emu.errors import GameFormatError
+    from emu.gamefile import game_from_dict
+
+    with pytest.raises(EmuError, match=r"^variable name .* is not an identifier$"):
+        VariableSet((name, "b"), frozenset())
+    with pytest.raises(GameFormatError, match="is not an identifier"):
+        game_from_dict({"vars": ["b", name], "inputs": [], "rho_e": "true",
+                        "rho_s": "true", "weights": []})
+
+
 def test_games_too_large_for_memory_are_refused(monkeypatch):
     from emu import reduce_game, tables
 

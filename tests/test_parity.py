@@ -90,7 +90,7 @@ def test_from_parity_wgs_needs_partition(g1):
         from_parity_wgs(g1)  # no annotation
     bad = dataclasses.replace(
         g1, priorities=(PriorityRule(parse_assertion("y"), 0),))
-    with pytest.raises(PriorityPartitionError, match="covers state 0"):
+    with pytest.raises(PriorityPartitionError, match="covers the states where !y$"):
         from_parity_wgs(bad)
     overlap = dataclasses.replace(g1, priorities=(
         PriorityRule(parse_assertion("y"), 0), PriorityRule(parse_assertion("x | !y"), 1)))

@@ -46,18 +46,26 @@ def _index(rg, s, credit):
     return s | (credit << len(rg.original.vars.names))
 
 
-def _move_weight(t, s, s_next):
-    """The table weight of the move between two state indices."""
-    x = sum(((s_next >> p) & 1) << j for j, p in enumerate(t.x_positions))
-    y = sum(((s_next >> p) & 1) << j for j, p in enumerate(t.yr_positions))
+def _move_weight(g, t, s, s_next, credit_bits=0):
+    """The weight in the tables ``t`` of the move between two state indices,
+    of ``g`` or, with ``credit_bits``, of its reduction: the move's input is
+    the bits of ``g``'s inputs, its read output those of the outputs that
+    ``g``'s moves read primed, then of the claimed credit above them."""
+    names, n = g.vars.names, len(g.vars.names)
+    x_positions = [p for p, v in enumerate(names) if v in g.vars.inputs]
+    yr_positions = [p for p, v in enumerate(names)
+                    if (v, True) in g.move_reads and v not in g.vars.inputs]
+    yr_positions += range(n, n + credit_bits)
+    x = sum(((s_next >> p) & 1) << j for j, p in enumerate(x_positions))
+    y = sum(((s_next >> p) & 1) << j for j, p in enumerate(yr_positions))
     return int(t.weight[y, x, t.row[s]])
 
 
 def _rho_s_holds(rg, s1, c1, s2, c2):
     """Membership of ((s1,c1),(s2,c2)) in the reduced system relation, as
     the tables record it: a move the system can make does not weigh DEAD."""
-    t = rg.tables()
-    return _move_weight(t, _index(rg, s1, c1), _index(rg, s2, c2)) != DEAD
+    return _move_weight(rg.original, rg.tables(), _index(rg, s1, c1),
+                        _index(rg, s2, c2), rg.n_credit_bits) != DEAD
 
 
 def _base_moves(g):
@@ -78,8 +86,10 @@ def _reduced_move(moves, c, s, c1, s_next, c2):
 def test_reduce_g1_c2(g1):
     rg = reduce_game(g1, 2)
     assert rg.n_credit_bits == 2
-    # the credit bits are system outputs above the game's variables
-    assert rg.tables().y_positions[-2:] == (2, 3)
+    # the credit bits are read outputs and row bits above the game's
+    t, base = rg.tables(), g1.tables()
+    assert t.n_states == base.n_states << 2
+    assert t.weight.shape == (len(base.weight) << 2, base.n_inputs, len(base.rho_e) << 2)
 
     s = state_of(g1.vars, set()).index
     t_y = state_of(g1.vars, {"y"}).index
@@ -147,7 +157,7 @@ def test_dead_moves_weigh_dead(g1):
         moves = _base_moves(g)
         t = g.tables()
         for s, s2 in itertools.product(range(g.n_states), repeat=2):
-            w = _move_weight(t, s, s2)
+            w = _move_weight(g, t, s, s2)
             assert (w == DEAD) == ((s, s2) not in moves)
             assert w == DEAD or (abs(w) <= LIMIT and w == moves[s, s2])
         for c in (0, 3):
@@ -156,7 +166,8 @@ def test_dead_moves_weigh_dead(g1):
             layers = range(1 << rg.n_credit_bits)
             for s, s2 in itertools.product(range(g.n_states), repeat=2):
                 for c1, c2 in itertools.product(layers, repeat=2):
-                    w = _move_weight(rt, _index(rg, s, c1), _index(rg, s2, c2))
+                    w = _move_weight(g, rt, _index(rg, s, c1), _index(rg, s2, c2),
+                                     rg.n_credit_bits)
                     assert (w != DEAD) == _reduced_move(moves, c, s, c1, s2, c2)
                     assert w in (0, DEAD)
 

@@ -17,6 +17,7 @@ from emu import (
     from_parity_wgs,
     load_priorities,
     neg,
+    oracle_min_credit_sys,
     reduce_game,
     solve,
     solve_energy_parity,
@@ -362,17 +363,22 @@ def _without_cover_or_partition(seed):
     return g, broken, f
 
 
-def test_refusals_name_the_full_games_indices(tmp_path):
-    """A weight cover or priority partition that the quotient refuses is
-    refused with the message ``build_tables`` gives on the whole game, by
-    ``solve`` and by ``emu bound``; on the quotient alone the indices would
-    be other ones."""
+def test_refusals_read_the_same_on_the_quotient(tmp_path, monkeypatch):
+    """A weight cover or priority partition is refused in one message, by
+    ``build_tables`` on the whole game and on the game without its pads,
+    by ``quotient``, by ``solve`` and by ``emu bound``: a minterm over the
+    variables that decide it, which the pads are not.  The whole game's
+    tables are never built to refuse it."""
+    import emu.game
     from emu import save_game
     from emu.cli import run
     from emu.errors import IncompleteWeightCoverError, PriorityPartitionError
     from emu.tables import build_tables
 
-    refused = renamed = 0
+    built = []
+    monkeypatch.setattr(emu.game, "build_tables",
+                        lambda game: built.append(game.vars) or build_tables(game))
+    refused = 0
     for seed in range(80):
         g, broken, f = _without_cover_or_partition(seed)
         try:
@@ -383,17 +389,70 @@ def test_refusals_name_the_full_games_indices(tmp_path):
             solve(broken, f, 2)
             continue
         refused += 1
-        with pytest.raises(type(want)) as got:
-            solve(broken, f, 2)
-        assert str(got.value) == str(want)
-        with pytest.raises(type(want)) as got:
-            quotient(broken, f)
-        assert str(got.value) == str(want)
+        minterm = str(want).partition(" where ")[2]
+        if minterm:  # not an overlap, named by its guard
+            asr.parse_assertion(minterm)
         small = dataclasses.replace(broken, vars=g.vars, formula=None)
-        with pytest.raises(type(want)) as on_small:
-            build_tables(small)
-        renamed += str(on_small.value) != str(want)
         path = tmp_path / f"broken{seed}.game"
         save_game(dataclasses.replace(broken, formula=f), path)
+        built.clear()
+        for call in (lambda: quotient(broken, f), lambda: solve(broken, f, 2),
+                     lambda: build_tables(small)):
+            with pytest.raises(type(want)) as got:
+                call()
+            assert str(got.value) == str(want)
+        assert built and broken.vars not in built  # the quotient's only
         assert run(["bound", str(path)]) == 2
-    assert refused >= 50 and renamed >= 10
+    assert refused >= 50
+
+
+@pytest.mark.parametrize("case", ["weights", "priorities"])
+def test_a_refusal_on_twenty_variables_builds_no_tables(fixtures_dir, case):
+    """``local20`` without its catch-all weight rule, or with the single
+    priority guard v1, is refused in the words of its quotient on the 7
+    variables its moves read, without the tables over all 20."""
+    import tracemalloc
+
+    from emu import PriorityRule, load_game
+    from emu.errors import IncompleteWeightCoverError, PriorityPartitionError
+
+    g = load_game(fixtures_dir / "local20.game")
+    if case == "weights":
+        g = dataclasses.replace(g, weights=g.weights[:-1])
+        error, why = IncompleteWeightCoverError, (
+            "no weight rule matches the system transitions where !v1 & !v2 & !v6"
+            " & !v7 & !v10 & !v13 & !v18 & !v6' & v10' & !v13'")
+    else:
+        g = dataclasses.replace(g, priorities=(PriorityRule(asr.Var("v1"), 0),))
+        error, why = PriorityPartitionError, "no priority guard covers the states where !v1"
+    tracemalloc.start()
+    try:
+        with pytest.raises(error) as got:
+            solve(g, g.formula, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(got.value) == why
+    assert peak < 1 << 20
+
+
+_FORMULA = "'nu X . <>X' is not a formula"
+_ASSERTION = "'true' is not an assertion"
+
+
+@pytest.mark.parametrize("call, why", [
+    (lambda g: solve(g, "nu X . <>X", 2), _FORMULA),
+    (lambda g: compute_bound(g, "nu X . <>X"), _FORMULA),
+    (lambda g: dataclasses.replace(g, formula="nu X . <>X"), _FORMULA),
+    (lambda g: oracle_min_credit_sys(g, 2, "nu X . <>X"), _FORMULA),
+    (lambda g: eval_energy(g, 2, "nu X . <>X"), _FORMULA),
+    (lambda g: dataclasses.replace(g, rho_e="true"), _ASSERTION),
+    (lambda g: dataclasses.replace(g, weights=(WeightRule("true", 1),)), _ASSERTION),
+], ids=["solve", "compute_bound", "game-formula", "oracle", "eval_energy",
+        "rho_e", "weight-guard"])
+def test_a_string_for_a_tree_is_refused(g1, call, why):
+    """Text where a formula or an assertion tree belongs is refused as an
+    ``EmuError`` by the walk that meets it, in one message per language."""
+    with pytest.raises(EmuError) as got:
+        call(g1)
+    assert str(got.value) == why

@@ -1,5 +1,6 @@
 """Transition tables shared between states by row."""
 
+import dataclasses
 import random
 
 import numpy as np
@@ -25,6 +26,7 @@ from emu import assertions as asr
 from emu import formulas as fm
 from emu.errors import IncompleteWeightCoverError, MalformedAssertionError
 from emu.randgen import random_assertion, random_formula, random_priorities
+from emu.tables import read_positions
 from oracles import (State, all_states, cpre_sys_enum, ecpre_env_cases, ecpre_enum,
                      eval_assertion)
 
@@ -78,9 +80,10 @@ def test_row_sharing_matches_the_scalar_references(seed, n, data):
                    np.zeros_like(states))
     assert len(t.rho_e) == 1 << len(s_positions)
     assert np.array_equal(t.row, want_row)
-    yr_positions = tuple(p for p in t.y_positions if (primed_mask >> p) & 1)
-    assert t.yr_positions == yr_positions
-    assert t.weight.shape == (1 << len(yr_positions), t.n_inputs, len(t.rho_e))
+    read_out = [p for p, v in enumerate(g.vars.names)
+                if v not in g.vars.inputs and (primed_mask >> p) & 1]
+    assert read_positions(g) == (tuple(s_positions), tuple(read_out))
+    assert t.weight.shape == (1 << len(read_out), t.n_inputs, len(t.rho_e))
     assert t.succ.size == g.n_states
 
     c = rng.randint(0, 3)
@@ -114,9 +117,9 @@ def test_every_variable_read_gives_one_row_per_state():
 
 
 def test_uncovered_move_is_named_by_state():
-    # The guards read only c (position 2), so the tables hold 2 rows.  The
-    # first uncovered state is c, index 4 on row 1; its first uncovered move
-    # takes input 0 (a' false) and output 1 (b' true, c' false).
+    # The guards read c and b' only, so the tables hold 2 rows.  The first
+    # uncovered moves are those from row 1 (c) into b', whatever a' and c'
+    # are; their minterm reads back as the guard that covers them.
     g = WeightedGameStructure(
         vars=VariableSet(("a", "b", "c"), frozenset({"a"})),
         rho_e=parse_assertion("true"),
@@ -124,8 +127,10 @@ def test_uncovered_move_is_named_by_state():
         weights=(WeightRule(parse_assertion("!c | !b'"), 1),),
     )
     with pytest.raises(IncompleteWeightCoverError,
-                       match=r"\(state 4, input 0, output 1\)"):
+                       match=r"transitions where c & b'$"):
         g.tables()
+    guard = WeightRule(parse_assertion("c & b'"), 2)
+    dataclasses.replace(g, weights=g.weights + (guard,)).tables()
 
 
 @settings(max_examples=200, deadline=None)
