@@ -296,6 +296,5 @@ def eval_terms(a: Assertion, lookup):
 
 
 def not_a_tree(node, what="an assertion") -> EmuError:
-    """The refusal of ``node`` where ``what`` belongs, which each walk of
-    either language raises at a node of none of its classes."""
+    """The refusal of a walk of either language at a node of none of its classes."""
     return EmuError(f"{node!r} is not {what}")

@@ -133,20 +133,36 @@ def _state_mask(var_positions, n_states, a):
 
 
 def _minterm(names, reads, s, t=0):
-    """The minterm over the (name, primed) pairs ``reads`` of the move from
-    state index s to t: ``x & !y'``, or ``true`` over none."""
+    """The minterm (``x & !y'``, or ``true``) over ``reads`` of the move s -> t."""
     return " & ".join(("" if u >> k & 1 else "!") + name + "'" * primed
                       for primed, u in ((False, s), (True, t))
                       for k, name in enumerate(names) if (name, primed) in reads) or "true"
 
 
-def _axis_bits(positions, axis):
-    """Bit j of the indices 0..2^len(positions)-1 at [..., j], the indices
-    laid along ``axis`` of the (NYr, NX, R or NYf) tables."""
-    shape = [1, 1, 1, len(positions)]
-    shape[axis] = 1 << len(positions)
-    index = np.arange(1 << len(positions), dtype=np.int64)[:, None]
-    return (index >> np.arange(len(positions)) & 1).reshape(shape)
+def _assignment_bits(count, order_positions):
+    """Per-assignment state-index contribution for variables at the given positions."""
+    codes = np.arange(1 << count, dtype=np.int64)
+    out = np.zeros(1 << count, dtype=np.int64)
+    for j, p in enumerate(order_positions):
+        out |= ((codes >> j) & 1) << p
+    return out
+
+
+def _pair_lookup(names, s_positions, x_positions, yr_positions):
+    """Lookup producing broadcastable (NYr, NX, R) truth arrays for transition
+    assertions; an unprimed variable reads its bit of the row index."""
+    bit = {}  # (name, primed) -> the indices along its axis, and its bit in them
+    for shape, primed, positions in (((1, 1, -1), False, s_positions),
+                                     ((1, -1, 1), True, x_positions),
+                                     ((-1, 1, 1), True, yr_positions)):
+        index = np.arange(1 << len(positions), dtype=np.int64).reshape(shape)
+        bit.update(((names[p], primed), (index, j)) for j, p in enumerate(positions))
+
+    def look(name, primed):
+        index, j = bit[name, primed]
+        return ((index >> j) & 1).astype(bool)
+
+    return look
 
 
 def build_tables(game) -> GameTables:
@@ -155,18 +171,13 @@ def build_tables(game) -> GameTables:
     s_positions, yr_positions = read_positions(game)
     var_positions = {name: k for k, name in enumerate(vs.names)}
     x_positions = tuple(k for k, name in enumerate(vs.names) if name in vs.inputs)
-    yf_positions = tuple(k for k, name in enumerate(vs.names)
-                         if name not in vs.inputs and k not in yr_positions)
+    y_positions = tuple(k for k, name in enumerate(vs.names) if name not in vs.inputs)
+    yf_positions = tuple(p for p in y_positions if p not in yr_positions)
     n = len(vs.names)
     n_states = 1 << n
     nx, nyr = len(x_positions), len(yr_positions)
     check_memory(n, len(s_positions) + nx + nyr)
-    bits = {}  # an unprimed variable reads its bit of the row index
-    for axis, primed, positions in ((2, False, s_positions), (1, True, x_positions),
-                                    (0, True, yr_positions)):
-        b = _axis_bits(positions, axis).astype(bool)
-        bits.update(((vs.names[p], primed), b[..., j]) for j, p in enumerate(positions))
-    look = lambda name, primed: bits[name, primed]
+    look = _pair_lookup(vs.names, s_positions, x_positions, yr_positions)
     shape = (1 << nyr, 1 << nx, 1 << len(s_positions))
 
     states = np.arange(n_states, dtype=np.int64)
@@ -177,9 +188,11 @@ def build_tables(game) -> GameTables:
     rho_e = np.broadcast_to(asr.eval_terms(game.rho_e, look), shape)[0].T.copy()
     moves = asr.eval_terms(game.rho_s, look)  # broadcastable to shape
 
-    # each axis's index bits, each moved to its variable's bit of a state index
-    succ = sum((_axis_bits(positions, axis) << np.array(positions, dtype=np.int64)).sum(-1)
-               for axis, positions in ((0, yr_positions), (1, x_positions), (2, yf_positions)))
+    succ = (
+        _assignment_bits(nyr, yr_positions)[:, None, None]
+        | _assignment_bits(nx, x_positions)[None, :, None]
+        | _assignment_bits(len(yf_positions), yf_positions)[None, None, :]
+    )
 
     weight = np.full(shape, DEAD, dtype=np.int64)
     for rule in reversed(game.weights):  # in reverse, so the first match wins

@@ -26,7 +26,7 @@ from emu import assertions as asr
 from emu import formulas as fm
 from emu.errors import IncompleteWeightCoverError, MalformedAssertionError
 from emu.randgen import random_assertion, random_formula, random_priorities
-from emu.tables import read_positions
+from emu.tables import build_tables, cell_bits, read_positions
 from oracles import (State, all_states, cpre_sys_enum, ecpre_env_cases, ecpre_enum,
                      eval_assertion)
 
@@ -131,6 +131,31 @@ def test_uncovered_move_is_named_by_state():
         g.tables()
     guard = WeightRule(parse_assertion("c & b'"), 2)
     dataclasses.replace(g, weights=g.weights + (guard,)).tables()
+
+
+@pytest.mark.parametrize("rho_s", ["every-row", "every-output-free"])
+def test_building_the_tables_stays_near_the_memory_charge(rho_s):
+    """``check_memory`` charges 16 bytes per cell and 24 per state; the
+    build may pass that by its small arrays, not by a factor of the
+    variables read.  A layout with one int64 per (index, bit) of an axis
+    peaks at about 4x the charge on these 18-variable games."""
+    import tracemalloc
+
+    names = tuple(f"v{i}" for i in range(18))
+    g = WeightedGameStructure(
+        vars=VariableSet(names, frozenset({"v0"})),
+        rho_e=parse_assertion("true"),
+        rho_s=parse_assertion(" | ".join(names) if rho_s == "every-row" else "true"),
+        weights=(WeightRule(parse_assertion("true"), 1),),
+    )
+    charge = (16 << cell_bits(g)) + (24 << len(names))
+    tracemalloc.start()
+    try:
+        build_tables(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * charge
 
 
 @settings(max_examples=200, deadline=None)
