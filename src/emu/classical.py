@@ -98,24 +98,29 @@ def evaluate(lat: Lattice, tables, f: fm.Formula, valuation=None,
     operator rather than a bad input.  ``[]`` is ``neg o pre_sys o neg``.
 
     One walk (``_compile``) turns ``f`` into closures, checks its names and
-    monotonicity, and moves the subterms of each fixpoint's body that no
-    iteration can change out of its loop: they are evaluated once before
-    the loop starts, and the loop reads their values as variables.  Where
-    the ``lat.cut`` of a fixpoint gives, for those values, a cut, each new
-    iterate is cut before the monotonicity check.
+    monotonicity, builds each atom's value, refuses a free variable that
+    ``valuation`` does not bind (``UnboundVariableError``), and moves the
+    subterms of each fixpoint's body that no iteration can change out of
+    its loop: they are evaluated once before the loop starts, and the loop
+    reads their values as variables.  Where the ``lat.cut`` of a fixpoint
+    gives, for those values, a cut, each new iterate is cut before the
+    monotonicity check.
     """
-    walk = SimpleNamespace(lat=lat, tables=tables, stats=stats, root=f, bound={},
-                           pending=[], numbers=itertools.count(), atoms={})
-    return _compile(f, 0, walk)[0](valuation or {})
+    valuation = valuation or {}
+    walk = SimpleNamespace(lat=lat, tables=tables, stats=stats, root=f,
+                           valuation=valuation, bound={}, pending=[],
+                           numbers=itertools.count())
+    return _compile(f, 0, walk)[0](valuation)
 
 
 def _compile(node, negs, walk):
     """(closure from environments to values, uses, node as rewritten), where
     bit k-1 of uses is set iff ``node`` reads the variable of the binder at
     depth k, and ``negs`` counts the Not nodes above it.  It raises
-    ``NonMonotoneFormulaError`` as ``formulas.require_monotone`` does, and
+    ``NonMonotoneFormulaError`` as ``formulas.require_monotone`` does,
     refuses the binder and free variable names that
-    ``formulas.require_variable_name`` refuses.
+    ``formulas.require_variable_name`` refuses, and raises
+    ``UnboundVariableError`` at a free variable the valuation does not bind.
 
     A binder's depth is the number of binders on the path from the root to
     it, itself included, and a subterm's level is the depth of the deepest
@@ -130,32 +135,29 @@ def _compile(node, negs, walk):
     names no formula may use, so binders that share a name cannot make two
     collide.
 
-    ``walk`` is ``evaluate``'s: the lattice, tables and stats; the root; per
-    variable, the (depth, negations above) of its binder on the path; per
-    binder on the path (depth k+1 at k), its (placeholder, closure) pairs so
-    far; a placeholder count; the atoms' values by ``id``.
+    An atom's value is built here, read-only, and its closure returns it.
+
+    ``walk`` is ``evaluate``'s: the lattice, tables and stats; the root; the
+    valuation; per variable, the (depth, negations above) of its binder on
+    the path; per binder on the path (depth k+1 at k), its (placeholder,
+    closure) pairs so far; a placeholder count.
     """
     kind, lat = type(node), walk.lat
     if kind in _ATOMS:
-        atoms, key = walk.atoms, id(node)
-
-        def atom(env):
-            if key not in atoms:
-                mask = walk.tables.state_mask(node.assertion)
-                if kind is fm.NegAtom:
-                    mask = ~mask
-                mask.setflags(write=False)
-                atoms[key] = lat.atom(mask)
-            return atoms[key]
-        return atom, 0, node
+        mask = walk.tables.state_mask(node.assertion)
+        value = lat.atom(~mask if kind is fm.NegAtom else mask)
+        value.setflags(write=False)
+        return (lambda env: value), 0, node
     if kind is fm.RelVar:
         if node.name not in walk.bound:
             fm.require_variable_name(node.name)
-            return _variable(node.name), 0, node
+            if node.name not in walk.valuation:
+                raise UnboundVariableError(f"no value for variable {node.name!r}")
+            return operator.itemgetter(node.name), 0, node
         d, above = walk.bound[node.name]
         if (negs - above) % 2:
             fm.require_monotone(walk.root)  # raises, naming the path
-        return _variable(node.name), 1 << (d - 1), node
+        return operator.itemgetter(node.name), 1 << (d - 1), node
     if kind in _BINARY:
         left, lu, lnode = _compile(node.left, negs, walk)
         right, ru, rnode = _compile(node.right, negs, walk)
@@ -234,14 +236,6 @@ def _compile(node, negs, walk):
     return fixpoint, uses & ~(1 << (d - 1)), node
 
 
-def _variable(name):
-    def var(env):
-        if name not in env:
-            raise UnboundVariableError(f"no value for variable {name!r}")
-        return env[name]
-    return var
-
-
 def _lift(closure, node, own, walk):
     """A placeholder for ``node``, of level ``own``, and its closure, which
     the binder at depth own+1 evaluates before its loop; bare atoms and
@@ -250,7 +244,7 @@ def _lift(closure, node, own, walk):
         return closure, node
     name = f"#{next(walk.numbers)}"
     walk.pending[own].append((name, closure))
-    return _variable(name), fm.RelVar(name)
+    return operator.itemgetter(name), fm.RelVar(name)
 
 
 def cpre_sys(game, target: StateSet) -> StateSet:
@@ -261,7 +255,7 @@ def cpre_sys(game, target: StateSet) -> StateSet:
     """
     t = game.tables()
     hit = (t.weight != DEAD) & target[t.succ].any(axis=2)[:, :, None]
-    return (~t.rho_e.T | hit.any(axis=0)).all(axis=0)[t.row]
+    return (~t.rho_e | hit.any(axis=0)).all(axis=0)[t.row]
 
 
 def cpre_env(game, target: StateSet) -> StateSet:

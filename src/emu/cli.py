@@ -300,6 +300,8 @@ def _check_parity(game, c, formula):
 
 
 def cmd_check(args) -> int:
+    if not Path(args.dump_dir).is_dir():  # a mismatch must find it
+        raise EmuError(f"--dump-dir {args.dump_dir!r} is not a directory")
     draw, check = ((_draw_parity, _check_parity) if args.oracle == "parity"
                    else (_draw_reduction, _check_reduction))
     for i in range(args.cases):

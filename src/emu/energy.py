@@ -181,17 +181,16 @@ def ecpre(game, c: int, f: EnergyFunction) -> EnergyFunction:
     if f.bound != c:
         raise BoundMismatchError(f"function bound {f.bound} differs from c={c}")
     t = game.tables()
-    return EnergyFunction._of(c, _ecpre(t, t.rho_e.T, c, f.values))
+    return EnergyFunction._of(c, _ecpre(t, c, f.values))
 
 
-def _ecpre(t, rho_et, c, x):
+def _ecpre(t, c, x):
     """``ecpre`` of the values ``x`` at bound c over the tables ``t``, as a
-    fresh array; ``rho_et`` is ``t.rho_e.T``.  Without free outputs the
-    gathered targets need no min."""
+    fresh array.  Without free outputs the gathered targets need no min."""
     v = x[t.succ]
     if v.shape[2] > 1:
         v = v.min(axis=2, keepdims=True)
-    v = (v - t.weight).min(axis=0).max(axis=0, initial=0, where=rho_et)
+    v = (v - t.weight).min(axis=0).max(axis=0, initial=0, where=t.rho_e)
     v[v > c] = INF
     return v[t.row]
 
@@ -349,9 +348,8 @@ def _credit_cap_cut(c: int, cap: int, root_proven: bool):
         free = fm.safety_reads(node)
         if free is None:
             return None
-        # an unbound variable gets no cut; evaluating the body then raises
         return lambda env: at_cap if all(
-            name in env and _two_valued(env[name]) for name in free) else None
+            _two_valued(env[name]) for name in free) else None
     return cut
 
 
@@ -395,11 +393,10 @@ def eval_energy(game, c: int, f: fm.Formula, valuation=None,
                 f" states, expected {c} over {n}")
         env[name] = g.values
 
-    rho_et = np.ascontiguousarray(t.rho_e.T)
     lat = Lattice(
         atom=lambda mask: np.where(mask, 0, INF), neg=lambda v: _neg(c, v),
         join=np.minimum, meet=np.maximum,
-        pre_sys=lambda v: _ecpre(t, rho_et, c, v),
+        pre_sys=lambda v: _ecpre(t, c, v),
         bottom=np.full(n, INF), top=np.zeros(n, dtype=np.int64),
         leq=_leq, height=n * (c + 1),
         cut=(_credit_cap_cut(c, cap, _root_proven(game, f, c))

@@ -110,7 +110,7 @@ def from_parity_wgs(game: WeightedGameStructure) -> EnergyParityGame:
     if t.prio is None:
         raise EmuError("the game carries no priority annotation")
     N, NX, NYf = t.n_states, t.n_inputs, t.succ.shape[2]
-    s, x = np.nonzero(t.rho_e[t.row])
+    s, x = np.nonzero(t.rho_e[:, t.row].T)
     # each valid (state, input, read output) move, over the free outputs;
     # then sorted by source and, within one, by target, which is by output
     ss, sx, sy = np.nonzero((t.weight != tables.DEAD)[:, :, t.row].T)

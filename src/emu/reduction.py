@@ -60,10 +60,10 @@ def reduce_game(game: WeightedGameStructure, c: int) -> ReducedGame:
 
     layers = 1 << k
     N, NX = base.n_states, base.n_inputs
-    NYr, R = len(base.weight), len(base.rho_e)
+    NYr, R = len(base.weight), base.rho_e.shape[1]
 
     row = np.tile(base.row, layers) + np.repeat(np.arange(layers) * R, N)
-    rho_e = np.tile(base.rho_e, (layers, 1))
+    rho_e = np.tile(base.rho_e, (1, layers))
 
     # the claimed credit c2 is a read output, the current one c1 a row bit
     c2 = (np.arange(NYr * layers, dtype=np.int64) // NYr)[:, None, None]

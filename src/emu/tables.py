@@ -51,7 +51,7 @@ class GameTables:
     n_states: int
     n_inputs: int                  # number of input assignments (2^|X|)
     row: np.ndarray                # int64 (N,): the table row of each state
-    rho_e: np.ndarray              # bool (R, NX), R = 2^|S| rows
+    rho_e: np.ndarray              # bool (NX, R), R = 2^|S| rows: weight's last axes
     weight: np.ndarray             # int64 (NYr, NX, R); DEAD where rho_s fails
     succ: np.ndarray               # int64 (NYr, NX, NYf): successor state index
     prio: np.ndarray | None        # int64 (N,) state priorities, if annotated
@@ -185,7 +185,7 @@ def build_tables(game) -> GameTables:
     for j, p in enumerate(s_positions):
         row |= ((states >> p) & 1) << j
 
-    rho_e = np.broadcast_to(asr.eval_terms(game.rho_e, look), shape)[0].T.copy()
+    rho_e = np.broadcast_to(asr.eval_terms(game.rho_e, look), shape)[0].copy()
     moves = asr.eval_terms(game.rho_s, look)  # broadcastable to shape
 
     succ = (

@@ -234,7 +234,7 @@ def ecpre_env_cases(game, c, f: EnergyFunction) -> EnergyFunction:
     t = game.tables()
     e = f.values[t.succ][:, :, :, None]
     w = t.weight[:, :, None, :]
-    valid = t.rho_e.T[None, :, None, :]
+    valid = t.rho_e[None, :, None, :]
     is_inf = e == INF
     ew = e + w
     val = ew                                   # case 8: pay the weight backwards

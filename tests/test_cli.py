@@ -22,10 +22,12 @@ from emu import (
     SolveReport,
     VariableSet,
     WeightedGameStructure,
+    load_game,
 )
+from emu import assertions as asr
 from emu import formulas as fm
 from emu.assertions import TRUE
-from emu.errors import IterationCapError
+from emu.errors import EmuError, IterationCapError
 from emu import cli
 from emu.cli import run, solve_report_from_json, state_names, write_solve_json
 from emu.solver import BoundBreakdown
@@ -156,7 +158,7 @@ def test_usage_errors(g1_path, tmp_path, capsys):
     assert run(["region", g1_path, "--bound", "inf", "--builtin", "safety"]) == 2
     assert "region needs a finite --bound" in capsys.readouterr().err
     # a weight or priority that is not an integer is refused, not rounded
-    doc = json.loads(open(g1_path).read())
+    doc = json.loads(Path(g1_path).read_text())
     doc["weights"][0]["weight"] = -1.7
     (tmp_path / "bad.game").write_text(json.dumps(doc))
     assert run(["solve", str(tmp_path / "bad.game"), "--bound", "1"]) == 2
@@ -167,7 +169,7 @@ def test_usage_errors(g1_path, tmp_path, capsys):
 
 
 def test_solve_rejects_weight_beyond_int64(g1_path, tmp_path, capsys):
-    doc = json.loads(open(g1_path).read())
+    doc = json.loads(Path(g1_path).read_text())
     doc["weights"][0]["weight"] = 1 << 70
     path = tmp_path / "huge.game"
     path.write_text(json.dumps(doc))
@@ -177,7 +179,7 @@ def test_solve_rejects_weight_beyond_int64(g1_path, tmp_path, capsys):
 
 def test_unbounded_solve_names_the_computed_bound(g1_path, tmp_path, capsys):
     # the user asked for inf, so the refusal names the bound the solver computed
-    doc = json.loads(open(g1_path).read())
+    doc = json.loads(Path(g1_path).read_text())
     doc["weights"][0]["weight"] = 1 << 60
     path = tmp_path / "heavy.game"
     path.write_text(json.dumps(doc))
@@ -202,7 +204,7 @@ def test_solve_rejects_priority_beyond_int64(g1_path, tmp_path, capsys):
     rules = [{"guard": "y", "priority": 1 << 70}, {"guard": "!y", "priority": 1}]
     prio = tmp_path / "huge.prio"
     prio.write_text(json.dumps(rules))
-    doc = json.loads(open(g1_path).read())
+    doc = json.loads(Path(g1_path).read_text())
     doc["priorities"] = rules
     game = tmp_path / "huge.game"
     game.write_text(json.dumps(doc))
@@ -214,7 +216,7 @@ def test_solve_rejects_priority_beyond_int64(g1_path, tmp_path, capsys):
 
 def test_solve_at_a_finite_bound_with_a_huge_sufficient_bound(g1_path, tmp_path,
                                                                capsys):
-    doc = json.loads(open(g1_path).read())
+    doc = json.loads(Path(g1_path).read_text())
     doc["weights"][0]["weight"] = -(1 << 60)
     path = tmp_path / "deep.game"
     path.write_text(json.dumps(doc))
@@ -280,6 +282,20 @@ def test_check_mutation_detected(tmp_path, capsys, monkeypatch):
     load_game(games[0])
     meta = json.loads(reports[0].read_text())
     assert meta["seed"] == 7 and meta["oracle"] == "reduction"
+
+
+def test_check_refuses_a_missing_dump_dir_before_any_case(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_check_reduction", lambda game, c, formula: "forced")
+    argv = ["check", "--seed", "0", "--cases", "2", "--max-vars", "2", "--dump-dir"]
+    assert run(argv + [str(tmp_path)]) == 3
+    assert "case 0000 MISMATCH: forced" in capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "counterexample-seed0-case0.game", "counterexample-seed0-case0.json"]
+    missing = tmp_path / "missing"
+    assert run(argv + [str(missing)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --dump-dir {str(missing)!r} is not a directory\n"
 
 
 @pytest.mark.parametrize("oracle", ["reduction", "parity"])
@@ -608,12 +624,46 @@ def test_bad_arguments_exit_2_without_a_traceback(argv, g1_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["solve", "G", "--builtin", "buchi", "--param", "J"],
+     "error: --param expects k=v, got 'J'\n"),
+    (["check", "--cases", "two"],
+     "emu check: error: argument --cases: expected an integer, got 'two'\n"),
+    (["solve", "{LIST}"], "error: {LIST}: expected a JSON object\n"),
+    (["solve", "G", "--priorities", "{OBJECT}"],
+     "error: {OBJECT}: expected a JSON list of priority rules\n"),
+])
+def test_refusals_name_their_cause(argv, text, g1_path, tmp_path, capsys):
+    paths = {"LIST": tmp_path / "list.game", "OBJECT": tmp_path / "object.prio"}
+    paths["LIST"].write_text("[]")
+    paths["OBJECT"].write_text("{}")
+    argv = [g1_path if a == "G" else a.format(**paths) for a in argv]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(text.format(**paths)) and "Traceback" not in err
+
+
+def test_an_engine_failure_exits_3(g1_path, capsys, monkeypatch):
+    def stuck(game, formula, bound):
+        raise IterationCapError("a fixpoint did not stabilize")
+
+    monkeypatch.setattr("emu.cli.solve", stuck)
+    assert run(["solve", g1_path]) == 3
+    assert capsys.readouterr().err == (
+        "internal consistency failure: a fixpoint did not stabilize\n")
+
+
+def test_a_report_of_another_schema_is_refused():
+    with pytest.raises(EmuError, match="^unsupported report schema 2$"):
+        solve_report_from_json({"schema": 2})
+
+
 def _nested_solve_argv(shape, over, g1_path, tmp_path):
     """emu solve arguments whose rho_s or formula is the deepest of its shape
     within MAX_NESTING, or, with ``over``, one unit deeper."""
     from emu.assertions import MAX_NESTING as M
 
-    doc = json.loads(open(g1_path).read())
+    doc = json.loads(Path(g1_path).read_text())
     formula = None
     if shape == "rho_s":
         doc["rho_s"] = " & ".join(["true"] * (M + 1 + over))
@@ -650,7 +700,7 @@ def test_nesting_limit_through_the_cli(shape, g1_path, tmp_path, capsys, stack_r
     (None, "nu X . " + "(" * 200 + "<>X" + ")" * 200),
 ], ids=["rho_s-500-clauses", "formula-400-diamonds", "formula-200-parens"])
 def test_long_input_still_solves(rho_s, formula, g1_path, tmp_path, capsys):
-    doc = json.loads(open(g1_path).read())
+    doc = json.loads(Path(g1_path).read_text())
     doc["rho_s"] = rho_s or doc["rho_s"]
     path = tmp_path / "long.game"
     path.write_text(json.dumps(doc))
@@ -666,7 +716,7 @@ def test_long_input_still_solves(rho_s, formula, g1_path, tmp_path, capsys):
 ], ids=["rho_s-1500-clauses", "formula-2000-parens", "formula-1000-diamonds"])
 def test_deep_input_exits_2_without_a_traceback(rho_s, formula, g1_path, tmp_path,
                                                  capsys):
-    doc = json.loads(open(g1_path).read())
+    doc = json.loads(Path(g1_path).read_text())
     doc["rho_s"] = rho_s or doc["rho_s"]
     path = tmp_path / "deep.game"
     path.write_text(json.dumps(doc))
@@ -828,6 +878,43 @@ def test_priorities_leave_another_formula_alone(tmp_path, capsys):
         assert (doc["effective_bound"], doc["bound_variant"]) == (41, "general")
         assert [row["credit"] for row in doc["min_credits"]] == ["6", "6"]
         assert doc["w_sys"] == ["!x", "x"] and doc["w_env"] == []
+
+
+def _iff_game(iff):
+    """A game that reads ``p <-> q``, written ``iff(p, q)``, in rho_s, a
+    weight guard, both priority guards and its formula's atom."""
+    return {
+        "vars": ["a", "b", "c"], "inputs": ["a"], "rho_e": "true",
+        "rho_s": iff("c'", iff("a'", "b")),
+        "weights": [{"guard": iff("a'", "c'"), "weight": -2},
+                    {"guard": "true", "weight": 1}],
+        "priorities": [{"guard": iff("b", "c"), "priority": 0},
+                       {"guard": "!" + iff("b", "c"), "priority": 1}],
+        "formula": f'nu Z . mu Y . (@"{iff("a", "c")}" & <>Z) | <>Y',
+    }
+
+
+def test_iff_is_both_implications(tmp_path, capsys):
+    # the same tables, masks and --state solve report as with each p <-> q
+    # written (p -> q) & (q -> p)
+    seen = []
+    for iff in (lambda p, q: f"({p} <-> {q})",
+                lambda p, q: f"(({p} -> {q}) & ({q} -> {p}))"):
+        path = tmp_path / f"game{len(seen)}.game"
+        path.write_text(json.dumps(_iff_game(iff)))
+        game, state = load_game(path), iff("a", "c")
+        t = game.tables()
+        assert run(["solve", str(path), "--state", state, "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        del report["formula"], report["query"]["state"]
+        seen.append((t.rho_e, t.weight, t.succ, t.prio,
+                     game.vars.state_mask(asr.parse_assertion(state)), report))
+    (*tables, report), (*spelled, spelled_report) = seen
+    assert all(np.array_equal(a, b) for a, b in zip(tables, spelled))
+    assert report == spelled_report
+    assert [row["credit"] for row in report["min_credits"]] == [
+        "0", "0", "2", "2", "0", "0", "2", "2"]
+    assert [row["credit"] for row in report["query"]["results"]] == ["0", "2", "0", "2"]
 
 
 @pytest.mark.parametrize("module", ["emu", "emu.cli"])

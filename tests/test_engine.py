@@ -20,7 +20,12 @@ from emu import (
 )
 from emu import formulas as fm
 from emu.classical import Lattice, evaluate
-from emu.errors import BoundMismatchError, IterationCapError
+from emu.errors import (
+    BoundMismatchError,
+    IterationCapError,
+    MalformedAssertionError,
+    UnboundVariableError,
+)
 from emu.randgen import random_wgs
 from oracles import eval_energy_plain, random_nested_formula
 
@@ -76,7 +81,7 @@ def test_classical_rejects_broken_chain(g1, monkeypatch, formula):
 
 @pytest.mark.parametrize("formula", ["mu X . <>X", "nu X . <>X"])
 def test_energy_rejects_broken_chain(g1, monkeypatch, formula):
-    monkeypatch.setattr(emu.energy, "_ecpre", lambda t, rho_et, c, x: emu.energy._neg(c, x))
+    monkeypatch.setattr(emu.energy, "_ecpre", lambda t, c, x: emu.energy._neg(c, x))
     with pytest.raises(IterationCapError, match="not (ascending|descending)"):
         eval_energy(g1, 2, fm.parse_formula(formula))
 
@@ -163,6 +168,17 @@ def count_ecpre(monkeypatch):
 
     monkeypatch.setattr(emu.energy, "_ecpre", counted)
     return calls
+
+
+@pytest.mark.parametrize("formula, error, text", [
+    ("nu X . <>X & Y", UnboundVariableError, "no value for variable 'Y'"),
+    ("nu X . <>X & q", MalformedAssertionError, "unknown variable 'q'"),
+])
+def test_names_are_resolved_before_any_step(g1, count_ecpre, formula, error, text):
+    # the walk that compiles the formula refuses them, so no fixpoint starts
+    with pytest.raises(error, match=text):
+        eval_energy(g1, 2, fm.parse_formula(formula))
+    assert count_ecpre == []
 
 
 # formula -> (hoisted, ecpre calls unhoisted, ecpre calls) on fixtures/g1.game,

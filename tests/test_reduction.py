@@ -89,7 +89,7 @@ def test_reduce_g1_c2(g1):
     # the credit bits are read outputs and row bits above the game's
     t, base = rg.tables(), g1.tables()
     assert t.n_states == base.n_states << 2
-    assert t.weight.shape == (len(base.weight) << 2, base.n_inputs, len(base.rho_e) << 2)
+    assert t.weight.shape == (len(base.weight) << 2, base.n_inputs, base.rho_e.shape[1] << 2)
 
     s = state_of(g1.vars, set()).index
     t_y = state_of(g1.vars, {"y"}).index

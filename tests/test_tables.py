@@ -78,12 +78,12 @@ def test_row_sharing_matches_the_scalar_references(seed, n, data):
     s_positions = [p for p in range(n) if (read_mask >> p) & 1]
     want_row = sum((((states >> p) & 1) << j for j, p in enumerate(s_positions)),
                    np.zeros_like(states))
-    assert len(t.rho_e) == 1 << len(s_positions)
+    assert t.rho_e.shape[1] == 1 << len(s_positions)
     assert np.array_equal(t.row, want_row)
     read_out = [p for p, v in enumerate(g.vars.names)
                 if v not in g.vars.inputs and (primed_mask >> p) & 1]
     assert read_positions(g) == (tuple(s_positions), tuple(read_out))
-    assert t.weight.shape == (1 << len(read_out), t.n_inputs, len(t.rho_e))
+    assert t.weight.shape == (1 << len(read_out), t.n_inputs, t.rho_e.shape[1])
     assert t.succ.size == g.n_states
 
     c = rng.randint(0, 3)
