@@ -55,7 +55,7 @@ from .parity import (
     solve_parity,
     unfold_with_bound,
 )
-from .reduction import ReducedGame, oracle_max_credit_env, oracle_min_credit_sys, reduce_game
+from .reduction import oracle_max_credit_env, oracle_min_credit_sys, reduce_game
 from .solver import (
     BoundBreakdown,
     CrosscheckReport,

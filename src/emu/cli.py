@@ -54,19 +54,23 @@ def _report():
 
 
 def _formula_from_args(args, game):
-    sources = [s for s in (args.formula, args.formula_file, args.builtin) if s]
+    sources = [s for s in (args.formula, args.formula_file, args.builtin) if s is not None]
     if len(sources) > 1:
         raise EmuError("give at most one of --formula/--formula-file/--builtin")
-    if args.param and not args.builtin:
+    if args.param and args.builtin is None:
         raise EmuError("--param is only for --builtin")
     if not sources:
         if game.formula is None:
             raise EmuError("the game file has no formula; give one")
         return game.formula
-    if args.formula:
+    if args.formula is not None:
         return fm.parse_formula(args.formula)
-    if args.formula_file:
-        return fm.parse_formula(Path(args.formula_file).read_text())
+    if args.formula_file is not None:
+        try:
+            text = Path(args.formula_file).read_text()
+        except UnicodeDecodeError as e:
+            raise EmuError(f"{args.formula_file}: not UTF-8 text: {e}") from e
+        return fm.parse_formula(text)
     params = {}
     for kv in args.param or []:
         if "=" not in kv:
@@ -79,7 +83,7 @@ def _formula_from_args(args, game):
 def _problem_from_args(args):
     """The game, with its ``--priorities``, and the formula of the command."""
     game = load_game(args.game)
-    if args.priorities:
+    if args.priorities is not None:
         game = dataclasses.replace(game, priorities=load_priorities(args.priorities))
     return game, _formula_from_args(args, game)
 
@@ -197,7 +201,7 @@ def solve_report_from_json(doc: dict):
 def cmd_solve(args) -> int:
     game, formula = _problem_from_args(args)
     query_mask = None
-    if args.state:
+    if args.state is not None:
         query_mask = game.vars.state_mask(asr.parse_assertion(args.state))
         if not query_mask.any():
             raise EmuError(f"no state satisfies {args.state!r}")
@@ -290,7 +294,7 @@ def _check_reduction(game, c, formula):
 
 def _draw_parity(rng, args):
     game = random_wgs(rng, 2, args.max_vars, args.max_weight, priorities=True)
-    return game, rng.randint(0, args.max_bound), "parity", None
+    return game, rng.randint(0, args.max_bound), "parity", game.parity_formula()
 
 
 def _check_parity(game, c, formula):
@@ -315,11 +319,14 @@ def cmd_check(args) -> int:
         with _report():  # a reader that leaves stops no case before the verdict
             print(f"case {i:04d} ok")
     if why is not None:
+        # the game carries the checked formula, so solving it reproduces the case
+        game = dataclasses.replace(game, formula=formula)
         stem = Path(args.dump_dir) / f"counterexample-seed{args.seed}-case{i}"
         save_game(game, stem.with_suffix(".game"))
         stem.with_suffix(".json").write_text(json.dumps({
             "schema": SCHEMA_VERSION, "command": "check", "seed": args.seed, "case": i,
-            "oracle": args.oracle, "bound": c, "formula_kind": name, "reason": why,
+            "oracle": args.oracle, "bound": c, "formula_kind": name,
+            "formula": fm.formula_to_str(formula), "reason": why,
             "game": game_to_dict(game)}, indent=2) + "\n")
     with _report():
         if why is not None:

@@ -75,8 +75,9 @@ def _read_json(path, kind, what):
     """The JSON document in the file ``path``, which must be a ``kind``."""
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
-        raise GameFormatError(f"{path}: not valid JSON: {e}") from e
+    except (ValueError, RecursionError) as e:
+        # not UTF-8, not JSON, or past Python's limits on digits or nesting
+        raise GameFormatError(f"{path}: not readable as JSON: {e}") from e
     if not isinstance(doc, kind):
         raise GameFormatError(f"{path}: expected {what}")
     return doc

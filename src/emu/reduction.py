@@ -11,8 +11,6 @@ not its production solving path (the reduced game is exponentially larger).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import formulas as fm
@@ -23,30 +21,18 @@ from .game import MAX_VARS, WeightedGameStructure
 from .tables import DEAD, GameTables, check_memory
 
 
-@dataclass(frozen=True)
-class ReducedGame:
-    """The credit-tracking game built from a weighted game and a bound.
+def reduce_game(game: WeightedGameStructure, c: int) -> GameTables:
+    """The read-only tables of the credit-tracking game: the bound-c energy
+    objective encoded into the transition relation.
 
     State indices extend the original packing: the low bits are the original
-    state, the high bits the credit, which are unnamed system outputs, so no
-    formula atom can read them.  Table rows extend the original rows the
-    same way, one block of them per credit layer, and so do the read
-    outputs, for the moves read the claimed credit; the free outputs stay
-    those of the original.  Credit encodings above the bound are made
-    unreachable by the transition relation.
+    state, the high bits the credit, ``max(1, c.bit_length())`` of them,
+    which are unnamed system outputs, so no formula atom can read them.
+    Table rows extend the original rows the same way, one block of them per
+    credit layer, and so do the read outputs, for the moves read the claimed
+    credit; the free outputs stay those of the original.  Credit encodings
+    above the bound are made unreachable by the transition relation.
     """
-
-    original: WeightedGameStructure
-    bound: int
-    n_credit_bits: int
-    _tables: GameTables
-
-    def tables(self) -> GameTables:
-        return self._tables
-
-
-def reduce_game(game: WeightedGameStructure, c: int) -> ReducedGame:
-    """Encode the bound-c energy objective into the transition relation."""
     _check_bound(c)
     # ceil(log2(c+1)) bits encode [0, c]; a bound of 0 still gets one bit.
     k = max(1, int(c).bit_length())
@@ -78,7 +64,7 @@ def reduce_game(game: WeightedGameStructure, c: int) -> ReducedGame:
 
     for arr in (row, rho_e, weight, succ):
         arr.setflags(write=False)
-    tables = GameTables(
+    return GameTables(
         var_positions=base.var_positions,
         n_states=N * layers,
         n_inputs=NX,
@@ -88,7 +74,6 @@ def reduce_game(game: WeightedGameStructure, c: int) -> ReducedGame:
         succ=succ,
         prio=None,
     )
-    return ReducedGame(original=game, bound=c, n_credit_bits=k, _tables=tables)
 
 
 def _credit_readout(game, c, formula, side):

@@ -56,6 +56,10 @@ class GameTables:
     succ: np.ndarray               # int64 (NYr, NX, NYf): successor state index
     prio: np.ndarray | None        # int64 (N,) state priorities, if annotated
 
+    def tables(self) -> GameTables:
+        """These tables: evaluators read a reduction as they read a game."""
+        return self
+
     def state_mask(self, a: asr.Assertion) -> np.ndarray:
         """Truth of a pure-state assertion for every state, as a bool (N,) array."""
         return _state_mask(self.var_positions, self.n_states, a)

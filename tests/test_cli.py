@@ -22,6 +22,7 @@ from emu import (
     SolveReport,
     VariableSet,
     WeightedGameStructure,
+    eval_energy,
     load_game,
 )
 from emu import assertions as asr
@@ -304,8 +305,10 @@ def test_check_dumps_an_inconsistent_case(oracle, tmp_path, capsys, monkeypatch)
     # a mismatch, dumped like any other, not an escape from the check
     from emu import classical, reduction, solver
 
-    def gap(rg, f):  # state 0 wins at credits 0 and 2 only (the bound is 7)
-        won = classical.eval_classical(rg, f).reshape(-1, rg.original.n_states)
+    c = 7  # the bound of case 0
+
+    def gap(reduced, f):  # state 0 wins at credits 0 and 2 only
+        won = classical.eval_classical(reduced, f).reshape(1 << max(1, c.bit_length()), -1)
         won[:, 0] = False
         won[[0, 2], 0] = True
         return won.reshape(-1)
@@ -353,6 +356,34 @@ def test_check_dumps_an_environment_side_case(side, tmp_path, capsys, monkeypatc
     meta = json.loads((tmp_path / "counterexample-seed0-case0.json").read_text())
     assert meta["reason"] == why and meta["oracle"] == "reduction"
     assert (tmp_path / "counterexample-seed0-case0.game").exists()
+
+
+@pytest.mark.parametrize("oracle", ["reduction", "parity"])
+def test_check_dumps_the_formula_it_checked(oracle, tmp_path, capsys, monkeypatch):
+    # every random game carries the formula nu X . <>X; the counterexample
+    # must carry the one the case checked, so that solving it reproduces it
+    checked = []
+
+    def forced(game, c, formula):
+        checked.append((game, c, formula))
+        return "forced"
+
+    monkeypatch.setattr(cli, f"_check_{oracle}", forced)
+    assert run(["check", "--oracle", oracle, "--seed", "3", "--cases", "1",
+                "--dump-dir", str(tmp_path)]) == 3
+    capsys.readouterr()
+    (game, c, formula), = checked
+    if oracle == "parity":
+        assert formula == fm.parity_formula(game.priorities)
+    assert formula != fm.parse_formula("nu X . <>X")
+    stem = tmp_path / "counterexample-seed3-case0"
+    assert load_game(stem.with_suffix(".game")).formula == formula
+    meta = json.loads(stem.with_suffix(".json").read_text())
+    assert fm.parse_formula(meta["formula"]) == formula
+    if oracle == "reduction":
+        run(["solve", str(stem.with_suffix(".game")), "--bound", str(c), "--format", "json"])
+        _, credits, _, _ = solve_report_from_json(json.loads(capsys.readouterr().out))
+        assert credits == eval_energy(game, c, formula)
 
 
 def test_check_parity_oracle(tmp_path, capsys):
@@ -641,6 +672,58 @@ def test_refusals_name_their_cause(argv, text, g1_path, tmp_path, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.endswith(text.format(**paths)) and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, flaw", [
+    *((flag, flaw) for flag in ("game", "--priorities")
+      for flaw in ("nesting", "digits", "bytes")),
+    ("--formula-file", "bytes"),
+])
+def test_an_unreadable_file_exits_2_without_a_traceback(flag, flaw, g1_path, prio_path,
+                                                        tmp_path, capsys):
+    # the file holds a game, priority rules or a formula, but is nested past
+    # the recursion limit, holds a 5,000-digit integer or is not UTF-8; a
+    # Python without the digit limit reads the integer, and the game model
+    # refuses it as a weight or a priority beyond 64 bits
+    path = tmp_path / "unreadable"
+    argv = ["solve", g1_path, "--builtin", "safety"]
+    if flag == "game":
+        doc = json.loads(Path(g1_path).read_text())
+        doc["weights"][0]["weight"] = "NUMBER"
+        text, argv[1] = json.dumps(doc), str(path)
+    elif flag == "--priorities":
+        doc = json.loads(Path(prio_path).read_text())
+        doc[0]["priority"] = "NUMBER"
+        text, argv = json.dumps(doc), argv + [flag, str(path)]
+    else:
+        text, argv = "nu X . <>X", argv[:2] + [flag, str(path)]
+    if flaw == "nesting":
+        path.write_bytes(b"[" * 200_000 + b"]" * 200_000)
+    elif flaw == "digits":
+        path.write_text(text.replace('"NUMBER"', "9" * 5000))
+    else:
+        path.write_bytes(b"\xff\xfe" + text.encode())
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    if flaw != "digits" or hasattr(sys, "get_int_max_str_digits"):
+        assert str(path) in err
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["--formula", "", "--bound", "2"], "error: expected a formula (at position 0)\n"),
+    (["--formula", "", "--builtin", "buchi", "--param", "J=y"],
+     "error: give at most one of --formula/--formula-file/--builtin\n"),
+    (["--formula-file", ""], "error: [Errno 21] Is a directory: '.'\n"),
+    (["--state", ""], "error: expected an atom (at position 0)\n"),
+    (["--priorities", ""], "error: [Errno 21] Is a directory: '.'\n"),
+    (["--builtin", "", "--param", "J=y"], "error: unknown builtin formula ''"),
+], ids=["formula", "formula-and-builtin", "formula-file", "state", "priorities", "builtin"])
+def test_an_empty_option_value_counts_as_given(argv, text, g1_path, capsys):
+    # an empty --formula or --formula-file does not fall back on the game's
+    # formula, nor an empty --state on every state
+    assert run(["solve", g1_path, *argv]) == 2
+    assert capsys.readouterr().err.startswith(text)
 
 
 def test_an_engine_failure_exits_3(g1_path, capsys, monkeypatch):

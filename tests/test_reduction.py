@@ -40,10 +40,16 @@ from oracles import (
 )
 
 
-def _index(rg, s, credit):
-    """The reduced state of game state s at ``credit``: the credit bits above
-    the game's."""
-    return s | (credit << len(rg.original.vars.names))
+def _credit_bits(c):
+    """The credit bits of the reduction at bound c: [0, c] in binary, and
+    one bit at c = 0."""
+    return max(1, c.bit_length())
+
+
+def _index(g, s, credit):
+    """The reduced state of state s of ``g`` at ``credit``: the credit bits
+    above the game's."""
+    return s | (credit << len(g.vars.names))
 
 
 def _move_weight(g, t, s, s_next, credit_bits=0):
@@ -61,11 +67,12 @@ def _move_weight(g, t, s, s_next, credit_bits=0):
     return int(t.weight[y, x, t.row[s]])
 
 
-def _rho_s_holds(rg, s1, c1, s2, c2):
-    """Membership of ((s1,c1),(s2,c2)) in the reduced system relation, as
-    the tables record it: a move the system can make does not weigh DEAD."""
-    return _move_weight(rg.original, rg.tables(), _index(rg, s1, c1),
-                        _index(rg, s2, c2), rg.n_credit_bits) != DEAD
+def _rho_s_holds(g, c, t, s1, c1, s2, c2):
+    """Membership of ((s1,c1),(s2,c2)) in the system relation of ``t``, the
+    reduction of ``g`` at bound c, as the tables record it: a move the
+    system can make does not weigh DEAD."""
+    return _move_weight(g, t, _index(g, s1, c1), _index(g, s2, c2),
+                        _credit_bits(c)) != DEAD
 
 
 def _base_moves(g):
@@ -84,10 +91,10 @@ def _reduced_move(moves, c, s, c1, s_next, c2):
 
 
 def test_reduce_g1_c2(g1):
-    rg = reduce_game(g1, 2)
-    assert rg.n_credit_bits == 2
+    t, base = reduce_game(g1, 2), g1.tables()
+    assert t.tables() is t  # evaluators read it as they read a game
+    assert _credit_bits(2) == 2
     # the credit bits are read outputs and row bits above the game's
-    t, base = rg.tables(), g1.tables()
     assert t.n_states == base.n_states << 2
     assert t.weight.shape == (len(base.weight) << 2, base.n_inputs, base.rho_e.shape[1] << 2)
 
@@ -95,32 +102,33 @@ def test_reduce_g1_c2(g1):
     t_y = state_of(g1.vars, {"y"}).index
     t_n = state_of(g1.vars, {"x"}).index
     # paying into y from credit 2 can claim next credit 1, not from credit 0
-    assert _rho_s_holds(rg, s, 2, t_y, 1)
+    assert _rho_s_holds(g1, 2, t, s, 2, t_y, 1)
     for c2 in range(3):
-        assert not _rho_s_holds(rg, s, 0, t_y, c2)
+        assert not _rho_s_holds(g1, 2, t, s, 0, t_y, c2)
     # gaining allows claiming the topped-up credit
-    assert _rho_s_holds(rg, s, 1, t_n, 2)
+    assert _rho_s_holds(g1, 2, t, s, 1, t_n, 2)
     # claims beyond the actual credit are rejected
-    assert not _rho_s_holds(rg, s, 1, t_y, 1)
+    assert not _rho_s_holds(g1, 2, t, s, 1, t_y, 1)
 
 
 def test_reduce_c0_single_bit(g1):
-    rg = reduce_game(g1, 0)
-    assert rg.n_credit_bits == 1
+    t = reduce_game(g1, 0)
+    assert _credit_bits(0) == 1
+    assert t.n_states == g1.n_states << 1
     s = state_of(g1.vars, set()).index
     t_y = state_of(g1.vars, {"y"}).index
     t_n = state_of(g1.vars, {"x"}).index
-    assert not _rho_s_holds(rg, s, 0, t_y, 0)  # weight -1 moves are cut at c=0
-    assert _rho_s_holds(rg, s, 0, t_n, 0)      # weight +1 moves survive
+    assert not _rho_s_holds(g1, 0, t, s, 0, t_y, 0)  # weight -1 moves are cut at c=0
+    assert _rho_s_holds(g1, 0, t, s, 0, t_n, 0)      # weight +1 moves survive
 
 
 def test_reduce_out_of_range_credits_dead(g1):
-    rg = reduce_game(g1, 2)
+    t = reduce_game(g1, 2)
     s = state_of(g1.vars, set()).index
     t_n = state_of(g1.vars, {"x"}).index
     # encoding 3 > c is outside the tracked domain on either end
-    assert not _rho_s_holds(rg, s, 3, t_n, 0)
-    assert not _rho_s_holds(rg, s, 2, t_n, 3)
+    assert not _rho_s_holds(g1, 2, t, s, 3, t_n, 0)
+    assert not _rho_s_holds(g1, 2, t, s, 2, t_n, 3)
 
 
 def test_reduce_respects_state_cap():
@@ -161,28 +169,28 @@ def test_dead_moves_weigh_dead(g1):
             assert (w == DEAD) == ((s, s2) not in moves)
             assert w == DEAD or (abs(w) <= LIMIT and w == moves[s, s2])
         for c in (0, 3):
-            rg = reduce_game(g, c)
-            rt = rg.tables()
-            layers = range(1 << rg.n_credit_bits)
+            rt = reduce_game(g, c)
+            layers = range(1 << _credit_bits(c))
             for s, s2 in itertools.product(range(g.n_states), repeat=2):
                 for c1, c2 in itertools.product(layers, repeat=2):
-                    w = _move_weight(g, rt, _index(rg, s, c1), _index(rg, s2, c2),
-                                     rg.n_credit_bits)
+                    w = _move_weight(g, rt, _index(g, s, c1), _index(g, s2, c2),
+                                     _credit_bits(c))
                     assert (w != DEAD) == _reduced_move(moves, c, s, c1, s2, c2)
                     assert w in (0, DEAD)
 
 
-def _cpre_sys_reduced_enum(g, rg, target):
-    """cpre_sys of the reduced game by enumeration: every valid input of the
-    base game has a reduced move (base output, claimed credit) into target."""
+def _cpre_sys_reduced_enum(g, c, target):
+    """cpre_sys of the reduction of ``g`` at bound c by enumeration: every
+    valid input of the base game has a reduced move (base output, claimed
+    credit) into target."""
     moves = _base_moves(g)
-    layers = range(1 << rg.n_credit_bits)
+    layers = range(1 << _credit_bits(c))
     out = np.zeros(len(target), dtype=bool)
     for s in all_states(g.vars):
         for c1 in layers:
-            out[_index(rg, s.index, c1)] = all(
-                any(_reduced_move(moves, rg.bound, s.index, c1, t, c2)
-                    and target[_index(rg, t, c2)]
+            out[_index(g, s.index, c1)] = all(
+                any(_reduced_move(moves, c, s.index, c1, t, c2)
+                    and target[_index(g, t, c2)]
                     for s_y in sys_choices(g, s, s_x)
                     for t in [state_of(g.vars, s_x | s_y).index]
                     for c2 in layers)
@@ -205,11 +213,12 @@ def test_cpre_sys_on_reduced_games():
             rho_s = asr.And(rho_s, asr.Not(asr.Var(g.vars.names[-1], primed=True)))
         g = WeightedGameStructure(vars=g.vars, rho_e=rho_e, rho_s=rho_s,
                                   weights=g.weights)
-        rg = reduce_game(g, (0, 1, 3)[i % 3])
+        c = (0, 1, 3)[i % 3]
+        rt = reduce_game(g, c)
         for _ in range(3):
-            target = np.array([rng.random() < 0.6 for _ in range(rg.tables().n_states)])
-            assert np.array_equal(cpre_sys(rg, target),
-                                  _cpre_sys_reduced_enum(g, rg, target))
+            target = np.array([rng.random() < 0.6 for _ in range(rt.n_states)])
+            assert np.array_equal(cpre_sys(rt, target),
+                                  _cpre_sys_reduced_enum(g, c, target))
 
 
 def test_oracle_min_credit_g1(g1):
@@ -264,9 +273,8 @@ def test_oracle_fragment_checks(g1):
 
 
 def test_upward_closedness_of_witnesses(g1):
-    rg = reduce_game(g1, 3)
-    win = eval_classical(rg, fm.builtin("buchi", J="y"))
-    layers = win.reshape(1 << rg.n_credit_bits, g1.n_states)
+    win = eval_classical(reduce_game(g1, 3), fm.builtin("buchi", J="y"))
+    layers = win.reshape(1 << _credit_bits(3), g1.n_states)
     for s in range(g1.n_states):
         credits = [c0 for c0 in range(4) if layers[c0, s]]
         assert credits == list(range(credits[0], 4)) if credits else True
@@ -276,9 +284,8 @@ def test_reduced_game_winners_match_energy_winners(g1):
     # spot check: a state-and-credit wins the reduced game exactly when the
     # credit covers the energy value of the original state
     for c in (0, 2):
-        rg = reduce_game(g1, c)
-        win = eval_classical(rg, fm.builtin("buchi", J="y"))
-        layers = win.reshape(1 << rg.n_credit_bits, g1.n_states)
+        win = eval_classical(reduce_game(g1, c), fm.builtin("buchi", J="y"))
+        layers = win.reshape(1 << _credit_bits(c), g1.n_states)
         credits = eval_energy(g1, c, fm.builtin("buchi", J="y"))
         for s in range(g1.n_states):
             for c0 in range(c + 1):
