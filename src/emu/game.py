@@ -73,7 +73,7 @@ class VariableSet:
         """Truth of a pure-state assertion for every state, as a bool (N,)
         array; it needs no tables."""
         positions = {name: k for k, name in enumerate(self.names)}
-        return _state_mask(positions, self.n_states, a)
+        return _state_mask(positions, len(self.names), a)
 
 
 def _integer(value, what) -> int:

@@ -13,8 +13,9 @@ A game of n states and E edges is held in arrays: ``owners`` int8 (n,),
 ``prios`` int64 (n,), and the edge list ``src``/``dst`` int64 (E,), plus
 ``weight`` int64 (E,) in an energy parity game.  The edges are sorted by
 ``src``, stably, so the edges of a state form one run in their given order.
-The unfolding at bound c packs (state s, credit) as s*(c+2) + credit for
-credit in [0, c] and puts the overflow state of s at s*(c+2) + c + 1.
+The unfolding at bound c packs (state s, credit) as credit*n + s for credit
+in [0, c], the layout of the credit-tracking reduction, and puts the
+overflow state of s at (c+1)*n + s.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import tables
-from .energy import INF, LIMIT, _check_bound
+from .energy import LIMIT, _check_bound
 from .errors import ConsistencyError, EmuError, StateCapError, WeightDomainError
 from .game import WeightedGameStructure
+from .reduction import layer_credits
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,7 +136,8 @@ def unfold_with_bound(g: EnergyParityGame, c: int) -> ParityGame:
     Moves update the credit by the edge weight, clipped above at c; a drop
     below zero moves to the overflow state instead, which is a deadlock
     owned by player 0 (losing it the play).  Priorities are inherited.
-    State packing: s*(c+2) + credit, overflow at s*(c+2) + c + 1.  State
+    State packing: credit*n + s, overflow at (c+1)*n + s, so each credit
+    layer is a copy of the edge list, already sorted by source, and state
     (s, credit) keeps the edge order of s.
 
     An unfolding that would not fit in the free memory is refused before
@@ -144,30 +147,28 @@ def unfold_with_bound(g: EnergyParityGame, c: int) -> ParityGame:
     deep, the sort order and predecessor list of the solver's index.  Each
     unfolded state costs 64: owner, priority, predecessor offset, pending
     count and the solver's bool masks.  After a first solve has loaded what
-    numpy loads on first use, the peak that ``tracemalloc`` saw was at most
-    0.71 of this estimate on 14 random games of 4e4-1e6 unfolded edges, and
-    0.58-0.59 at c = 300-1,000 on a random 12-state game of 24 edges.
+    numpy loads on first use, the peak that ``tracemalloc`` saw in a solve
+    was 0.62-0.77 of this estimate on 14 random games of 6e4-9e5 unfolded
+    edges, and 0.585-0.589 at c = 300-1,000 on a random 12-state game of 24
+    edges; holding one more copy of the unfolded edge list took these to
+    0.76-0.91 and 0.74.
     """
     _check_bound(c)
     c, n, E = int(c), g.n_states, len(g.src)
-    span = c + 2
-    need, free = 72 * E * (c + 1) + 64 * n * span, tables._available_memory()
+    need, free = 72 * E * (c + 1) + 64 * n * (c + 2), tables._available_memory()
     if need > free:
         raise StateCapError(f"the unfolding at bound {c} needs about {need >> 20}"
                             f" MiB, more than the {free >> 20} MiB free")
-    credit = np.arange(c + 1)
-    deg = np.bincount(g.src, minlength=n)
-    first = (np.cumsum(deg) - deg)[g.src]       # each edge's source's first edge
-    # edge k of state s at credit r goes to position first*(c+1) + r*deg + k
-    pos = (first * c + np.arange(E))[:, None] + credit * deg[g.src][:, None]
-    level = np.minimum(credit + g.weight[:, None], c)
-    level[level < 0] = c + 1
-    src, dst = np.empty((2, E * (c + 1)), dtype=np.int64)
-    src[pos] = g.src[:, None] * span + credit
-    dst[pos] = g.dst[:, None] * span + level
-    owners = np.zeros((n, span), dtype=np.int8)  # overflow: a player-0 deadlock
-    owners[:, :c + 1] = g.owners[:, None]
-    return ParityGame(owners.ravel(), np.repeat(g.prios, span), src, dst)
+    credit = np.arange(c + 1)[:, None]
+    dst = credit + g.weight  # the next credit level, then its state, in place
+    np.minimum(dst, c, out=dst)
+    dst[dst < 0] = c + 1
+    dst *= n
+    dst += g.dst
+    owners = np.zeros((c + 2, n), dtype=np.int8)  # overflow: a player-0 deadlock
+    owners[:c + 1] = g.owners
+    return ParityGame(owners.ravel(), np.tile(g.prios, c + 2),
+                      (credit * n + g.src).ravel(), dst.ravel())
 
 
 def _predecessors(src, dst, n):
@@ -271,11 +272,11 @@ def solve_energy_parity(g: EnergyParityGame, c: int) -> np.ndarray:
     as an int64 (n,) array.
 
     Solves the credit-layer unfolding as a plain parity game and reads, for
-    each state, the least credit layer won by player 0.
+    each state, the least credit layer won by player 0, as the reduction
+    reads its layers: those a state wins must be upward closed.
     """
     w0, _w1 = solve_parity(unfold_with_bound(g, c))
-    won = w0.reshape(g.n_states, int(c) + 2)[:, :int(c) + 1]
-    return np.where(won.any(axis=1), won.argmax(axis=1), INF)
+    return layer_credits(w0.reshape(int(c) + 2, g.n_states)[:int(c) + 1])
 
 
 def bound_ep(n: int, d: int, k: int) -> int:

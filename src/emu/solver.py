@@ -126,7 +126,8 @@ def quotient(game: WeightedGameStructure, formula: fm.Formula) -> WeightedGameSt
     if len(kept) < len(names):
         small = dataclasses.replace(
             game, vars=VariableSet(kept, game.vars.inputs & read), formula=None)
-    check_memory(len(kept), cell_bits(small), report_vars=len(names))
+    check_memory(f"{len(names)} variables", 1 << len(kept), 1 << cell_bits(small),
+                 report_states=1 << len(names))
     small.tables()
     return small
 

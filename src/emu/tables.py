@@ -61,8 +61,11 @@ class GameTables:
         return self
 
     def state_mask(self, a: asr.Assertion) -> np.ndarray:
-        """Truth of a pure-state assertion for every state, as a bool (N,) array."""
-        return _state_mask(self.var_positions, self.n_states, a)
+        """Truth of a pure-state assertion for every state, as a bool (N,)
+        array; the states of a reduction repeat the game's per credit layer."""
+        n = len(self.var_positions)
+        mask = _state_mask(self.var_positions, n, a)
+        return mask if self.n_states == 1 << n else np.tile(mask, self.n_states >> n)
 
 
 def _available_memory():
@@ -72,10 +75,10 @@ def _available_memory():
         return float("inf")
 
 
-def check_memory(n_vars, cell_bits, report_vars=None):
-    """Refuse a game of ``n_vars`` variables whose tables hold 2^``cell_bits``
-    (read output, input, row) cells and would not fit in the free physical
-    memory.
+def check_memory(subject, states, cells, report_states=0):
+    """Refuse tables of ``states`` states and ``cells`` (read output, input,
+    row) cells that would not fit in the free physical memory, naming
+    ``subject`` as what needs them.
 
     Each cell costs 16 bytes: the 8-byte ``weight`` the tables keep, and 8
     bytes of temporaries, which are the step kernel's int64 needs or, while
@@ -84,18 +87,15 @@ def check_memory(n_vars, cell_bits, report_vars=None):
     and the kernel's gathered targets.
 
     A solve evaluates on a quotient of the game it reports on
-    (``solver.quotient``); given ``report_vars``, the variables of that
-    game, each of its states costs 10 bytes more: the report's int64
-    credit and its two bool region entries.
+    (``solver.quotient``); each of the ``report_states`` states of that
+    game costs 10 bytes more: the report's int64 credit and its two bool
+    region entries.
     """
-    need = (16 << cell_bits) + (24 << n_vars)
-    what = "tables"
-    if report_vars is not None:
-        need += 10 << report_vars
-        n_vars, what = report_vars, "tables and report"
+    need = 16 * cells + 24 * states + 10 * report_states
+    what = "tables and report" if report_states else "tables"
     free = _available_memory()
     if need > free:
-        raise StateCapError(f"{n_vars} variables need about {need >> 20} MiB of"
+        raise StateCapError(f"{subject} need about {need >> 20} MiB of"
                             f" {what}, more than the {free >> 20} MiB free")
 
 
@@ -116,11 +116,11 @@ def read_positions(game) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return s_positions, yr_positions
 
 
-def _state_mask(var_positions, n_states, a):
-    """Truth of a pure-state assertion for every state, over a grid with bit k
-    of a state index on axis n-1-k: each operation broadcasts over the axes
-    it reads, and the result is copied once into a fresh (N,) array."""
-    n = n_states.bit_length() - 1
+def _state_mask(var_positions, n, a):
+    """Truth of a pure-state assertion for each of the 2^n states, over a
+    grid with bit k of a state index on axis n-1-k: each operation
+    broadcasts over the axes it reads, and the result is copied once into a
+    fresh (2^n,) array."""
 
     def look(name, primed):
         if primed:
@@ -180,7 +180,7 @@ def build_tables(game) -> GameTables:
     n = len(vs.names)
     n_states = 1 << n
     nx, nyr = len(x_positions), len(yr_positions)
-    check_memory(n, len(s_positions) + nx + nyr)
+    check_memory(f"{n} variables", n_states, 1 << (len(s_positions) + nx + nyr))
     look = _pair_lookup(vs.names, s_positions, x_positions, yr_positions)
     shape = (1 << nyr, 1 << nx, 1 << len(s_positions))
 
@@ -215,7 +215,7 @@ def build_tables(game) -> GameTables:
         prio = np.zeros(n_states, dtype=np.int64)
         seen = np.zeros(n_states, dtype=bool)
         for rule in game.priorities:
-            mask = _state_mask(var_positions, n_states, rule.guard)
+            mask = _state_mask(var_positions, n, rule.guard)
             if (mask & seen).any():
                 raise PriorityPartitionError(
                     f"priority guard {asr.assertion_to_str(rule.guard)!r}"

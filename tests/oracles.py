@@ -632,25 +632,26 @@ def from_parity_wgs_loops(game) -> ListGame:
 
 
 def unfold_with_bound_loops(g, c: int) -> ListGame:
-    """Credit layers (s, credit) at s*(c+2) + credit, overflow at
-    s*(c+2) + c + 1, a player-0 deadlock."""
+    """Credit layers (s, credit) at credit*n + s, overflow at (c+1)*n + s,
+    a player-0 deadlock."""
     g = listed(g)
-    span = c + 2
+    n = g.n_states
     owners = []
     prios = []
     edges: list[tuple[int, ...]] = []
-    for s in range(g.n_states):
-        for credit in range(c + 1):
+    for credit in range(c + 1):
+        for s in range(n):
             owners.append(g.owners[s])
             prios.append(g.prios[s])
             out = []
             for dst, w in g.edges[s]:
                 nxt = credit + w
                 if nxt < 0:
-                    out.append(dst * span + c + 1)
+                    out.append((c + 1) * n + dst)
                 else:
-                    out.append(dst * span + min(c, nxt))
+                    out.append(min(c, nxt) * n + dst)
             edges.append(tuple(out))
+    for s in range(n):
         owners.append(0)  # overflow: a player-0 deadlock
         prios.append(g.prios[s])
         edges.append(())
@@ -748,12 +749,11 @@ def solve_energy_parity_loops(g, c: int) -> list[int]:
     """Per-state least credit layer won by player 0 (INF if none)."""
     g = listed(g)
     w0, _w1 = solve_parity_loops(unfold_with_bound_loops(g, c))
-    span = c + 2
     out = []
     for s in range(g.n_states):
         best = INF
         for credit in range(c + 1):
-            if s * span + credit in w0:
+            if credit * g.n_states + s in w0:
                 best = credit
                 break
         out.append(int(best))

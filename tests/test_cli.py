@@ -299,16 +299,13 @@ def test_check_refuses_a_missing_dump_dir_before_any_case(tmp_path, capsys, monk
     assert err == f"error: --dump-dir {str(missing)!r} is not a directory\n"
 
 
-@pytest.mark.parametrize("oracle", ["reduction", "parity"])
+@pytest.mark.parametrize("oracle", ["reduction", "parity", "parity-gap"])
 def test_check_dumps_an_inconsistent_case(oracle, tmp_path, capsys, monkeypatch):
     # an oracle or the engine that finds itself inconsistent makes that case
     # a mismatch, dumped like any other, not an escape from the check
-    from emu import classical, reduction, solver
+    from emu import classical, parity, reduction, solver
 
-    c = 7  # the bound of case 0
-
-    def gap(reduced, f):  # state 0 wins at credits 0 and 2 only
-        won = classical.eval_classical(reduced, f).reshape(1 << max(1, c.bit_length()), -1)
+    def gap(won):  # state 0 wins at credits 0 and 2 only, of (layers, states)
         won[:, 0] = False
         won[[0, 2], 0] = True
         return won.reshape(-1)
@@ -316,12 +313,18 @@ def test_check_dumps_an_inconsistent_case(oracle, tmp_path, capsys, monkeypatch)
     def stuck(game, c, f):
         raise IterationCapError("a fixpoint did not stabilize")
 
-    if oracle == "reduction":
-        monkeypatch.setattr(reduction, "eval_classical", gap)
-        why = "winning credits of state 0 are not upward closed: [0, 2]"
+    why = "winning credits of state 0 are not upward closed: [0, 2]"
+    if oracle == "reduction":  # case 0 has bound 7: 8 credit layers
+        monkeypatch.setattr(reduction, "eval_classical", lambda reduced, f: gap(
+            classical.eval_classical(reduced, f).reshape(8, -1)))
+    elif oracle == "parity-gap":  # bound 5: 6 credit layers and the overflow's
+        solve = parity.solve_parity
+        monkeypatch.setattr(parity, "solve_parity",
+                            lambda u: (gap(solve(u)[0].reshape(7, -1)), None))
     else:
         monkeypatch.setattr(solver, "eval_energy", stuck)
         why = "a fixpoint did not stabilize"
+    oracle = oracle.removesuffix("-gap")
     code = run(["check", "--oracle", oracle, "--seed", "0", "--cases", "2",
                 "--max-vars", "3", "--dump-dir", str(tmp_path)])
     out = capsys.readouterr().out
@@ -555,7 +558,7 @@ def test_the_report_is_charged_before_evaluating(fixtures_dir, capsys, monkeypat
     small = quotient(game, fm.builtin("safety"))
     assert (len(small.vars.names), tables.cell_bits(small)) == (7, 13)
     monkeypatch.setattr(tables, "_available_memory", lambda: 8 << 20)
-    tables.check_memory(7, 13)  # the quotient's tables alone fit
+    tables.check_memory("7 variables", 1 << 7, 1 << 13)  # the quotient's tables alone fit
     with pytest.raises(StateCapError, match="20 variables need about 10 MiB"
                        " of tables and report, more than the 8 MiB free"):
         solve(game, fm.builtin("safety"), 10)

@@ -111,8 +111,8 @@ def test_unfold_tiny_examples():
     # credit layers never mix when all weights are zero
     for s in range(2):
         for credit in range(3):
-            (dst,) = u0.edges[s * 4 + credit]
-            assert dst % 4 == credit
+            (dst,) = u0.edges[credit * 2 + s]
+            assert dst // 2 == credit
 
 
 def test_unfold_counts(g1, fixtures_dir):
@@ -288,6 +288,8 @@ def test_parity_oracle_stays_within_its_memory_charge():
     # edge and per state; recursing c levels deep, the solve held 13 times it.
     # The second of two identical solves is measured, since the first can
     # import a numpy submodule (numpy.ma, about 1 MiB) inside the window.
+    # The solve peaks at 0.59 of the charge; one more copy of the unfolded
+    # edge list held through it takes the peak to 0.74.
     game, c = _case_332(), 500
     ep = from_parity_wgs(game)
     charge = 72 * len(ep.src) * (c + 1) + 64 * ep.n_states * (c + 2)  # 1.19 MiB
@@ -300,7 +302,7 @@ def test_parity_oracle_stays_within_its_memory_charge():
         tracemalloc.stop()
     symbolic = eval_energy(game, c, game.parity_formula()).values
     assert credits[:game.n_states].tolist() == symbolic.tolist()
-    assert peak <= charge
+    assert peak <= 0.66 * charge
 
 
 # A down-chain loses one credit per move and a ladder one per two moves, so

@@ -40,39 +40,32 @@ from oracles import (
 )
 
 
-def _credit_bits(c):
-    """The credit bits of the reduction at bound c: [0, c] in binary, and
-    one bit at c = 0."""
-    return max(1, c.bit_length())
-
-
 def _index(g, s, credit):
-    """The reduced state of state s of ``g`` at ``credit``: the credit bits
-    above the game's."""
-    return s | (credit << len(g.vars.names))
+    """The reduced state of state s of ``g`` at ``credit``: one layer of the
+    game's states per credit."""
+    return credit * g.n_states + s
 
 
-def _move_weight(g, t, s, s_next, credit_bits=0):
+def _move_weight(g, t, s, s_next):
     """The weight in the tables ``t`` of the move between two state indices,
-    of ``g`` or, with ``credit_bits``, of its reduction: the move's input is
-    the bits of ``g``'s inputs, its read output those of the outputs that
-    ``g``'s moves read primed, then of the claimed credit above them."""
-    names, n = g.vars.names, len(g.vars.names)
+    of ``g`` or of its reduction: the move's input is the bits of ``g``'s
+    inputs, its read output those of the outputs that ``g``'s moves read
+    primed, in the block of the claimed credit, the layer of ``s_next``."""
+    names = g.vars.names
     x_positions = [p for p, v in enumerate(names) if v in g.vars.inputs]
     yr_positions = [p for p, v in enumerate(names)
                     if (v, True) in g.move_reads and v not in g.vars.inputs]
-    yr_positions += range(n, n + credit_bits)
+    credit, s_next = divmod(s_next, g.n_states)
     x = sum(((s_next >> p) & 1) << j for j, p in enumerate(x_positions))
     y = sum(((s_next >> p) & 1) << j for j, p in enumerate(yr_positions))
-    return int(t.weight[y, x, t.row[s]])
+    return int(t.weight[y + (credit << len(yr_positions)), x, t.row[s]])
 
 
-def _rho_s_holds(g, c, t, s1, c1, s2, c2):
-    """Membership of ((s1,c1),(s2,c2)) in the system relation of ``t``, the
-    reduction of ``g`` at bound c, as the tables record it: a move the
-    system can make does not weigh DEAD."""
-    return _move_weight(g, t, _index(g, s1, c1), _index(g, s2, c2),
-                        _credit_bits(c)) != DEAD
+def _rho_s_holds(g, t, s1, c1, s2, c2):
+    """Membership of ((s1,c1),(s2,c2)) in the system relation of ``t``, a
+    reduction of ``g``, as the tables record it: a move the system can make
+    does not weigh DEAD."""
+    return _move_weight(g, t, _index(g, s1, c1), _index(g, s2, c2)) != DEAD
 
 
 def _base_moves(g):
@@ -93,42 +86,41 @@ def _reduced_move(moves, c, s, c1, s_next, c2):
 def test_reduce_g1_c2(g1):
     t, base = reduce_game(g1, 2), g1.tables()
     assert t.tables() is t  # evaluators read it as they read a game
-    assert _credit_bits(2) == 2
-    # the credit bits are read outputs and row bits above the game's
-    assert t.n_states == base.n_states << 2
-    assert t.weight.shape == (len(base.weight) << 2, base.n_inputs, base.rho_e.shape[1] << 2)
+    # the credit is a read output and a row block, one per credit in [0, 2]
+    assert t.n_states == base.n_states * 3
+    assert t.weight.shape == (len(base.weight) * 3, base.n_inputs, base.rho_e.shape[1] * 3)
 
     s = state_of(g1.vars, set()).index
     t_y = state_of(g1.vars, {"y"}).index
     t_n = state_of(g1.vars, {"x"}).index
     # paying into y from credit 2 can claim next credit 1, not from credit 0
-    assert _rho_s_holds(g1, 2, t, s, 2, t_y, 1)
+    assert _rho_s_holds(g1, t, s, 2, t_y, 1)
     for c2 in range(3):
-        assert not _rho_s_holds(g1, 2, t, s, 0, t_y, c2)
+        assert not _rho_s_holds(g1, t, s, 0, t_y, c2)
     # gaining allows claiming the topped-up credit
-    assert _rho_s_holds(g1, 2, t, s, 1, t_n, 2)
+    assert _rho_s_holds(g1, t, s, 1, t_n, 2)
     # claims beyond the actual credit are rejected
-    assert not _rho_s_holds(g1, 2, t, s, 1, t_y, 1)
+    assert not _rho_s_holds(g1, t, s, 1, t_y, 1)
 
 
 def test_reduce_c0_single_bit(g1):
     t = reduce_game(g1, 0)
-    assert _credit_bits(0) == 1
-    assert t.n_states == g1.n_states << 1
+    assert t.n_states == g1.n_states  # one credit layer
     s = state_of(g1.vars, set()).index
     t_y = state_of(g1.vars, {"y"}).index
     t_n = state_of(g1.vars, {"x"}).index
-    assert not _rho_s_holds(g1, 0, t, s, 0, t_y, 0)  # weight -1 moves are cut at c=0
-    assert _rho_s_holds(g1, 0, t, s, 0, t_n, 0)      # weight +1 moves survive
+    assert not _rho_s_holds(g1, t, s, 0, t_y, 0)  # weight -1 moves are cut at c=0
+    assert _rho_s_holds(g1, t, s, 0, t_n, 0)      # weight +1 moves survive
 
 
-def test_reduce_out_of_range_credits_dead(g1):
-    t = reduce_game(g1, 2)
-    s = state_of(g1.vars, set()).index
-    t_n = state_of(g1.vars, {"x"}).index
-    # encoding 3 > c is outside the tracked domain on either end
-    assert not _rho_s_holds(g1, 2, t, s, 3, t_n, 0)
-    assert not _rho_s_holds(g1, 2, t, s, 2, t_n, 3)
+@pytest.mark.parametrize("c", [0, 1, 2, 5, 16])
+def test_reduce_keeps_exactly_one_layer_per_credit(g1, c):
+    t, base = reduce_game(g1, c), g1.tables()
+    assert t.n_states == g1.n_states * (c + 1)
+    assert t.weight.size == base.weight.size * (c + 1) ** 2
+    for text in ("y", "x & !y", "true"):
+        a = parse_assertion(text)
+        assert np.array_equal(t.state_mask(a), np.tile(base.state_mask(a), c + 1))
 
 
 def test_reduce_respects_state_cap():
@@ -140,11 +132,12 @@ def test_reduce_respects_state_cap():
         weights=(WeightRule(parse_assertion("true"), 0),),
     )
     with pytest.raises(StateCapError):
-        reduce_game(g, 100)  # needs 7 credit bits, 29 > 24
+        reduce_game(g, 100)  # 2^22 states times 101 credits, above 2^24
 
 
 def test_reduce_caps_the_credit_bits_too():
-    # 20 + 5 variables: the variable cap refuses them before any memory estimate
+    # 2^20 states times 17 credits: the state cap refuses them before any
+    # memory estimate
     vs = VariableSet(tuple(f"v{i}" for i in range(20)), frozenset())
     g = WeightedGameStructure(
         vars=vs,
@@ -152,7 +145,8 @@ def test_reduce_caps_the_credit_bits_too():
         rho_s=parse_assertion("true"),
         weights=(WeightRule(parse_assertion("true"), 0),),
     )
-    with pytest.raises(StateCapError, match="25 variables exceed the cap of 24"):
+    with pytest.raises(StateCapError,
+                       match="17825792 states exceed the cap of 16777216 enumerated states"):
         reduce_game(g, 16)
 
 
@@ -170,11 +164,10 @@ def test_dead_moves_weigh_dead(g1):
             assert w == DEAD or (abs(w) <= LIMIT and w == moves[s, s2])
         for c in (0, 3):
             rt = reduce_game(g, c)
-            layers = range(1 << _credit_bits(c))
+            layers = range(c + 1)
             for s, s2 in itertools.product(range(g.n_states), repeat=2):
                 for c1, c2 in itertools.product(layers, repeat=2):
-                    w = _move_weight(g, rt, _index(g, s, c1), _index(g, s2, c2),
-                                     _credit_bits(c))
+                    w = _move_weight(g, rt, _index(g, s, c1), _index(g, s2, c2))
                     assert (w != DEAD) == _reduced_move(moves, c, s, c1, s2, c2)
                     assert w in (0, DEAD)
 
@@ -184,7 +177,7 @@ def _cpre_sys_reduced_enum(g, c, target):
     valid input of the base game has a reduced move (base output, claimed
     credit) into target."""
     moves = _base_moves(g)
-    layers = range(1 << _credit_bits(c))
+    layers = range(c + 1)
     out = np.zeros(len(target), dtype=bool)
     for s in all_states(g.vars):
         for c1 in layers:
@@ -274,7 +267,7 @@ def test_oracle_fragment_checks(g1):
 
 def test_upward_closedness_of_witnesses(g1):
     win = eval_classical(reduce_game(g1, 3), fm.builtin("buchi", J="y"))
-    layers = win.reshape(1 << _credit_bits(3), g1.n_states)
+    layers = win.reshape(4, g1.n_states)
     for s in range(g1.n_states):
         credits = [c0 for c0 in range(4) if layers[c0, s]]
         assert credits == list(range(credits[0], 4)) if credits else True
@@ -285,7 +278,7 @@ def test_reduced_game_winners_match_energy_winners(g1):
     # credit covers the energy value of the original state
     for c in (0, 2):
         win = eval_classical(reduce_game(g1, c), fm.builtin("buchi", J="y"))
-        layers = win.reshape(1 << _credit_bits(c), g1.n_states)
+        layers = win.reshape(c + 1, g1.n_states)
         credits = eval_energy(g1, c, fm.builtin("buchi", J="y"))
         for s in range(g1.n_states):
             for c0 in range(c + 1):
