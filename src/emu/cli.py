@@ -30,7 +30,7 @@ from .energy import INF, EnergyFunction, eval_energy
 from .errors import ConsistencyError, EmuError, IterationCapError
 from .gamefile import game_to_dict, load_game, load_priorities, save_game
 from .randgen import random_formula, random_wgs
-from .reduction import oracle_max_credit_env, oracle_min_credit_sys
+from .reduction import credit_readout, reduce_game
 from .solver import compute_bound, crosscheck_parity, quotient, solve
 from . import assertions as asr
 
@@ -278,13 +278,14 @@ def _draw_reduction(rng, args):
 
 
 def _check_reduction(game, c, formula):
+    reduced = reduce_game(game, c)  # both sides are read off these tables
     mine = eval_energy(game, c, formula)
-    want = oracle_min_credit_sys(game, c, formula)
+    want = credit_readout(reduced, c, formula, "sys")
     if mine != want:
         return "system-side minimum credits disagree"
     dual = fm.negate(formula)
     mine_env = eval_energy(game, c, dual)
-    want_env = oracle_max_credit_env(game, c, dual)
+    want_env = credit_readout(reduced, c, dual, "env")
     if mine_env != want_env:
         return "environment-side values disagree"
     if not (mine.is_finite() ^ (mine_env.values == 0)).all():  # W_sys, W_env

@@ -145,13 +145,14 @@ def unfold_with_bound(g: EnergyParityGame, c: int) -> ParityGame:
     and ``dst``, the solver's copy of them with the deadlock edges and one
     edge-sized temporary of an attractor round, and, once an attractor goes
     deep, the sort order and predecessor list of the solver's index.  Each
-    unfolded state costs 64: owner, priority, predecessor offset, pending
-    count and the solver's bool masks.  After a first solve has loaded what
-    numpy loads on first use, the peak that ``tracemalloc`` saw in a solve
-    was 0.62-0.77 of this estimate on 14 random games of 6e4-9e5 unfolded
-    edges, and 0.585-0.589 at c = 300-1,000 on a random 12-state game of 24
-    edges; holding one more copy of the unfolded edge list took these to
-    0.76-0.91 and 0.74.
+    unfolded state costs 64: owner, priority, predecessor offset, out-degree,
+    pending count and the solver's bool masks, a few per recursion level.
+    After a first solve has loaded what numpy loads on first use, the peak
+    that ``tracemalloc`` saw in a solve was 0.60-0.75 of this estimate on 14
+    random games of 2-6 priorities and 1.2e5-8.5e5 unfolded edges, 0.73-0.90
+    on 6 random games of 25-101 priorities, and 0.624-0.628 at c =
+    300-1,000 on a random 12-state game of 24 edges; holding one more copy
+    of the unfolded edge list took these to 0.76-0.91, 0.88-1.06 and 0.78.
     """
     _check_bound(c)
     c, n, E = int(c), g.n_states, len(g.src)
@@ -190,20 +191,30 @@ def _predecessors(src, dst, n):
 PASSES = 32
 
 
-def _attract(own0, src, dst, index, player, base, active):
+def _attract(own0, src, dst, index, player, base, active, degree=None):
     """Attractor of ``base`` for ``player`` within the subgame ``active``.
 
-    Each round takes the sources of the edges into the states the last
-    round added.  Own states need one successor inside, opponent states all
-    of their active successors: an opponent state's count of pending
-    successors drops by one per edge into the attractor.  ``index()`` gives
-    the predecessor index, built on first use.  ``solve_parity`` keeps the
-    game total, so no deadlock needs a convention here.
+    A base that covers the subgame is its own attractor, returned as it is
+    without a pass over the edges: the one-state sink subgame, or one whose
+    states all have its least priority.  Otherwise each round takes the
+    sources of the edges into the states the last round added.  Own states
+    need one successor inside, opponent states all of their active
+    successors: an opponent state's count of pending successors drops by
+    one per edge into the attractor.  That count starts from ``degree``, the
+    out-degrees, when ``active`` is the whole game, and is counted over the
+    edges into ``active`` otherwise.  ``index()`` gives the predecessor
+    index, built on first use.  ``solve_parity`` keeps the game total, so no
+    deadlock needs a convention here.
     """
+    if np.array_equal(base, active):
+        return base
     n = len(own0)
     mine = own0 if player == 0 else ~own0
     in_attr = base.copy()
-    pending = np.bincount(src[active[dst]], minlength=n)
+    if degree is None:
+        pending = np.bincount(src[active[dst]], minlength=n)
+    else:
+        pending = degree.copy()
     p, rounds = src[base[dst]], 0
     while p.size and (rounds < PASSES or p.size * PASSES >= len(src)):
         hits = np.bincount(p, minlength=n)
@@ -230,17 +241,21 @@ def solve_parity(game: ParityGame) -> tuple[np.ndarray, np.ndarray]:
 
     Zielonka's attractor decomposition on a deadlock-free extension: each
     deadlock gets a single edge to a sink that loses for its owner, which
-    keeps every subgame total.
+    keeps every subgame total.  The out-degrees of that extension are
+    counted once, for the two attractors that run over the whole game.
     """
     n = game.n_states
     sinks = np.array([n, n + 1])  # self-loops of priority 0 and 1, player 0's
-    dead = np.flatnonzero(np.bincount(game.src, minlength=n) == 0)
+    degree = np.bincount(game.src, minlength=n + 2)
+    dead = np.flatnonzero(degree[:n] == 0)
+    np.maximum(degree, 1, out=degree)  # a deadlock's and a sink's one edge
     src = np.concatenate([game.src, dead, sinks])
     dst = np.concatenate([game.dst, np.where(game.owners[dead] == 1, n, n + 1), sinks])
     own0 = np.concatenate([game.owners == 0, [True, True]])
     prios = np.concatenate([game.prios, [0, 1]])
     index = functools.cache(functools.partial(_predecessors, src, dst, n + 2))
-    w0, w1 = _solve_subgame(np.ones(n + 2, dtype=bool), (own0, prios, src, dst, index))
+    arrays = (own0, prios, src, dst, index, degree)
+    w0, w1 = _solve_subgame(np.ones(n + 2, dtype=bool), arrays)
     w0, w1 = w0[:n], w1[:n]
     if not (w0 ^ w1).all():
         raise ConsistencyError("parity solve did not partition the states")
@@ -250,20 +265,29 @@ def solve_parity(game: ParityGame) -> tuple[np.ndarray, np.ndarray]:
 def _solve_subgame(active, arrays):
     """[W0, W1] of the subgame ``active``, which is not written.  Zielonka's
     second recursive call, on ``active & ~b``, only adds the opponent's
-    attractor ``b`` to its region, so it is a round of the loop here."""
-    own0, prios, src, dst, index = arrays
+    attractor ``b`` to its region, so it is a round of the loop here.
+
+    The out-degrees that end ``arrays`` count the pending successors only
+    over the whole game, so only the two attractors of the top-level call's
+    first round read them: every later round, and every recursive call, is
+    on a proper subgame."""
+    own0, prios, src, dst, index, degree = arrays
+    if not active.all():
+        degree = None
     w = [np.zeros_like(active), np.zeros_like(active)]
     while active.any():
         p = int(prios[active].min())
         i = p % 2
-        a = _attract(own0, src, dst, index, i, active & (prios == p), active)
-        sub = _solve_subgame(active & ~a, arrays)
+        # the attractor is not kept through the recursion: a mask less a level
+        rest = active & ~_attract(own0, src, dst, index, i, active & (prios == p),
+                                  active, degree)
+        sub = _solve_subgame(rest, arrays)
         if not sub[1 - i].any():
             w[i] |= active
             break
-        b = _attract(own0, src, dst, index, 1 - i, sub[1 - i], active)
+        b = _attract(own0, src, dst, index, 1 - i, sub[1 - i], active, degree)
         w[1 - i] |= b
-        active = active & ~b
+        active, degree = active & ~b, None
     return w
 
 

@@ -52,9 +52,11 @@ def reduce_game(game: WeightedGameStructure, c: int) -> GameTables:
     # the claimed credit c2 is a read output, the current one c1 a row block
     c2 = (np.arange(NYr * layers, dtype=np.int64) // NYr)[:, None, None]
     c1 = (np.arange(R * layers, dtype=np.int64) // R)[None, None, :]
-    w = np.tile(base.weight, (layers, 1, layers))
-    w += c1  # DEAD + c1 stays below every c2
-    weight = np.where(w >= c2, 0, DEAD)
+    weight = np.tile(base.weight, (layers, 1, layers))
+    weight += c1  # DEAD + c1 stays below every c2
+    move = weight >= c2
+    weight.fill(DEAD)  # in place, so the build holds one int64 table
+    weight[move] = 0
 
     succ = (np.tile(base.succ, (layers, 1, 1))
             + np.repeat(np.arange(layers, dtype=np.int64) * N, NYr)[:, None, None])
@@ -65,10 +67,12 @@ def reduce_game(game: WeightedGameStructure, c: int) -> GameTables:
                                weight=weight, succ=succ, prio=None)
 
 
-def _credit_readout(game, c, formula, side):
-    """Per-state credit read off the reduced game, for one player's fragment:
-    box-free formulas on the "sys" side, diamond-free ones on "env"
-    (``layer_credits``)."""
+def credit_readout(reduced: GameTables, c: int, formula: fm.Formula,
+                   side: str) -> EnergyFunction:
+    """Per-state credit read off ``reduced``, the tables ``reduce_game(game,
+    c)``, for one player's fragment: box-free formulas on the "sys" side,
+    diamond-free ones on "env" (``layer_credits``).  One reduction serves
+    both sides of a game and bound."""
     f = fm.push_negations(formula)
     if not fm.is_closed(f):
         raise FragmentError("the oracle needs a closed formula")
@@ -76,7 +80,7 @@ def _credit_readout(game, c, formula, side):
         raise FragmentError(
             "the system-side oracle needs a box-free formula" if side == "sys"
             else "the environment-side oracle needs a diamond-free formula")
-    won = eval_classical(reduce_game(game, c), f).reshape(-1, game.n_states)
+    won = eval_classical(reduced, f).reshape(-1, reduced.n_states // (c + 1))
     return EnergyFunction(c, layer_credits(won[:c + 1], side))
 
 
@@ -109,7 +113,7 @@ def oracle_min_credit_sys(
 ) -> EnergyFunction:
     """Per-state least winning credit of a box-free formula, read off the
     reduced game; the winning credits of each state must be upward closed."""
-    return _credit_readout(game, c, formula, "sys")
+    return credit_readout(reduce_game(game, c), c, formula, "sys")
 
 
 def oracle_max_credit_env(
@@ -122,4 +126,4 @@ def oracle_max_credit_env(
     is then c - M, or INF when the set is empty (value 0 thus means the
     environment wins for every credit, INF that it wins for none).
     """
-    return _credit_readout(game, c, formula, "env")
+    return credit_readout(reduce_game(game, c), c, formula, "env")

@@ -285,6 +285,25 @@ def test_check_mutation_detected(tmp_path, capsys, monkeypatch):
     assert meta["seed"] == 7 and meta["oracle"] == "reduction"
 
 
+def test_check_builds_one_reduction_per_case(tmp_path, capsys, monkeypatch):
+    # both sides of a reduction case are read off the same tables, which the
+    # check builds once and lets go with the case
+    from emu import reduction
+
+    build, bounds = reduction.reduce_game, []
+
+    def counted(game, c):
+        bounds.append(c)
+        return build(game, c)
+
+    for module in (cli, reduction):
+        monkeypatch.setattr(module, "reduce_game", counted)
+    assert run(["check", "--seed", "7", "--cases", "3", "--max-vars", "3",
+                "--dump-dir", str(tmp_path)]) == 0
+    assert "checked 3 cases, 0 mismatches" in capsys.readouterr().out
+    assert len(bounds) == 3
+
+
 def test_check_refuses_a_missing_dump_dir_before_any_case(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "_check_reduction", lambda game, c, formula: "forced")
     argv = ["check", "--seed", "0", "--cases", "2", "--max-vars", "2", "--dump-dir"]
@@ -343,15 +362,18 @@ def test_check_dumps_an_environment_side_case(side, tmp_path, capsys, monkeypatc
     def zeros(game, c, f):
         return EnergyFunction(c, np.zeros(game.n_states, dtype=np.int64))
 
+    honest = cli.credit_readout
     if side == "environment":
-        honest = cli.oracle_max_credit_env
-        monkeypatch.setattr(cli, "oracle_max_credit_env",
-                            lambda *args: mutate_credits(honest(*args)))
+        def readout(reduced, c, f, side):
+            credits = honest(reduced, c, f, side)
+            return mutate_credits(credits) if side == "env" else credits
         why = "environment-side values disagree"
     else:
-        for name in ("eval_energy", "oracle_min_credit_sys", "oracle_max_credit_env"):
-            monkeypatch.setattr(cli, name, zeros)
+        def readout(reduced, c, f, side):  # of (c + 1) credit layers
+            return EnergyFunction(c, np.zeros(reduced.n_states // (c + 1), dtype=np.int64))
+        monkeypatch.setattr(cli, "eval_energy", zeros)
         why = "regions do not partition the states"
+    monkeypatch.setattr(cli, "credit_readout", readout)
     code = run(["check", "--seed", "0", "--cases", "2", "--max-vars", "3",
                 "--dump-dir", str(tmp_path)])
     assert code == 3

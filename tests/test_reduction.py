@@ -135,6 +135,31 @@ def test_reduce_respects_state_cap():
         reduce_game(g, 100)  # 2^22 states times 101 credits, above 2^24
 
 
+@pytest.mark.parametrize("seed, n, c", [(1, 6, 40), (3, 7, 100), (4, 7, 80)])
+def test_reduction_build_stays_within_its_memory_charge(seed, n, c):
+    # reduce_game refuses up front, by check_memory's charge of 16 bytes a
+    # cell and 24 a state, tables that would not fit, so its build must fit
+    # in that charge.  Built in place, the weights peak at 0.57-0.66 of it; a
+    # second int64 table for the result, next to the tiled weights and the
+    # move mask, takes the peak to 1.04-1.05.  The second of two identical
+    # builds is measured, after the first has loaded what numpy loads on
+    # first use.
+    import tracemalloc
+
+    g = random_wgs(random.Random(seed), n, n, 3)
+    layers = c + 1
+    charge = 16 * g.tables().weight.size * layers ** 2 + 24 * g.n_states * layers
+    reduce_game(g, c)
+    tracemalloc.start()
+    try:
+        t = reduce_game(g, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not t.weight.flags.writeable
+    assert peak <= charge
+
+
 def test_reduce_caps_the_credit_bits_too():
     # 2^20 states times 17 credits: the state cap refuses them before any
     # memory estimate
