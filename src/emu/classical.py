@@ -81,7 +81,6 @@ class Lattice:
     cut: Callable[[Any, bool], Callable[[dict], Callable | None] | None] | None = None
 
 
-_ATOMS = {fm.Atom, fm.NegAtom}
 _BINARY = {fm.And, fm.Or}
 _BINDERS = {fm.Mu, fm.Nu}
 _UNARY = {fm.Diamond, fm.Box, fm.Not}
@@ -143,9 +142,8 @@ def _compile(node, negs, walk):
     closure) pairs so far; a placeholder count.
     """
     kind, lat = type(node), walk.lat
-    if kind in _ATOMS:
-        mask = walk.tables.state_mask(node.assertion)
-        value = lat.atom(~mask if kind is fm.NegAtom else mask)
+    if kind is fm.Atom:
+        value = lat.atom(walk.tables.state_mask(node.assertion))
         value.setflags(write=False)
         return (lambda env: value), 0, node
     if kind is fm.RelVar:
@@ -240,7 +238,7 @@ def _lift(closure, node, own, walk):
     """A placeholder for ``node``, of level ``own``, and its closure, which
     the binder at depth own+1 evaluates before its loop; bare atoms and
     variables stay."""
-    if isinstance(node, (fm.Atom, fm.NegAtom, fm.RelVar)):
+    if isinstance(node, (fm.Atom, fm.RelVar)):
         return closure, node
     name = f"#{next(walk.numbers)}"
     walk.pending[own].append((name, closure))

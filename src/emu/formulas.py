@@ -14,8 +14,10 @@ Grammar (binding weakest to strongest)::
 ``mu``/``nu`` extend maximally to the right.  RELVAR is an uppercase-initial
 identifier; a lowercase-initial IDENT is a state-variable atom.  Primed atoms
 are not allowed.  ``@"..."`` embeds an arbitrary pure-state assertion as an
-atom.  Binders keep their names: an inner binder that reuses a name hides
-the outer one in its body, in a parsed tree as in one built in code.
+atom, and a ``!`` over an atom negates its assertion: ``!a``, ``!@"a"`` and
+``@"!a"`` are one atom.  Binders keep their names: an inner binder that
+reuses a name hides the outer one in its body, in a parsed tree as in one
+built in code.
 """
 
 from __future__ import annotations
@@ -35,13 +37,6 @@ from .errors import (
 @dataclass(frozen=True)
 class Atom:
     """A pure-state assertion; worth credit 0 where it holds."""
-
-    assertion: asr.Assertion
-
-
-@dataclass(frozen=True)
-class NegAtom:
-    """A negated pure-state assertion (atom-level negation)."""
 
     assertion: asr.Assertion
 
@@ -98,7 +93,7 @@ class Not:
     sub: "Formula"
 
 
-Formula = Union[Atom, NegAtom, RelVar, And, Or, Diamond, Box, Mu, Nu, Not]
+Formula = Union[Atom, RelVar, And, Or, Diamond, Box, Mu, Nu, Not]
 
 _BINARY, _PREFIX, _PRINTER = asr._syntax((
     ("left", ("|", Or)), ("left", ("&", And)),
@@ -113,9 +108,7 @@ class _FormulaParser(asr._Cursor):
     binary, prefix = _BINARY, _PREFIX
 
     def prefixed(self, node, sub):
-        if node is Not and isinstance(sub, (Atom, NegAtom)):
-            return _DUAL[type(sub)](sub.assertion)
-        return node(sub)
+        return negate(sub) if node is Not and type(sub) is Atom else node(sub)
 
     def atom(self):
         kind, value, pos = self.kind, self.value, self.pos
@@ -177,9 +170,9 @@ def parse_formula(text: str) -> Formula:
 # Printing
 
 def formula_to_str(f: Formula) -> str:
-    """Render a formula.  Reparsing yields an equal tree for any tree the
-    parser can produce, not for every tree: ``Not(Atom(a))`` prints as
-    ``!a``, which reparses to ``NegAtom(a)``."""
+    """Render a formula, an atom whose assertion starts with an odd run of
+    ``!`` as ``!`` and the atom of the rest, so that every tree the parser
+    makes reparses equal; ``Not(Atom(a))`` reparses as ``Atom(!a)``."""
     return asr._render(f, 0, _PRINTER, _leaf)
 
 
@@ -196,9 +189,10 @@ def _leaf(node):
     """The precedence, text and body of an atom, a variable or a binder."""
     kind = type(node)
     if kind is Atom:
-        return asr._TIGHTEST, _plain_atom(node.assertion), None
-    if kind is NegAtom:
-        return _PRINTER[Not][0], "!" + _plain_atom(node.assertion), None
+        a = node.assertion
+        if type(a) is asr.Not and _negated(a) is a.sub:  # an odd run of !
+            return _PRINTER[Not][0], "!" + _plain_atom(a.sub), None
+        return asr._TIGHTEST, _plain_atom(a), None
     if kind is RelVar:
         return asr._TIGHTEST, node.name, None
     return 0, f"{'mu' if kind is Mu else 'nu'} {node.name} . ", node.sub
@@ -278,7 +272,7 @@ def metrics(f: Formula) -> FormulaMetrics:
         if kind is RelVar:
             info[id(node)] = 0, {(RelVar, node.name): 0}
             continue
-        if kind is Atom or kind is NegAtom:
+        if kind is Atom:
             atoms.update(name for name, _primed in asr.assertion_vars(node.assertion))
             info[id(node)] = 0, {}
             continue
@@ -353,7 +347,9 @@ def push_negations(f: Formula) -> Formula:
 
     Negations are pushed to the atoms with the dualities not/and -> or,
     not/diamond -> box, not/mu X phi(X) -> nu X not phi(not X), and their
-    mirrors.  Free variables that end up negated stay wrapped in Not.
+    mirrors.  An atom is negated by ``_negated``, so that
+    ``negate(negate(f)) == push_negations(f)``.  Free variables that end up
+    negated stay wrapped in Not.
     """
     return _push(f, False, frozenset())
 
@@ -363,8 +359,16 @@ def negate(f: Formula) -> Formula:
     return _push(f, True, frozenset())
 
 
+def _negated(a):
+    """``a`` negated: an odd run of leading ``!`` loses one, an even run gains one."""
+    b, odd = a, False
+    while type(b) is asr.Not:
+        b, odd = b.sub, not odd
+    return a.sub if odd else asr.Not(a)
+
+
 # Each node class and its De Morgan dual, which has the same fields.
-_DUAL = {a: b for pair in ((And, Or), (Diamond, Box), (Mu, Nu), (Atom, NegAtom))
+_DUAL = {a: b for pair in ((And, Or), (Diamond, Box), (Mu, Nu))
          for a, b in (pair, pair[::-1])}
 
 
@@ -374,11 +378,11 @@ def _push(node, negating, flipped):
         return _push(node.sub, not negating, flipped)
     if kind is RelVar:
         return Not(node) if negating != (node.name in flipped) else node
+    if kind is Atom:
+        return Atom(_negated(node.assertion)) if negating else node
     if kind not in _DUAL:
         raise asr.not_a_tree(node, "a formula")
     out = _DUAL[kind] if negating else kind
-    if kind is Atom or kind is NegAtom:
-        return out(node.assertion)
     if kind is And or kind is Or:
         return out(_push(node.left, negating, flipped),
                    _push(node.right, negating, flipped))
@@ -443,13 +447,11 @@ def _buchi(j, z="Z", y="Y"):
 
 def is_buchi_shape(f: Formula) -> Optional[asr.Assertion]:
     """The target assertion if f is the stock buchi formula, else None."""
-    if not (isinstance(f, Nu) and isinstance(f.sub, Mu) and isinstance(f.sub.sub, Or)
-            and isinstance(f.sub.sub.left, And)):
-        return None
-    j = f.sub.sub.left.left
-    if (isinstance(j, Atom) and f.name != f.sub.name
-            and f == _buchi(j, f.name, f.sub.name)):
-        return j.assertion
+    if isinstance(f, Nu) and isinstance(f.sub, Mu) and f.name != f.sub.name:
+        body = f.sub.sub
+        j = body.left.left if isinstance(body, Or) and isinstance(body.left, And) else None
+        if isinstance(j, Atom) and f == _buchi(j, f.name, f.sub.name):
+            return j.assertion
     return None
 
 
@@ -489,7 +491,7 @@ def safety_reads(f: Formula) -> Optional[set[str]]:
                 return None
         elif kind is RelVar and node.name != f.name:
             reads.add(node.name)
-        elif kind is not Atom and kind is not NegAtom:
+        elif kind is not Atom:
             return None
     return reads
 

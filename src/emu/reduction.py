@@ -80,8 +80,8 @@ def credit_readout(reduced: GameTables, c: int, formula: fm.Formula,
         raise FragmentError(
             "the system-side oracle needs a box-free formula" if side == "sys"
             else "the environment-side oracle needs a diamond-free formula")
-    won = eval_classical(reduced, f).reshape(-1, reduced.n_states // (c + 1))
-    return EnergyFunction(c, layer_credits(won[:c + 1], side))
+    won = eval_classical(reduced, f).reshape(c + 1, -1)
+    return EnergyFunction(c, layer_credits(won, side))
 
 
 def layer_credits(won: np.ndarray, side: str = "sys") -> np.ndarray:

@@ -366,7 +366,7 @@ def random_nested_formula(rng, atoms=("a", "b"), size=10, max_binders=3):
                 return fm.RelVar(name), {name}
             return rng.choice((fm.Diamond, fm.Box))(fm.RelVar(name)), {name}
         a = rng.choice([asr.Var(n) for n in atoms] + [asr.TRUE])
-        return rng.choice((fm.Atom, fm.NegAtom))(a), set()
+        return fm.Atom(rng.choice((a, asr.Not(a)))), set()
 
     return fixpoint(set(), size)[0]
 
@@ -412,9 +412,8 @@ def eval_classical_plain(game, f) -> np.ndarray:
     states = list(all_states(game.vars))
 
     def ev(node, env):
-        if isinstance(node, (fm.Atom, fm.NegAtom)):
-            holds = isinstance(node, fm.Atom)
-            return np.array([eval_assertion(node.assertion, s) == holds for s in states])
+        if isinstance(node, fm.Atom):
+            return np.array([eval_assertion(node.assertion, s) for s in states])
         if isinstance(node, fm.RelVar):
             return env[node.name]
         if isinstance(node, fm.And):
@@ -447,14 +446,14 @@ def eval_energy_plain(game, c, f) -> EnergyFunction:
     n = len(states)
     masks = {}
 
-    def atom(a, holds):
+    def atom(a):
         if a not in masks:
             masks[a] = np.array([eval_assertion(a, s) for s in states])
-        return EnergyFunction(c, np.where(masks[a] == holds, 0, INF))
+        return EnergyFunction(c, np.where(masks[a], 0, INF))
 
     def ev(node, env):
-        if isinstance(node, (fm.Atom, fm.NegAtom)):
-            return atom(node.assertion, isinstance(node, fm.Atom))
+        if isinstance(node, fm.Atom):
+            return atom(node.assertion)
         if isinstance(node, fm.RelVar):
             return env[node.name]
         if isinstance(node, fm.And):

@@ -220,7 +220,7 @@ def test_keyword_atoms_print_as_escapes():
 def test_negate_buchi_shape():
     dual = fm.negate(fm.builtin("buchi", J="y"))
     want = fm.Mu("Z", fm.Nu("Y", fm.And(
-        fm.Or(fm.NegAtom(asr.Var("y")), fm.Box(fm.RelVar("Z"))),
+        fm.Or(fm.Atom(asr.Not(asr.Var("y"))), fm.Box(fm.RelVar("Z"))),
         fm.Box(fm.RelVar("Y")),
     )))
     assert dual == want
@@ -241,8 +241,11 @@ def test_push_negations_removes_not():
 
 
 def test_push_negations_involution():
+    # negating the atom of a guard written !!y twice gives !!y back, not y
+    parity = fm.parity_formula((PriorityRule(asr.parse_assertion("!!y"), 0),
+                                PriorityRule(asr.parse_assertion("!y"), 1)))
     for f in (fm.builtin("buchi", J="y"), fm.builtin("cobuchi", J="x"),
-              fm.builtin("safety")):
+              fm.builtin("safety"), parity):
         assert fm.negate(fm.negate(f)) == fm.push_negations(f)
 
 
@@ -311,6 +314,12 @@ _texts = st.sampled_from([
     "mu Z . nu Y . ((!y | []Z) & []Y)",
     'mu X . (@"x & !y" | (<>X & []X))',
     "nu A . mu B . (A | !B | <>B)",
+    "!y",
+    '@"!y"',
+    '!@"!y"',
+    '@"!!y"',
+    '!@"!!y"',
+    '@"!(a & b)"',
 ])
 
 
@@ -368,4 +377,4 @@ def test_printed_bytes_are_pinned():
     lines = _printed_corpus()
     assert len(lines) == 6610
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "4fff2627a02d6b3c005ee8d284a083f2cfd6ac71b2ba68d639116168e34e39fd"
+    assert digest == "69b27478b757a36f280f1e39eaf6488f26d1a71655cced258217fddea3d4a4aa"

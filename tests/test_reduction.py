@@ -332,8 +332,8 @@ def test_energy_equals_reduction_oracle_random():
 def test_credit_readout_checks_the_shape(g1, monkeypatch, side, column, want):
     from emu import reduction
 
-    layers = np.zeros((4, g1.n_states), dtype=bool)  # credits 0..3 at c=2
-    layers[:3, 0] = column
+    layers = np.zeros((3, g1.n_states), dtype=bool)  # credits 0..2 at c=2
+    layers[:, 0] = column
     monkeypatch.setattr(reduction, "eval_classical",
                         lambda rg, f: layers.reshape(-1))
     safety = fm.builtin("safety")
@@ -367,11 +367,8 @@ def test_readout_matches_the_loop_reference(g1, monkeypatch):
         bad = rng.random(n) < (0.0, 0.1, 0.5)[case % 3]
         noise = rng.random((c + 1, n)) < 0.5
         layers = np.where(bad, noise, layers)
-        # the encodings above c are not credits and must not be read
-        rows = 1 << max(1, c.bit_length())
-        padded = np.vstack([layers, rng.random((rows - c - 1, n)) < 0.5])
         monkeypatch.setattr(reduction, "eval_classical",
-                            lambda rg, f: padded.reshape(-1))
+                            lambda rg, f: layers.reshape(-1))
         oracle, formula = ((oracle_min_credit_sys, safety) if side == "sys"
                            else (oracle_max_credit_env, fm.negate(safety)))
         try:

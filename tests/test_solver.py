@@ -43,6 +43,45 @@ def test_sufficient_bound_variants(g1, fixtures_dir):
             bb.alternation_depth, bb.variant) == (4, 1, 3, 1, "general")
 
 
+def test_a_negated_atom_reads_the_same_however_it_is_spelled(
+        g1, fixtures_dir, tmp_path, capsys):
+    """``!y``, ``@"!y"`` and ``!@"y"`` are one atom: the stock Buchi formula
+    on g1 and on a game whose moves all weigh -1, and g1's parity formula
+    under its priorities, get the same bound, credits at inf, fixpoint
+    statistics and ``emu bound`` report whichever spelling they use."""
+    from emu import WeightedGameStructure, save_game
+    from emu.cli import run
+
+    prio = fixtures_dir / "g1_buchi.prio"
+    lossy = WeightedGameStructure(
+        vars=VariableSet(("x", "y"), frozenset()), rho_e=asr.TRUE, rho_s=asr.TRUE,
+        weights=(WeightRule(asr.TRUE, -1),))
+    save_game(lossy, tmp_path / "lossy.game")
+    buchi = "nu Z . mu Y . (({} & <>Z) | <>Y)"
+    cases = [
+        ("buchi", g1, [fixtures_dir / "g1.game"], buchi),
+        ("buchi", lossy, [tmp_path / "lossy.game"], buchi),
+        ("parity", dataclasses.replace(g1, priorities=load_priorities(prio)),
+         [fixtures_dir / "g1.game", "--priorities", prio],
+         "nu Z0 . mu Z1 . (y & <>Z0) | ({} & <>Z1)"),
+    ]
+    for variant, game, args, shape in cases:
+        seen = []
+        for spelling in ("!y", '@"!y"', '!@"y"'):
+            f = fm.parse_formula(shape.format(spelling))
+            bb = compute_bound(game, f)
+            stats = FixpointStats()
+            eval_energy(game, bb.bound, f, stats=stats)
+            credits = solve(game, f, math.inf).min_credits
+            assert run(["bound", *map(str, args), "--formula", shape.format(spelling)]) == 0
+            seen.append((bb.variant, bb.bound, credits, stats, capsys.readouterr().out))
+        assert seen[0] == seen[1] == seen[2], shape
+        assert seen[0][:2] == (variant, 38)
+        assert f"variant: {variant}\nbound: 38\n" in seen[0][4]
+        if game is lossy:  # the root cut fires, where uncut buchi runs 4c+3
+            assert (stats.root_cuts, sum(a for a, _ in stats.caps)) == (1, 18)
+
+
 def test_priorities_change_no_other_formula_at_inf():
     """A priority annotation decides the bound of the game's parity formula
     and its negation only: every other formula solves at --bound inf to the
