@@ -58,7 +58,6 @@ from .parity import (
 from .reduction import oracle_max_credit_env, oracle_min_credit_sys, reduce_game
 from .solver import (
     BoundBreakdown,
-    CrosscheckReport,
     SolveReport,
     compute_bound,
     crosscheck_parity,

@@ -245,6 +245,15 @@ def _lift(closure, node, own, walk):
     return operator.itemgetter(name), fm.RelVar(name)
 
 
+def _state_set(s, n, what) -> StateSet:
+    """``s`` as an array, refused unless it is a bool array over n states."""
+    s = np.asarray(s)
+    if s.dtype != bool or s.shape != (n,):
+        raise EmuError(f"{what} must be a bool array over {n} states,"
+                       f" got {s.dtype} of shape {s.shape}")
+    return s
+
+
 def cpre_sys(game, target: StateSet) -> StateSet:
     """States from which the system forces the next state into ``target``.
 
@@ -252,6 +261,7 @@ def cpre_sys(game, target: StateSet) -> StateSet:
     a valid input with no valid output rules the state out.
     """
     t = game.tables()
+    target = _state_set(target, t.n_states, "the target")
     hit = (t.weight != DEAD) & target[t.succ].any(axis=2)[:, :, None]
     return (~t.rho_e | hit.any(axis=0)).all(axis=0)[t.row]
 
@@ -259,7 +269,7 @@ def cpre_sys(game, target: StateSet) -> StateSet:
 def cpre_env(game, target: StateSet) -> StateSet:
     """States with a valid input whose every valid output lands in ``target``
     (vacuously, one that deadlocks the system); the dual of ``cpre_sys``."""
-    return ~cpre_sys(game, ~target)
+    return ~cpre_sys(game, ~_state_set(target, game.n_states, "the target"))
 
 
 def eval_classical(game, f: fm.Formula, valuation=None, stats=None) -> StateSet:
@@ -271,11 +281,8 @@ def eval_classical(game, f: fm.Formula, valuation=None, stats=None) -> StateSet:
     """
     t = game.tables()
     n = t.n_states
-    env = {name: np.asarray(s) for name, s in (valuation or {}).items()}
-    for name, s in env.items():
-        if s.dtype != bool or s.shape != (n,):
-            raise EmuError(f"valuation for {name!r} must be a bool array over"
-                           f" {n} states, got {s.dtype} of shape {s.shape}")
+    env = {name: _state_set(s, n, f"valuation for {name!r}")
+           for name, s in (valuation or {}).items()}
     lat = Lattice(
         atom=lambda mask: mask, neg=operator.invert,
         join=operator.or_, meet=operator.and_,

@@ -76,6 +76,8 @@ def _formula_from_args(args, game):
         if "=" not in kv:
             raise EmuError(f"--param expects k=v, got {kv!r}")
         k, v = kv.split("=", 1)
+        if k in params:
+            raise EmuError(f"--param {k} is given twice")
         params[k] = v
     return fm.builtin(args.builtin, **params)
 
@@ -299,7 +301,7 @@ def _draw_parity(rng, args):
 
 
 def _check_parity(game, c, formula):
-    if not crosscheck_parity(game, c).ok:
+    if crosscheck_parity(game, c):
         return "symbolic and explicit credits disagree"
     return None
 

@@ -13,16 +13,16 @@ to 0, and x to c+1-x otherwise, which makes the lattice a De Morgan algebra
 and the environment's step operator the dual of the system's.
 
 Values that enter from outside the engine are checked: ``EnergyFunction(...)``
-checks its bound and its values, ``eval_energy`` its bound and valuation, and
-``ecpre`` that its function has the bound it is given.  Inside, the engine
-iterates plain int64 value arrays: the lattice of ``eval_energy`` has one
-step operator, the array kernel ``_ecpre``, from which ``classical.evaluate``
-derives ``[]``, and ``EnergyFunction`` appears only at its boundary, so a
-fixpoint iteration pays for the arithmetic only.  Results are in range by
-construction, from checked operands, so they are wrapped with the unchecked
-``EnergyFunction._of``, as are those of the public ``join``, ``meet``,
-``neg``, ``ecpre`` and ``ecpre_env``, thin wrappers over the same array
-functions.  Every value array handed out is read-only.
+checks its bound and values, ``eval_energy`` its bound and valuation, and
+``ecpre`` that its function is over the game's states at the bound it is
+given.  Inside, the engine iterates plain int64 arrays: the lattice of
+``eval_energy`` has one step operator, the array kernel ``_ecpre``, from which
+``classical.evaluate`` derives ``[]``, and ``EnergyFunction`` appears only at
+its boundary, so a fixpoint iteration pays for the arithmetic only.  Results
+are in range by construction, from checked operands, so they are wrapped with
+the unchecked ``EnergyFunction._of``, as are those of the public ``join``,
+``meet``, ``neg``, ``ecpre`` and ``ecpre_env``, thin wrappers over the same
+array functions.  Every value array handed out is read-only.
 """
 
 from __future__ import annotations
@@ -62,8 +62,9 @@ class EnergyFunction:
     def __post_init__(self):
         _check_bound(self.bound)
         vals = np.asarray(self.values)
-        if vals.size and vals.dtype.kind not in "iu":  # bool, float, beyond int64
-            raise InvalidCreditError(f"credits must be integers, got {vals.dtype}")
+        if vals.ndim != 1 or vals.size and vals.dtype.kind not in "iu":  # bool, float
+            raise InvalidCreditError("credits must be a one-dimensional integer"
+                                     f" array, got {vals.dtype} of shape {vals.shape}")
         vals = vals.astype(np.int64, copy=False)  # uint64 >= 2^63 turns negative
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -116,6 +117,13 @@ def _same_bound(f: EnergyFunction, g: EnergyFunction):
         raise BoundMismatchError(
             f"cannot combine energy functions at bounds {f.bound} and {g.bound},"
             f" over {len(f.values)} and {len(g.values)} states")
+
+
+def _check_over(f: EnergyFunction, c, n, what):
+    """Raise unless f has bound c and one value for each of n states."""
+    if f.bound != c or f.values.shape != (n,):
+        raise BoundMismatchError(f"{what} has bound {f.bound} over {f.values.size}"
+                                 f" states, expected {c} over {n}")
 
 
 def join(f: EnergyFunction, g: EnergyFunction) -> EnergyFunction:
@@ -178,9 +186,8 @@ def ecpre(game, c: int, f: EnergyFunction) -> EnergyFunction:
     reduces along axis 0 twice.  The max starts at 0, so v >= 0 and the
     clip only maps v > c to INF; each state reads the value of its row.
     """
-    if f.bound != c:
-        raise BoundMismatchError(f"function bound {f.bound} differs from c={c}")
     t = game.tables()
+    _check_over(f, c, t.n_states, "the function")
     return EnergyFunction._of(c, _ecpre(t, c, f.values))
 
 
@@ -387,10 +394,7 @@ def eval_energy(game, c: int, f: fm.Formula, valuation=None,
     cap = (n - 1) * game.max_abs_weight
     env = {}
     for name, g in (valuation or {}).items():
-        if g.bound != c or g.values.shape != (n,):
-            raise BoundMismatchError(
-                f"valuation for {name!r} has bound {g.bound} over {g.values.size}"
-                f" states, expected {c} over {n}")
+        _check_over(g, c, n, f"valuation for {name!r}")
         env[name] = g.values
 
     lat = Lattice(

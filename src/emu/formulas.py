@@ -219,7 +219,7 @@ def _subformulas(f):
 
 
 def is_closed(f: Formula) -> bool:
-    return metrics(f).closed
+    return not metrics(f).free
 
 
 def classify_fragment(f: Formula) -> str:
@@ -232,9 +232,10 @@ def classify_fragment(f: Formula) -> str:
 
 @dataclass(frozen=True)
 class FormulaMetrics:
+    """What ``metrics`` reads off a formula, which is closed when ``free`` is empty."""
+
     length: int  # AST node count
     alternation_depth: int
-    closed: bool
     free: frozenset[str]  # the free fixpoint variables
     atoms: frozenset[str]  # the state variables the atoms mention
 
@@ -302,19 +303,14 @@ def metrics(f: Formula) -> FormulaMetrics:
         require_variable_name(name)
     top, best = info[id(f)]
     free = frozenset(name for _, name in best)
-    return FormulaMetrics(length=len(nodes), alternation_depth=top,
-                          closed=not free, free=free, atoms=frozenset(atoms))
+    return FormulaMetrics(length=len(nodes), alternation_depth=top, free=free,
+                          atoms=frozenset(atoms))
 
 
-@dataclass(frozen=True)
-class MonotonicityReport:
-    ok: bool
-    variable: Optional[str] = None
-    path: tuple[str, ...] = ()
-
-
-def check_monotone(f: Formula) -> MonotonicityReport:
-    """Every bound variable must occur under an even number of negations."""
+def check_monotone(f: Formula) -> Optional[tuple[str, tuple[str, ...]]]:
+    """None when every bound variable occurs under an even number of
+    negations, else the first offending (variable, path) in preorder: the
+    path is the node kinds from the root down to that occurrence."""
     # per node to visit: each bound variable's parity of the Not nodes
     # between its binder and the node (0 even), and the labels above it
     stack = [(f, {}, ())]
@@ -322,7 +318,7 @@ def check_monotone(f: Formula) -> MonotonicityReport:
         node, parities, path = stack.pop()
         if isinstance(node, RelVar):
             if parities.get(node.name, 0) % 2 == 1:
-                return MonotonicityReport(False, node.name, path)
+                return node.name, path
             continue
         if isinstance(node, Not):
             parities = {v: p + 1 for v, p in parities.items()}
@@ -330,13 +326,13 @@ def check_monotone(f: Formula) -> MonotonicityReport:
             parities = {**parities, node.name: 0}
         path += (type(node).__name__,)
         stack += ((c, parities, path) for c in reversed(_children(node)))
-    return MonotonicityReport(True)
+    return None
 
 
 def require_monotone(f: Formula):
-    report = check_monotone(f)
-    if not report.ok:
-        raise NonMonotoneFormulaError(report.variable, report.path)
+    bad = check_monotone(f)
+    if bad is not None:
+        raise NonMonotoneFormulaError(*bad)
 
 
 # ---------------------------------------------------------------------------

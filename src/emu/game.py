@@ -133,7 +133,7 @@ class WeightedGameStructure:
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(self.weights))
         if self.formula is not None:
-            if not fm.metrics(self.formula).closed:
+            if fm.metrics(self.formula).free:
                 raise EmuError("the winning formula must be closed")
             fm.require_monotone(self.formula)
         if self.priorities is not None:

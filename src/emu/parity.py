@@ -111,7 +111,7 @@ def from_parity_wgs(game: WeightedGameStructure) -> EnergyParityGame:
     t = game.tables()
     if t.prio is None:
         raise EmuError("the game carries no priority annotation")
-    N, NX, NYf = t.n_states, t.n_inputs, t.succ.shape[2]
+    N, NX, NYf = t.n_states, t.rho_e.shape[0], t.succ.shape[2]
     s, x = np.nonzero(t.rho_e[:, t.row].T)
     # each valid (state, input, read output) move, over the free outputs;
     # then sorted by source and, within one, by target, which is by output

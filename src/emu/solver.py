@@ -50,7 +50,7 @@ def compute_bound(game: WeightedGameStructure, formula: fm.Formula) -> BoundBrea
     n = game.n_states
     k = game.max_abs_weight
     met = fm.metrics(formula)
-    if not met.closed:
+    if met.free:
         raise FragmentError("the solver needs a closed formula")
     fm.require_monotone(formula)
     variant, d = fm.bound_variant(formula, game.parity_formula())
@@ -172,27 +172,17 @@ def solve(game: WeightedGameStructure, formula: fm.Formula, bound) -> SolveRepor
     )
 
 
-@dataclass(frozen=True)
-class CrosscheckReport:
-    ok: bool
-    bound: int
-    formula: fm.Formula
-    mismatches: tuple[tuple[int, int, int], ...]  # (state, symbolic, explicit)
+def crosscheck_parity(game: WeightedGameStructure,
+                      c: int) -> tuple[tuple[int, int, int], ...]:
+    """Symbolic vs explicit solving of a priority-annotated game at bound c:
+    the (state, symbolic, explicit) minimum credits of every game state
+    where they differ, so empty when the two sides agree.
 
-
-def crosscheck_parity(game: WeightedGameStructure, c: int) -> CrosscheckReport:
-    """Symbolic vs explicit solving of a priority-annotated game at bound c.
-
-    The symbolic side evaluates the parity fixpoint formula built from the
+    The symbolic side evaluates ``game.parity_formula()``, built from the
     priority guards; the explicit side expands the game, layers the credit,
-    and solves the resulting parity game.  Minimum credits must agree on
-    every game state.
+    and solves the resulting parity game.
     """
     explicit = solve_energy_parity(from_parity_wgs(game), c)[:game.n_states]
-    formula = game.parity_formula()
-    symbolic = eval_energy(game, c, formula)
-    bad = np.flatnonzero(symbolic.values != explicit)
-    mismatches = tuple(zip(bad.tolist(), symbolic.values[bad].tolist(),
-                           explicit[bad].tolist()))
-    return CrosscheckReport(ok=not mismatches, bound=c, formula=formula,
-                            mismatches=mismatches)
+    symbolic = eval_energy(game, c, game.parity_formula()).values
+    bad = np.flatnonzero(symbolic != explicit)
+    return tuple(zip(bad.tolist(), symbolic[bad].tolist(), explicit[bad].tolist()))

@@ -47,9 +47,10 @@ DEAD = -(1 << 61)
 
 @dataclass(frozen=True)
 class GameTables:
+    """A game's tables, or a reduction's: NX = 2^|X| inputs, ``rho_e.shape[0]``."""
+
     var_positions: dict[str, int]  # variable name -> bit position in a state index
     n_states: int
-    n_inputs: int                  # number of input assignments (2^|X|)
     row: np.ndarray                # int64 (N,): the table row of each state
     rho_e: np.ndarray              # bool (NX, R), R = 2^|S| rows: weight's last axes
     weight: np.ndarray             # int64 (NYr, NX, R); DEAD where rho_s fails
@@ -235,7 +236,6 @@ def build_tables(game) -> GameTables:
     return GameTables(
         var_positions=var_positions,
         n_states=n_states,
-        n_inputs=1 << nx,
         row=row,
         rho_e=rho_e,
         weight=weight,

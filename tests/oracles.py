@@ -759,6 +759,40 @@ def solve_energy_parity_loops(g, c: int) -> list[int]:
     return out
 
 
+def safety_credits_sepm(g, safe) -> list[int]:
+    """Least credits without any bound of the energy safety game on the
+    explicit game ``g`` (``from_parity_wgs``, every priority 0): per game
+    state, the least initial credit with which player 0 keeps the level
+    non-negative and never enters a game state outside ``safe``, a bool per
+    game state; INF if none does.
+
+    Small energy progress measures by value iteration (Brim, Chaloupka,
+    Doyen, Gentilini and Raskin, "Faster algorithms for mean-payoff games",
+    FMSD 2011): from 0 everywhere, each vertex is lifted to the credit its
+    moves need, min over player 0's and max over player 1's, a move of
+    weight w into a vertex needing e needing max(0, e - w).  Any value above
+    (n-1)K on the n vertices, with weights up to K, is top: no credit
+    suffices.  The game states outside ``safe`` and player 0's deadlocks are
+    top, and a deadlock of player 1 needs 0.
+    """
+    g = listed(g)
+    k = max((abs(w) for out in g.edges for _, w in out), default=0)
+    top = (g.n_states - 1) * k + 1
+    need = [0 if ok else top for ok in safe] + [0] * (g.n_states - len(safe))
+    changed = True
+    while changed:
+        changed = False
+        for v, out in enumerate(g.edges):
+            if need[v] == top:
+                continue
+            steps = [min(top, max(0, need[u] - w)) if need[u] < top else top
+                     for u, w in out]
+            lifted = min(steps, default=top) if g.owners[v] == 0 else max(steps, default=0)
+            if lifted > need[v]:
+                need[v], changed = lifted, True
+    return [int(INF) if e == top else e for e in need[:len(safe)]]
+
+
 # ---------------------------------------------------------------------------
 # The solve report as a document: the reference for ``cli.solve_report_json``.
 

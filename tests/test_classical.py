@@ -72,6 +72,18 @@ def test_cpre_matches_enumeration_random():
         assert set(np.nonzero(cpre_env(g, member_mask))[0]) == want_env
 
 
+def test_cpre_refuses_a_target_that_is_not_a_state_set(g1):
+    # 3 entries on the 4 states of the fixture raised an IndexError, and 5
+    # were read as 4
+    for bad, what in ((np.ones(3, dtype=bool), r"got bool of shape \(3,\)"),
+                      (np.ones(5, dtype=bool), r"got bool of shape \(5,\)"),
+                      (np.ones(4, dtype=np.int64), r"got int64 of shape \(4,\)")):
+        for step in (cpre_sys, cpre_env):
+            with pytest.raises(EmuError, match="the target must be a bool array"
+                               " over 4 states, " + what):
+                step(g1, bad)
+
+
 def test_eval_safety_g1(g1):
     got = eval_classical(g1, fm.builtin("safety"))
     assert got.all()

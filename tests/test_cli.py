@@ -840,6 +840,8 @@ def test_deep_input_exits_2_without_a_traceback(rho_s, formula, g1_path, tmp_pat
      "--param", "q=x"],
     ["solve", "G", "--bound", "2", "--formula", "nu X . <>X", "--param", "p=y"],
     ["solve", "G", "--bound", "2", "--param", "J=y"],
+    ["solve", "G", "--builtin", "buchi", "--param", "J=y", "--param", "J=x",
+     "--bound", "2"],
     ["bound", "G", "--param", "J=y"],
     ["region", "G", "--bound", "2", "--param", "J=y"],
 ])

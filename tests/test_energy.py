@@ -65,6 +65,23 @@ def test_energy_function_validation():
     assert EnergyFunction(2, [2, int(INF)]) == _f(2, [2, INF])
 
 
+def test_credits_must_be_one_dimensional(g1):
+    for values in (np.zeros((2, 2), dtype=np.int64), np.int64(0),
+                   np.zeros((g1.n_states, 1), dtype=np.int64)):
+        with pytest.raises(InvalidCreditError, match="one-dimensional"):
+            EnergyFunction(2, values)
+
+
+def test_steps_refuse_a_function_over_other_states(g1):
+    # 3 credits on the 4 states of the fixture raised an IndexError, and 5
+    # were read as 4
+    for n in (3, 5):
+        for step in (ecpre, ecpre_env):
+            with pytest.raises(BoundMismatchError,
+                               match=f"bound 2 over {n} states, expected 2 over 4"):
+                step(g1, 2, EnergyFunction.top(2, n))
+
+
 def test_join_meet_leq_examples():
     c = 4
     zero = EnergyFunction.top(c, 3)
@@ -80,7 +97,7 @@ def test_join_meet_leq_examples():
 def test_bound_mismatch(g1):
     with pytest.raises(BoundMismatchError):
         join(_f(2, [0]), _f(3, [0]))
-    with pytest.raises(BoundMismatchError, match="function bound 3 differs from c=2"):
+    with pytest.raises(BoundMismatchError, match="the function has bound 3 over 4 states, expected 2 over 4"):
         ecpre(g1, 2, EnergyFunction.top(3, g1.n_states))
     # functions over different state counts must not broadcast
     for op in (join, meet, leq):

@@ -82,7 +82,7 @@ def test_metrics_examples():
     m = fm.metrics(buchi)
     assert m.alternation_depth == 2
     assert m.length == 9
-    assert m.closed and fm.classify_fragment(buchi) == "sys"
+    assert not m.free and fm.classify_fragment(buchi) == "sys"
 
     safety = fm.metrics(fm.builtin("safety"))
     assert (safety.length, safety.alternation_depth) == (3, 1)
@@ -159,7 +159,7 @@ def test_alternation_depth_reads_through_negations():
 def test_metrics_record_what_a_formula_reads():
     f = fm.parse_formula('nu X . (<>X & Y) | mu Y . (@"a -> b" | !c | []Y) | Z')
     m = fm.metrics(f)
-    assert (m.free, m.atoms, m.closed) == ({"Y", "Z"}, {"a", "b", "c"}, False)
+    assert (m.free, m.atoms, fm.is_closed(f)) == ({"Y", "Z"}, {"a", "b", "c"}, False)
     assert fm.metrics(fm.builtin("buchi", J="y")).free == frozenset()
     # a binder name the parser would not read back is refused, the first
     # in preorder; a free one is only reported
@@ -177,11 +177,10 @@ def test_classify_fragment():
 
 
 def test_check_monotone():
-    ok = fm.check_monotone(fm.parse_formula("nu X . !!X"))
-    assert ok.ok
+    assert fm.check_monotone(fm.parse_formula("nu X . !!X")) is None
     bad = fm.check_monotone(fm.parse_formula("mu X . !X"))
-    assert not bad.ok and bad.variable == "X"
-    assert fm.check_monotone(fm.builtin("buchi", J="y")).ok
+    assert bad == ("X", ("Mu", "Not"))
+    assert fm.check_monotone(fm.builtin("buchi", J="y")) is None
 
 
 def test_builtins_closed_monotone():
@@ -194,7 +193,7 @@ def test_builtins_closed_monotone():
     ]:
         f = fm.builtin(name, **params)
         assert fm.is_closed(f)
-        assert fm.check_monotone(f).ok
+        assert fm.check_monotone(f) is None
 
 
 def test_builtin_rejects_primed_param():

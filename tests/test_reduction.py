@@ -88,7 +88,8 @@ def test_reduce_g1_c2(g1):
     assert t.tables() is t  # evaluators read it as they read a game
     # the credit is a read output and a row block, one per credit in [0, 2]
     assert t.n_states == base.n_states * 3
-    assert t.weight.shape == (len(base.weight) * 3, base.n_inputs, base.rho_e.shape[1] * 3)
+    assert t.weight.shape == (len(base.weight) * 3, 1 << len(g1.vars.inputs),
+                              base.rho_e.shape[1] * 3)
 
     s = state_of(g1.vars, set()).index
     t_y = state_of(g1.vars, {"y"}).index
