@@ -252,11 +252,14 @@ def _credit_cap_cut(c: int, cap: int, root_proven: bool):
 
     Every other fixpoint evaluation is left alone.
 
-    The game G below is ``parity.from_parity_wgs`` of the game: the N game
-    states belong to the environment and move, with weight 0, to the
+    The game G below is an explicit expansion of the game: the N game
+    states belong to the environment and move, with weight 0, to
     positions after an input; from these the system moves, with the
-    move's weight, into a game state.  A deadlock of the environment counts
-    as a move of weight 0 into a sink with a loop of weight 0 and priority 0.
+    move's weight, into a game state.  G may have one position per
+    (state, input), or share one among bisimilar states as
+    ``parity.from_parity_wgs`` does: the argument counts game states only.
+    A deadlock of the environment counts as a move of weight 0 into a sink
+    with a loop of weight 0 and priority 0.
 
     Lemma.  Let W be the states of G from which the system wins a parity
     condition with some credit, the energy level not truncated.  Then the

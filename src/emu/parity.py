@@ -13,6 +13,11 @@ A game of n states and E edges is held in arrays: ``owners`` int8 (n,),
 ``prios`` int64 (n,), and the edge list ``src``/``dst`` int64 (E,), plus
 ``weight`` int64 (E,) in an energy parity game.  The edges are sorted by
 ``src``, stably, so the edges of a state form one run in their given order.
+The expansion of a symbolic game keeps its N game states at 0..N-1 and
+shares the positions after an input: one per input and per class of the
+game states with one table row and one priority.  The states of a class
+have the same owner, priority and moves, with the same weights, after each
+input, so one position per (state, input) would hold bisimilar copies.
 The unfolding at bound c packs (state s, credit) as credit*n + s for credit
 in [0, c], the layout of the credit-tracking reduction, and puts the
 overflow state of s at (c+1)*n + s.
@@ -103,29 +108,42 @@ def from_parity_wgs(game: WeightedGameStructure) -> EnergyParityGame:
     """Explicit expansion of a priority-annotated weighted game.
 
     States 0..N-1 are the game states, owned by player 1 (the environment
-    moves first); state N + s*NX + x is the intermediate position after the
-    environment picked input x in state s, owned by player 0.  Environment
-    edges weigh 0, system edges carry the transition weight, and an
-    intermediate position inherits the priority of its source state.
+    moves first).  The game states of one table row and one priority form a
+    class, and N + k*NX + x is the position of class k after the environment
+    picked input x, owned by player 0; the classes are numbered by row, then
+    priority.  Environment edges weigh 0, system edges carry the transition
+    weight, and a position has the priority of its class.  Sharing loses
+    nothing: the moves after an input and their weights are read from the
+    row alone, so the position of a class is a bisimilar copy of the one
+    position per (state, input) that each of its states would have.
     """
     t = game.tables()
     if t.prio is None:
         raise EmuError("the game carries no priority annotation")
     N, NX, NYf = t.n_states, t.rho_e.shape[0], t.succ.shape[2]
+    # the classes, by sorting the states on (row, priority): a key computed
+    # from the two could wrap, since a priority may be up to 2^63-1
+    by_class = np.lexsort((t.prio, t.row))
+    row, prio = t.row[by_class], t.prio[by_class]
+    first = np.ones(N, dtype=bool)  # the first state of each class
+    first[1:] = (row[1:] != row[:-1]) | (prio[1:] != prio[:-1])
+    cls = np.empty(N, dtype=np.int64)
+    cls[by_class] = np.cumsum(first) - 1
+    row, prio = row[first], prio[first]
     s, x = np.nonzero(t.rho_e[:, t.row].T)
-    # each valid (state, input, read output) move, over the free outputs;
+    # each valid (class, input, read output) move, over the free outputs;
     # then sorted by source and, within one, by target, which is by output
-    ss, sx, sy = np.nonzero((t.weight != tables.DEAD)[:, :, t.row].T)
-    src = np.repeat(N + ss * NX + sx, NYf)
-    dst = t.succ[sy, sx].ravel()
+    k, kx, ky = np.nonzero((t.weight != tables.DEAD)[:, :, row].T)
+    src = np.repeat(N + k * NX + kx, NYf)
+    dst = t.succ[ky, kx].ravel()
     order = np.lexsort((dst, src))
     return EnergyParityGame(
-        owners=np.repeat(np.array([1, 0], dtype=np.int8), [N, N * NX]),
-        prios=np.concatenate([t.prio, np.repeat(t.prio, NX)]),
+        owners=np.repeat(np.array([1, 0], dtype=np.int8), [N, len(row) * NX]),
+        prios=np.concatenate([t.prio, np.repeat(prio, NX)]),
         src=np.concatenate([s, src[order]]),
-        dst=np.concatenate([N + s * NX + x, dst[order]]),
+        dst=np.concatenate([N + cls[s] * NX + x, dst[order]]),
         weight=np.concatenate([np.zeros(len(s), dtype=np.int64),
-                               np.repeat(t.weight[sy, sx, t.row[ss]], NYf)[order]]),
+                               np.repeat(t.weight[ky, kx, row[k]], NYf)[order]]),
     )
 
 

@@ -49,18 +49,30 @@ def _regions(g):
     return tuple(set(np.flatnonzero(w).tolist()) for w in solve_parity(g))
 
 
+def _classes(game):
+    """The class of each game state: the index of its (table row,
+    priority) pair among the game's pairs, sorted."""
+    t = game.tables()
+    keys = list(zip(t.row.tolist(), t.prio.tolist()))
+    pairs = sorted(set(keys))
+    return [pairs.index(key) for key in keys]
+
+
 def test_from_parity_wgs_counts(g1, fixtures_dir):
     g = _with_prio(g1, fixtures_dir / "g1_buchi.prio")
     ep = from_parity_wgs(g)
-    assert ep.n_states == 4 + 4 * 2
+    # g1's moves read no state variable: one row, and two priorities
+    assert ep.n_states == 4 + 2 * 2
     assert ep.owners[:4].tolist() == [1, 1, 1, 1]
     assert set(ep.owners[4:].tolist()) == {0}
     assert ep.n_priorities == 2
     assert ep.max_abs_weight == 1
-    # intermediate positions inherit the source priority
+    # a position after an input has the priority of its class's states
+    cls = _classes(g)
+    assert sorted(set(cls)) == [0, 1]
     for s in range(4):
         for x in range(2):
-            assert ep.prios[4 + s * 2 + x] == ep.prios[s]
+            assert ep.prios[4 + cls[s] * 2 + x] == ep.prios[s]
 
 
 def test_from_parity_wgs_env_deadlock():
@@ -118,7 +130,7 @@ def test_unfold_tiny_examples():
 def test_unfold_counts(g1, fixtures_dir):
     ep = from_parity_wgs(_with_prio(g1, fixtures_dir / "g1_buchi.prio"))
     u = unfold_with_bound(ep, 2)
-    assert u.n_states == 12 * 4
+    assert u.n_states == 8 * 4
 
 
 def test_solve_parity_single_states():
@@ -194,9 +206,30 @@ def test_bound_sufficiency_random():
         assert (at_2b[winners_b] <= at_b[winners_b]).all()
 
 
+def _check_expansion(game, c):
+    """``from_parity_wgs`` against the one position per (state, input) of
+    ``from_parity_wgs_loops``: under (s, x) -> N + class(s)*NX + x, each of
+    those positions and each game state has the owner, priority and
+    out-edges of its image, every state of the expansion is an image, and
+    the game states' credits at bound c agree."""
+    ep, loops = from_parity_wgs(game), from_parity_wgs_loops(game)
+    got, n, nx = listed(ep), game.n_states, 1 << len(game.vars.inputs)
+    cls = _classes(game)
+    image = list(range(n)) + [n + cls[s] * nx + x for s in range(n) for x in range(nx)]
+    assert set(image) == set(range(got.n_states))
+    for v, w in enumerate(image):
+        assert (got.owners[w], got.prios[w]) == (loops.owners[v], loops.prios[v])
+        assert got.edges[w] == tuple((image[d], weight) for d, weight in loops.edges[v])
+    want = solve_energy_parity_loops(loops, c)[:n]
+    assert solve_energy_parity(ep, c)[:n].tolist() == want
+
+
 def test_array_pipeline_matches_loops():
     """Expansion, unfolding and the solver against the loop
     versions of ``tests/oracles.py``, on games with deadlocks."""
+    from emu import PriorityRule, VariableSet, WeightRule, WeightedGameStructure
+    from emu import assertions as asr
+
     rng = random.Random(79)
     for _ in range(300):
         ep = random_energy_parity_game(rng, max_states=8)
@@ -204,12 +237,29 @@ def test_array_pipeline_matches_loops():
         u = unfold_with_bound(ep, c)
         assert listed(u) == unfold_with_bound_loops(ep, c)
         assert _regions(u) == solve_parity_loops(u)
+    shared = 0  # games where one row holds states of different priorities
     for _ in range(30):
         game = random_wgs(rng, 2, 5, 3, priorities=True)
-        ep = from_parity_wgs(game)
-        assert listed(ep) == from_parity_wgs_loops(game)
-        c = rng.randint(0, 12)
-        assert solve_energy_parity(ep, c).tolist() == solve_energy_parity_loops(ep, c)
+        _check_expansion(game, rng.randint(0, 12))
+        t = game.tables()
+        shared += len(set(zip(t.row.tolist(), t.prio.tolist()))) > len(set(t.row.tolist()))
+    assert shared
+    # four rows (the weights read y and w) and the extreme priorities 0 and
+    # 2^63-1: a key of row * (largest priority + 1) + priority wraps, and
+    # gives rows 0 and 2 the same keys
+    top = (1 << 63) - 1
+    y, w, z = asr.Var("y"), asr.Var("w"), asr.Var("z")
+    extreme = WeightedGameStructure(
+        vars=VariableSet(("x", "y", "w", "z"), frozenset({"x"})),
+        rho_e=asr.TRUE,
+        rho_s=asr.Or(asr.Var("z", primed=True), y),
+        weights=(WeightRule(asr.And(y, w), -2), WeightRule(y, -1), WeightRule(asr.TRUE, 1)),
+        priorities=(PriorityRule(z, 0), PriorityRule(asr.Not(z), top)),
+    )
+    assert sorted(set(_classes(extreme))) == list(range(8))
+    assert from_parity_wgs(extreme).prios.max() == top
+    for c in (0, 1, 3):
+        _check_expansion(extreme, c)
 
 
 def test_explicit_game_validation():
