@@ -195,7 +195,7 @@ def _predecessors(src, dst, n):
     ``pred[ptr[d]:ptr[d+1]]``."""
     ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(dst, minlength=n), out=ptr[1:])
-    return ptr, src[np.argsort(dst, kind="stable")]
+    return ptr, src[np.argsort(dst)]
 
 
 # An attractor round is a pass over all E edges, which on the shallow

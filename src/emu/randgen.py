@@ -41,7 +41,6 @@ def random_wgs(
     max_vars: int = 4,
     max_weight: int = 2,
     priorities: bool = False,
-    max_priorities: int = 3,
 ) -> WeightedGameStructure:
     """A random weighted game; the last weight rule is a catch-all.
 
@@ -76,16 +75,12 @@ def random_wgs(
         ))
     rules.append(WeightRule(asr.TRUE, rng.randint(-max_weight, max_weight)))
 
-    prio_rules = None
-    if priorities:
-        prio_rules = random_priorities(rng, vs, max_priorities)
-
     return WeightedGameStructure(
         vars=vs,
         rho_e=rho_e,
         rho_s=rho_s,
         weights=tuple(rules),
-        priorities=prio_rules,
+        priorities=random_priorities(rng, vs) if priorities else None,
         formula=fm.builtin("safety"),
     )
 

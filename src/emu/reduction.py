@@ -4,10 +4,12 @@ The reduced game adds a system-controlled credit in [0, c] to the state.
 Its system transition relation allows a move exactly when the underlying
 move is valid and the claimed next credit is covered by the current credit
 plus the transition weight.  Solving the reduced game with the set-valued
-semantics and reading off, per state, which credit layers win reproduces
-the energy semantics; this is the library's primary correctness oracle,
-not its production solving path (its tables hold (c+1)^2 times the game's
-cells).
+semantics and reading off, per state, which credit layers the system wins
+reproduces the energy semantics of a box-free formula; this is the
+library's primary correctness oracle, not its production solving path (its
+tables hold (c+1)^2 times the game's cells).  The oracle is one-sided, as
+the engine is: the environment's value of a diamond-free formula is ``neg``
+of the system's credits on its box-free negation.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from . import formulas as fm
 from .classical import eval_classical
-from .energy import INF, EnergyFunction, _check_bound
+from .energy import INF, EnergyFunction, _check_bound, neg
 from .errors import ConsistencyError, FragmentError, StateCapError
 from .game import MAX_VARS, WeightedGameStructure
 from .tables import DEAD, GameTables, check_memory
@@ -63,67 +65,55 @@ def reduce_game(game: WeightedGameStructure, c: int) -> GameTables:
 
     for arr in (row, rho_e, weight, succ):
         arr.setflags(write=False)
-    return dataclasses.replace(base, n_states=N * layers, row=row, rho_e=rho_e,
-                               weight=weight, succ=succ, prio=None)
+    return dataclasses.replace(base, row=row, rho_e=rho_e, weight=weight,
+                               succ=succ, prio=None)
 
 
-def credit_readout(reduced: GameTables, c: int, formula: fm.Formula,
-                   side: str) -> EnergyFunction:
-    """Per-state credit read off ``reduced``, the tables ``reduce_game(game,
-    c)``, for one player's fragment: box-free formulas on the "sys" side,
-    diamond-free ones on "env" (``layer_credits``).  One reduction serves
-    both sides of a game and bound."""
-    f = fm.push_negations(formula)
-    if not fm.is_closed(f):
-        raise FragmentError("the oracle needs a closed formula")
-    if fm.classify_fragment(f) not in (side, "both"):
-        raise FragmentError(
-            "the system-side oracle needs a box-free formula" if side == "sys"
-            else "the environment-side oracle needs a diamond-free formula")
-    won = eval_classical(reduced, f).reshape(c + 1, -1)
-    return EnergyFunction(c, layer_credits(won, side))
+def layer_credits(won: np.ndarray) -> np.ndarray:
+    """Per-state least winning credit read off ``won``, the bool (c+1, n)
+    credit layers the system wins, as both oracles lay them out.
 
-
-def layer_credits(won: np.ndarray, side: str = "sys") -> np.ndarray:
-    """Per-state credit read off ``won``, the bool (c+1, n) credit layers a
-    player wins, as both oracles lay them out.
-
-    ``side`` is "sys" (the system's winning credits must be upward closed
-    [lo, c] and the value is lo) or "env" (the environment's must be
-    downward closed [0, hi] and the value is c - hi).  States with no
-    winning credit get INF; a winning set of the wrong shape means one of
-    the two evaluators is broken and raises.
+    The winning credits of a state must be upward closed, [lo, c], and its
+    value is lo; states with no winning credit get INF.  A winning set of
+    another shape means one of the two evaluators is broken and raises.
     """
-    # a well-shaped column is unchanged by an or-scan from its open end
-    scan = won if side == "sys" else won[::-1]
-    bad = np.flatnonzero((np.logical_or.accumulate(scan) != scan).any(axis=0))
+    # a well-shaped column is unchanged by an or-scan from credit 0
+    bad = np.flatnonzero((np.logical_or.accumulate(won) != won).any(axis=0))
     if bad.size:
         s = int(bad[0])
         raise ConsistencyError(
-            f"winning credits of state {s} are not"
-            f" {'upward' if side == 'sys' else 'downward'} closed:"
+            f"winning credits of state {s} are not upward closed:"
             f" {np.flatnonzero(won[:, s]).tolist()}")
-    # both sides' value is c + 1 - count: lo of [lo, c], c - hi of [0, hi]
-    count = won.sum(axis=0)
+    count = won.sum(axis=0)  # lo of [lo, c] is c + 1 - count
     return np.where(count > 0, len(won) - count, INF)
 
 
 def oracle_min_credit_sys(
     game: WeightedGameStructure, c: int, formula: fm.Formula
 ) -> EnergyFunction:
-    """Per-state least winning credit of a box-free formula, read off the
-    reduced game; the winning credits of each state must be upward closed."""
-    return credit_readout(reduce_game(game, c), c, formula, "sys")
+    """Per-state least winning credit of a closed box-free formula, read off
+    the reduced game (``layer_credits``)."""
+    f = fm.push_negations(formula)
+    if not fm.is_closed(f):
+        raise FragmentError("the oracle needs a closed formula")
+    if fm.classify_fragment(f) not in ("sys", "both"):
+        raise FragmentError("the system-side oracle needs a box-free formula")
+    won = eval_classical(reduce_game(game, c), f).reshape(c + 1, -1)
+    return EnergyFunction(c, layer_credits(won))
 
 
 def oracle_max_credit_env(
     game: WeightedGameStructure, c: int, formula: fm.Formula
 ) -> EnergyFunction:
-    """The energy value of a diamond-free formula, read off the reduced game.
+    """The energy value of a diamond-free formula, by De Morgan duality.
 
-    For each state the reduced game yields the set of credits with which the
-    environment wins, which must be downward closed [0, M]; the energy value
-    is then c - M, or INF when the set is empty (value 0 thus means the
-    environment wins for every credit, INF that it wins for none).
+    The environment wins the reduced game for a diamond-free formula exactly
+    where the system loses it for the box-free negation, so a state's
+    environment credits are [0, lo - 1] when the system's on the negation
+    are [lo, c], and the value c - (lo - 1) is ``neg`` of lo: 0 when the
+    environment wins for every credit, INF when for none.
     """
-    return credit_readout(reduce_game(game, c), c, formula, "env")
+    dual = fm.negate(formula)
+    if fm.classify_fragment(dual) not in ("sys", "both"):
+        raise FragmentError("the environment-side oracle needs a diamond-free formula")
+    return neg(oracle_min_credit_sys(game, c, dual))

@@ -50,12 +50,15 @@ class GameTables:
     """A game's tables, or a reduction's: NX = 2^|X| inputs, ``rho_e.shape[0]``."""
 
     var_positions: dict[str, int]  # variable name -> bit position in a state index
-    n_states: int
     row: np.ndarray                # int64 (N,): the table row of each state
     rho_e: np.ndarray              # bool (NX, R), R = 2^|S| rows: weight's last axes
     weight: np.ndarray             # int64 (NYr, NX, R); DEAD where rho_s fails
     succ: np.ndarray               # int64 (NYr, NX, NYf): successor state index
     prio: np.ndarray | None        # int64 (N,) state priorities, if annotated
+
+    @property
+    def n_states(self) -> int:
+        return len(self.row)
 
     def tables(self) -> GameTables:
         """These tables: evaluators read a reduction as they read a game."""
@@ -235,7 +238,6 @@ def build_tables(game) -> GameTables:
             arr.setflags(write=False)
     return GameTables(
         var_positions=var_positions,
-        n_states=n_states,
         row=row,
         rho_e=rho_e,
         weight=weight,

@@ -286,22 +286,27 @@ def test_check_mutation_detected(tmp_path, capsys, monkeypatch):
 
 
 def test_check_builds_one_reduction_per_case(tmp_path, capsys, monkeypatch):
-    # both sides of a reduction case are read off the same tables, which the
-    # check builds once and lets go with the case
+    # the environment side is derived from the system side's oracle, so a
+    # case builds one reduction and solves it once, and lets both go with it
     from emu import reduction
 
-    build, bounds = reduction.reduce_game, []
+    build, solve_reduced, bounds, solves = (
+        reduction.reduce_game, reduction.eval_classical, [], [])
 
     def counted(game, c):
         bounds.append(c)
         return build(game, c)
 
-    for module in (cli, reduction):
-        monkeypatch.setattr(module, "reduce_game", counted)
+    def solved(reduced, f):
+        solves.append(f)
+        return solve_reduced(reduced, f)
+
+    monkeypatch.setattr(reduction, "reduce_game", counted)
+    monkeypatch.setattr(reduction, "eval_classical", solved)
     assert run(["check", "--seed", "7", "--cases", "3", "--max-vars", "3",
                 "--dump-dir", str(tmp_path)]) == 0
     assert "checked 3 cases, 0 mismatches" in capsys.readouterr().out
-    assert len(bounds) == 3
+    assert len(bounds) == 3 and len(solves) == 3
 
 
 def test_check_refuses_a_missing_dump_dir_before_any_case(tmp_path, capsys, monkeypatch):
@@ -357,23 +362,23 @@ def test_check_dumps_an_inconsistent_case(oracle, tmp_path, capsys, monkeypatch)
 
 @pytest.mark.parametrize("side", ["environment", "partition"])
 def test_check_dumps_an_environment_side_case(side, tmp_path, capsys, monkeypatch):
-    # the system side agrees; then the environment side disagrees with its
-    # oracle, or agrees and claims the states the system wins as well
+    # the system side agrees; then the engine's value of the negation is not
+    # neg of the system's credits: corrupted, or claiming with the oracle
+    # that every state is won with credit 0 on both sides, so that the
+    # regions would not partition the states
     def zeros(game, c, f):
         return EnergyFunction(c, np.zeros(game.n_states, dtype=np.int64))
 
-    honest = cli.credit_readout
+    honest = cli.eval_energy
     if side == "environment":
-        def readout(reduced, c, f, side):
-            credits = honest(reduced, c, f, side)
-            return mutate_credits(credits) if side == "env" else credits
-        why = "environment-side values disagree"
+        def energy(game, c, f):  # the check's formulas are box-free
+            credits = honest(game, c, f)
+            return mutate_credits(credits) if fm.classify_fragment(f) == "env" else credits
+        monkeypatch.setattr(cli, "eval_energy", energy)
     else:
-        def readout(reduced, c, f, side):  # of (c + 1) credit layers
-            return EnergyFunction(c, np.zeros(reduced.n_states // (c + 1), dtype=np.int64))
+        monkeypatch.setattr(cli, "oracle_min_credit_sys", zeros)
         monkeypatch.setattr(cli, "eval_energy", zeros)
-        why = "regions do not partition the states"
-    monkeypatch.setattr(cli, "credit_readout", readout)
+    why = "environment-side values disagree"
     code = run(["check", "--seed", "0", "--cases", "2", "--max-vars", "3",
                 "--dump-dir", str(tmp_path)])
     assert code == 3

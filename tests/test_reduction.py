@@ -34,6 +34,7 @@ from oracles import (
     credit_readout_loops,
     env_choices,
     eval_assertion,
+    random_nested_formula,
     state_of,
     sys_choices,
     weight,
@@ -322,6 +323,32 @@ def test_energy_equals_reduction_oracle_random():
         assert eval_energy(g, c, dual) == oracle_max_credit_env(g, c, dual)
 
 
+def test_environment_oracle_is_the_dual_of_the_system_oracle():
+    """``oracle_max_credit_env`` is ``neg`` of the system's oracle on the
+    negation.  Checked against the environment's own reading of its winning
+    layers on the reduced game (downward closed [0, hi], value c - hi) and
+    against the engine, on random games, deadlocks included, and box-free
+    formulas: the stock ones, and nested ones of both fixpoint kinds."""
+    rng = random.Random(5)
+    finite = 0
+    for i in range(600):
+        g = random_wgs(rng, 2, 3, 2)
+        c = rng.randint(0, 8)
+        if i % 2:
+            _, f = random_formula(rng, g.vars)
+        else:
+            f = random_nested_formula(rng, size=8)
+            while fm.classify_fragment(f) not in ("sys", "both"):
+                f = random_nested_formula(rng, size=8)
+        dual = fm.negate(f)
+        got = oracle_max_credit_env(g, c, dual)
+        won = eval_classical(reduce_game(g, c), dual).reshape(c + 1, -1)
+        assert got.values.tolist() == credit_readout_loops(won, c, "env")
+        assert got == eval_energy(g, c, dual)
+        finite += int(((got.values > 0) & got.is_finite()).sum())
+    assert finite >= 100  # values strictly inside (0, INF), not only the ends
+
+
 @pytest.mark.parametrize("side, column, want", [
     ("sys", [0, 1, 1], 1),
     ("sys", [1, 0, 1], None),   # a gap
@@ -333,10 +360,13 @@ def test_energy_equals_reduction_oracle_random():
 def test_credit_readout_checks_the_shape(g1, monkeypatch, side, column, want):
     from emu import reduction
 
+    # ``column`` is what ``side`` wins: the environment's oracle reads the
+    # system's winning layers on the negation, which are their complement
     layers = np.zeros((3, g1.n_states), dtype=bool)  # credits 0..2 at c=2
     layers[:, 0] = column
+    won = layers if side == "sys" else ~layers
     monkeypatch.setattr(reduction, "eval_classical",
-                        lambda rg, f: layers.reshape(-1))
+                        lambda rg, f: won.reshape(-1))
     safety = fm.builtin("safety")
     if side == "sys":
         oracle, formula = oracle_min_credit_sys, safety
@@ -352,7 +382,9 @@ def test_credit_readout_checks_the_shape(g1, monkeypatch, side, column, want):
 def test_readout_matches_the_loop_reference(g1, monkeypatch):
     """The array readout against ``oracles.credit_readout_loops`` on random
     winning layers, well and badly shaped, on both sides: the same values,
-    or the same ``ConsistencyError`` text."""
+    or the same ``ConsistencyError`` text.  The environment's layers reach
+    its oracle as their complement, the system's layers on the negation,
+    so a badly shaped one is refused in the system's words."""
     from emu import reduction
 
     rng = np.random.default_rng(29)
@@ -368,17 +400,20 @@ def test_readout_matches_the_loop_reference(g1, monkeypatch):
         bad = rng.random(n) < (0.0, 0.1, 0.5)[case % 3]
         noise = rng.random((c + 1, n)) < 0.5
         layers = np.where(bad, noise, layers)
+        won = layers if side == "sys" else ~layers
         monkeypatch.setattr(reduction, "eval_classical",
-                            lambda rg, f: layers.reshape(-1))
+                            lambda rg, f: won.reshape(-1))
         oracle, formula = ((oracle_min_credit_sys, safety) if side == "sys"
                            else (oracle_max_credit_env, fm.negate(safety)))
         try:
             want = credit_readout_loops(layers, c, side)
-        except ConsistencyError as e:
+        except ConsistencyError:
             raised += 1
             with pytest.raises(ConsistencyError) as got:
                 oracle(g1, c, formula)
-            assert str(got.value) == str(e)
+            with pytest.raises(ConsistencyError) as e:
+                credit_readout_loops(won, c, "sys")
+            assert str(got.value) == str(e.value)
         else:
             assert oracle(g1, c, formula).values.tolist() == want
     assert 50 < raised < 350
